@@ -35,6 +35,7 @@
 #include "db/database.hpp"
 #include "db/packed.hpp"
 #include "db/presets.hpp"
+#include "engines/cpu_engine.hpp"
 #include "engines/topk.hpp"
 #include "obs/metrics.hpp"
 #include "simd/simd.hpp"
@@ -58,7 +59,7 @@ align::Score run_scan(const align::StripedAligner& aligner,
                       const db::PackedDatabase& packed,
                       align::ScanScratch& scratch,
                       align::InterleavedCohorts cohorts,
-                      align::DatabaseScanner::DispatchStats* stats = nullptr) {
+                      align::DatabaseScanner::Stats* stats = nullptr) {
     align::DatabaseScanner scanner(aligner, packed.view(),
                                    align::DatabaseScanner::kDefaultChunk,
                                    cohorts);
@@ -68,7 +69,7 @@ align::Score run_scan(const align::StripedAligner& aligner,
                            best = std::max(best, s);
                            return true;
                        });
-    if (stats != nullptr) *stats = scanner.dispatch_stats();
+    if (stats != nullptr) *stats = scanner.stats();
     return best;
 }
 
@@ -76,8 +77,7 @@ align::Score run_scan(const align::StripedAligner& aligner,
 /// wired to the collector's running k-th best, i.e. the full funnel.
 struct TopKOutcome {
     std::vector<core::Hit> hits;
-    align::DatabaseScanner::DispatchStats dispatch;
-    align::DatabaseScanner::FilterStats filter;
+    align::DatabaseScanner::Stats stats;
 };
 
 TopKOutcome run_topk(const align::StripedAligner& aligner,
@@ -100,8 +100,7 @@ TopKOutcome run_topk(const align::StripedAligner& aligner,
         [](std::uint32_t, std::uint32_t) { return true; });
     TopKOutcome out;
     out.hits = collector.take();
-    out.dispatch = scanner.dispatch_stats();
-    out.filter = scanner.filter_stats();
+    out.stats = scanner.stats();
     return out;
 }
 
@@ -113,10 +112,8 @@ align::Score run_filter_only(const align::StripedAligner& aligner,
     std::uint8_t lane_best[64];
     align::Score acc = 0;
     const std::size_t qlen = aligner.interseq()->query_len;
-    const std::size_t tiles =
-        (qlen + align::DatabaseScanner::kFilterChunkRows - 1) /
-        align::DatabaseScanner::kFilterChunkRows;
-    const std::size_t rows = tiles == 0 ? 1 : (qlen + tiles - 1) / tiles;
+    const std::size_t tiles = align::interseq_tile_count(qlen);
+    const std::size_t rows = (qlen + tiles - 1) / tiles;
     for (std::size_t c = 0; c < cohorts.count; ++c) {
         const align::CohortDesc& d = cohorts.cohorts[c];
         // Same row tiling as DatabaseScanner::filter_cohort, so this
@@ -145,11 +142,11 @@ struct Row {
     double exact_gcups = 0.0;
     double funnel_gcups = 0.0;
     double funnel_speedup = 0.0;
-    align::DatabaseScanner::DispatchStats dispatch;
-    /// Dispatch of the armed (funnel) pass — the one that exercises
-    /// the survivor re-pack; `dispatch` above is the unarmed scan.
-    align::DatabaseScanner::DispatchStats funnel_dispatch;
-    align::DatabaseScanner::FilterStats filter;
+    align::DatabaseScanner::Stats dispatch;
+    /// Counters of the armed (funnel) pass — the one that exercises
+    /// the prefilter and the survivor re-pack; `dispatch` above is the
+    /// unarmed scan.
+    align::DatabaseScanner::Stats funnel;
 };
 
 }  // namespace
@@ -160,8 +157,8 @@ int main(int argc, char** argv) {
     args.add_option("reps", "timing repetitions (best-of)", "5");
     args.add_option("db-seqs", "synthetic database sequence count", "1500");
     // The sweep covers the paper's Table-II query range (100..5000 aa)
-    // plus the 1024/1025 pair straddling the untiled/tiled kernel
-    // boundary (2 * align::kInterseqTileRows).
+    // plus the 1024/1025 pair straddling a query tile boundary
+    // (4 * align::kInterseqTileRows: 4 tiles vs 5).
     args.add_option("qlens", "comma-separated query lengths",
                     "50,100,150,200,500,1024,1025,2000,3000,5000");
     args.add_option("topk", "hits kept per query (funnel threshold k)", "10");
@@ -264,13 +261,12 @@ int main(int argc, char** argv) {
                 return 1;
             }
         }
-        row.filter = funnel.filter;
-        row.funnel_dispatch = funnel.dispatch;
+        row.funnel = funnel.stats;
         row.filter_selectivity =
             database.size() == 0
                 ? 1.0
                 : static_cast<double>(database.size() -
-                                      funnel.filter.subjects_pruned) /
+                                      funnel.stats.subjects_pruned) /
                       static_cast<double>(database.size());
 
         double packed_best_s = 1e30;
@@ -306,34 +302,10 @@ int main(int argc, char** argv) {
         row.funnel_gcups = cells / funnel_best_s / 1e9;
         row.funnel_speedup = row.funnel_gcups / row.exact_gcups;
         rows.push_back(row);
-        // Route breakdown (scan.dispatch.*): why each cohort took its
-        // path — tiled-interseq, compacted, or striped-head — so
-        // coverage regressions show up without re-benchmarking.
-        metrics.counter("scan.dispatch.cohorts_interseq")
-            .add(row.dispatch.cohorts_interseq);
-        metrics.counter("scan.dispatch.cohorts_tiled")
-            .add(row.dispatch.cohorts_tiled);
-        metrics.counter("scan.dispatch.cohorts_compacted")
-            .add(row.dispatch.cohorts_compacted);
-        metrics.counter("scan.dispatch.cohorts_striped_head")
-            .add(row.dispatch.cohorts_striped);
-        metrics.counter("scan.dispatch.repacks")
-            .add(row.dispatch.repacks + row.funnel_dispatch.repacks);
-        metrics.counter("scan.dispatch.escalations16")
-            .add(row.dispatch.escalations16 +
-                 row.funnel_dispatch.escalations16);
-        metrics.counter("scan.dispatch.subjects_interseq")
-            .add(row.dispatch.subjects_interseq);
-        metrics.counter("scan.dispatch.subjects_compacted")
-            .add(row.dispatch.subjects_compacted);
-        metrics.counter("scan.dispatch.subjects_striped")
-            .add(row.dispatch.subjects_striped);
-        metrics.counter("scan.filter.cohorts")
-            .add(row.filter.cohorts_filtered);
-        metrics.counter("scan.filter.rebounds16").add(row.filter.rebounds16);
-        metrics.counter("scan.filter.pruned")
-            .add(row.filter.subjects_pruned);
-        metrics.counter("scan.filter.offs").add(row.filter.filter_offs);
+        // Routes and prefilter counters of the funnel pass, under the
+        // names CpuEngine exports for the same scan (prefilter on is
+        // the engine's default).
+        engines::export_scan_stats(row.funnel, metrics);
         std::cout << format_double(static_cast<double>(qlen), 0) << "    "
                   << format_double(row.packed_gcups, 3) << "    "
                   << format_double(row.exact_gcups, 3) << "    "
@@ -435,31 +407,26 @@ int main(int argc, char** argv) {
             << ", \"exact_gcups\": " << format_double(r.exact_gcups, 4)
             << ", \"funnel_gcups\": " << format_double(r.funnel_gcups, 4)
             << ", \"funnel_speedup\": " << format_double(r.funnel_speedup, 4)
-            << ", \"subjects_pruned\": " << r.filter.subjects_pruned
-            << ", \"filter_rebounds16\": " << r.filter.rebounds16
-            << ", \"filter_offs\": " << r.filter.filter_offs
+            << ", \"subjects_pruned\": " << r.funnel.subjects_pruned
+            << ", \"filter_offs\": " << r.funnel.filter_offs
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
-            << ", \"cohorts_tiled\": " << r.dispatch.cohorts_tiled
             << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted
             << ", \"cohorts_striped\": " << r.dispatch.cohorts_striped
             << ", \"repacks\": " << r.dispatch.repacks
             << ", \"escalations16\": "
-            << r.dispatch.escalations16 + r.funnel_dispatch.escalations16
+            << r.dispatch.escalations16 + r.funnel.escalations16
             << ", \"subjects_interseq\": " << r.dispatch.subjects_interseq
             << ", \"subjects_compacted\": " << r.dispatch.subjects_compacted
             << ", \"subjects_striped\": " << r.dispatch.subjects_striped
-            << ", \"funnel_repacks\": " << r.funnel_dispatch.repacks
-            << ", \"funnel_escalations16\": "
-            << r.funnel_dispatch.escalations16
-            << ", \"funnel_cohorts_interseq\": "
-            << r.funnel_dispatch.cohorts_interseq
+            << ", \"funnel_repacks\": " << r.funnel.repacks
+            << ", \"funnel_escalations16\": " << r.funnel.escalations16
+            << ", \"funnel_cohorts_interseq\": " << r.funnel.cohorts_interseq
             << ", \"funnel_subjects_interseq\": "
-            << r.funnel_dispatch.subjects_interseq
+            << r.funnel.subjects_interseq
             << ", \"funnel_subjects_compacted\": "
-            << r.funnel_dispatch.subjects_compacted
-            << ", \"funnel_subjects_striped\": "
-            << r.funnel_dispatch.subjects_striped
+            << r.funnel.subjects_compacted
+            << ", \"funnel_subjects_striped\": " << r.funnel.subjects_striped
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n"

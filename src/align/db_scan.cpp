@@ -6,6 +6,23 @@
 
 namespace swh::align {
 
+DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
+    cohorts_interseq += o.cohorts_interseq;
+    cohorts_compacted += o.cohorts_compacted;
+    cohorts_striped += o.cohorts_striped;
+    repacks += o.repacks;
+    escalations16 += o.escalations16;
+    subjects_interseq += o.subjects_interseq;
+    subjects_compacted += o.subjects_compacted;
+    subjects_striped += o.subjects_striped;
+    cohorts_filtered += o.cohorts_filtered;
+    subjects_pruned += o.subjects_pruned;
+    filter_offs += o.filter_offs;
+    settled8 += o.settled8;
+    settled_wide += o.settled_wide;
+    return *this;
+}
+
 DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
                                  PackedSubjects subjects, std::size_t chunk,
                                  InterleavedCohorts cohorts,
@@ -36,29 +53,24 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
                 "cohort width exceeds the 64-lane overflow mask");
     SWH_REQUIRE(cohorts_.pad_code == InterseqProfile::kPadCode,
                 "cohort padding sentinel mismatch");
-    cohort_mode_ = true;
 
     // Precompute the per-cohort route once: the scan itself then
     // branches on a byte. Inter-sequence pays off when the cohort is
     // full enough for the lane-parallel win to survive the pad cells
-    // (the bar shrinks with query length, see min_fill_pct); queries
-    // past kInterseqTileRows take the query-tiled kernel variant, whose
-    // carried column state keeps the per-tile DP rows cache-resident,
-    // so no query length forces the striped fallback by itself.
+    // (the bar shrinks with query length, see min_fill_pct); the
+    // query-tiled kernel keeps its DP rows cache-resident at any query
+    // length, so query length alone never forces the striped route.
     const std::size_t qlen = aligner.interseq()->query_len;
-    choice_.resize(cohorts_.count, CohortPath::kStriped);
+    interseq_.assign(cohorts_.count, 0);
     if (qlen > 0) {
         const std::uint64_t bar = min_fill_pct(qlen);
-        const CohortPath eligible = qlen <= kInterseqTileRows
-                                        ? CohortPath::kInterseq
-                                        : CohortPath::kTiled;
         for (std::size_t c = 0; c < cohorts_.count; ++c) {
             const CohortDesc& d = cohorts_.cohorts[c];
             const std::uint64_t cells =
                 std::uint64_t{d.columns} *
                 static_cast<std::uint64_t>(cohorts_.lanes);
             if (d.columns > 0 && d.residues * 100 >= cells * bar) {
-                choice_[c] = eligible;
+                interseq_[c] = 1;
             }
         }
     }
@@ -105,73 +117,14 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     }
 }
 
-void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
-    if (t.cohorts_filtered > 0) {
-        cohorts_filtered_.fetch_add(t.cohorts_filtered,
-                                    std::memory_order_relaxed);
-    }
-    if (t.rebounds16 > 0) {
-        rebounds16_.fetch_add(t.rebounds16, std::memory_order_relaxed);
-    }
-    if (t.pruned > 0) {
-        subjects_pruned_.fetch_add(t.pruned, std::memory_order_relaxed);
-    }
-    if (t.filter_offs > 0) {
-        filter_offs_.fetch_add(t.filter_offs, std::memory_order_relaxed);
-    }
-    if (t.cohorts_interseq > 0) {
-        cohorts_interseq_.fetch_add(t.cohorts_interseq,
-                                    std::memory_order_relaxed);
-    }
-    if (t.cohorts_tiled > 0) {
-        cohorts_tiled_.fetch_add(t.cohorts_tiled, std::memory_order_relaxed);
-    }
-    if (t.cohorts_compacted > 0) {
-        cohorts_compacted_.fetch_add(t.cohorts_compacted,
-                                     std::memory_order_relaxed);
-    }
-    if (t.cohorts_striped > 0) {
-        cohorts_striped_.fetch_add(t.cohorts_striped,
-                                   std::memory_order_relaxed);
-    }
-    if (t.repacks > 0) {
-        repacks_.fetch_add(t.repacks, std::memory_order_relaxed);
-    }
-    if (t.escalations16 > 0) {
-        escalations16_.fetch_add(t.escalations16, std::memory_order_relaxed);
-    }
-    if (t.subjects_interseq > 0) {
-        subjects_interseq_.fetch_add(t.subjects_interseq,
-                                     std::memory_order_relaxed);
-    }
-    if (t.subjects_compacted > 0) {
-        subjects_compacted_.fetch_add(t.subjects_compacted,
-                                      std::memory_order_relaxed);
-    }
-    if (t.subjects_striped > 0) {
-        subjects_striped_.fetch_add(t.subjects_striped,
-                                    std::memory_order_relaxed);
-    }
+void DatabaseScanner::merge(const Stats& s) {
+    LockGuard lock(stats_mu_);
+    stats_ += s;
 }
 
-DatabaseScanner::DispatchStats DatabaseScanner::dispatch_stats() const {
-    return DispatchStats{
-        cohorts_interseq_.load(std::memory_order_relaxed),
-        cohorts_tiled_.load(std::memory_order_relaxed),
-        cohorts_compacted_.load(std::memory_order_relaxed),
-        cohorts_striped_.load(std::memory_order_relaxed),
-        repacks_.load(std::memory_order_relaxed),
-        escalations16_.load(std::memory_order_relaxed),
-        subjects_interseq_.load(std::memory_order_relaxed),
-        subjects_compacted_.load(std::memory_order_relaxed),
-        subjects_striped_.load(std::memory_order_relaxed)};
-}
-
-DatabaseScanner::FilterStats DatabaseScanner::filter_stats() const {
-    return FilterStats{cohorts_filtered_.load(std::memory_order_relaxed),
-                       rebounds16_.load(std::memory_order_relaxed),
-                       subjects_pruned_.load(std::memory_order_relaxed),
-                       filter_offs_.load(std::memory_order_relaxed)};
+DatabaseScanner::Stats DatabaseScanner::stats() const {
+    LockGuard lock(stats_mu_);
+    return stats_;
 }
 
 }  // namespace swh::align

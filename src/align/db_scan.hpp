@@ -3,41 +3,33 @@
 // Three-stage funnel scan over a packed subject arena.
 //
 // Stage 1 (optional, cohort mode only): an allocation-free ungapped
-// inter-sequence prefilter (align/ungapped.hpp) sweeps each cohort and
-// turns the per-lane ungapped maxima into provable upper bounds on the
-// gapped scores via the per-query gap-slack bound. Lanes whose bound
-// falls strictly below the caller-published pruning threshold — fed
-// back from the running k-th best exact score — are skipped entirely;
-// anything unprovable (u8 saturation the 16-bit re-bound cannot clear)
-// is rescored, so the surviving top-k is bit-identical to an exhaustive
-// scan. See DESIGN.md "Prefilter funnel" for the soundness argument.
+// inter-sequence prefilter (align/ungapped.hpp) sweeps each cohort in
+// query row tiles and sums the per-lane tile maxima into provable upper
+// bounds on the gapped scores. Lanes whose bound falls strictly below
+// the caller-published pruning threshold — fed back from the running
+// k-th best exact score — are skipped entirely; u8-saturated lanes
+// carry no bound and always survive, so the surviving top-k is
+// bit-identical to an exhaustive scan. See DESIGN.md "Prefilter funnel"
+// for the soundness argument.
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch — in
 // cohort mode by re-packing length-adjacent groups into dense scratch
 // cohorts for one i16 inter-sequence pass each (scalar int32 for the
 // rare lane that saturates 16 bits too), serial striped i16 only for
-// sub-batch remainders and the packed path. Compared with the seed's
-// inline 8 -> 16 -> 32 escalation per subject, this keeps the u8
-// profile and scratch hot in cache during the bulk of the scan, and
-// the batched escalation amortises the wide-kernel memory traffic
-// that a per-subject striped rescore pays anew for every subject.
+// sub-batch remainders and the packed path.
 //
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
-// dispatches adaptively per cohort: well-filled cohorts are scored W
-// subjects at a time by the inter-sequence u8 kernel — untiled for
-// queries up to kInterseqTileRows, query-tiled with carried column
-// state beyond it, so the whole query-length range is eligible — while
-// cohorts below the query-length-dependent fill bar fall back to the
-// striped kernel per subject. The layout itself keeps low-fill
-// stretches rare by re-packing ragged scan-order tails into dense
-// compacted cohorts, and the funnel composes the same way: survivors
-// of mostly-pruned cohorts are re-packed worker-locally into dense
-// scratch cohorts instead of masking dead lanes. Overflowed lanes feed
-// the same deferred escalation everywhere, so the emit contract
-// (exactly one settled score per non-pruned subject, original
-// db_index) is unchanged.
+// dispatches per cohort: well-filled cohorts are scored W subjects at a
+// time by the query-tiled inter-sequence u8 kernel (one tile is the
+// short-query case), while cohorts below the query-length-dependent
+// fill bar fall back to the striped kernel per subject. Survivors of
+// mostly-pruned cohorts and the deferred overflow batch go through the
+// same re-pack (cliff_groups + pack_dense) into dense scratch cohorts
+// instead of masking dead lanes. The emit contract (exactly one
+// settled score per non-pruned subject, original db_index) is the same
+// on every path.
 //
 // The scanner consumes non-owning views so swh_align stays independent
 // of swh_db (which produces the views, see db::PackedDatabase).
@@ -79,7 +71,7 @@ struct PackedSubjects {
 
 /// Thread-safe scan orchestrator: workers claim work from a shared
 /// cursor (chunks of subjects, or whole cohorts when a lane-interleaved
-/// layout is attached) and run the two-pass scan. One instance per
+/// layout is attached) and run the funnel scan. One instance per
 /// (aligner, database) scan; call run_worker from each worker thread
 /// with a thread-private ScanScratch.
 class DatabaseScanner {
@@ -89,6 +81,7 @@ public:
     /// Baseline minimum real-residue fill of a cohort (percent of
     /// columns * full width) for inter-sequence dispatch at long query
     /// lengths; see min_fill_pct() for the query-length-dependent bar.
+    /// Also the greedy fill rule of cliff_groups.
     static constexpr std::uint64_t kInterseqMinFillPct = 75;
 
     /// Full-width fill bar for inter-sequence dispatch as a function of
@@ -103,52 +96,36 @@ public:
     }
 
     /// Partial-survivor cutover: when the prefilter leaves an
-    /// interseq-choice cohort with at most 1/kFunnelStripedCutover of
+    /// interseq-route cohort with at most 1/kFunnelStripedCutover of
     /// its used lanes, running the full-width kernel on it would waste
     /// most of its fixed cost on dead lanes. The survivors are instead
     /// batched worker-locally and re-packed W at a time into a dense
-    /// scratch cohort for the inter-sequence kernel (see flush_repack);
-    /// only the sub-width remainder of a worker's final batch still
-    /// falls back to the striped kernel, when it is too small to meet
-    /// the fill bar.
+    /// scratch cohort (see flush_repack); only the sub-width remainder
+    /// of a worker's final batch still falls back to the striped
+    /// kernel, when it is too small to meet the fill bar.
     static constexpr std::uint32_t kFunnelStripedCutover = 4;
 
-    /// Minimum u8-saturated lane count before the 16-bit re-bound sweep
-    /// pays for itself: the sweep costs about two u8 sweeps for the
-    /// whole cohort, so when only a few lanes saturated it is cheaper
-    /// to pass them straight to the exact stage (which escalates them
-    /// anyway if they are genuinely large).
-    static constexpr int kRebound16MinLanes = 8;
-
     /// Minimum deferred-overflow group size before the stage-3 drain
-    /// re-packs it into a dense cohort for one (tiled) i16
-    /// inter-sequence pass instead of serial striped i16 rescores. The
-    /// cohort pass pays a fixed full-width sweep whether or not every
-    /// lane is real, but runs ~5x more lane-cells/s on long queries
-    /// (the striped i16 profile re-streams from L2+ for every subject;
-    /// the inter-sequence pass reads one 32-byte LUT row per cell) and
-    /// the lo-half kernel variant halves the fixed cost again for
+    /// re-packs it into a dense cohort for one i16 inter-sequence pass
+    /// instead of serial striped i16 rescores. The cohort pass pays a
+    /// fixed full-width sweep whether or not every lane is real, but
+    /// runs ~5x more lane-cells/s on long queries (the striped i16
+    /// profile re-streams from L2+ for every subject; the inter-
+    /// sequence pass reads one 32-byte LUT row per cell) and the
+    /// lo-half kernel variant halves the fixed cost again for
     /// half-width groups — break-even measures ~6 lanes half-width,
     /// ~13 full-width. Deferred lanes are homolog families of similar
     /// length, so groups at this bar are the common case.
     static constexpr std::size_t kEscalateBatchMin = 8;
 
-    /// Query rows per prefilter tile. Long queries are bounded tile by
-    /// tile and the per-lane tile bounds summed (sound — see
-    /// align/ungapped.hpp): each tile's two DP rows stay L1-resident
-    /// where a monolithic sweep of a 500+ residue query spills, and a
-    /// tile's maximum rarely saturates the 8-bit kernel, so the wide
-    /// re-bound sweep stays rare even for long subjects.
-    static constexpr std::size_t kFilterChunkRows = 256;
-
     /// Consecutive zero-prune cohorts before a worker turns its
-    /// prefilter off for the rest of its claims (long-query chunked
-    /// regime only; armed claims visit non-prime cohorts in ascending
-    /// column order, so once bounds stop clearing tau at some subject
-    /// length they stay hopeless for every longer cohort — the summed
-    /// tile bound only grows with subject length). Three in a row
-    /// tolerates an isolated all-homolog cohort without disabling a
-    /// still-productive filter.
+    /// prefilter off for the rest of its claims (multi-tile queries
+    /// only; armed claims visit non-prime cohorts in ascending column
+    /// order, so once bounds stop clearing tau at some subject length
+    /// they stay hopeless for every longer cohort — the summed tile
+    /// bound only grows with subject length). Three in a row tolerates
+    /// an isolated all-homolog cohort without disabling a still-
+    /// productive filter.
     static constexpr int kFilterOffStreak = 3;
 
     /// Cohorts scanned first when the prefilter is armed: the ones
@@ -158,6 +135,43 @@ public:
     /// slow ramp into a near-final value for the bulk of the scan; any
     /// scan order yields the same top-k (see run_worker).
     static constexpr std::size_t kPrimeCohorts = 4;
+
+    /// Scan counters, one struct for the whole scanner. Each worker
+    /// tallies into a private instance and merges it into the scanner
+    /// total once, at the end of run_worker; stats() reads the total
+    /// (cumulative across workers and resets).
+    ///
+    /// Exact-stage routes: `cohorts_interseq` counts every cohort
+    /// scored by the inter-sequence u8 kernel; `cohorts_compacted`
+    /// (layout-compacted membership or a worker-side repack) is a
+    /// subset of it; `cohorts_striped` counts fill-bar rejections
+    /// scored per subject by the striped kernel. Subjects deferred to
+    /// the wide rescore count under the kernel that deferred them;
+    /// pruned subjects appear in none of the `subjects_*` fields.
+    struct Stats {
+        std::uint64_t cohorts_interseq = 0;
+        std::uint64_t cohorts_compacted = 0;
+        std::uint64_t cohorts_striped = 0;
+        std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
+        /// Dense i16 escalation cohorts the stage-3 drain assembled
+        /// from deferred u8-overflow lanes.
+        std::uint64_t escalations16 = 0;
+        std::uint64_t subjects_interseq = 0;
+        std::uint64_t subjects_compacted = 0;
+        std::uint64_t subjects_striped = 0;
+        /// Stage-1 prefilter: ungapped sweeps run (threshold was live),
+        /// lanes proven out of the top-k and skipped, and cohorts whose
+        /// sweep the adaptive filter-off guard skipped.
+        std::uint64_t cohorts_filtered = 0;
+        std::uint64_t subjects_pruned = 0;
+        std::uint64_t filter_offs = 0;
+        /// Settlements: by the u8 kernels, and by a wide kernel (i16
+        /// inter-sequence, striped i16 or scalar int32).
+        std::uint64_t settled8 = 0;
+        std::uint64_t settled_wide = 0;
+
+        Stats& operator+=(const Stats& o);
+    };
 
     /// Validates once that every packed residue fits the aligner's
     /// profile alphabet (throws ContractError otherwise) — the per-
@@ -196,36 +210,31 @@ public:
     template <class EmitFn, class PrunedFn>
     SWH_HOT_PATH bool run_worker(ScanScratch& scratch, EmitFn&& emit,
                                  PrunedFn&& pruned) {
-        WorkerTallies t;
+        Stats t;
         std::vector<std::uint32_t> overflow;
-        bool keep = cohort_mode_
+        bool keep = cohort_mode()
                         ? claim_cohorts(scratch, emit, pruned, overflow, t)
                         : claim_subjects(scratch, emit, overflow, t);
         // Final stage (packed path only — cohort mode drains its own
         // batch, see drain_overflow): settle the deferred overflow
         // batch with the wide kernels.
-        std::size_t deferred_settled = 0;
         for (const std::uint32_t idx : overflow) {
             if (!keep) break;
             const Score s = aligner_->rescore_wide(subjects_.subject(idx),
                                                    scratch, /*trusted=*/true);
+            ++t.settled_wide;
             keep = emit(idx, subjects_.lengths[idx], s);
-            ++deferred_settled;
         }
         // Emit contract: unless a callback cancelled the scan, every
         // subject this worker claimed either settles exactly once — in
-        // stage 2 for the in-range scores (settled8), in a wide rescore
-        // (per-claim drain or the final batch) for the deferred rest —
-        // or is reported pruned exactly once.
-        SWH_DCHECK(!keep || deferred_settled == overflow.size(),
-                   "deferred overflow batch must settle completely");
-        SWH_DCHECK(!keep ||
-                       t.settled8 + t.settled_wide + deferred_settled ==
-                           t.subjects_interseq + t.subjects_compacted +
-                               t.subjects_striped,
+        // stage 2 for the in-range scores, in a wide rescore for the
+        // deferred rest — or is reported pruned exactly once.
+        SWH_DCHECK(!keep || t.settled8 + t.settled_wide ==
+                                t.subjects_interseq + t.subjects_compacted +
+                                    t.subjects_striped,
                    "emit contract: one settled score per claimed subject");
         aligner_->credit_runs8(t.settled8);
-        credit_dispatch(t);
+        merge(t);
         return keep;
     }
 
@@ -244,83 +253,24 @@ public:
     std::size_t chunk() const { return chunk_; }
     std::size_t count() const { return subjects_.count; }
     const StripedAligner& aligner() const { return *aligner_; }
-    bool cohort_mode() const { return cohort_mode_; }
+    bool cohort_mode() const { return cohorts_.count != 0; }
 
     /// True when the stage-1 prefilter can run: a threshold feed is
     /// attached and the scan is in cohort mode (the ungapped kernels
     /// share the cohort geometry). Whether it actually prunes depends
     /// on the threshold value at each cohort.
     bool prefilter_armed() const {
-        return threshold_ != nullptr && cohort_mode_;
+        return threshold_ != nullptr && cohort_mode();
     }
 
-    /// Exact-stage kernel selection counters (cumulative across workers
-    /// and resets). Subjects deferred to the wide rescore are counted
-    /// under the kernel that deferred them; pruned subjects appear in
-    /// neither (see filter_stats). `cohorts_interseq` counts every
-    /// inter-sequence-scored cohort; `cohorts_tiled` (query-tiled
-    /// kernel) and `cohorts_compacted` (layout-compacted membership)
-    /// are overlapping subsets of it. `subjects_compacted` separates
-    /// the ragged-tail story from the striped one: subjects scored
-    /// inter-sequence out of a layout-compacted cohort or a worker-side
-    /// survivor repack, so `subjects_striped` counts only genuine
-    /// striped-head fallbacks.
-    struct DispatchStats {
-        std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_tiled = 0;
-        std::uint64_t cohorts_compacted = 0;
-        std::uint64_t cohorts_striped = 0;
-        std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
-        /// Dense i16 escalation cohorts the stage-3 drain assembled
-        /// from deferred u8-overflow lanes (each replaces up to W
-        /// serial striped rescores with one inter-sequence pass).
-        std::uint64_t escalations16 = 0;
-        std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_compacted = 0;
-        std::uint64_t subjects_striped = 0;
-    };
-    DispatchStats dispatch_stats() const;
-
-    /// Stage-1 prefilter counters (cumulative across workers and
-    /// resets). `cohorts_filtered` counts ungapped u8 sweeps actually
-    /// run (threshold was live); `rebounds16` the cohorts whose
-    /// u8-saturated lanes were re-bounded at 16 bits; `subjects_pruned`
-    /// the lanes proven out of the top-k and skipped; `filter_offs`
-    /// the cohorts whose sweep the adaptive filter-off guard skipped
-    /// after the chain bound stopped pruning (see claim_cohorts).
-    struct FilterStats {
-        std::uint64_t cohorts_filtered = 0;
-        std::uint64_t rebounds16 = 0;
-        std::uint64_t subjects_pruned = 0;
-        std::uint64_t filter_offs = 0;
-    };
-    FilterStats filter_stats() const;
+    /// Merged counters of every finished run_worker call.
+    Stats stats() const;
 
 private:
-    /// Exact-stage route precomputed per cohort (see choice_).
-    enum class CohortPath : std::uint8_t {
-        kStriped = 0,   ///< per-subject striped fallback (low fill)
-        kInterseq = 1,  ///< untiled inter-sequence u8
-        kTiled = 2,     ///< query-tiled inter-sequence u8
-    };
-
-    struct WorkerTallies {
-        std::uint64_t settled8 = 0;
-        std::uint64_t settled_wide = 0;
-        std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_tiled = 0;
-        std::uint64_t cohorts_compacted = 0;
-        std::uint64_t cohorts_striped = 0;
-        std::uint64_t repacks = 0;
-        std::uint64_t escalations16 = 0;
-        std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_compacted = 0;
-        std::uint64_t subjects_striped = 0;
-        std::uint64_t cohorts_filtered = 0;
-        std::uint64_t rebounds16 = 0;
-        std::uint64_t pruned = 0;
-        std::uint64_t filter_offs = 0;
-    };
+    static std::uint64_t lane_mask(std::size_t lanes) {
+        return lanes >= 64 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << lanes) - 1;
+    }
 
     std::uint32_t slot_index(std::size_t slot) const {
         return subjects_.order != nullptr ? subjects_.order[slot]
@@ -341,8 +291,8 @@ private:
     /// Legacy claim unit: chunks of scan-order subjects, striped u8.
     template <class EmitFn>
     SWH_HOT_PATH bool claim_subjects(ScanScratch& scratch, EmitFn&& emit,
-                        std::vector<std::uint32_t>& overflow,
-                        WorkerTallies& t) {
+                                     std::vector<std::uint32_t>& overflow,
+                                     Stats& t) {
         bool keep = true;
         const std::size_t n = subjects_.count;
         while (keep) {
@@ -358,148 +308,66 @@ private:
         return keep;
     }
 
-    /// Cost model of the 16-bit re-bound sweep over one striped-path
-    /// cohort: the sweep pays the full W x columns cohort geometry at
-    /// roughly half the striped u8 kernel's cell rate, and saves at
-    /// most the striped scoring of the saturated lanes themselves.
-    /// Worth running only when those lanes' summed lengths cover at
-    /// least half the sweep's footprint — a densely saturated cohort,
-    /// not a handful of long stragglers rattling in a ragged one
-    /// (exactly what the long planted families look like to a short
-    /// query, where the sweep measurably costs more than it saves).
-    SWH_HOT_PATH bool rebound_pays(const CohortDesc& d,
-                                   std::uint64_t sat_used) const {
-        std::uint64_t sat_len = 0;
-        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-            if ((sat_used >> l) & 1) {
-                sat_len += subjects_.lengths[member_index(d, l)];
-            }
-        }
-        return 2 * sat_len >=
-               static_cast<std::uint64_t>(cohorts_.lanes) * d.columns;
-    }
-
     /// Stage-1 prefilter over one cohort: returns the survivor lane
-    /// mask (within `used`). Conservative by construction — a lane is
-    /// cleared only when its gap-slack chain bound (align/ungapped.hpp)
-    /// provably falls strictly below `tau`; u8-saturated lanes are
-    /// re-bounded at 16 bits (only when `striped_exact` says the
-    /// cohort's exact fallback is per-lane striped — see below), and
-    /// i16-saturated lanes always survive.
+    /// mask (within `used`). The query is bounded in
+    /// interseq_tile_count() row tiles and the per-lane tile bounds
+    /// summed (sound — see align/ungapped.hpp); each tile's two DP rows
+    /// stay L1-resident and its bound in u8 range. A lane is cleared
+    /// only when its summed bound provably falls strictly below `tau`;
+    /// a lane saturated in any tile always survives.
     SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
-                                             std::uint64_t used,
-                                Score tau, bool striped_exact,
-                                ScanScratch& scratch, WorkerTallies& t) {
+                                             std::uint64_t used, Score tau,
+                                             ScanScratch& scratch, Stats& t) {
         ++t.cohorts_filtered;
+        const InterseqProfile& prof = *aligner_->interseq();
+        const std::size_t qlen = prof.query_len;
+        const std::size_t tiles = interseq_tile_count(qlen);
+        const std::size_t rows = (qlen + tiles - 1) / tiles;
         std::uint8_t bound8[64];
-        const Code* cols = cohorts_.arena + d.offset;
-        const std::size_t qlen = aligner_->interseq()->query_len;
-        std::uint64_t sat;
-        std::uint64_t survive;
-        if (qlen <= kFilterChunkRows) {
-            sat = sw_ungapped_interseq_u8(*aligner_->interseq(), cols,
-                                          d.columns, aligner_->gap(),
-                                          aligner_->isa(), scratch, bound8);
-            // Non-saturated lanes hold exact chain bounds strictly
-            // below 255 - bias <= 255, so clamping the floor to 255
-            // prunes them correctly even when tau exceeds the u8 range.
-            const std::uint8_t floor8 =
-                static_cast<std::uint8_t>(std::min<Score>(tau, 255));
-            survive =
-                (lanes_at_least(bound8, floor8, aligner_->isa()) | sat) &
-                used;
-        } else {
-            // Long query: bound kFilterChunkRows-row tiles separately
-            // and sum per lane (align/ungapped.hpp) — each tile's DP
-            // state stays L1-resident and its bound in u8 range. The
-            // summed bound loosens with tile count (each junction
-            // forgoes a link charge), so against subjects of comparable
-            // length it stops pruning — the adaptive filter-off guard
-            // in claim_cohorts handles that regime; tightening the
-            // bound here does not (a single-tile i16 sweep was tried
-            // and measures ~40% SLOWER per cohort than the exact tiled
-            // u8 kernel it feeds, while still pruning nothing long).
-            const std::size_t tiles =
-                (qlen + kFilterChunkRows - 1) / kFilterChunkRows;
-            const std::size_t rows = (qlen + tiles - 1) / tiles;
-            Score acc[64] = {};
-            sat = 0;
-            for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
-                sat |= sw_ungapped_interseq_u8(
-                    *aligner_->interseq(), cols, d.columns, aligner_->gap(),
-                    aligner_->isa(), scratch, bound8, r0, r0 + rows);
-                for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                    acc[l] += static_cast<Score>(bound8[l]);
-                }
-            }
-            survive = sat & used;
+        Score acc[64] = {};
+        std::uint64_t survive = 0;
+        for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
+            survive |= sw_ungapped_interseq_u8(
+                prof, cohorts_.arena + d.offset, d.columns, aligner_->gap(),
+                aligner_->isa(), scratch, bound8, r0, r0 + rows);
             for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
-            }
-            survive &= used;
-        }
-        if (striped_exact && qlen <= kFilterChunkRows &&
-            std::popcount(sat & used) >= kRebound16MinLanes &&
-            rebound_pays(d, sat & used)) {
-            // Saturated lanes carry no trusted u8 bound; one 16-bit
-            // sweep re-bounds the whole cohort so they can still prune.
-            // It only pays where the exact fallback is per-lane striped
-            // — each pruned lane then saves a whole striped alignment.
-            // On interseq-path cohorts the exact kernel scores all
-            // lanes for one cohort-sweep price anyway, and the i16
-            // ungapped sweep measures ~40% dearer than that kernel, so
-            // there the stragglers go straight to the exact stage. The
-            // single-chunk gate is a measurement too: the i16 sweep has
-            // no row tiling, so past kFilterChunkRows it spills L1 and
-            // runs ~30 ms/cohort at qlen 1025 — more than the striped
-            // u8 scoring of every lane it could hope to prune.
-            ++t.rebounds16;
-            std::int16_t bound16[64];
-            const std::uint64_t sat16 = sw_ungapped_interseq_i16(
-                *aligner_->interseq(), cols, d.columns, aligner_->gap(),
-                aligner_->isa(), scratch, bound16);
-            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                const std::uint64_t bit = std::uint64_t{1} << l;
-                if ((sat & bit) == 0) continue;
-                if ((sat16 & bit) == 0 &&
-                    static_cast<Score>(bound16[l]) < tau) {
-                    survive &= ~bit;
-                }
+                acc[l] += static_cast<Score>(bound8[l]);
             }
         }
-        return survive;
+        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+            if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
+        }
+        return survive & used;
     }
 
     /// Cohort claim unit: whole cohorts of the interleaved layout.
     /// Stage 1 prunes lanes when the threshold feed is live, stage 2
-    /// exact-scores the survivors with the route from choice_ —
-    /// untiled or query-tiled inter-sequence for well-filled cohorts,
-    /// per-subject striped for the low-fill rest — batching the
-    /// survivors of mostly-pruned interseq cohorts into dense repacked
-    /// cohorts instead of masking dead lanes.
+    /// exact-scores the survivors on the cohort's route — inter-
+    /// sequence for well-filled cohorts, per-subject striped for the
+    /// low-fill rest — batching the survivors of mostly-pruned
+    /// interseq cohorts into dense repacked cohorts instead of masking
+    /// dead lanes.
     template <class EmitFn, class PrunedFn>
     SWH_HOT_PATH bool claim_cohorts(ScanScratch& scratch, EmitFn&& emit,
                                     PrunedFn&& pruned,
-                       std::vector<std::uint32_t>& overflow,
-                       WorkerTallies& t) {
+                                    std::vector<std::uint32_t>& overflow,
+                                    Stats& t) {
         bool keep = true;
         const std::size_t n = cohorts_.count;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
-        const std::size_t qlen =
-            aligner_->interseq() != nullptr ? aligner_->interseq()->query_len
-                                            : aligner_->query().size();
-        std::uint8_t lane_best[64];
+        const bool multi_tile =
+            interseq_tile_count(aligner_->interseq()->query_len) > 1;
         InterseqColumnState colstate;
-        // Survivor batch for the repack path; both vectors stay empty
-        // (no allocation) until the prefilter actually starves a
-        // cohort below the cutover.
+        // Survivor batch for the repack path and the dense repack
+        // scratch; both stay empty (no allocation) until the prefilter
+        // starves a cohort below the cutover or a batch escalates.
         std::vector<std::uint32_t> pending;
         std::vector<Code> repack;
-        // Adaptive filter-off: in the long-query chunked regime the
-        // summed tile bound loosens until, at some subject length, it
-        // stops clearing tau for anyone — from there every sweep is
-        // pure overhead on exactly the cohorts that cost the most to
+        // Adaptive filter-off: for multi-tile queries the summed tile
+        // bound loosens until, at some subject length, it stops
+        // clearing tau for anyone — from there every sweep is pure
+        // overhead on exactly the cohorts that cost the most to
         // exact-score. Armed claims visit non-prime cohorts shortest
         // first, so a worker that sees kFilterOffStreak zero-prune
         // cohorts in a row has crossed that length and turns its
@@ -516,10 +384,7 @@ private:
                 const std::size_t c =
                     prime_order_.empty() ? slot : prime_order_[slot];
                 const CohortDesc& d = cohorts_.cohorts[c];
-                const std::uint64_t used =
-                    d.lanes_used >= 64
-                        ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << d.lanes_used) - 1;
+                const std::uint64_t used = lane_mask(d.lanes_used);
                 std::uint64_t survive = used;
                 if (threshold_ != nullptr && !filter_off) {
                     // Re-read per cohort: the threshold rises as exact
@@ -529,96 +394,60 @@ private:
                     const Score tau =
                         threshold_->load(std::memory_order_relaxed);
                     if (tau > 0) {
-                        survive = filter_cohort(
-                            d, used, tau,
-                            choice_[c] == CohortPath::kStriped, scratch, t);
+                        survive = filter_cohort(d, used, tau, scratch, t);
                         // Learn only off non-prime cohorts: the primed
                         // prefix is homolog-adjacent by construction,
                         // so its lanes surviving says nothing about
                         // bound looseness.
                         const bool prime = !prime_order_.empty() &&
                                            slot < kPrimeCohorts;
-                        if (qlen > kFilterChunkRows && !prime) {
-                            if (survive == used) {
-                                if (++noprune_streak >= kFilterOffStreak) {
-                                    filter_off = true;
-                                }
-                            } else {
-                                noprune_streak = 0;
-                            }
+                        if (multi_tile && !prime) {
+                            noprune_streak =
+                                survive == used ? noprune_streak + 1 : 0;
+                            filter_off = noprune_streak >= kFilterOffStreak;
                         }
                     }
                 } else if (threshold_ != nullptr) {
                     ++t.filter_offs;
                 }
-                if (survive != used) {
-                    for (std::uint32_t l = 0; l < d.lanes_used && keep;
-                         ++l) {
-                        if ((survive >> l) & 1) continue;
-                        const std::uint32_t idx = member_index(d, l);
-                        ++t.pruned;
-                        keep = pruned(idx, subjects_.lengths[idx]);
-                    }
-                    if (!keep) break;
-                    if (survive == 0) continue;
+                for (std::uint64_t m = used & ~survive; m != 0 && keep;
+                     m &= m - 1) {
+                    const std::uint32_t idx = member_index(
+                        d, static_cast<std::uint32_t>(std::countr_zero(m)));
+                    ++t.subjects_pruned;
+                    keep = pruned(idx, subjects_.lengths[idx]);
                 }
-                const auto nsurv = static_cast<std::uint32_t>(
-                    std::popcount(survive));
-                const CohortPath path = choice_[c];
-                const bool compacted =
-                    (d.flags & CohortDesc::kCompacted) != 0;
-                if (path != CohortPath::kStriped &&
-                    nsurv * kFunnelStripedCutover > d.lanes_used) {
-                    ++t.cohorts_interseq;
-                    if (path == CohortPath::kTiled) ++t.cohorts_tiled;
-                    if (compacted) ++t.cohorts_compacted;
-                    const std::uint64_t ovf =
-                        path == CohortPath::kTiled
-                            ? sw_interseq_u8_tiled(
-                                  *aligner_->interseq(),
-                                  cohorts_.arena + d.offset, d.columns,
-                                  aligner_->gap(), aligner_->isa(), scratch,
-                                  colstate, lane_best)
-                            : sw_interseq_u8(*aligner_->interseq(),
-                                             cohorts_.arena + d.offset,
-                                             d.columns, aligner_->gap(),
-                                             aligner_->isa(), scratch,
-                                             lane_best);
-                    std::uint64_t& subj = compacted ? t.subjects_compacted
-                                                    : t.subjects_interseq;
-                    for (std::uint32_t l = 0; l < d.lanes_used && keep; ++l) {
-                        if (((survive >> l) & 1) == 0) continue;
-                        const std::uint32_t idx = member_index(d, l);
-                        ++subj;
-                        if ((ovf >> l) & 1) {
-                            // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
-                            // deferred batch, bounded by the claim size.
-                            overflow.push_back(idx);
-                            continue;
-                        }
-                        ++t.settled8;
-                        keep = emit(idx, subjects_.lengths[idx],
-                                    static_cast<Score>(lane_best[l]));
+                if (!keep) break;
+                if (survive == 0) continue;
+                if (interseq_[c] == 0) {
+                    ++t.cohorts_striped;
+                    for (std::uint64_t m = survive; m != 0 && keep;
+                         m &= m - 1) {
+                        keep = score_striped(
+                            member_index(d, static_cast<std::uint32_t>(
+                                                std::countr_zero(m))),
+                            scratch, emit, overflow, t);
                     }
-                } else if (path != CohortPath::kStriped) {
+                } else if (static_cast<std::uint32_t>(std::popcount(survive)) *
+                               kFunnelStripedCutover >
+                           d.lanes_used) {
+                    keep = score_interseq(
+                        cohorts_.arena + d.offset, d.columns, survive,
+                        (d.flags & CohortDesc::kCompacted) != 0,
+                        [&](std::uint32_t l) { return member_index(d, l); },
+                        scratch, colstate, emit, overflow, t);
+                } else {
                     // Below the survivor cutover: running the
                     // full-width kernel would waste most of its fixed
                     // cost on pruned lanes. Batch the survivors; they
                     // are re-packed into dense cohorts at claim end.
-                    for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                        if ((survive >> l) & 1) {
-                            // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
-                            // survivor batch; capacity is retained
-                            // across flushes, growth amortizes out.
-                            pending.push_back(member_index(d, l));
-                        }
-                    }
-                } else {
-                    ++t.cohorts_striped;
-                    for (std::uint32_t l = 0; l < d.lanes_used && keep; ++l) {
-                        if (((survive >> l) & 1) == 0) continue;
-                        keep = score_striped(member_index(d, l), scratch,
-                                             emit, overflow, t);
+                    for (std::uint64_t m = survive; m != 0; m &= m - 1) {
+                        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
+                        // survivor batch; capacity is retained across
+                        // flushes, growth amortizes out.
+                        pending.push_back(member_index(
+                            d, static_cast<std::uint32_t>(
+                                   std::countr_zero(m))));
                     }
                 }
             }
@@ -654,45 +483,68 @@ private:
         return keep;
     }
 
-    /// Re-packs batched funnel survivors into dense scratch cohorts
-    /// (column-major, pad sentinel, exactly the layout geometry) and
-    /// scores them with the (tiled) inter-sequence u8 kernel. Pending
-    /// survivors are first sorted length-descending and split at
-    /// length cliffs with the layout compaction's greedy fill rule —
-    /// claims arrive primed-first, so a straggler long survivor must
-    /// never force thousands of pad columns onto a batch of short
-    /// ones. Without `force`, only full-width batches run (a blocked
-    /// cliff group waits for more survivors); with `force`, every
-    /// group is settled — inter-sequence when its full-width fill
-    /// still meets the dispatch bar, striped per subject otherwise
-    /// (long isolated survivors run near striped peak anyway).
-    /// Overflowed lanes join `overflow` for the wide-rescore stages.
-    template <class EmitFn>
-    SWH_HOT_PATH bool flush_repack(std::vector<std::uint32_t>& pending,
-                                   bool force,
-                      ScanScratch& scratch, InterseqColumnState& colstate,
-                      std::vector<Code>& repack, EmitFn&& emit,
-                      std::vector<std::uint32_t>& overflow,
-                      WorkerTallies& t) {
+    /// Exact stage of one inter-sequence cohort: `columns` column-major
+    /// residue columns scored by the (query-tiled) u8 kernel, then the
+    /// lanes in `lanes` settled — lane l is subject index_of(l), and
+    /// overflowed lanes join `overflow` for the wide-rescore stages.
+    template <class IndexFn, class EmitFn>
+    SWH_HOT_PATH bool score_interseq(const Code* cols, std::uint32_t columns,
+                                     std::uint64_t lanes, bool compacted,
+                                     IndexFn&& index_of, ScanScratch& scratch,
+                                     InterseqColumnState& colstate,
+                                     EmitFn&& emit,
+                                     std::vector<std::uint32_t>& overflow,
+                                     Stats& t) {
+        ++t.cohorts_interseq;
+        if (compacted) ++t.cohorts_compacted;
+        std::uint64_t& subj =
+            compacted ? t.subjects_compacted : t.subjects_interseq;
+        std::uint8_t lane_best[64];
+        const std::uint64_t ovf = sw_interseq_u8_tiled(
+            *aligner_->interseq(), cols, columns, aligner_->gap(),
+            aligner_->isa(), scratch, colstate, lane_best);
         bool keep = true;
+        for (std::uint64_t m = lanes; m != 0 && keep; m &= m - 1) {
+            const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
+            const std::uint32_t idx = index_of(l);
+            ++subj;
+            if ((ovf >> l) & 1) {
+                // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): deferred
+                // batch, bounded by the claim size.
+                overflow.push_back(idx);
+                continue;
+            }
+            ++t.settled8;
+            keep = emit(idx, subjects_.lengths[idx],
+                        static_cast<Score>(lane_best[l]));
+        }
+        return keep;
+    }
+
+    /// Sorts `batch` (original indices) length-descending and walks it
+    /// in cliff groups: greedy runs of at most W subjects whose real
+    /// residues keep kInterseqMinFillPct of the group's full-width
+    /// columns (the layout compaction's fill rule), so a straggler
+    /// long subject never forces pad columns onto a run of short ones.
+    /// Calls group(first, count, residues) per group — `first` points
+    /// into `batch` — until it returns false; returns false iff it did.
+    template <class GroupFn>
+    SWH_HOT_PATH bool cliff_groups(std::vector<std::uint32_t>& batch,
+                                   GroupFn&& group) const {
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        const std::size_t qlen = aligner_->interseq()->query_len;
-        const bool tiled = qlen > kInterseqTileRows;
-        const std::uint64_t bar = min_fill_pct(qlen);
-        std::sort(pending.begin(), pending.end(),
+        std::sort(batch.begin(), batch.end(),
                   [this](std::uint32_t a, std::uint32_t b) {
                       const std::uint32_t la = subjects_.lengths[a];
                       const std::uint32_t lb = subjects_.lengths[b];
                       return la != lb ? la > lb : a < b;
                   });
-        std::size_t kept = 0;
-        for (std::size_t at = 0; keep && at < pending.size();) {
-            const std::uint64_t columns = subjects_.lengths[pending[at]];
+        for (std::size_t at = 0; at < batch.size();) {
+            const std::uint64_t columns = subjects_.lengths[batch[at]];
             std::uint64_t residues = columns;
             std::size_t end = at + 1;
-            while (end < pending.size() && end - at < w) {
+            while (end < batch.size() && end - at < w) {
                 const std::uint64_t next =
-                    residues + subjects_.lengths[pending[end]];
+                    residues + subjects_.lengths[batch[end]];
                 if (next * 100 <
                     columns * (end - at + 1) * kInterseqMinFillPct) {
                     break;
@@ -700,26 +552,85 @@ private:
                 residues = next;
                 ++end;
             }
-            const std::size_t count = end - at;
-            if (!force && count < w) {
-                // Blocked cliff group: keep it pending for later
-                // survivors (order is restored by the next flush's
-                // sort).
-                for (std::size_t i = at; i < end; ++i) {
-                    pending[kept++] = pending[i];
-                }
-            } else if (residues * 100 >= columns * w * bar) {
-                keep = repack_batch(pending.data() + at, count, tiled,
-                                    scratch, colstate, repack, emit,
-                                    overflow, t);
-            } else {
-                for (std::size_t i = at; i < end && keep; ++i) {
-                    keep = score_striped(pending[i], scratch, emit,
-                                         overflow, t);
-                }
-            }
+            if (!group(batch.data() + at, end - at, residues)) return false;
             at = end;
         }
+        return true;
+    }
+
+    /// Interleaves `count` subjects (original indices, count <= W)
+    /// column-major into `repack` — exactly the layout's cohort
+    /// geometry, pad sentinel past each lane's length — and returns
+    /// the column count (the longest member's length).
+    SWH_HOT_PATH std::uint32_t pack_dense(const std::uint32_t* batch,
+                                          std::size_t count,
+                                          std::vector<Code>& repack) const {
+        const auto w = static_cast<std::size_t>(cohorts_.lanes);
+        std::uint32_t columns = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            columns = std::max(columns, subjects_.lengths[batch[i]]);
+        }
+        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
+        // caller-retained; it grows to the largest batch once.
+        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::span<const Code> s = subjects_.subject(batch[i]);
+            for (std::size_t j = 0; j < s.size(); ++j) {
+                repack[j * w + i] = s[j];
+            }
+        }
+        return columns;
+    }
+
+    /// Re-packs batched funnel survivors into dense scratch cohorts
+    /// and scores them with the inter-sequence u8 kernel. Claims arrive
+    /// primed-first, so the batch is cliff-split (cliff_groups) before
+    /// packing. Without `force`, only full-width groups run (a blocked
+    /// group waits for more survivors); with `force`, every group is
+    /// settled — inter-sequence when its full-width fill still meets
+    /// the dispatch bar, striped per subject otherwise (long isolated
+    /// survivors run near striped peak anyway). Overflowed lanes join
+    /// `overflow` for the wide-rescore stages.
+    template <class EmitFn>
+    SWH_HOT_PATH bool flush_repack(std::vector<std::uint32_t>& pending,
+                                   bool force, ScanScratch& scratch,
+                                   InterseqColumnState& colstate,
+                                   std::vector<Code>& repack, EmitFn&& emit,
+                                   std::vector<std::uint32_t>& overflow,
+                                   Stats& t) {
+        const auto w = static_cast<std::size_t>(cohorts_.lanes);
+        const std::uint64_t bar =
+            min_fill_pct(aligner_->interseq()->query_len);
+        std::size_t kept = 0;
+        const bool keep = cliff_groups(
+            pending, [&](const std::uint32_t* batch, std::size_t count,
+                         std::uint64_t residues) {
+                if (!force && count < w) {
+                    // Blocked group: keep it pending for later
+                    // survivors (order is restored by the next flush's
+                    // sort; `kept` never passes `batch`).
+                    for (std::size_t i = 0; i < count; ++i) {
+                        pending[kept++] = batch[i];
+                    }
+                    return true;
+                }
+                const std::uint64_t columns = subjects_.lengths[batch[0]];
+                if (residues * 100 < columns * w * bar) {
+                    bool k = true;
+                    for (std::size_t i = 0; i < count && k; ++i) {
+                        k = score_striped(batch[i], scratch, emit, overflow,
+                                          t);
+                    }
+                    return k;
+                }
+                ++t.repacks;
+                const std::uint32_t packed = pack_dense(batch, count, repack);
+                return score_interseq(
+                    repack.data(), packed, lane_mask(count),
+                    /*compacted=*/true,
+                    [batch](std::uint32_t l) { return batch[l]; }, scratch,
+                    colstate, emit, overflow, t);
+            });
         // On cancellation (keep == false) the worker is aborting: the
         // un-flushed tail is abandoned like any other unclaimed work.
         // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): shrinks only.
@@ -727,179 +638,72 @@ private:
         return keep;
     }
 
-    /// One dense repacked cohort: `count` subjects (original indices)
-    /// interleaved column-major into `repack` and scored together.
-    template <class EmitFn>
-    SWH_HOT_PATH bool repack_batch(const std::uint32_t* batch,
-                                   std::size_t count,
-                      bool tiled, ScanScratch& scratch,
-                      InterseqColumnState& colstate, std::vector<Code>& repack,
-                      EmitFn&& emit, std::vector<std::uint32_t>& overflow,
-                      WorkerTallies& t) {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        std::uint32_t columns = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            columns = std::max(columns, subjects_.lengths[batch[i]]);
-        }
-        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
-        // caller-retained; it grows to the largest batch once.
-        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::span<const Code> s = subjects_.subject(batch[i]);
-            for (std::size_t j = 0; j < s.size(); ++j) {
-                repack[j * w + i] = s[j];
-            }
-        }
-        ++t.repacks;
-        ++t.cohorts_interseq;
-        if (tiled) ++t.cohorts_tiled;
-        ++t.cohorts_compacted;
-        std::uint8_t lane_best[64];
-        const std::uint64_t ovf =
-            tiled ? sw_interseq_u8_tiled(*aligner_->interseq(), repack.data(),
-                                         columns, aligner_->gap(),
-                                         aligner_->isa(), scratch, colstate,
-                                         lane_best)
-                  : sw_interseq_u8(*aligner_->interseq(), repack.data(),
-                                   columns, aligner_->gap(), aligner_->isa(),
-                                   scratch, lane_best);
-        bool keep = true;
-        for (std::size_t i = 0; i < count && keep; ++i) {
-            const std::uint32_t idx = batch[i];
-            ++t.subjects_compacted;
-            if ((ovf >> i) & 1) {
-                // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): deferred
-                // batch, bounded by the repack width.
-                overflow.push_back(idx);
-                continue;
-            }
-            ++t.settled8;
-            keep = emit(idx, subjects_.lengths[idx],
-                        static_cast<Score>(lane_best[i]));
-        }
-        return keep;
-    }
-
-    /// Stage-3 drain of this worker's deferred u8-overflow batch,
-    /// batched: the subjects are length-sorted, cliff-split with the
-    /// same greedy fill rule as flush_repack, and every group of
-    /// kEscalateBatchMin+ is settled by ONE dense i16 inter-sequence
-    /// pass (escalate_batch) instead of per-subject striped rescores
-    /// — a serial drain of a homolog family re-streams the wide
-    /// striped profile from L2+ once per subject, and dominates long-
-    /// query scans. Sub-batch remainders keep the serial path, whose
-    /// fixed cost is lower. Leaves `overflow` empty.
+    /// Stage-3 drain of this worker's deferred u8-overflow batch:
+    /// cliff groups of kEscalateBatchMin+ are packed densely and
+    /// settled by ONE i16 inter-sequence pass each, with the lo-half
+    /// kernel variant when the group fits half the lanes — a serial
+    /// drain of a homolog family re-streams the wide striped profile
+    /// from L2+ once per subject, and dominates long-query scans.
+    /// Lanes the i16 pass itself flags as saturated go straight to the
+    /// exact int32 rescore (the striped i16 attempt rescore_wide would
+    /// run first is already proven futile). Sub-batch remainders keep
+    /// the serial path, whose fixed cost is lower. Leaves `overflow`
+    /// empty.
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
-                        ScanScratch& scratch, InterseqColumnState& colstate,
-                        std::vector<Code>& repack, EmitFn&& emit,
-                        WorkerTallies& t) {
-        bool keep = true;
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        const std::size_t qlen = aligner_->interseq()->query_len;
-        const bool tiled = qlen > kInterseqTileRows;
-        std::sort(overflow.begin(), overflow.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      const std::uint32_t la = subjects_.lengths[a];
-                      const std::uint32_t lb = subjects_.lengths[b];
-                      return la != lb ? la > lb : a < b;
-                  });
-        for (std::size_t at = 0; keep && at < overflow.size();) {
-            const std::uint64_t columns = subjects_.lengths[overflow[at]];
-            std::uint64_t residues = columns;
-            std::size_t end = at + 1;
-            while (end < overflow.size() && end - at < w) {
-                const std::uint64_t next =
-                    residues + subjects_.lengths[overflow[end]];
-                if (next * 100 <
-                    columns * (end - at + 1) * kInterseqMinFillPct) {
-                    break;
+                                     ScanScratch& scratch,
+                                     InterseqColumnState& colstate,
+                                     std::vector<Code>& repack, EmitFn&& emit,
+                                     Stats& t) {
+        const bool keep = cliff_groups(
+            overflow, [&](const std::uint32_t* batch, std::size_t count,
+                          std::uint64_t) {
+                bool k = true;
+                if (count < kEscalateBatchMin) {
+                    for (std::size_t i = 0; i < count && k; ++i) {
+                        const Score s = aligner_->rescore_wide(
+                            subjects_.subject(batch[i]), scratch,
+                            /*trusted=*/true);
+                        ++t.settled_wide;
+                        k = emit(batch[i], subjects_.lengths[batch[i]], s);
+                    }
+                    return k;
                 }
-                residues = next;
-                ++end;
-            }
-            const std::size_t count = end - at;
-            if (count >= kEscalateBatchMin) {
-                keep = escalate_batch(overflow.data() + at, count, tiled,
-                                      scratch, colstate, repack, emit, t);
-            } else {
-                for (std::size_t i = at; i < end && keep; ++i) {
-                    const std::uint32_t idx = overflow[i];
-                    const Score s = aligner_->rescore_wide(
-                        subjects_.subject(idx), scratch, /*trusted=*/true);
+                ++t.escalations16;
+                std::int16_t lane_best[64];
+                const std::uint32_t columns = pack_dense(batch, count, repack);
+                const std::uint64_t ovf = sw_interseq_i16_tiled(
+                    *aligner_->interseq(), repack.data(), columns,
+                    aligner_->gap(), aligner_->isa(), scratch, colstate,
+                    lane_best, count);
+                std::uint64_t settled16 = 0;
+                for (std::size_t i = 0; i < count && k; ++i) {
+                    const std::uint32_t idx = batch[i];
+                    Score s;
+                    if ((ovf >> i) & 1) {
+                        s = aligner_->rescore_i32(subjects_.subject(idx),
+                                                  scratch);
+                    } else {
+                        s = static_cast<Score>(lane_best[i]);
+                        ++settled16;
+                    }
                     ++t.settled_wide;
-                    keep = emit(idx, subjects_.lengths[idx], s);
+                    k = emit(idx, subjects_.lengths[idx], s);
                 }
-            }
-            at = end;
-        }
+                aligner_->credit_runs16(settled16);
+                return k;
+            });
         // On cancellation the worker is aborting anyway; clearing keeps
         // the run_worker fallback from double-settling on the keep path.
         overflow.clear();
         return keep;
     }
 
-    /// One dense escalation cohort: `count` deferred subjects (original
-    /// indices, count <= W) re-packed column-major into `repack` and
-    /// settled together by the (tiled) i16 inter-sequence kernel, with
-    /// the lo-half variant when the group fits half the lanes. Lanes
-    /// the i16 pass itself flags as saturated go straight to the exact
-    /// int32 rescore — the striped i16 attempt rescore_wide would run
-    /// first is already proven futile.
-    template <class EmitFn>
-    SWH_HOT_PATH bool escalate_batch(const std::uint32_t* batch,
-                                     std::size_t count,
-                        bool tiled, ScanScratch& scratch,
-                        InterseqColumnState& colstate,
-                        std::vector<Code>& repack, EmitFn&& emit,
-                        WorkerTallies& t) {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        std::uint32_t columns = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            columns = std::max(columns, subjects_.lengths[batch[i]]);
-        }
-        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
-        // caller-retained; it grows to the largest batch once.
-        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::span<const Code> s = subjects_.subject(batch[i]);
-            for (std::size_t j = 0; j < s.size(); ++j) {
-                repack[j * w + i] = s[j];
-            }
-        }
-        ++t.escalations16;
-        std::int16_t lane_best[64];
-        const std::uint64_t ovf =
-            tiled ? sw_interseq_i16_tiled(*aligner_->interseq(),
-                                          repack.data(), columns,
-                                          aligner_->gap(), aligner_->isa(),
-                                          scratch, colstate, lane_best, count)
-                  : sw_interseq_i16(*aligner_->interseq(), repack.data(),
-                                    columns, aligner_->gap(), aligner_->isa(),
-                                    scratch, lane_best, count);
-        bool keep = true;
-        std::uint64_t settled16 = 0;
-        for (std::size_t i = 0; i < count && keep; ++i) {
-            const std::uint32_t idx = batch[i];
-            Score s;
-            if ((ovf >> i) & 1) {
-                s = aligner_->rescore_i32(subjects_.subject(idx), scratch);
-            } else {
-                s = static_cast<Score>(lane_best[i]);
-                ++settled16;
-            }
-            ++t.settled_wide;
-            keep = emit(idx, subjects_.lengths[idx], s);
-        }
-        aligner_->credit_runs16(settled16);
-        return keep;
-    }
-
     template <class EmitFn>
     SWH_HOT_PATH bool score_striped(std::uint32_t idx, ScanScratch& scratch,
                                     EmitFn&& emit,
-                       std::vector<std::uint32_t>& overflow,
-                       WorkerTallies& t) {
+                                    std::vector<std::uint32_t>& overflow,
+                                    Stats& t) {
         ++t.subjects_striped;
         const StripedResult r =
             aligner_->score_u8(subjects_.subject(idx), scratch,
@@ -914,19 +718,19 @@ private:
         return emit(idx, subjects_.lengths[idx], r.score);
     }
 
-    void credit_dispatch(const WorkerTallies& t);
+    void merge(const Stats& s);
 
-    const StripedAligner* aligner_;
-    PackedSubjects subjects_;
-    std::size_t chunk_;
-    InterleavedCohorts cohorts_;
-    bool cohort_mode_ = false;
+    const StripedAligner* const aligner_;
+    const PackedSubjects subjects_;
+    const std::size_t chunk_;
+    const InterleavedCohorts cohorts_;
     /// Pruning threshold feed (null = prefilter unarmed). Owned by the
     /// caller; its value must only ever increase.
-    const std::atomic<Score>* threshold_ = nullptr;
+    const std::atomic<Score>* const threshold_;
     /// Per-cohort exact-stage route, precomputed at construction from
-    /// query length (untiled vs tiled) and cohort fill (vs striped).
-    std::vector<CohortPath> choice_;
+    /// cohort fill: 1 = inter-sequence, 0 = striped per subject.
+    /// Written only by the constructor.
+    SWH_NOT_GUARDED std::vector<std::uint8_t> interseq_;
     /// Claim-slot -> cohort-index permutation, built only when the
     /// prefilter is armed: the kPrimeCohorts cohorts whose mean subject
     /// length is closest to the query's come first (threshold priming),
@@ -934,16 +738,11 @@ private:
     /// (cheapest, best pruning odds) first, so the filter-off guard's
     /// zero-prune streak crosses the hopeless-length boundary before
     /// the expensive cohorts are reached. Empty = identity (exhaustive
-    /// scans are untouched).
-    std::vector<std::uint32_t> prime_order_;
+    /// scans are untouched). Written only by the constructor.
+    SWH_NOT_GUARDED std::vector<std::uint32_t> prime_order_;
     std::atomic<std::size_t> next_{0};
-    std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_tiled_{0};
-    std::atomic<std::uint64_t> cohorts_compacted_{0}, cohorts_striped_{0};
-    std::atomic<std::uint64_t> repacks_{0}, escalations16_{0};
-    std::atomic<std::uint64_t> subjects_interseq_{0}, subjects_compacted_{0};
-    std::atomic<std::uint64_t> subjects_striped_{0};
-    std::atomic<std::uint64_t> cohorts_filtered_{0}, rebounds16_{0};
-    std::atomic<std::uint64_t> subjects_pruned_{0}, filter_offs_{0};
+    mutable Mutex stats_mu_;
+    Stats stats_ SWH_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace swh::align

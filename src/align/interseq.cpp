@@ -74,36 +74,6 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
     return p;
 }
 
-std::uint64_t sw_interseq_u8(const InterseqProfile& profile, const Code* cols,
-                             std::size_t columns, GapPenalty gap,
-                             simd::IsaLevel isa, ScanScratch& scratch,
-                             std::uint8_t* lane_best) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return detail::interseq_u8<simd::U8x16s>(profile, cols, columns,
-                                                     gap, scratch, lane_best);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return detail::interseq_u8<simd::U8x16>(profile, cols, columns,
-                                                    gap, scratch, lane_best);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return detail::interseq_u8<simd::U8x32>(profile, cols, columns,
-                                                    gap, scratch, lane_best);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return detail::interseq_u8<simd::U8x64>(profile, cols, columns,
-                                                    gap, scratch, lane_best);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
-}
-
 namespace {
 
 /// True when the occupancy hint allows skipping the hi i16 half-vectors
@@ -113,49 +83,6 @@ constexpr bool lo_half_fits(std::size_t lanes_used, int w) {
 }
 
 }  // namespace
-
-std::uint64_t sw_interseq_i16(const InterseqProfile& profile, const Code* cols,
-                              std::size_t columns, GapPenalty gap,
-                              simd::IsaLevel isa, ScanScratch& scratch,
-                              std::int16_t* lane_best,
-                              std::size_t lanes_used) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return lo_half_fits(lanes_used, simd::U8x16s::kLanes)
-                       ? detail::interseq_i16<simd::U8x16s, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x16s>(
-                             profile, cols, columns, gap, scratch, lane_best);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return lo_half_fits(lanes_used, simd::U8x16::kLanes)
-                       ? detail::interseq_i16<simd::U8x16, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x16>(
-                             profile, cols, columns, gap, scratch, lane_best);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return lo_half_fits(lanes_used, simd::U8x32::kLanes)
-                       ? detail::interseq_i16<simd::U8x32, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x32>(
-                             profile, cols, columns, gap, scratch, lane_best);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return lo_half_fits(lanes_used, simd::U8x64::kLanes)
-                       ? detail::interseq_i16<simd::U8x64, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x64>(
-                             profile, cols, columns, gap, scratch, lane_best);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
-}
 
 std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    const Code* cols, std::size_t columns,

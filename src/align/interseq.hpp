@@ -93,15 +93,16 @@ struct InterseqProfile {
     }
 };
 
-/// Query rows per tile of the query-tiled kernel variants: each tile's
-/// DP row arrays (two query-tile rows of W-lane vectors) stay L1/L2
+/// Query rows per tile of the inter-sequence kernels: each tile's DP
+/// row arrays (two query-tile rows of W-lane vectors) stay L1/L2
 /// resident where a monolithic sweep of a 2000+ residue query spills.
-/// Also the untiled/tiled dispatch boundary in align::DatabaseScanner.
+/// The scan prefilter (align::DatabaseScanner) bounds queries in the
+/// same tiles.
 constexpr std::size_t kInterseqTileRows = 256;
 
-/// Number of query tiles the tiled kernels cut a query of `qlen` rows
-/// into: balanced tiles (sizes differ by at most one row) of at most
-/// kInterseqTileRows rows each.
+/// Number of query tiles the kernels cut a query of `qlen` rows into:
+/// balanced tiles (sizes differ by at most one row) of at most
+/// kInterseqTileRows rows each; one tile for short queries.
 constexpr std::size_t interseq_tile_count(std::size_t qlen) {
     return qlen <= kInterseqTileRows
                ? std::size_t{1}
@@ -149,37 +150,16 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
 
 /// 8-bit inter-sequence kernel over one cohort: `cols` points at
 /// `columns` column-major residue columns of `lanes_u8(isa)` lanes.
-/// Writes each lane's best (unbiased) score to lane_best[0..lanes) and
-/// returns the saturating-overflow lane mask (bit l set = lane l may
-/// have saturated, same `score + bias >= 255` bound as the striped u8
-/// kernel; those subjects must be settled by a wider kernel). Residues
-/// must be pre-validated (< alphabet size, or == kPadCode).
-SWH_HOT_PATH std::uint64_t sw_interseq_u8(const InterseqProfile& profile, const Code* cols,
-                             std::size_t columns, GapPenalty gap,
-                             simd::IsaLevel isa, ScanScratch& scratch,
-                             std::uint8_t* lane_best);
-
-/// 16-bit companion: same cohort geometry (the u8 lane count — each
-/// lane is widened to two i16 half-vectors internally), per-lane i16
-/// best scores and the `score + max_raw >= 32767` overflow mask of the
-/// striped i16 kernel. `lanes_used` is an optional occupancy hint
-/// (0 = all lanes): when the caller packed at most half the lanes —
-/// typical for the scanner's 8 -> 16 escalation batches — the kernel
-/// skips the all-pad hi half-vectors entirely. Lanes are dataflow-
-/// independent, so the used lanes' scores and overflow bits are
-/// unchanged; unused lanes report score 0.
-SWH_HOT_PATH std::uint64_t sw_interseq_i16(const InterseqProfile& profile, const Code* cols,
-                              std::size_t columns, GapPenalty gap,
-                              simd::IsaLevel isa, ScanScratch& scratch,
-                              std::int16_t* lane_best,
-                              std::size_t lanes_used = 0);
-
-/// Query-tiled u8 kernel for long queries: processes the query in
-/// interseq_tile_count() balanced row tiles (each <= kInterseqTileRows
-/// rows), carrying per-column H/F state through `state` so only the
-/// tile's own DP rows compete for cache. Scores and the overflow mask
-/// are bit-identical to sw_interseq_u8 — tiling changes the cell visit
-/// order, not the dataflow, and every op is per-cell saturating.
+/// The query is processed in interseq_tile_count() balanced row tiles,
+/// carrying per-column H/F state through `state` so only the tile's own
+/// DP rows compete for cache. Writes each lane's best (unbiased) score
+/// to lane_best[0..lanes) and returns the saturating-overflow lane mask
+/// (bit l set = lane l may have saturated, same `score + bias >= 255`
+/// bound as the striped u8 kernel; those subjects must be settled by a
+/// wider kernel). Scores and mask are bit-identical to the striped u8
+/// kernel per subject — tiling changes the cell visit order, not the
+/// dataflow, and every op is per-cell saturating. Residues must be
+/// pre-validated (< alphabet size, or == kPadCode).
 SWH_HOT_PATH std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    const Code* cols, std::size_t columns,
                                    GapPenalty gap, simd::IsaLevel isa,
@@ -187,11 +167,16 @@ SWH_HOT_PATH std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    InterseqColumnState& state,
                                    std::uint8_t* lane_best);
 
-/// 16-bit companion of the tiled kernel, for the 8 -> 16 escalation of
-/// tiled cohorts: same tiling geometry, carried state held as i16
-/// half-vector pairs (widened consistently with the untiled i16
-/// kernel), bit-identical to sw_interseq_i16. `lanes_used` as in
-/// sw_interseq_i16.
+/// 16-bit companion for the 8 -> 16 escalation: same cohort geometry
+/// (the u8 lane count — each lane is widened to two i16 half-vectors
+/// internally) and tiling, carried state held as i16 half-vector
+/// pairs, per-lane i16 best scores and the `score + max_raw >= 32767`
+/// overflow mask of the striped i16 kernel. `lanes_used` is an
+/// optional occupancy hint (0 = all lanes): when the caller packed at
+/// most half the lanes — typical for the scanner's escalation batches
+/// — the kernel skips the all-pad hi half-vectors entirely. Lanes are
+/// dataflow-independent, so the used lanes' scores and overflow bits
+/// are unchanged; unused lanes report score 0.
 SWH_HOT_PATH std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
                                     const Code* cols, std::size_t columns,
                                     GapPenalty gap, simd::IsaLevel isa,

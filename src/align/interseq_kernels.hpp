@@ -13,10 +13,20 @@
 // computed exactly in order, which is the structural advantage over the
 // striped kernel on short queries.
 //
+// The query is cut into balanced row tiles (interseq_tile_count; one
+// tile for short queries), and each tile is swept over every subject
+// column before the next tile starts. What crosses a tile boundary,
+// per subject column j, is exactly the state a monolithic sweep would
+// hand from row r-1 to row r: H(r-1, j) (the carried bottom row, which
+// is row r's diagonal for column j+1 and its vertical neighbour for
+// column j) and the running F entering row r. E does not cross tiles —
+// it is per-row state, fully contained in a tile's own row array.
+//
 // Arithmetic is cell-for-cell identical to the striped kernels (same
-// saturating ops in the same order), so per-lane scores and overflow
-// flags are bit-identical to what striped_u8/i16 produce for the same
-// subject — the property the golden-equivalence suite pins down.
+// saturating ops in the same order), and tiling only reorders cell
+// visits, so per-lane scores and overflow flags are bit-identical to
+// what striped_u8/i16 produce for the same subject — the property the
+// golden-equivalence suites pin down.
 
 #include <algorithm>
 #include <cstring>
@@ -28,157 +38,9 @@
 
 namespace swh::align::detail {
 
-/// 8-bit inter-sequence kernel. V must model the u8 vector interface of
+/// 8-bit kernel. V must model the u8 vector interface of
 /// simd/vec_scalar.hpp including lookup32/widen. Returns the overflow
 /// lane mask; lane_best[0..V::kLanes) receives per-lane maxima.
-template <class V>
-SWH_HOT_PATH std::uint64_t interseq_u8(const InterseqProfile& p, const Code* cols,
-                          std::size_t columns, GapPenalty gap,
-                          ScanScratch& scratch, std::uint8_t* lane_best) {
-    constexpr int W = V::kLanes;
-    std::memset(lane_best, 0, W);
-    const std::size_t m = p.query_len;
-    if (m == 0 || columns == 0) return 0;
-
-    const auto open_ext =
-        static_cast<std::uint8_t>(std::min<Score>(gap.open + gap.extend, 255));
-    const auto ext =
-        static_cast<std::uint8_t>(std::min<Score>(gap.extend, 255));
-    const V vGapOE = V::splat(open_ext);
-    const V vGapE = V::splat(ext);
-    const V vBias = V::splat(static_cast<std::uint8_t>(p.bias));
-
-    const std::size_t bytes = m * sizeof(V);
-    const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
-    V* __restrict h = static_cast<V*>(bufs.h_load);
-    V* __restrict e = static_cast<V*>(bufs.e);
-    std::memset(h, 0, bytes);
-    std::memset(e, 0, bytes);
-    V vMax = V::zero();
-
-    for (std::size_t j = 0; j < columns; ++j) {
-        const V dbv = V::load(cols + j * static_cast<std::size_t>(W));
-        V vF = V::zero();
-        V vDiag = V::zero();  // H(i-1, j-1); 0 boundary for i = 0
-        for (std::size_t i = 0; i < m; ++i) {
-            V vH = subs(adds(vDiag, lookup32(p.row(i), dbv)), vBias);
-            vDiag = h[i];  // this row's H of the previous column
-            vH = vmax(vH, e[i]);
-            vH = vmax(vH, vF);
-            vMax = vmax(vMax, vH);
-            h[i] = vH;
-            const V vHgap = subs(vH, vGapOE);
-            e[i] = vmax(subs(e[i], vGapE), vHgap);
-            vF = vmax(subs(vF, vGapE), vHgap);
-        }
-    }
-
-    vMax.store(lane_best);
-    std::uint64_t overflow = 0;
-    for (int l = 0; l < W; ++l) {
-        if (static_cast<Score>(lane_best[l]) + p.bias >= 255) {
-            overflow |= std::uint64_t{1} << l;
-        }
-    }
-    return overflow;
-}
-
-/// 16-bit inter-sequence kernel over the same u8-width cohort: each DP
-/// row holds two i16 half-vectors (lanes [0, W/2) and [W/2, W) of the
-/// residue vector, widened in order), so one cohort layout serves both
-/// precisions. Scores are looked up through the shared biased u8 table
-/// and un-biased exactly after widening. With kLoOnly the hi
-/// half-vector work is compiled out — for callers that packed at most
-/// W/2 lanes (escalation batches); lanes are independent, so the lo
-/// lanes' results are identical either way.
-template <class V, bool kLoOnly = false>
-SWH_HOT_PATH std::uint64_t interseq_i16(const InterseqProfile& p, const Code* cols,
-                           std::size_t columns, GapPenalty gap,
-                           ScanScratch& scratch, std::int16_t* lane_best) {
-    constexpr int W = V::kLanes;
-    using VW = decltype(widen_lo(V::zero()));
-    for (int l = 0; l < W; ++l) lane_best[l] = 0;
-    const std::size_t m = p.query_len;
-    if (m == 0 || columns == 0) return 0;
-
-    const VW vGapOE = VW::splat(static_cast<std::int16_t>(
-        std::min<Score>(gap.open + gap.extend, 32767)));
-    const VW vGapE =
-        VW::splat(static_cast<std::int16_t>(std::min<Score>(gap.extend, 32767)));
-    const VW vBias = VW::splat(static_cast<std::int16_t>(p.bias));
-    const VW vZero = VW::zero();
-
-    // Row arrays hold [lo, hi] half-vector pairs: entry 2i / 2i+1.
-    const std::size_t bytes = 2 * m * sizeof(VW);
-    const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
-    VW* __restrict h = static_cast<VW*>(bufs.h_load);
-    VW* __restrict e = static_cast<VW*>(bufs.e);
-    std::memset(h, 0, bytes);
-    std::memset(e, 0, bytes);
-    VW vMaxLo = VW::zero();
-    VW vMaxHi = VW::zero();
-
-    for (std::size_t j = 0; j < columns; ++j) {
-        const V dbv = V::load(cols + j * static_cast<std::size_t>(W));
-        VW vFLo = VW::zero();
-        VW vFHi = VW::zero();
-        VW vDiagLo = VW::zero();
-        VW vDiagHi = VW::zero();
-        for (std::size_t i = 0; i < m; ++i) {
-            const V s8 = lookup32(p.row(i), dbv);
-            // Exact un-bias: widened entries are in [0, 255], so the
-            // subtraction cannot saturate and yields the raw score.
-            const VW sLo = subs(widen_lo(s8), vBias);
-
-            VW vH = adds(vDiagLo, sLo);
-            vDiagLo = h[2 * i];
-            vH = vmax(vH, e[2 * i]);
-            vH = vmax(vH, vFLo);
-            vH = vmax(vH, vZero);  // local-alignment clamp
-            vMaxLo = vmax(vMaxLo, vH);
-            h[2 * i] = vH;
-            VW vHgap = subs(vH, vGapOE);
-            e[2 * i] = vmax(subs(e[2 * i], vGapE), vHgap);
-            vFLo = vmax(subs(vFLo, vGapE), vHgap);
-
-            if constexpr (!kLoOnly) {
-                const VW sHi = subs(widen_hi(s8), vBias);
-                vH = adds(vDiagHi, sHi);
-                vDiagHi = h[2 * i + 1];
-                vH = vmax(vH, e[2 * i + 1]);
-                vH = vmax(vH, vFHi);
-                vH = vmax(vH, vZero);
-                vMaxHi = vmax(vMaxHi, vH);
-                h[2 * i + 1] = vH;
-                vHgap = subs(vH, vGapOE);
-                e[2 * i + 1] = vmax(subs(e[2 * i + 1], vGapE), vHgap);
-                vFHi = vmax(subs(vFHi, vGapE), vHgap);
-            }
-        }
-    }
-
-    vMaxLo.store(lane_best);
-    vMaxHi.store(lane_best + W / 2);
-    std::uint64_t overflow = 0;
-    for (int l = 0; l < W; ++l) {
-        if (static_cast<Score>(lane_best[l]) + p.max_raw >= 32767) {
-            overflow |= std::uint64_t{1} << l;
-        }
-    }
-    return overflow;
-}
-
-/// Query-tiled 8-bit kernel: the query is cut into balanced row tiles
-/// (interseq_tile_count), and the cells of a tile are visited in the
-/// same column-outer order as the untiled kernel. What crosses a tile
-/// boundary, per subject column j, is exactly the state the untiled
-/// inner loop would hand from row r-1 to row r: H(r-1, j) (the carried
-/// bottom row, which is row r's diagonal for column j+1 and its
-/// vertical neighbour for column j) and the running F entering row r.
-/// E does not cross tiles — it is per-row state, fully contained in a
-/// tile's own row array. Since every op is per-cell saturating, the
-/// reordering is dataflow-neutral: scores and the overflow mask are
-/// bit-identical to interseq_u8.
 template <class V>
 SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Code* cols,
                                 std::size_t columns, GapPenalty gap,
@@ -226,7 +88,7 @@ SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Cod
             carryDiag = first ? V::zero() : crow[j];
             for (std::size_t i = 0; i < tm; ++i) {
                 V vH = subs(adds(vDiag, lookup32(p.row(r0 + i), dbv)), vBias);
-                vDiag = h[i];
+                vDiag = h[i];  // this row's H of the previous column
                 vH = vmax(vH, e[i]);
                 vH = vmax(vH, vF);
                 vMax = vmax(vMax, vH);
@@ -250,12 +112,15 @@ SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Cod
     return overflow;
 }
 
-/// Query-tiled 16-bit kernel: interseq_i16 with the tiling scheme of
-/// interseq_u8_tiled. The carried column state is held as [lo, hi] i16
-/// half-vector pairs at crow/cf[2j, 2j+1] — the same widening the
-/// untiled i16 kernel applies to its row arrays, so carried values
-/// cross the 8 -> 16 escalation boundary without narrowing. kLoOnly as
-/// in interseq_i16.
+/// 16-bit kernel over the same u8-width cohort: each DP row holds two
+/// i16 half-vectors (lanes [0, W/2) and [W/2, W) of the residue vector,
+/// widened in order), so one cohort layout serves both precisions; the
+/// carried column state is held as [lo, hi] pairs at crow/cf[2j, 2j+1].
+/// Scores are looked up through the shared biased u8 table and
+/// un-biased exactly after widening. With kLoOnly the hi half-vector
+/// work is compiled out — for callers that packed at most W/2 lanes
+/// (escalation batches); lanes are independent, so the lo lanes'
+/// results are identical either way.
 template <class V, bool kLoOnly = false>
 SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Code* cols,
                                  std::size_t columns, GapPenalty gap,
@@ -275,6 +140,7 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
     const VW vBias = VW::splat(static_cast<std::int16_t>(p.bias));
     const VW vZero = VW::zero();
 
+    // Row arrays hold [lo, hi] half-vector pairs: entry 2i / 2i+1.
     const std::size_t tiles = interseq_tile_count(m);
     const std::size_t rows = (m + tiles - 1) / tiles;
     const std::size_t bytes = 2 * std::min(rows, m) * sizeof(VW);
@@ -306,13 +172,15 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
             carryDiagHi = (kLoOnly || first) ? VW::zero() : crow[2 * j + 1];
             for (std::size_t i = 0; i < tm; ++i) {
                 const V s8 = lookup32(p.row(r0 + i), dbv);
+                // Exact un-bias: widened entries are in [0, 255], so the
+                // subtraction cannot saturate and yields the raw score.
                 const VW sLo = subs(widen_lo(s8), vBias);
 
                 VW vH = adds(vDiagLo, sLo);
                 vDiagLo = h[2 * i];
                 vH = vmax(vH, e[2 * i]);
                 vH = vmax(vH, vFLo);
-                vH = vmax(vH, vZero);
+                vH = vmax(vH, vZero);  // local-alignment clamp
                 vMaxLo = vmax(vMaxLo, vH);
                 h[2 * i] = vH;
                 VW vHgap = subs(vH, vGapOE);

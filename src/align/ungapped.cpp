@@ -74,69 +74,4 @@ std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
     return 0;
 }
 
-std::uint64_t sw_ungapped_interseq_i16(const InterseqProfile& profile,
-                                       const Code* cols, std::size_t columns,
-                                       GapPenalty gap, simd::IsaLevel isa,
-                                       ScanScratch& scratch,
-                                       std::int16_t* lane_best,
-                                       std::size_t row_begin,
-                                       std::size_t row_end) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return detail::ungapped_interseq_i16<simd::U8x16s>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return detail::ungapped_interseq_i16<simd::U8x16>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return detail::ungapped_interseq_i16<simd::U8x32>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return detail::ungapped_interseq_i16<simd::U8x64>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
-}
-
-std::uint64_t lanes_at_least(const std::uint8_t* lane_best, std::uint8_t floor,
-                             simd::IsaLevel isa) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return ge_mask(simd::U8x16s::load(lane_best),
-                           simd::U8x16s::splat(floor));
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return ge_mask(simd::U8x16::load(lane_best),
-                           simd::U8x16::splat(floor));
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return ge_mask(simd::U8x32::load(lane_best),
-                           simd::U8x32::splat(floor));
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return ge_mask(simd::U8x64::load(lane_best),
-                           simd::U8x64::splat(floor));
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
-}
-
 }  // namespace swh::align

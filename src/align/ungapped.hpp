@@ -45,7 +45,8 @@
 //
 // stays a sound upper bound while each tile's DP state fits in L1 and
 // its per-tile maximum stays inside the 8-bit range (the funnel uses
-// ~256-row tiles, see db_scan.hpp kFilterChunkRows).
+// the interseq_tile_count() tiles of the exact kernels, see
+// DatabaseScanner::filter_cohort).
 //
 // A subject whose bound falls strictly below the running k-th best
 // exact score therefore provably cannot enter the final top-k, and the
@@ -72,14 +73,14 @@ Score sw_ungapped_scalar(std::span<const Code> a, std::span<const Code> b,
                          const ScoreMatrix& matrix, GapPenalty gap);
 
 /// 8-bit gap-slack prefilter kernel over one cohort — same geometry and
-/// profile as sw_interseq_u8 (align/interseq.hpp): `cols` points at
-/// `columns` column-major residue columns of `lanes_u8(isa)` lanes.
+/// profile as sw_interseq_u8_tiled (align/interseq.hpp): `cols` points
+/// at `columns` column-major residue columns of `lanes_u8(isa)` lanes.
 /// Writes each lane's chain bound (unbiased) over query rows
 /// [row_begin, min(row_end, query_len)) to lane_best[0..lanes) and
 /// returns the saturating-overflow lane mask (bit l set = lane l may
 /// have saturated, `score + bias >= 255` — those lanes carry no
-/// trustworthy bound and must be treated as survivors or re-bounded at
-/// 16 bits). Residues must be pre-validated.
+/// trustworthy bound and must be treated as survivors). Residues must
+/// be pre-validated.
 SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
                                       const Code* cols, std::size_t columns,
                                       GapPenalty gap, simd::IsaLevel isa,
@@ -87,22 +88,5 @@ SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profil
                                       std::uint8_t* lane_best,
                                       std::size_t row_begin = 0,
                                       std::size_t row_end = SIZE_MAX);
-
-/// 16-bit companion over the same u8-width cohort (each lane widened to
-/// two i16 half-vectors, as in sw_interseq_i16); overflow mask uses the
-/// `score + max_raw >= 32767` bound.
-SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_i16(const InterseqProfile& profile,
-                                       const Code* cols, std::size_t columns,
-                                       GapPenalty gap, simd::IsaLevel isa,
-                                       ScanScratch& scratch,
-                                       std::int16_t* lane_best,
-                                       std::size_t row_begin = 0,
-                                       std::size_t row_end = SIZE_MAX);
-
-/// Survivor compare: bit l set iff lane_best[l] >= floor, computed with
-/// the ISA's lane-compare primitive (simd ge_mask). Only the low
-/// lanes_u8(isa) bits are meaningful.
-SWH_HOT_PATH std::uint64_t lanes_at_least(const std::uint8_t* lane_best, std::uint8_t floor,
-                             simd::IsaLevel isa);
 
 }  // namespace swh::align

@@ -24,7 +24,7 @@ namespace swh::db {
 /// cohort's residues are stored column-major — column j holds residue
 /// j of every member, short lanes padded with the inter-sequence
 /// padding sentinel. This is the input geometry of
-/// align::sw_interseq_u8/i16. Built lazily by
+/// align::sw_interseq_u8_tiled/i16_tiled. Built lazily by
 /// PackedDatabase::interleaved().
 ///
 /// Grouping: W consecutive scan-order slots form a natural cohort when

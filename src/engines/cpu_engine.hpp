@@ -1,8 +1,15 @@
 #pragma once
 
+#include "align/db_scan.hpp"
 #include "engines/engine.hpp"
 
 namespace swh::engines {
+
+/// Exports one scan's counters, one metric name per fact: exact-stage
+/// routes under `scan.dispatch.*`, the prefilter under
+/// `engine.cpu.filter.*`. Shared by CpuEngine and bench_scan.
+void export_scan_stats(const align::DatabaseScanner::Stats& stats,
+                       obs::MetricsRegistry& metrics);
 
 /// The paper's "adapted Farrar" SSE slave (SS IV-C): scans the packed
 /// database arena (db::PackedDatabase) through align::DatabaseScanner's

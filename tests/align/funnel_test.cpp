@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -46,9 +47,9 @@ std::vector<simd::IsaLevel> supported_levels() {
 
 /// Exhaustive oracle: cohort-mode scan with the prefilter unarmed,
 /// every score routed through the same TopK policy the funnel uses.
-std::vector<core::Hit> exhaustive_topk(const StripedAligner& aligner,
-                                       const db::Database& database,
-                                       std::size_t k) {
+std::vector<core::Hit> exhaustive_topk(
+    const StripedAligner& aligner, const db::Database& database,
+    std::size_t k, DatabaseScanner::Stats* stats = nullptr) {
     const db::PackedDatabase& packed = database.packed();
     DatabaseScanner scanner(
         aligner, packed.view(), DatabaseScanner::kDefaultChunk,
@@ -60,13 +61,13 @@ std::vector<core::Hit> exhaustive_topk(const StripedAligner& aligner,
             topk.add(idx, s);
             return true;
         }));
+    if (stats != nullptr) *stats = scanner.stats();
     return topk.take();
 }
 
 struct FunnelRun {
     std::vector<core::Hit> hits;
-    DatabaseScanner::FilterStats filter;
-    DatabaseScanner::DispatchStats dispatch;
+    DatabaseScanner::Stats stats;
     std::uint64_t emitted = 0;
     std::uint64_t pruned_calls = 0;
 };
@@ -100,8 +101,7 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
             return true;
         }));
     run.hits = topk.take();
-    run.filter = scanner.filter_stats();
-    run.dispatch = scanner.dispatch_stats();
+    run.stats = scanner.stats();
     return run;
 }
 
@@ -138,8 +138,8 @@ TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
             // pruned, exactly once.
             EXPECT_EQ(run.emitted + run.pruned_calls,
                       sample.database.size());
-            EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned);
-            total_pruned += run.filter.subjects_pruned;
+            EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned);
+            total_pruned += run.stats.subjects_pruned;
         }
     }
     // The funnel must actually funnel on this workload, not just match.
@@ -147,55 +147,125 @@ TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
 }
 
 TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
-    // A multi-tile query (4+ tiles of kInterseqTileRows) drives the
-    // query-tiled inter-sequence kernels, and the armed prefilter's
-    // surviving lanes go through the compaction re-pack instead of the
-    // striped fallback. Both paths must keep the funnel's bit-identity
-    // promise — and must actually be exercised, not silently skipped.
-    const std::size_t qlen = 4 * kInterseqTileRows + 53;
-    const db::ScanSample sample = db::make_scan_sample(300, {qlen});
-    // Coverage is asserted in aggregate: at wide lane counts a 300-
-    // sequence database is legitimately too ragged for the full-width
-    // fill bar (all-striped is the right economic call there), but the
-    // narrower levels must prove the tiled and re-pack paths ran.
-    std::uint64_t tiled_cohorts = 0, repack_or_striped = 0, pruned = 0;
+    // A multi-tile query drives the query-tiled inter-sequence kernels
+    // and the tile-sum prefilter, and the armed prefilter's surviving
+    // lanes go through the compaction re-pack instead of the striped
+    // fallback. Both paths must keep the funnel's bit-identity promise
+    // — and must actually be exercised, not silently skipped.
+    //
+    // The re-pack needs cohorts the prefilter thins out to a quarter
+    // or less: one homolog (a background subject carrying a verbatim
+    // 40-residue window of the query, scoring far above the rest) per
+    // ~6 background subjects, with the background's length profile, so
+    // most length-sorted cohorts keep a few homolog lanes and lose the
+    // rest. Two tiles keep the summed bound tight enough to prune.
+    Rng rng(401);
+    const Sequence q =
+        db::random_protein(rng, kInterseqTileRows + 53, "long");
+    db::DatabaseSpec spec;
+    spec.name = "repack";
+    spec.num_sequences = 1000;
+    spec.length.min_len = 40;
+    spec.length.max_len = 160;
+    spec.length.log_mean = 4.6;  // ~100 residues, mid-range
+    spec.seed = 403;
+    std::vector<Sequence> seqs = db::generate_database(spec);
+    constexpr std::size_t kWindow = 40;
+    const std::size_t background = seqs.size();
+    for (int h = 0; h < 170; ++h) {
+        // Same length profile as the background: a background copy with
+        // one fixed query window written over it.
+        Sequence s = seqs[rng.below(background)];
+        s.id = "hom" + std::to_string(h);
+        const std::size_t to = rng.below(s.size() - kWindow + 1);
+        std::copy_n(q.residues.begin() + 100, kWindow,
+                    s.residues.begin() + static_cast<std::ptrdiff_t>(to));
+        seqs.push_back(std::move(s));
+    }
+    const db::Database database("repack", std::move(seqs));
+
+    // Coverage is asserted in aggregate: how many homologs share a
+    // cohort depends on the lane count, but the levels together must
+    // prove the interseq and re-pack paths ran.
+    std::uint64_t interseq_cohorts = 0, repacks = 0, pruned = 0;
     for (const simd::IsaLevel isa : supported_levels()) {
-        const StripedAligner aligner(sample.queries[0].residues, blosum(),
-                                     kGap, isa);
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
         for (const std::size_t k : {std::size_t{1}, std::size_t{25}}) {
             const std::vector<core::Hit> want =
-                exhaustive_topk(aligner, sample.database, k);
+                exhaustive_topk(aligner, database, k);
             ASSERT_EQ(want.size(), k);
-            const FunnelRun run = funnel_topk(aligner, sample.database, k);
+            const FunnelRun run = funnel_topk(aligner, database, k);
             expect_same_hits(run.hits, want,
                              "isa=" + std::string(simd::to_string(isa)) +
                                  " k=" + std::to_string(k));
-            EXPECT_EQ(run.emitted + run.pruned_calls,
-                      sample.database.size());
-            EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned);
+            EXPECT_EQ(run.emitted + run.pruned_calls, database.size());
+            EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned);
             // Every subject settles on exactly one of the three paths
             // or is pruned — no double counting, no loss.
-            EXPECT_EQ(run.dispatch.subjects_interseq +
-                          run.dispatch.subjects_compacted +
-                          run.dispatch.subjects_striped +
-                          run.filter.subjects_pruned,
-                      sample.database.size());
-            // A long query must never disable interseq by length
-            // alone: any cohort the scan ran on the inter-sequence
-            // kernels must have been tiled.
-            EXPECT_EQ(run.dispatch.cohorts_tiled,
-                      run.dispatch.cohorts_interseq);
-            tiled_cohorts += run.dispatch.cohorts_tiled;
-            repack_or_striped +=
-                run.dispatch.repacks + run.dispatch.subjects_striped;
-            pruned += run.filter.subjects_pruned;
+            EXPECT_EQ(run.stats.subjects_interseq +
+                          run.stats.subjects_compacted +
+                          run.stats.subjects_striped +
+                          run.stats.subjects_pruned,
+                      database.size());
+            interseq_cohorts += run.stats.cohorts_interseq;
+            repacks += run.stats.repacks;
+            pruned += run.stats.subjects_pruned;
         }
     }
-    EXPECT_GT(tiled_cohorts, 0u);
+    EXPECT_GT(interseq_cohorts, 0u);
     EXPECT_GT(pruned, 0u);
-    // Thinned-out survivor cohorts went through the re-pack (or, for
-    // sub-bar remainders, per-subject striped) instead of being masked.
-    EXPECT_GT(repack_or_striped, 0u);
+    // Thinned-out survivor cohorts went through the dense re-pack
+    // instead of being masked.
+    EXPECT_GT(repacks, 0u);
+}
+
+TEST(DatabaseScannerFunnel, BatchedEscalationBitIdentical) {
+    // Every member of the query's planted family overflows u8, and the
+    // family's near-equal lengths put 8+ of them in one cliff group, so
+    // the stage-3 drain settles them with one dense i16 inter-sequence
+    // pass (escalations16) — in the exhaustive scan's end-of-run drain
+    // and in the funnel's per-claim drain alike.
+    const db::ScanSample sample = db::make_scan_sample(300, {300});
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(sample.queries[0].residues, blosum(),
+                                     kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        DatabaseScanner::Stats exhaustive;
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, sample.database, 10, &exhaustive);
+        const FunnelRun run = funnel_topk(aligner, sample.database, 10);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_GT(exhaustive.escalations16, 0u) << label;
+        EXPECT_GT(run.stats.escalations16, 0u) << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, NoHitLongQueryTurnsFilterOff) {
+    // The hetero_nohit shape: a random query with no planted family,
+    // long enough for several prefilter tiles. The summed tile bound
+    // then clears the background's k-th best for every lane, the
+    // zero-prune streak trips the adaptive filter-off guard, and the
+    // remaining cohorts skip stage 1 (filter_offs) — top-k unchanged.
+    db::DatabaseSpec spec;
+    spec.name = "nohit";
+    spec.num_sequences = 700;
+    spec.length.min_len = 40;
+    spec.length.max_len = 300;
+    spec.seed = 331;
+    const db::Database database = db::Database::generate(spec);
+    Rng rng(337);
+    const Sequence q =
+        db::random_protein(rng, 3 * kInterseqTileRows + 40, "nohit");
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, database, 10);
+        const FunnelRun run = funnel_topk(aligner, database, 10);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.emitted + run.pruned_calls, database.size()) << label;
+        EXPECT_GT(run.stats.filter_offs, 0u) << label;
+    }
 }
 
 TEST(DatabaseScannerFunnel, AllIdenticalScoresKeepEveryTie) {
@@ -218,7 +288,7 @@ TEST(DatabaseScannerFunnel, AllIdenticalScoresKeepEveryTie) {
             expect_same_hits(run.hits, want, "twins k=" + std::to_string(k));
             // Nothing scores strictly below the threshold, so nothing
             // may be pruned.
-            EXPECT_EQ(run.filter.subjects_pruned, 0u);
+            EXPECT_EQ(run.stats.subjects_pruned, 0u);
             EXPECT_EQ(run.emitted, database.size());
             for (std::size_t i = 0; i < run.hits.size(); ++i) {
                 EXPECT_EQ(run.hits[i].db_index, i);  // index tie-break
@@ -284,7 +354,7 @@ TEST(DatabaseScannerFunnel, EmptyAndTinyDatabases) {
     EXPECT_EQ(want.size(), tiny.size());
     const FunnelRun run = funnel_topk(aligner, tiny, 100);
     expect_same_hits(run.hits, want, "tiny");
-    EXPECT_EQ(run.filter.subjects_pruned, 0u);
+    EXPECT_EQ(run.stats.subjects_pruned, 0u);
     EXPECT_EQ(run.emitted, tiny.size());
 }
 
@@ -309,7 +379,7 @@ TEST(DatabaseScannerFunnel, ThresholdWithoutCohortsIsInert) {
             return true;
         }));
     EXPECT_EQ(emitted, sample.database.size());
-    EXPECT_EQ(scanner.filter_stats().cohorts_filtered, 0u);
+    EXPECT_EQ(scanner.stats().cohorts_filtered, 0u);
     expect_same_hits(topk.take(),
                      exhaustive_topk(aligner, sample.database, 10),
                      "inert threshold");

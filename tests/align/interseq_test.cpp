@@ -3,13 +3,17 @@
 // host supports. The kernels promise BIT-identical scores and overflow
 // flags to the striped kernels (same saturating arithmetic per cell),
 // so every comparison below is exact — including saturated lanes,
-// padded lanes, and partial cohorts.
+// padded lanes, and partial cohorts. Most queries here fit one query
+// tile (the short-query case); interseq_tiled_test.cpp covers the
+// tile boundaries.
 
 #include "align/interseq.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "align/striped.hpp"
@@ -116,9 +120,11 @@ TEST(InterseqKernels, U8MatchesStripedAndOracleAcrossIsaLevels) {
         const std::vector<Code> cols = interleave(subjects, W, columns);
 
         ScanScratch scratch;
+        InterseqColumnState state;
         std::uint8_t lane_best[64];
-        const std::uint64_t ovf = sw_interseq_u8(prof, cols.data(), columns,
-                                                 kGap, isa, scratch, lane_best);
+        const std::uint64_t ovf =
+            sw_interseq_u8_tiled(prof, cols.data(), columns, kGap, isa,
+                                 scratch, state, lane_best);
 
         const Profile8 p8 = build_profile8(q, blosum(), W);
         for (int l = 0; l < W; ++l) {
@@ -152,9 +158,11 @@ TEST(InterseqKernels, U8OverflowMaskFlagsSaturatedLanes) {
         const std::vector<Code> cols = interleave(subjects, W, columns);
 
         ScanScratch scratch;
+        InterseqColumnState state;
         std::uint8_t lane_best[64];
-        const std::uint64_t ovf = sw_interseq_u8(prof, cols.data(), columns,
-                                                 kGap, isa, scratch, lane_best);
+        const std::uint64_t ovf =
+            sw_interseq_u8_tiled(prof, cols.data(), columns, kGap, isa,
+                                 scratch, state, lane_best);
         EXPECT_TRUE((ovf >> 1) & 1) << simd::to_string(isa);
         EXPECT_TRUE((ovf >> (W - 1)) & 1) << simd::to_string(isa);
 
@@ -183,9 +191,11 @@ TEST(InterseqKernels, PartialCohortPaddedLanesStayRetired) {
         const std::vector<Code> cols = interleave(subjects, W, columns);
 
         ScanScratch scratch;
+        InterseqColumnState state;
         std::uint8_t lane_best[64];
-        const std::uint64_t ovf = sw_interseq_u8(prof, cols.data(), columns,
-                                                 kGap, isa, scratch, lane_best);
+        const std::uint64_t ovf =
+            sw_interseq_u8_tiled(prof, cols.data(), columns, kGap, isa,
+                                 scratch, state, lane_best);
         for (std::size_t l = 0; l < 3; ++l) {
             EXPECT_EQ(static_cast<Score>(lane_best[l]),
                       sw_score_affine(q, subjects[l], blosum(), kGap));
@@ -218,9 +228,10 @@ TEST(InterseqKernels, I16MatchesStripedIncludingOverflowMask) {
         const std::vector<Code> cols = interleave(subjects, W, columns);
 
         ScanScratch scratch;
+        InterseqColumnState state;
         std::int16_t lane_best[64];
-        const std::uint64_t ovf = sw_interseq_i16(
-            prof, cols.data(), columns, kGap, isa, scratch, lane_best);
+        const std::uint64_t ovf = sw_interseq_i16_tiled(
+            prof, cols.data(), columns, kGap, isa, scratch, state, lane_best);
 
         const Profile16 p16 = build_profile16(q, matrix, lanes_i16(isa));
         bool any_overflow = false;
@@ -241,23 +252,37 @@ TEST(InterseqKernels, I16MatchesStripedIncludingOverflowMask) {
 }
 
 TEST(InterseqKernels, EmptyQueryAndEmptyCohortAreClean) {
-    const std::vector<Code> q;
-    const InterseqProfile prof = build_interseq_profile(q, blosum());
-    ScanScratch scratch;
-    std::uint8_t lane_best[64];
-    std::vector<Code> cols(64, InterseqProfile::kPadCode);
-    EXPECT_EQ(sw_interseq_u8(prof, cols.data(), 1, kGap,
-                             simd::IsaLevel::Scalar, scratch, lane_best),
-              0u);
-    for (int l = 0; l < 16; ++l) EXPECT_EQ(lane_best[l], 0);
-
+    // qlen == 0 and columns == 0 must both return a clean zero result
+    // from either width, without touching the carried column state.
     Rng rng(9);
-    const std::vector<Code> q2 = db::random_protein(rng, 20, "q2").residues;
-    const InterseqProfile prof2 = build_interseq_profile(q2, blosum());
-    EXPECT_EQ(sw_interseq_u8(prof2, cols.data(), 0, kGap,
-                             simd::IsaLevel::Scalar, scratch, lane_best),
-              0u);
-    for (int l = 0; l < 16; ++l) EXPECT_EQ(lane_best[l], 0);
+    const InterseqProfile empty = build_interseq_profile({}, blosum());
+    const InterseqProfile prof = build_interseq_profile(
+        db::random_protein(rng, 20, "q2").residues, blosum());
+    const std::vector<Code> cols(64, InterseqProfile::kPadCode);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const int W = lanes_u8(isa);
+        for (const auto& [p, columns] :
+             {std::pair{&empty, std::size_t{1}},
+              std::pair{&prof, std::size_t{0}}}) {
+            ScanScratch scratch;
+            InterseqColumnState state;
+            std::uint8_t best8[64];
+            std::int16_t best16[64];
+            std::fill(best8, best8 + 64, std::uint8_t{7});
+            std::fill(best16, best16 + 64, std::int16_t{7});
+            EXPECT_EQ(sw_interseq_u8_tiled(*p, cols.data(), columns, kGap,
+                                           isa, scratch, state, best8),
+                      0u);
+            EXPECT_EQ(sw_interseq_i16_tiled(*p, cols.data(), columns, kGap,
+                                            isa, scratch, state, best16),
+                      0u);
+            for (int l = 0; l < W; ++l) {
+                EXPECT_EQ(best8[l], 0) << simd::to_string(isa);
+                EXPECT_EQ(best16[l], 0) << simd::to_string(isa);
+            }
+            EXPECT_EQ(state.capacity(), 0u);
+        }
+    }
 }
 
 }  // namespace

@@ -5,10 +5,13 @@
 #include "util/error.hpp"
 
 #include <atomic>
+#include <set>
+#include <string>
 
 #include "align/sw_scalar.hpp"
 #include "db/database.hpp"
 #include "db/presets.hpp"
+#include "obs/metrics.hpp"
 
 namespace swh::engines {
 namespace {
@@ -106,6 +109,53 @@ TEST(CpuEngine, PrefilterOnAndOffReturnIdenticalHits) {
         // and the result's cell count stay the full product.
         EXPECT_EQ(with.cells, without.cells);
     }
+}
+
+TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
+    // Metric-name contract: one prefilter-on task exports exactly these
+    // scan/engine names — among them the ones perfbench and the --watch
+    // dashboard read — and no second spelling of the same fact.
+    const db::ScanSample sample = db::make_scan_sample(250, {90});
+    obs::MetricsRegistry metrics;
+    EngineConfig c = config();
+    c.metrics = &metrics;
+    CpuEngine(c).execute(sample.queries[0], 0, 0, sample.database, nullptr);
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+
+    std::set<std::string> names;
+    const auto keep = [&](const std::string& name) {
+        if (name.rfind("scan.", 0) == 0 || name.rfind("engine.cpu.", 0) == 0) {
+            names.insert(name);
+        }
+    };
+    for (const auto& [name, value] : snap.counters) keep(name);
+    for (const auto& [name, value] : snap.gauges) keep(name);
+    for (const obs::HistogramSummary& h : snap.histograms) keep(h.name);
+    const std::set<std::string> want = {
+        "engine.cpu.runs8",
+        "engine.cpu.runs16",
+        "engine.cpu.runs32",
+        "engine.cpu.filter.tau",
+        "engine.cpu.filter.cohorts",
+        "engine.cpu.filter.pruned",
+        "engine.cpu.filter.offs",
+        "scan.dispatch.cohorts_interseq",
+        "scan.dispatch.cohorts_compacted",
+        "scan.dispatch.cohorts_striped_head",
+        "scan.dispatch.repacks",
+        "scan.dispatch.escalations16",
+        "scan.dispatch.subjects_interseq",
+        "scan.dispatch.subjects_compacted",
+        "scan.dispatch.subjects_striped",
+    };
+    EXPECT_EQ(names, want);
+    // Every subject is either pruned or scored on one route.
+    EXPECT_GT(snap.counter("engine.cpu.filter.pruned"), 0u);
+    EXPECT_EQ(snap.counter("engine.cpu.filter.pruned") +
+                  snap.counter("scan.dispatch.subjects_interseq") +
+                  snap.counter("scan.dispatch.subjects_compacted") +
+                  snap.counter("scan.dispatch.subjects_striped"),
+              sample.database.size());
 }
 
 class CountingObserver final : public ExecutionObserver {

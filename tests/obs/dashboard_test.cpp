@@ -22,9 +22,11 @@ MetricsSnapshot synthetic() {
     reg.counter("sched.replicas_issued").add(1);
     reg.counter("sched.completions_accepted").add(17);
     reg.gauge("engine.cpu.filter.tau").set(87.0);
+    reg.counter("engine.cpu.filter.cohorts").add(40);
     reg.counter("engine.cpu.filter.pruned").add(900);
-    reg.counter("engine.cpu.subjects_interseq").add(100);
-    reg.counter("engine.cpu.subjects_striped").add(0);
+    reg.counter("scan.dispatch.subjects_interseq").add(60);
+    reg.counter("scan.dispatch.subjects_compacted").add(30);
+    reg.counter("scan.dispatch.subjects_striped").add(10);
     Histogram& depth = reg.histogram("channel.master_inbox.depth");
     for (int i = 0; i < 10; ++i) depth.record(2.0);
     return reg.snapshot();
@@ -53,6 +55,11 @@ TEST(Dashboard, UnknownPesGetFallbackLabels) {
 TEST(Dashboard, ShowsFunnelThresholdWhenArmed) {
     const std::string frame = render_dashboard(synthetic(), {});
     EXPECT_NE(frame.find("87"), std::string::npos);  // tau value
+    // Pruned share of all subjects: 900 / (900 + 60 + 30 + 10), not
+    // pruned subjects per filtered cohort (900 / 40).
+    EXPECT_NE(frame.find("funnel tau 87  pruned 90.0% of subjects"),
+              std::string::npos)
+        << frame;
 }
 
 TEST(Dashboard, EmptySnapshotRendersAFrameWithoutPeRows) {

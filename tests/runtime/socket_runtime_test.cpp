@@ -157,9 +157,12 @@ TEST(SocketRuntime, LoopbackMatchesInProcessAndReference) {
         EXPECT_FALSE(r.report.crashed);
     }
     ASSERT_EQ(socket.slaves.size(), 2u);
-    // Labels/kinds came over the wire in the Hello.
-    EXPECT_EQ(socket.slaves[0].label, "remote0");
-    EXPECT_EQ(socket.slaves[1].label, "remote1");
+    // Labels/kinds came over the wire in the Hello. PeIds follow accept
+    // order and the slave threads race to connect, so compare as a set.
+    std::vector<std::string> labels;
+    for (const auto& s : socket.slaves) labels.push_back(s.label);
+    std::sort(labels.begin(), labels.end());
+    EXPECT_EQ(labels, (std::vector<std::string>{"remote0", "remote1"}));
 }
 
 // The PR-5 fault machinery over sockets: engine failures are retried,
