@@ -57,6 +57,12 @@ public:
         }
         // Phi(p_i, P) = requester rate / slowest observed rate.
         const double phi = requester.rate / min_rate;
+        // Clamp before rounding: llround past long long's range is
+        // unspecified (LLONG_MIN on x86), which would size a huge ratio
+        // at one task. Negated so that a NaN ratio clamps too.
+        if (!(phi < static_cast<double>(ready_remaining))) {
+            return ready_remaining;
+        }
         const auto batch = static_cast<std::size_t>(
             std::max<long long>(1, std::llround(phi)));
         return std::min(batch, ready_remaining);

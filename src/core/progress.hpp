@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cmath>
+
 #include "util/ring_buffer.hpp"
 
 namespace swh::core {
@@ -12,8 +14,13 @@ class ProgressHistory {
 public:
     explicit ProgressHistory(std::size_t omega) : window_(omega) {}
 
+    /// Drops negative and non-finite samples: one would poison the
+    /// weighted mean for the next Omega samples. Samples from in-process
+    /// slaves never pass the wire codec's finite-double check.
     void record(double cells_per_second) {
-        if (cells_per_second >= 0.0) window_.push(cells_per_second);
+        if (std::isfinite(cells_per_second) && cells_per_second >= 0.0) {
+            window_.push(cells_per_second);
+        }
     }
 
     bool has_history() const { return !window_.empty(); }

@@ -42,8 +42,11 @@ public:
         // polling — everything mutable now serialises on mu_.
         const swh::LockGuard lock(mu_);
         cells_ += cells_delta;
+        task_cells_ += cells_delta;
         const double elapsed = since_notify_.seconds();
-        if (elapsed >= period_ && cells_ > 0) {
+        // elapsed > 0 keeps a zero period (a Welcome off the wire is
+        // not range-checked) from dividing by a zero-length window.
+        if (elapsed > 0.0 && elapsed >= period_ && cells_ > 0) {
             endpoint_.send(net::MsgProgress{
                 pe_, static_cast<double>(cells_) / elapsed});
             cells_ = 0;
@@ -73,12 +76,15 @@ public:
     obs::TraceLane* trace_lane() const override { return lane_; }
 
     /// Rate over the whole task, for a final notification on completion.
-    void send_final_rate() {
+    /// Not the window since the last periodic sample: an engine may
+    /// credit many cells at once (the funnel counts a pruned subject's
+    /// cells when it drops it), so that tail window can be microseconds
+    /// long and read thousands of times the PE's real speed.
+    void send_final_rate(double task_seconds) {
         const swh::LockGuard lock(mu_);
-        const double elapsed = since_notify_.seconds();
-        if (cells_ > 0 && elapsed > 0.0) {
+        if (task_cells_ > 0 && task_seconds > 0.0) {
             endpoint_.send(net::MsgProgress{
-                pe_, static_cast<double>(cells_) / elapsed});
+                pe_, static_cast<double>(task_cells_) / task_seconds});
         }
     }
 
@@ -125,6 +131,7 @@ private:
     mutable bool shutdown_ SWH_GUARDED_BY(mu_) = false;
     mutable std::uint64_t cells_ SWH_GUARDED_BY(mu_) = 0;
     mutable Timer since_notify_ SWH_GUARDED_BY(mu_);
+    std::uint64_t task_cells_ SWH_GUARDED_BY(mu_) = 0;
     obs::TraceLane* const lane_;
 };
 
@@ -265,7 +272,7 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
         } else if (was_cancelled) {
             ++report.tasks_cancelled;
         } else {
-            slave_obs.send_final_rate();
+            slave_obs.send_final_rate(task_seconds);
             endpoint.send(net::MsgTaskDone{pe, t, std::move(result)});
             ++completions;
         }

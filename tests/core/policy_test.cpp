@@ -57,6 +57,10 @@ TEST(Pss, ClampsToReady) {
     const std::vector<SlaveView> all = {slave(0, PeKind::Gpu, 10e9),
                                         slave(1, PeKind::SseCore, 1e9)};
     EXPECT_EQ(p->batch_size(all[0], all, 3, 20), 3u);
+    // A ratio far past long long's range must still clamp, not wrap.
+    const std::vector<SlaveView> huge = {slave(0, PeKind::SseCore, 1e300),
+                                         slave(1, PeKind::SseCore, 1.0)};
+    EXPECT_EQ(p->batch_size(huge[0], huge, 7, 20), 7u);
 }
 
 TEST(Pss, SlowestGetsOne) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace swh::core {
 namespace {
 
@@ -55,6 +57,17 @@ TEST(ProgressHistory, IgnoresNegativeSamples) {
     ProgressHistory h(4);
     h.record(-5.0);
     EXPECT_FALSE(h.has_history());
+}
+
+TEST(ProgressHistory, IgnoresNonFiniteSamples) {
+    ProgressHistory h(4);
+    h.record(std::numeric_limits<double>::infinity());
+    h.record(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_FALSE(h.has_history());
+    h.record(3e9);
+    h.record(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(h.samples(), 1u);
+    EXPECT_DOUBLE_EQ(h.rate(), 3e9);
 }
 
 }  // namespace

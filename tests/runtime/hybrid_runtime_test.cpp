@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <mutex>
+#include <thread>
+
 #include "align/sw_scalar.hpp"
 #include "db/database.hpp"
 #include "db/presets.hpp"
 #include "engines/cpu_engine.hpp"
 #include "engines/sim_gpu_engine.hpp"
 #include "engines/throttled_engine.hpp"
+#include "util/timer.hpp"
 
 namespace swh::runtime {
 namespace {
@@ -213,6 +219,102 @@ TEST(HybridRuntime, ChannelLatencyDoesNotBreakProtocol) {
     slaves.push_back(SlaveSpec{"b", cpu_engine()});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+}
+
+/// Paces each task at `rate_cps`, then credits a quarter of its cells
+/// and the other three quarters in one burst just before returning: the
+/// shape of the scan funnel crediting pruned subjects at once. Records
+/// every task's true rate (cells over the engine's own wall time).
+class BurstEngine final : public engines::ComputeEngine {
+public:
+    BurstEngine(double rate_cps, std::mutex& mu, std::vector<double>& rates)
+        : inner_(cpu_engine()), rate_cps_(rate_cps), mu_(mu), rates_(rates) {}
+
+    std::string_view name() const override { return "burst"; }
+    core::PeKind kind() const override { return inner_->kind(); }
+
+    core::TaskResult execute(const align::Sequence& query,
+                             std::uint32_t query_index, core::TaskId task,
+                             const db::Database& database,
+                             engines::ExecutionObserver* observer) override {
+        const Timer timer;
+        core::TaskResult result =
+            inner_->execute(query, query_index, task, database, nullptr);
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            static_cast<double>(result.cells) / rate_cps_));
+        const std::uint64_t head = result.cells / 4;
+        observer->on_cells(head);
+        observer->on_cells(result.cells - head);
+        const double seconds = timer.seconds();
+        const std::lock_guard<std::mutex> lock(mu_);
+        rates_.push_back(static_cast<double>(result.cells) / seconds);
+        return result;
+    }
+
+private:
+    std::unique_ptr<engines::ComputeEngine> inner_;
+    double rate_cps_;
+    std::mutex& mu_;
+    std::vector<double>& rates_;
+};
+
+struct RateLog final : core::SchedObserver {
+    std::vector<double> samples;
+    std::size_t max_package = 0;
+
+    void on_progress(core::PeId, double, double cells_per_second,
+                     double) override {
+        samples.push_back(cells_per_second);
+    }
+    void on_package_sized(core::PeId, std::size_t tasks, bool,
+                          double) override {
+        max_package = std::max(max_package, tasks);
+    }
+};
+
+TEST(HybridRuntime, EndOfTaskBurstDoesNotInflateRate) {
+    // The end-of-task sample must cover the whole task, not the
+    // microseconds since the last periodic sample: read over that tail
+    // window, the burst looks thousands of times faster than the PE and
+    // PSS hands one slave most of the remaining tasks in one package.
+    const db::Database database = test_db();
+    const auto queries = test_queries(12);
+    RuntimeOptions options = fast_options();
+    obs::MetricsRegistry metrics;
+    options.metrics = &metrics;
+    RateLog log;
+    options.sched_observer = &log;
+    HybridRuntime rt(database, queries, options);
+
+    // Every task sleeps at least three notify periods, so each one sends
+    // a periodic sample before its burst.
+    std::size_t min_len = queries[0].size();
+    for (const auto& q : queries) min_len = std::min(min_len, q.size());
+    const double rate_cps = static_cast<double>(min_len) *
+                            static_cast<double>(database.residues()) /
+                            (3 * options.notify_period_s);
+    std::mutex mu;
+    std::vector<double> task_rates;
+    std::vector<SlaveSpec> slaves;
+    for (const char* label : {"a", "b", "c"}) {
+        slaves.push_back(SlaveSpec{
+            label, std::make_unique<BurstEngine>(rate_cps, mu, task_rates)});
+    }
+    const RunReport report = rt.run(std::move(slaves), core::make_pss());
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    ASSERT_FALSE(task_rates.empty());
+    const double true_rate =
+        *std::max_element(task_rates.begin(), task_rates.end());
+    ASSERT_FALSE(log.samples.empty());
+    for (const double sample : log.samples) {
+        EXPECT_LE(sample, 1.5 * true_rate);
+    }
+    EXPECT_LE(log.max_package, 2u);
+    const obs::HistogramSummary* err =
+        report.metrics.histogram("sched.rate_estimate_rel_error");
+    ASSERT_NE(err, nullptr);
+    EXPECT_LT(err->max, 10.0);
 }
 
 }  // namespace
