@@ -105,27 +105,21 @@ TopKOutcome run_topk(const align::StripedAligner& aligner,
 }
 
 /// Stage-1 alone: the ungapped gap-slack sweep over every cohort, for
-/// the prefilter's standalone GCUPS.
+/// the prefilter's standalone GCUPS. The tiled sweep is the one
+/// DatabaseScanner::filter_cohort runs, so this measures the funnel's
+/// actual stage-1 cost.
 align::Score run_filter_only(const align::StripedAligner& aligner,
                              align::ScanScratch& scratch,
                              align::InterleavedCohorts cohorts) {
-    std::uint8_t lane_best[64];
+    align::Score bound[64];
     align::Score acc = 0;
-    const std::size_t qlen = aligner.interseq()->query_len;
-    const std::size_t tiles = align::interseq_tile_count(qlen);
-    const std::size_t rows = (qlen + tiles - 1) / tiles;
     for (std::size_t c = 0; c < cohorts.count; ++c) {
         const align::CohortDesc& d = cohorts.cohorts[c];
-        // Same row tiling as DatabaseScanner::filter_cohort, so this
-        // measures the funnel's actual stage-1 cost.
-        for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
-            sw_ungapped_interseq_u8(*aligner.interseq(),
-                                    cohorts.arena + d.offset, d.columns,
-                                    aligner.gap(), aligner.isa(), scratch,
-                                    lane_best, r0, r0 + rows);
-            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                acc = std::max<align::Score>(acc, lane_best[l]);
-            }
+        sw_ungapped_tiled_u8(*aligner.interseq(), cohorts.arena + d.offset,
+                             d.columns, aligner.gap(), aligner.isa(), scratch,
+                             bound);
+        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+            acc = std::max(acc, bound[l]);
         }
     }
     return acc;
@@ -409,6 +403,7 @@ int main(int argc, char** argv) {
             << ", \"funnel_speedup\": " << format_double(r.funnel_speedup, 4)
             << ", \"subjects_pruned\": " << r.funnel.subjects_pruned
             << ", \"filter_offs\": " << r.funnel.filter_offs
+            << ", \"subjects_saturated\": " << r.funnel.subjects_saturated
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
             << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted

@@ -18,6 +18,7 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     cohorts_filtered += o.cohorts_filtered;
     subjects_pruned += o.subjects_pruned;
     filter_offs += o.filter_offs;
+    subjects_saturated += o.subjects_saturated;
     settled8 += o.settled8;
     settled_wide += o.settled_wide;
     return *this;

@@ -119,13 +119,13 @@ public:
     static constexpr std::size_t kEscalateBatchMin = 8;
 
     /// Consecutive zero-prune cohorts before a worker turns its
-    /// prefilter off for the rest of its claims (multi-tile queries
-    /// only; armed claims visit non-prime cohorts in ascending column
-    /// order, so once bounds stop clearing tau at some subject length
-    /// they stay hopeless for every longer cohort — the summed tile
-    /// bound only grows with subject length). Three in a row tolerates
-    /// an isolated all-homolog cohort without disabling a still-
-    /// productive filter.
+    /// prefilter off for the rest of its claims (queries of more than
+    /// one filter_tile_count() tile only; armed claims visit non-prime
+    /// cohorts in ascending column order, so once bounds stop clearing
+    /// tau at some subject length they stay hopeless for every longer
+    /// cohort — the summed tile bound only grows with subject length).
+    /// Three in a row tolerates an isolated all-homolog cohort without
+    /// disabling a still-productive filter.
     static constexpr int kFilterOffStreak = 3;
 
     /// Cohorts scanned first when the prefilter is armed: the ones
@@ -165,6 +165,9 @@ public:
         std::uint64_t cohorts_filtered = 0;
         std::uint64_t subjects_pruned = 0;
         std::uint64_t filter_offs = 0;
+        /// Lanes that survived stage 1 only because a tile's u8 bound
+        /// clipped: their summed (clipped) bound fell below tau.
+        std::uint64_t subjects_saturated = 0;
         /// Settlements: by the u8 kernels, and by a wide kernel (i16
         /// inter-sequence, striped i16 or scalar int32).
         std::uint64_t settled8 = 0;
@@ -309,35 +312,30 @@ private:
     }
 
     /// Stage-1 prefilter over one cohort: returns the survivor lane
-    /// mask (within `used`). The query is bounded in
-    /// interseq_tile_count() row tiles and the per-lane tile bounds
+    /// mask (within `used`). The query is bounded in the prefilter's
+    /// own filter_tile_count() row tiles and the per-lane tile bounds
     /// summed (sound — see align/ungapped.hpp); each tile's two DP rows
-    /// stay L1-resident and its bound in u8 range. A lane is cleared
-    /// only when its summed bound provably falls strictly below `tau`;
-    /// a lane saturated in any tile always survives.
+    /// stay L1-resident, and its height keeps random-background bounds
+    /// inside u8 even on the longest subjects. A lane is cleared only
+    /// when its summed bound provably falls strictly below `tau`; a
+    /// lane saturated in any tile always survives, and is counted in
+    /// `subjects_saturated` when its clipped sum alone would have
+    /// pruned it.
     SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
                                              std::uint64_t used, Score tau,
                                              ScanScratch& scratch, Stats& t) {
         ++t.cohorts_filtered;
-        const InterseqProfile& prof = *aligner_->interseq();
-        const std::size_t qlen = prof.query_len;
-        const std::size_t tiles = interseq_tile_count(qlen);
-        const std::size_t rows = (qlen + tiles - 1) / tiles;
-        std::uint8_t bound8[64];
-        Score acc[64] = {};
-        std::uint64_t survive = 0;
-        for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
-            survive |= sw_ungapped_interseq_u8(
-                prof, cohorts_.arena + d.offset, d.columns, aligner_->gap(),
-                aligner_->isa(), scratch, bound8, r0, r0 + rows);
-            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                acc[l] += static_cast<Score>(bound8[l]);
-            }
-        }
+        Score bound[64];
+        const std::uint64_t saturated = sw_ungapped_tiled_u8(
+            *aligner_->interseq(), cohorts_.arena + d.offset, d.columns,
+            aligner_->gap(), aligner_->isa(), scratch, bound);
+        std::uint64_t above = 0;
         for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-            if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
+            if (bound[l] >= tau) above |= std::uint64_t{1} << l;
         }
-        return survive & used;
+        t.subjects_saturated += static_cast<std::uint64_t>(
+            std::popcount(saturated & ~above & used));
+        return (above | saturated) & used;
     }
 
     /// Cohort claim unit: whole cohorts of the interleaved layout.
@@ -356,8 +354,10 @@ private:
         const std::size_t n = cohorts_.count;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
+        // The guard reasons about the summed tile bound, so it keys on
+        // the prefilter's own tiling, not the exact kernels'.
         const bool multi_tile =
-            interseq_tile_count(aligner_->interseq()->query_len) > 1;
+            filter_tile_count(aligner_->interseq()->query_len) > 1;
         InterseqColumnState colstate;
         // Survivor batch for the repack path and the dense repack
         // scratch; both stay empty (no allocation) until the prefilter

@@ -96,8 +96,8 @@ struct InterseqProfile {
 /// Query rows per tile of the inter-sequence kernels: each tile's DP
 /// row arrays (two query-tile rows of W-lane vectors) stay L1/L2
 /// resident where a monolithic sweep of a 2000+ residue query spills.
-/// The scan prefilter (align::DatabaseScanner) bounds queries in the
-/// same tiles.
+/// The scan prefilter tiles the query on its own, shorter height
+/// (align::kFilterTileRows).
 constexpr std::size_t kInterseqTileRows = 256;
 
 /// Number of query tiles the kernels cut a query of `qlen` rows into:

@@ -74,4 +74,25 @@ std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
     return 0;
 }
 
+std::uint64_t sw_ungapped_tiled_u8(const InterseqProfile& profile,
+                                   const Code* cols, std::size_t columns,
+                                   GapPenalty gap, simd::IsaLevel isa,
+                                   ScanScratch& scratch, Score* lane_bound) {
+    const int lanes = lanes_u8(isa);
+    std::fill_n(lane_bound, lanes, Score{0});
+    const std::size_t qlen = profile.query_len;
+    const std::size_t tiles = filter_tile_count(qlen);
+    const std::size_t rows = (qlen + tiles - 1) / tiles;
+    std::uint8_t bound8[64];
+    std::uint64_t saturated = 0;
+    for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
+        saturated |= sw_ungapped_interseq_u8(profile, cols, columns, gap, isa,
+                                             scratch, bound8, r0, r0 + rows);
+        for (int l = 0; l < lanes; ++l) {
+            lane_bound[l] += static_cast<Score>(bound8[l]);
+        }
+    }
+    return saturated;
+}
+
 }  // namespace swh::align

@@ -43,10 +43,13 @@
 //
 //   gapped(Q,S) <= sum over row tiles R of T*(Q[R], S)
 //
-// stays a sound upper bound while each tile's DP state fits in L1 and
-// its per-tile maximum stays inside the 8-bit range (the funnel uses
-// the interseq_tile_count() tiles of the exact kernels, see
-// DatabaseScanner::filter_cohort).
+// stays a sound upper bound while each tile's DP state fits in L1.
+// The tile height is the prefilter's own (kFilterTileRows), not the
+// exact kernels' kInterseqTileRows: a tile's bound grows with both its
+// row count and the subject's length, and it must stay inside the
+// 8-bit range on long subjects — a saturated lane carries no bound and
+// is exact-scored however far below the threshold its true bound sits
+// (see sw_ungapped_tiled_u8 and DESIGN.md "Tile-sum bound").
 //
 // A subject whose bound falls strictly below the running k-th best
 // exact score therefore provably cannot enter the final top-k, and the
@@ -88,5 +91,34 @@ SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profil
                                       std::uint8_t* lane_best,
                                       std::size_t row_begin = 0,
                                       std::size_t row_end = SIZE_MAX);
+
+/// Query rows per prefilter tile. At this height random-background
+/// tile bounds (BLOSUM62) peak at 226 against the sample workloads'
+/// subjects of up to 5000 residues and at 235 against 10 000-residue
+/// ones, inside the u8 range (255 - bias); 192 rows already saturate
+/// half the lanes against subjects of 3000+ residues, 256 rows nine in
+/// ten. Shorter tiles measure no faster and only loosen the sum (more
+/// inter-tile links go uncharged). DESIGN.md "Tile-sum bound" has the
+/// sweep.
+constexpr std::size_t kFilterTileRows = 128;
+
+/// Number of balanced prefilter row tiles (sizes differ by at most one
+/// row) of at most kFilterTileRows rows each; one tile for short
+/// queries.
+constexpr std::size_t filter_tile_count(std::size_t qlen) {
+    return qlen <= kFilterTileRows
+               ? std::size_t{1}
+               : (qlen + kFilterTileRows - 1) / kFilterTileRows;
+}
+
+/// Stage-1 bound of the whole query over one cohort: sweeps the
+/// filter_tile_count() balanced row tiles with sw_ungapped_interseq_u8
+/// and writes each lane's summed tile bound to lane_bound[0..lanes).
+/// Returns the lanes that saturated in any tile — their sums are no
+/// bound, and such lanes must be treated as survivors.
+SWH_HOT_PATH std::uint64_t sw_ungapped_tiled_u8(const InterseqProfile& profile,
+                                   const Code* cols, std::size_t columns,
+                                   GapPenalty gap, simd::IsaLevel isa,
+                                   ScanScratch& scratch, Score* lane_bound);
 
 }  // namespace swh::align

@@ -36,6 +36,7 @@ void export_scan_stats(const align::DatabaseScanner::Stats& s,
     metrics.counter("engine.cpu.filter.cohorts").add(s.cohorts_filtered);
     metrics.counter("engine.cpu.filter.pruned").add(s.subjects_pruned);
     metrics.counter("engine.cpu.filter.offs").add(s.filter_offs);
+    metrics.counter("engine.cpu.filter.saturated").add(s.subjects_saturated);
 }
 
 CpuEngine::CpuEngine(EngineConfig config, unsigned threads)

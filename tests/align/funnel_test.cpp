@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "db/database.hpp"
+#include "db/generator.hpp"
 #include "db/packed.hpp"
 #include "db/presets.hpp"
 #include "engines/topk.hpp"
@@ -70,14 +71,18 @@ struct FunnelRun {
     DatabaseScanner::Stats stats;
     std::uint64_t emitted = 0;
     std::uint64_t pruned_calls = 0;
+    std::vector<std::uint32_t> pruned;  ///< db indices reported pruned
 };
 
 /// Funnel scan: prefilter armed with the running k-th best fed back
-/// through a CAS-max, exactly like engines::CpuEngine does.
+/// through a CAS-max, exactly like engines::CpuEngine does. A positive
+/// `tau0` starts the feed there instead of at kNoThreshold — sound for
+/// any value up to the final k-th best exact score.
 FunnelRun funnel_topk(const StripedAligner& aligner,
-                      const db::Database& database, std::size_t k) {
+                      const db::Database& database, std::size_t k,
+                      Score tau0 = engines::TopK::kNoThreshold) {
     const db::PackedDatabase& packed = database.packed();
-    std::atomic<Score> tau{engines::TopK::kNoThreshold};
+    std::atomic<Score> tau{tau0};
     DatabaseScanner scanner(
         aligner, packed.view(), DatabaseScanner::kDefaultChunk,
         packed.interleaved(lanes_u8(aligner.isa())).view(), &tau);
@@ -96,8 +101,9 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
             }
             return true;
         },
-        [&](std::uint32_t, std::uint32_t) {
+        [&](std::uint32_t idx, std::uint32_t) {
             ++run.pruned_calls;
+            run.pruned.push_back(idx);
             return true;
         }));
     run.hits = topk.take();
@@ -265,6 +271,112 @@ TEST(DatabaseScannerFunnel, NoHitLongQueryTurnsFilterOff) {
         expect_same_hits(run.hits, want, label);
         EXPECT_EQ(run.emitted + run.pruned_calls, database.size()) << label;
         EXPECT_GT(run.stats.filter_offs, 0u) << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, LongSubjectsStayInsideU8AndArePruned) {
+    // A multi-tile query against long random subjects (3000-4600
+    // residues) plus a planted family of more than k members. Every
+    // background subject sits far below the family's k-th best score,
+    // but a prefilter tile must also keep its random-background chain
+    // bound inside u8 on such subjects: a lane that saturates carries
+    // no bound and is exact-scored however low its true bound is. A
+    // tile as tall as the exact kernels' (256 rows) saturates on most
+    // of these lanes.
+    constexpr std::size_t kFamily = 12;
+    constexpr std::size_t kTopK = 10;
+    const db::ScanSample sample = db::make_scan_sample(
+        kFamily + 1, {4 * kInterseqTileRows + 6}, kFamily, 421);
+    const Sequence& q = sample.queries[0];
+    ASSERT_GE(q.size(), 4 * kInterseqTileRows);
+    db::DatabaseSpec spec;
+    spec.name = "long";
+    spec.num_sequences = 80;
+    spec.length.min_len = 3000;
+    spec.length.max_len = 4600;
+    spec.length.log_mean = 8.24;  // ~3800 residues
+    spec.length.log_stdev = 0.12;
+    spec.seed = 423;
+    const std::vector<Sequence> background = db::generate_database(spec);
+    std::vector<Sequence> seqs = background;
+    const std::vector<Sequence>& planted = sample.database.sequences();
+    seqs.insert(seqs.end(), planted.end() - kFamily, planted.end());
+    const db::Database database("long+family", std::move(seqs));
+    const db::Database background_only("long", background);
+    // One exhaustive oracle for every level: the exact kernels match
+    // the scalar reference on each level (striped and interseq suites).
+    const std::vector<core::Hit> want = exhaustive_topk(
+        StripedAligner(q.residues, blosum(), kGap, simd::best_supported()),
+        database, kTopK);
+    ASSERT_EQ(want.size(), kTopK);
+    const Score kth = want.back().score;
+
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+
+        // The running feed, as CpuEngine wires it: bit-identical top-k,
+        // and every background subject outside the primed cohorts (the
+        // first kPrimeCohorts claimed, possibly before tau is live) is
+        // pruned.
+        const FunnelRun run = funnel_topk(aligner, database, kTopK);
+        expect_same_hits(run.hits, want, label);
+        const auto background_pruned = static_cast<std::size_t>(
+            std::count_if(run.pruned.begin(), run.pruned.end(),
+                          [&](std::uint32_t idx) {
+                              return idx < background.size();
+                          }));
+        EXPECT_GE(background_pruned +
+                      DatabaseScanner::kPrimeCohorts *
+                          static_cast<std::size_t>(lanes_u8(isa)),
+                  background.size())
+            << label;
+
+        // With tau at the final k-th best from the first cohort on,
+        // there is no priming window: every background lane must get a
+        // bound below tau, none saturated.
+        const FunnelRun settled = funnel_topk(aligner, background_only,
+                                              kTopK, kth);
+        EXPECT_EQ(settled.stats.subjects_pruned, background.size()) << label;
+        EXPECT_EQ(settled.stats.subjects_saturated, 0u) << label;
+        EXPECT_EQ(settled.emitted, 0u) << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, SaturatedLanesSurviveAndAreCounted) {
+    // Copies of the query are self-matches: their chain bound clips
+    // u8 in the query's one prefilter tile, so the clipped sum sits far
+    // below tau (the copies' own exact score). Each such lane must
+    // survive stage 1, be counted as saturated, and settle exactly.
+    Rng rng(431);
+    const Sequence q = db::random_protein(rng, 100, "q");
+    ASSERT_EQ(filter_tile_count(q.size()), 1u);
+    db::DatabaseSpec spec;
+    spec.name = "selfmatch";
+    spec.num_sequences = 200;
+    spec.length.min_len = 40;
+    spec.length.max_len = 300;
+    spec.seed = 433;
+    std::vector<Sequence> seqs = db::generate_database(spec);
+    // Several cohorts of copies at every lane width, so some of them
+    // are filtered after the first copies have raised tau.
+    constexpr std::size_t kCopies = 150;
+    const std::size_t first_copy = seqs.size();
+    for (std::size_t i = 0; i < kCopies; ++i) seqs.push_back(q);
+    const db::Database database("selfmatch", std::move(seqs));
+
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, database, 1);
+        const FunnelRun run = funnel_topk(aligner, database, 1);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.hits[0].db_index, first_copy) << label;
+        EXPECT_GT(run.stats.subjects_saturated, 0u) << label;
+        for (const std::uint32_t idx : run.pruned) {
+            EXPECT_LT(idx, first_copy) << label << ": a copy was pruned";
+        }
     }
 }
 

@@ -204,6 +204,54 @@ TEST(UngappedKernels, RowRangeMatchesScalarOnQuerySlice) {
     }
 }
 
+TEST(UngappedKernels, FilterTileCountBalancesRows) {
+    EXPECT_EQ(filter_tile_count(0), 1u);
+    EXPECT_EQ(filter_tile_count(kFilterTileRows), 1u);
+    EXPECT_EQ(filter_tile_count(kFilterTileRows + 1), 2u);
+    EXPECT_EQ(filter_tile_count(4 * kFilterTileRows + 7), 5u);
+}
+
+TEST(UngappedKernels, TiledSweepSumsScalarTileBounds) {
+    // sw_ungapped_tiled_u8 is the sweep the scan funnel runs: per lane,
+    // the sum of the scalar bounds of the filter_tile_count() balanced
+    // query slices, and a lane saturated in any tile is flagged.
+    Rng rng(241);
+    const auto q =
+        db::random_protein(rng, 2 * kFilterTileRows + 37, "q").residues;
+    const InterseqProfile prof = build_interseq_profile(q, blosum());
+    const std::size_t tiles = filter_tile_count(q.size());
+    ASSERT_EQ(tiles, 3u);
+    const std::size_t rows = (q.size() + tiles - 1) / tiles;
+
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const int W = lanes_u8(isa);
+        auto subjects =
+            random_subjects(rng, static_cast<std::size_t>(W), 20, 400);
+        subjects[1] = q;  // self-match: saturates every tile
+        std::size_t columns = 0;
+        for (const auto& s : subjects) columns = std::max(columns, s.size());
+        const std::vector<Code> cols = interleave(subjects, W, columns);
+
+        ScanScratch scratch;
+        Score bound[64];
+        const std::uint64_t sat = sw_ungapped_tiled_u8(
+            prof, cols.data(), columns, kGap, isa, scratch, bound);
+        EXPECT_TRUE((sat >> 1) & 1) << simd::to_string(isa);
+        for (int l = 0; l < W; ++l) {
+            if ((sat >> l) & 1) continue;
+            Score sum = 0;
+            for (std::size_t r0 = 0; r0 < q.size(); r0 += rows) {
+                sum += sw_ungapped_scalar(
+                    std::span<const Code>(q).subspan(
+                        r0, std::min(rows, q.size() - r0)),
+                    subjects[static_cast<std::size_t>(l)], blosum(), kGap);
+            }
+            EXPECT_EQ(bound[l], sum)
+                << "isa=" << simd::to_string(isa) << " lane=" << l;
+        }
+    }
+}
+
 TEST(UngappedKernels, BoundDominatesStripedExactPerLane) {
     // End-to-end per-lane check of the pruning inequality in the exact
     // layout the scanner uses: kernel bound >= striped exact score for

@@ -139,6 +139,7 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "engine.cpu.filter.cohorts",
         "engine.cpu.filter.pruned",
         "engine.cpu.filter.offs",
+        "engine.cpu.filter.saturated",
         "scan.dispatch.cohorts_interseq",
         "scan.dispatch.cohorts_compacted",
         "scan.dispatch.cohorts_striped_head",
