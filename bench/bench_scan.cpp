@@ -104,10 +104,11 @@ TopKOutcome run_topk(const align::StripedAligner& aligner,
     return out;
 }
 
-/// Stage-1 alone: the ungapped gap-slack sweep over every cohort, for
-/// the prefilter's standalone GCUPS. The tiled sweep is the one
-/// DatabaseScanner::filter_cohort runs, so this measures the funnel's
-/// actual stage-1 cost.
+/// Stage-1 alone: the ungapped gap-slack sweep over every tile of
+/// every cohort, for the prefilter's standalone GCUPS. The tiled sweep
+/// is the one DatabaseScanner::filter_cohort runs; with no threshold it
+/// never exits early, so this is the full stage-1 rate — the funnel
+/// sweeps only the tiles counted in filter_tiles.
 align::Score run_filter_only(const align::StripedAligner& aligner,
                              align::ScanScratch& scratch,
                              align::InterleavedCohorts cohorts) {
@@ -117,7 +118,7 @@ align::Score run_filter_only(const align::StripedAligner& aligner,
         const align::CohortDesc& d = cohorts.cohorts[c];
         sw_ungapped_tiled_u8(*aligner.interseq(), cohorts.arena + d.offset,
                              d.columns, aligner.gap(), aligner.isa(), scratch,
-                             bound);
+                             /*tau=*/0, bound);
         for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
             acc = std::max(acc, bound[l]);
         }
@@ -404,6 +405,8 @@ int main(int argc, char** argv) {
             << ", \"subjects_pruned\": " << r.funnel.subjects_pruned
             << ", \"filter_offs\": " << r.funnel.filter_offs
             << ", \"subjects_saturated\": " << r.funnel.subjects_saturated
+            << ", \"filter_tiles\": " << r.funnel.filter_tiles
+            << ", \"filter_tiles_skipped\": " << r.funnel.filter_tiles_skipped
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
             << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted

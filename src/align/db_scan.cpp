@@ -1,6 +1,7 @@
 #include "align/db_scan.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -19,6 +20,8 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     subjects_pruned += o.subjects_pruned;
     filter_offs += o.filter_offs;
     subjects_saturated += o.subjects_saturated;
+    filter_tiles += o.filter_tiles;
+    filter_tiles_skipped += o.filter_tiles_skipped;
     settled8 += o.settled8;
     settled_wide += o.settled_wide;
     return *this;
@@ -80,8 +83,11 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     // Threshold priming: scan the cohorts most likely to hold the top
     // scorers first, so the dynamic threshold reaches a useful value
     // before the bulk of the scan. Homologs of the query cluster near
-    // its length, so rank cohorts by |mean subject length - query
-    // length| and pull the best kPrimeCohorts to the front. The
+    // its length, so rank cohorts by their nearest member,
+    // min |member length - query length|, and pull the best
+    // kPrimeCohorts to the front. A cohort's mean length would hide a
+    // family split by the layout: members sharing a compacted cohort
+    // with much longer subjects would be claimed last. The
     // remainder follows in ascending column order — shortest cohorts
     // carry the cheapest sweeps and the best pruning odds, and the
     // filter-off guard (claim_cohorts) relies on crossing the
@@ -91,16 +97,20 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     for (std::size_t c = 0; c < cohorts_.count; ++c) {
         ranked[c] = static_cast<std::uint32_t>(c);
     }
-    const auto dist = [&](std::uint32_t c) {
+    std::vector<std::int64_t> dist(cohorts_.count,
+                                   std::numeric_limits<std::int64_t>::max());
+    for (std::size_t c = 0; c < cohorts_.count; ++c) {
         const CohortDesc& d = cohorts_.cohorts[c];
-        const auto mean = static_cast<std::int64_t>(
-            d.residues / std::max<std::uint32_t>(1, d.lanes_used));
-        return std::llabs(mean - want_len);
-    };
+        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+            const auto len = static_cast<std::int64_t>(
+                subjects_.lengths[member_index(d, l)]);
+            dist[c] = std::min(dist[c], std::abs(len - want_len));
+        }
+    }
     std::partial_sort(ranked.begin(), ranked.begin() + kPrimeCohorts,
                       ranked.end(), [&](std::uint32_t a, std::uint32_t b) {
-                          const auto da = dist(a), db = dist(b);
-                          return da != db ? da < db : a < b;
+                          return dist[a] != dist[b] ? dist[a] < dist[b]
+                                                    : a < b;
                       });
     // Primed cohorts run best-match first — the sooner the likeliest
     // cohort's exact scores land, the sooner the threshold bites.

@@ -5,12 +5,14 @@
 // Stage 1 (optional, cohort mode only): an allocation-free ungapped
 // inter-sequence prefilter (align/ungapped.hpp) sweeps each cohort in
 // query row tiles and sums the per-lane tile maxima into provable upper
-// bounds on the gapped scores. Lanes whose bound falls strictly below
-// the caller-published pruning threshold — fed back from the running
-// k-th best exact score — are skipped entirely; u8-saturated lanes
-// carry no bound and always survive, so the surviving top-k is
-// bit-identical to an exhaustive scan. See DESIGN.md "Prefilter funnel"
-// for the soundness argument.
+// bounds on the gapped scores, capped by a query-row bound on the
+// unswept tiles and a per-subject composition cap; the sweep stops once
+// those decide every lane. Lanes whose bound falls strictly below the
+// caller-published pruning threshold — fed back from the running k-th
+// best exact score — are skipped entirely; u8-saturated lanes carry no
+// tile bound and survive unless their cap rules them out, so the
+// surviving top-k is bit-identical to an exhaustive scan. See DESIGN.md
+// "Prefilter funnel" for the soundness argument.
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch — in
@@ -129,11 +131,12 @@ public:
     static constexpr int kFilterOffStreak = 3;
 
     /// Cohorts scanned first when the prefilter is armed: the ones
-    /// whose subject lengths sit closest to the query's, where true
-    /// homologs — the scores that drive the pruning threshold up — are
-    /// most likely to live. Priming turns the dynamic threshold from a
-    /// slow ramp into a near-final value for the bulk of the scan; any
-    /// scan order yields the same top-k (see run_worker).
+    /// holding the members whose lengths sit closest to the query's,
+    /// where true homologs — the scores that drive the pruning
+    /// threshold up — are most likely to live. Priming turns the
+    /// dynamic threshold from a slow ramp into a near-final value for
+    /// the bulk of the scan; any scan order yields the same top-k (see
+    /// run_worker).
     static constexpr std::size_t kPrimeCohorts = 4;
 
     /// Scan counters, one struct for the whole scanner. Each worker
@@ -168,6 +171,11 @@ public:
         /// Lanes that survived stage 1 only because a tile's u8 bound
         /// clipped: their summed (clipped) bound fell below tau.
         std::uint64_t subjects_saturated = 0;
+        /// Prefilter row tiles swept, and the ones the early exit
+        /// avoided because every lane of the cohort was already decided
+        /// (see sw_ungapped_tiled_u8).
+        std::uint64_t filter_tiles = 0;
+        std::uint64_t filter_tiles_skipped = 0;
         /// Settlements: by the u8 kernels, and by a wide kernel (i16
         /// inter-sequence, striped i16 or scalar int32).
         std::uint64_t settled8 = 0;
@@ -316,26 +324,29 @@ private:
     /// own filter_tile_count() row tiles and the per-lane tile bounds
     /// summed (sound — see align/ungapped.hpp); each tile's two DP rows
     /// stay L1-resident, and its height keeps random-background bounds
-    /// inside u8 even on the longest subjects. A lane is cleared only
-    /// when its summed bound provably falls strictly below `tau`; a
-    /// lane saturated in any tile always survives, and is counted in
-    /// `subjects_saturated` when its clipped sum alone would have
-    /// pruned it.
+    /// inside u8 even on the longest subjects. The sweep stops once the
+    /// query-row bound and the composition cap have decided every lane.
+    /// A lane is cleared only when its bound provably falls strictly
+    /// below `tau`; a lane that saturated a tile while undecided
+    /// survives, and is counted in `subjects_saturated` when its
+    /// clipped bound alone would have pruned it.
     SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
                                              std::uint64_t used, Score tau,
                                              ScanScratch& scratch, Stats& t) {
         ++t.cohorts_filtered;
         Score bound[64];
-        const std::uint64_t saturated = sw_ungapped_tiled_u8(
+        const FilterSweep sweep = sw_ungapped_tiled_u8(
             *aligner_->interseq(), cohorts_.arena + d.offset, d.columns,
-            aligner_->gap(), aligner_->isa(), scratch, bound);
+            aligner_->gap(), aligner_->isa(), scratch, tau, bound);
+        t.filter_tiles += sweep.tiles;
+        t.filter_tiles_skipped += sweep.tiles_skipped;
         std::uint64_t above = 0;
         for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
             if (bound[l] >= tau) above |= std::uint64_t{1} << l;
         }
         t.subjects_saturated += static_cast<std::uint64_t>(
-            std::popcount(saturated & ~above & used));
-        return (above | saturated) & used;
+            std::popcount(sweep.saturated & ~above & used));
+        return (above | sweep.saturated) & used;
     }
 
     /// Cohort claim unit: whole cohorts of the interleaved layout.
@@ -732,8 +743,8 @@ private:
     /// Written only by the constructor.
     SWH_NOT_GUARDED std::vector<std::uint8_t> interseq_;
     /// Claim-slot -> cohort-index permutation, built only when the
-    /// prefilter is armed: the kPrimeCohorts cohorts whose mean subject
-    /// length is closest to the query's come first (threshold priming),
+    /// prefilter is armed: the kPrimeCohorts cohorts with a member
+    /// length closest to the query's come first (threshold priming),
     /// the rest follow in ascending column order — shortest cohorts
     /// (cheapest, best pruning odds) first, so the filter-off guard's
     /// zero-prune streak crosses the hopeless-length boundary before

@@ -60,16 +60,22 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
     const auto addr = reinterpret_cast<std::uintptr_t>(p.data.data());
     p.align_pad = (InterseqProfile::kStride - addr % InterseqProfile::kStride) %
                   InterseqProfile::kStride;
+    p.row_cap_prefix.assign(query.size() + 1, 0);
     for (std::size_t i = 0; i < query.size(); ++i) {
         std::uint8_t* row = p.data.data() + p.align_pad +
                             i * InterseqProfile::kStride;
+        Score row_cap = 0;
         for (Code a = 0; a < p.symbols; ++a) {
             const Score raw = matrix.at(query[i], a);
             p.max_raw = std::max(p.max_raw, raw);
             row[a] = static_cast<std::uint8_t>(raw + p.bias);
+            row_cap = std::max(row_cap, raw);
+            p.col_cap[a] = std::max(
+                p.col_cap[a], static_cast<std::uint8_t>(std::max(raw, 0)));
         }
         // Slots past the alphabet (including kPadCode) keep 0 = the
         // most-penalising biased score, so padded lanes only decay.
+        p.row_cap_prefix[i + 1] = p.row_cap_prefix[i] + row_cap;
     }
     return p;
 }

@@ -18,6 +18,7 @@
 // code, including the padding sentinel, to fit in 5 bits — hence the
 // alphabet-size gate in interseq_supported().
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -87,6 +88,14 @@ struct InterseqProfile {
     std::size_t symbols = 0;
     std::vector<std::uint8_t> data;  ///< query_len rows of kStride
     std::size_t align_pad = 0;       ///< bytes from data.data() to base
+    /// Query-row bound of the prefilter (align/ungapped.hpp):
+    /// row_cap_prefix[i] = sum over rows r < i of
+    /// max(0, max_a s(q_r, a)); query_len + 1 entries.
+    std::vector<Score> row_cap_prefix;
+    /// Composition-cap table of the prefilter: col_cap[a] =
+    /// max(0, max_i s(q_i, a)) for every alphabet symbol a, 0 past the
+    /// alphabet (kPadCode included). Every entry is <= max(0, max_raw).
+    std::array<std::uint8_t, kStride> col_cap{};
 
     const std::uint8_t* row(std::size_t i) const {
         return data.data() + align_pad + i * kStride;

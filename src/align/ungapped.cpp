@@ -1,6 +1,9 @@
 #include "align/ungapped.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "align/ungapped_kernels.hpp"
@@ -74,25 +77,109 @@ std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
     return 0;
 }
 
-std::uint64_t sw_ungapped_tiled_u8(const InterseqProfile& profile,
-                                   const Code* cols, std::size_t columns,
-                                   GapPenalty gap, simd::IsaLevel isa,
-                                   ScanScratch& scratch, Score* lane_bound) {
+void sw_composition_cap(const InterseqProfile& profile, const Code* cols,
+                        std::size_t columns, simd::IsaLevel isa,
+                        Score* lane_cap) {
+    switch (isa) {
+        case simd::IsaLevel::Scalar:
+            return detail::composition_cap<simd::U8x16s>(profile, cols,
+                                                         columns, lane_cap);
+#if defined(__SSE2__)
+        case simd::IsaLevel::SSE2:
+            return detail::composition_cap<simd::U8x16>(profile, cols,
+                                                        columns, lane_cap);
+#endif
+#if defined(__AVX2__)
+        case simd::IsaLevel::AVX2:
+            return detail::composition_cap<simd::U8x32>(profile, cols,
+                                                        columns, lane_cap);
+#endif
+#if defined(__AVX512BW__)
+        case simd::IsaLevel::AVX512:
+            return detail::composition_cap<simd::U8x64>(profile, cols,
+                                                        columns, lane_cap);
+#endif
+        default:
+            break;
+    }
+    SWH_REQUIRE(false, "ISA level not compiled in");
+}
+
+FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
+                                 const Code* cols, std::size_t columns,
+                                 GapPenalty gap, simd::IsaLevel isa,
+                                 ScanScratch& scratch, Score tau,
+                                 Score* lane_bound) {
     const int lanes = lanes_u8(isa);
     std::fill_n(lane_bound, lanes, Score{0});
     const std::size_t qlen = profile.query_len;
     const std::size_t tiles = filter_tile_count(qlen);
     const std::size_t rows = (qlen + tiles - 1) / tiles;
     std::uint8_t bound8[64];
-    std::uint64_t saturated = 0;
-    for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
-        saturated |= sw_ungapped_interseq_u8(profile, cols, columns, gap, isa,
-                                             scratch, bound8, r0, r0 + rows);
-        for (int l = 0; l < lanes; ++l) {
-            lane_bound[l] += static_cast<Score>(bound8[l]);
+    FilterSweep sweep;
+    if (tau <= 0) {
+        // No threshold can prune: the plain tile sums.
+        for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
+            sweep.saturated |= sw_ungapped_interseq_u8(
+                profile, cols, columns, gap, isa, scratch, bound8, r0,
+                r0 + rows);
+            ++sweep.tiles;
+            for (int l = 0; l < lanes; ++l) lane_bound[l] += bound8[l];
         }
+        return sweep;
     }
-    return saturated;
+
+    // Every lane's cap is at most columns * the largest col_cap entry.
+    // The exact cap costs about one query row of the sweep per column;
+    // with one tile it can save at most that tile, so it pays only on
+    // multi-tile queries, and only when the uniform bound cannot
+    // already prune the whole cohort.
+    const auto widest = static_cast<std::int64_t>(*std::max_element(
+        profile.col_cap.begin(), profile.col_cap.end()));
+    const auto uniform = static_cast<Score>(std::min<std::int64_t>(
+        static_cast<std::int64_t>(columns) * widest,
+        std::numeric_limits<Score>::max()));
+    Score cap[64];
+    if (tiles > 1 && uniform >= tau) {
+        sw_composition_cap(profile, cols, columns, isa, cap);
+    } else {
+        std::fill_n(cap, lanes, uniform);
+    }
+    const std::vector<Score>& prefix = profile.row_cap_prefix;
+    // lane_bound holds each lane's partial tile sum until the end.
+    std::uint64_t open = lanes >= 64 ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << lanes) - 1;
+    std::size_t swept = 0;  // rows swept so far
+    const auto decide = [&] {
+        const Score rest = prefix[qlen] - prefix[swept];
+        for (std::uint64_t m = open; m != 0; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            if (std::min(lane_bound[l] + rest, cap[l]) < tau ||
+                lane_bound[l] >= tau) {
+                open &= ~(std::uint64_t{1} << l);
+            }
+        }
+    };
+    decide();
+    while (open != 0 && swept < qlen) {
+        const std::uint64_t sat = sw_ungapped_interseq_u8(
+            profile, cols, columns, gap, isa, scratch, bound8, swept,
+            swept + rows);
+        ++sweep.tiles;
+        swept = std::min(swept + rows, qlen);
+        for (int l = 0; l < lanes; ++l) lane_bound[l] += bound8[l];
+        // A clipped tile sum is no bound: the lane survives (its cap
+        // is >= tau, or decide() would have pruned it already).
+        sweep.saturated |= sat & open;
+        open &= ~sat;
+        decide();
+    }
+    if (swept < qlen) sweep.tiles_skipped = (qlen - swept + rows - 1) / rows;
+    const Score rest = prefix[qlen] - prefix[swept];
+    for (int l = 0; l < lanes; ++l) {
+        lane_bound[l] = std::min(lane_bound[l] + rest, cap[l]);
+    }
+    return sweep;
 }
 
 }  // namespace swh::align

@@ -51,6 +51,18 @@
 // is exact-scored however far below the threshold its true bound sits
 // (see sw_ungapped_tiled_u8 and DESIGN.md "Tile-sum bound").
 //
+// Two further bounds cost almost nothing and let the tiled sweep stop
+// early (sw_ungapped_tiled_u8):
+//
+//   * Query-row bound. A row-monotone chain, like a gapped alignment,
+//     uses each query row at most once, so the tiles not yet swept add
+//     at most the sum of max(0, max_a s(q_i, a)) over their rows
+//     (InterseqProfile::row_cap_prefix).
+//   * Composition cap. A gapped alignment uses each subject residue at
+//     most once, so gapped(Q,S) <= sum over j of col_cap[d_j] with
+//     col_cap[a] = max(0, max_i s(q_i, a)), pad code 0
+//     (InterseqProfile::col_cap, summed by sw_composition_cap).
+//
 // A subject whose bound falls strictly below the running k-th best
 // exact score therefore provably cannot enter the final top-k, and the
 // funnel may skip its exact alignment without changing the result.
@@ -111,14 +123,44 @@ constexpr std::size_t filter_tile_count(std::size_t qlen) {
                : (qlen + kFilterTileRows - 1) / kFilterTileRows;
 }
 
-/// Stage-1 bound of the whole query over one cohort: sweeps the
-/// filter_tile_count() balanced row tiles with sw_ungapped_interseq_u8
-/// and writes each lane's summed tile bound to lane_bound[0..lanes).
-/// Returns the lanes that saturated in any tile — their sums are no
-/// bound, and such lanes must be treated as survivors.
-SWH_HOT_PATH std::uint64_t sw_ungapped_tiled_u8(const InterseqProfile& profile,
-                                   const Code* cols, std::size_t columns,
-                                   GapPenalty gap, simd::IsaLevel isa,
-                                   ScanScratch& scratch, Score* lane_bound);
+/// Composition cap of every lane of one cohort (geometry as
+/// sw_ungapped_interseq_u8): lane_cap[l] = sum over the lane's columns
+/// of profile.col_cap[residue], exact — the i16 partial sums are
+/// flushed into int32 totals before they could saturate. One table
+/// lookup and a widening add per column.
+SWH_HOT_PATH void sw_composition_cap(const InterseqProfile& profile,
+                                     const Code* cols, std::size_t columns,
+                                     simd::IsaLevel isa, Score* lane_cap);
+
+/// What one sw_ungapped_tiled_u8 call did.
+struct FilterSweep {
+    /// Lanes that saturated a tile while still undecided: their bound
+    /// is clipped, so they must be treated as survivors.
+    std::uint64_t saturated = 0;
+    std::size_t tiles = 0;          ///< row tiles swept
+    std::size_t tiles_skipped = 0;  ///< row tiles the early exit avoided
+};
+
+/// Stage-1 bound of the whole query over one cohort, swept in the
+/// filter_tile_count() balanced row tiles of sw_ungapped_interseq_u8.
+///
+/// With `tau` <= 0 every tile is swept and lane_bound[0..lanes)
+/// receives each lane's plain tile sum. With `tau` > 0 each lane is
+/// decided before the first tile and after every tile: it is pruned
+/// once min(partial + unswept-row bound, composition cap) < tau, and
+/// survives once partial >= tau or a tile saturates it (its cap being
+/// >= tau, or it would have been pruned already). The sweep stops as
+/// soon as every lane is decided, and lane_bound[l] receives
+/// min(partial + unswept-row bound, cap) — for unsaturated lanes a
+/// sound upper bound on the gapped score, below tau exactly for the
+/// pruned lanes. Single-tile queries, where the exact cap could save
+/// at most the one tile, use the uniform cap columns * max col_cap.
+SWH_HOT_PATH FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
+                                              const Code* cols,
+                                              std::size_t columns,
+                                              GapPenalty gap,
+                                              simd::IsaLevel isa,
+                                              ScanScratch& scratch, Score tau,
+                                              Score* lane_bound);
 
 }  // namespace swh::align

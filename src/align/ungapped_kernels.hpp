@@ -92,4 +92,34 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
     return overflow;
 }
 
+/// Composition cap per lane (see align/ungapped.hpp): one lookup32 of
+/// the col_cap table and a widening i16 add per column. A chunk of
+/// 32767 / max_raw columns cannot reach the i16 limit (every entry is
+/// <= max_raw), so each chunk's sums are flushed into the int32 totals
+/// before the next one starts — the cap is exact on any subject length.
+template <class V>
+SWH_HOT_PATH void composition_cap(const InterseqProfile& p, const Code* cols,
+                                  std::size_t columns, Score* lane_cap) {
+    constexpr int W = V::kLanes;
+    using I = decltype(widen_lo(V::zero()));
+    constexpr int H = I::kLanes;
+    std::fill_n(lane_cap, W, Score{0});
+    const std::size_t chunk = 32767 / std::max<Score>(1, p.max_raw);
+    std::int16_t part[64];
+    for (std::size_t j0 = 0; j0 < columns; j0 += chunk) {
+        const std::size_t j1 = std::min(columns, j0 + chunk);
+        I lo = I::zero();
+        I hi = I::zero();
+        for (std::size_t j = j0; j < j1; ++j) {
+            const Code* col = cols + j * static_cast<std::size_t>(W);
+            const V c = lookup32(p.col_cap.data(), V::load(col));
+            lo = adds(lo, widen_lo(c));
+            hi = adds(hi, widen_hi(c));
+        }
+        lo.store(part);
+        hi.store(part + H);
+        for (int l = 0; l < W; ++l) lane_cap[l] += part[l];
+    }
+}
+
 }  // namespace swh::align::detail

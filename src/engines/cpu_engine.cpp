@@ -37,6 +37,9 @@ void export_scan_stats(const align::DatabaseScanner::Stats& s,
     metrics.counter("engine.cpu.filter.pruned").add(s.subjects_pruned);
     metrics.counter("engine.cpu.filter.offs").add(s.filter_offs);
     metrics.counter("engine.cpu.filter.saturated").add(s.subjects_saturated);
+    metrics.counter("engine.cpu.filter.tiles").add(s.filter_tiles);
+    metrics.counter("engine.cpu.filter.tiles_skipped")
+        .add(s.filter_tiles_skipped);
 }
 
 CpuEngine::CpuEngine(EngineConfig config, unsigned threads)

@@ -380,6 +380,94 @@ TEST(DatabaseScannerFunnel, SaturatedLanesSurviveAndAreCounted) {
     }
 }
 
+TEST(DatabaseScannerFunnel, MultiTileEarlyExitBitIdentical) {
+    // A query of several prefilter tiles over a planted family: once the
+    // family has raised tau, the query-row bound and the composition
+    // cap decide whole cohorts before their last tiles, and the sweep
+    // stops there. The top-k must not move.
+    const db::ScanSample sample = db::make_scan_sample(600, {700});
+    const Sequence& q = sample.queries[0];
+    ASSERT_GT(filter_tile_count(q.size()), 4u);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, sample.database, 10);
+        const FunnelRun run = funnel_topk(aligner, sample.database, 10);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.emitted + run.pruned_calls, sample.database.size())
+            << label;
+        EXPECT_GT(run.stats.subjects_pruned, 0u) << label;
+        EXPECT_GT(run.stats.filter_tiles_skipped, 0u) << label;
+        // Every filtered cohort accounts for each of its tiles once.
+        EXPECT_EQ(run.stats.filter_tiles + run.stats.filter_tiles_skipped,
+                  run.stats.cohorts_filtered * filter_tile_count(q.size()))
+            << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, FamilySplitAcrossCohortsPrimesByMemberLength) {
+    // The layout splits the query's family: W - 3 long subjects fill
+    // the first (longest) cohort together with the 3 longest members,
+    // so that cohort's mean length sits far from the query's while it
+    // holds members of the query's own length. Priming by cohort mean
+    // would claim it last, leave fewer than k homologs ahead of the
+    // background, keep tau at background level and trip the filter-off
+    // guard. Priming by nearest member length claims it first.
+    constexpr std::size_t kFamily = 12;
+    constexpr std::size_t kTopK = 10;
+    const db::ScanSample sample =
+        db::make_scan_sample(kFamily + 1, {300}, kFamily, 443);
+    const Sequence& q = sample.queries[0];
+    ASSERT_GT(filter_tile_count(q.size()), 1u);
+    const std::vector<Sequence>& planted = sample.database.sequences();
+
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const int w = lanes_u8(isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        Rng rng(447);
+        std::vector<Sequence> seqs;
+        for (int i = 0; i < w - 3; ++i) {
+            seqs.push_back(db::random_protein(rng, 900 + rng.below(60), "l"));
+        }
+        for (int i = 0; i < 10 * w; ++i) {
+            seqs.push_back(db::random_protein(rng, 100 + rng.below(150), "b"));
+        }
+        const std::size_t first_member = seqs.size();
+        seqs.insert(seqs.end(), planted.end() - kFamily, planted.end());
+        const db::Database database("split", std::move(seqs));
+
+        // The split this test is about: some cohort holds a family
+        // member although its mean length is over twice the query's.
+        const InterleavedCohorts view =
+            database.packed().interleaved(w).view();
+        const std::uint32_t* order = database.packed().view().order;
+        bool split = false;
+        for (std::size_t c = 0; c < view.count; ++c) {
+            const CohortDesc& d = view.cohorts[c];
+            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+                const std::size_t slot = view.slots != nullptr
+                                             ? view.slots[d.first_slot + l]
+                                             : d.first_slot + l;
+                const std::uint32_t idx =
+                    order != nullptr ? order[slot]
+                                     : static_cast<std::uint32_t>(slot);
+                split |= idx >= first_member &&
+                         d.residues / d.lanes_used > 2 * q.size();
+            }
+        }
+        ASSERT_TRUE(split) << label;
+
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, database, kTopK);
+        const FunnelRun run = funnel_topk(aligner, database, kTopK);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.stats.filter_offs, 0u) << label;
+        EXPECT_GT(run.stats.subjects_pruned, 0u) << label;
+    }
+}
+
 TEST(DatabaseScannerFunnel, AllIdenticalScoresKeepEveryTie) {
     // Every subject is the same sequence, so every exact score ties the
     // threshold exactly. The strict-inequality prune policy must keep

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "align/interseq.hpp"
@@ -234,8 +235,10 @@ TEST(UngappedKernels, TiledSweepSumsScalarTileBounds) {
 
         ScanScratch scratch;
         Score bound[64];
-        const std::uint64_t sat = sw_ungapped_tiled_u8(
-            prof, cols.data(), columns, kGap, isa, scratch, bound);
+        const std::uint64_t sat =
+            sw_ungapped_tiled_u8(prof, cols.data(), columns, kGap, isa,
+                                 scratch, /*tau=*/0, bound)
+                .saturated;
         EXPECT_TRUE((sat >> 1) & 1) << simd::to_string(isa);
         for (int l = 0; l < W; ++l) {
             if ((sat >> l) & 1) continue;
@@ -249,6 +252,175 @@ TEST(UngappedKernels, TiledSweepSumsScalarTileBounds) {
             EXPECT_EQ(bound[l], sum)
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
         }
+    }
+}
+
+/// Scalar reference of the balanced prefilter tiling: the per-lane sum
+/// of the exact chain bounds of the filter_tile_count() query slices.
+Score scalar_tile_sum(const std::vector<Code>& q, const std::vector<Code>& s) {
+    const std::size_t tiles = filter_tile_count(q.size());
+    const std::size_t rows = (q.size() + tiles - 1) / tiles;
+    Score sum = 0;
+    for (std::size_t r0 = 0; r0 < q.size(); r0 += rows) {
+        sum += sw_ungapped_scalar(
+            std::span<const Code>(q).subspan(r0,
+                                             std::min(rows, q.size() - r0)),
+            s, blosum(), kGap);
+    }
+    return sum;
+}
+
+/// Scalar reference of the composition cap.
+Score scalar_cap(const InterseqProfile& prof, const std::vector<Code>& s) {
+    Score cap = 0;
+    for (const Code c : s) cap += prof.col_cap[c];
+    return cap;
+}
+
+TEST(UngappedKernels, EarlyExitPrunesOnlyBelowTauAcrossIsaLevels) {
+    // The early-exit sweep over random and planted cohorts, tau swept
+    // from "no threshold" to above the homologs' scores. With tau <= 0
+    // every tile is swept and the plain tile sums come back; with
+    // tau > 0 a lane returned below tau must score below tau exactly
+    // (the pruning soundness), the survivors must be those of a full
+    // sweep capped by the composition cap, and a high tau must leave
+    // tiles unswept.
+    Rng rng(251);
+    const auto q =
+        db::random_protein(rng, 2 * kFilterTileRows + 51, "q").residues;
+    const InterseqProfile prof = build_interseq_profile(q, blosum());
+    const std::size_t tiles = filter_tile_count(q.size());
+    ASSERT_EQ(tiles, 3u);
+    db::MutationModel model;
+    model.substitution_rate = 0.30;
+
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const int W = lanes_u8(isa);
+        const std::string label = simd::to_string(isa);
+        // Random lanes of 15-600 residues, every fourth lane a homolog
+        // of the query, and the top quarter of the width left as pad.
+        const std::size_t used = static_cast<std::size_t>(W) * 3 / 4;
+        auto subjects = random_subjects(rng, used, 15, 600);
+        for (std::size_t l = 0; l < used; l += 4) {
+            subjects[l] = db::mutate(Sequence{"h", "", q}, Alphabet::protein(),
+                                     model, rng)
+                              .residues;
+        }
+        std::size_t columns = 0;
+        for (const auto& s : subjects) columns = std::max(columns, s.size());
+        const std::vector<Code> cols = interleave(subjects, W, columns);
+        std::vector<Score> exact, full, cap;
+        Score top = 0;
+        for (const auto& s : subjects) {
+            exact.push_back(sw_score_affine(q, s, blosum(), kGap));
+            full.push_back(scalar_tile_sum(q, s));
+            cap.push_back(scalar_cap(prof, s));
+            top = std::max(top, exact.back());
+        }
+        ASSERT_GT(top, 255) << label;  // the homologs stand out
+
+        ScanScratch scratch;
+        Score bound[64];
+        std::size_t pruned = 0, kept_total = 0;
+        for (const Score tau : {-5, 0, 1, 40, 90, 150, 250, 400, top,
+                                top + 1, top + 300, 100000}) {
+            const FilterSweep sweep = sw_ungapped_tiled_u8(
+                prof, cols.data(), columns, kGap, isa, scratch, tau, bound);
+            const std::string at = label + " tau=" + std::to_string(tau);
+            EXPECT_EQ(sweep.tiles + sweep.tiles_skipped, tiles) << at;
+            // A full sweep of the same cohort: which lanes saturate.
+            Score plain[64];
+            const FilterSweep all = sw_ungapped_tiled_u8(
+                prof, cols.data(), columns, kGap, isa, scratch, 0, plain);
+            for (std::size_t l = 0; l < used; ++l) {
+                const bool clipped = ((all.saturated >> l) & 1) != 0;
+                if (tau <= 0) {
+                    EXPECT_EQ(sweep.tiles, tiles) << at;
+                    if (!clipped) {
+                        EXPECT_EQ(bound[l], full[l]) << at << " lane=" << l;
+                    }
+                    continue;
+                }
+                const bool kept = ((sweep.saturated >> l) & 1) != 0 ||
+                                  bound[l] >= tau;
+                if (!kept) {
+                    EXPECT_LT(exact[l], tau) << at << " lane=" << l;
+                }
+                (kept ? kept_total : pruned) += 1;
+                if (!clipped) {
+                    EXPECT_EQ(kept, std::min(full[l], cap[l]) >= tau)
+                        << at << " lane=" << l;
+                }
+            }
+            if (tau > 0) {
+                // Pad lanes carry a zero cap and are pruned outright.
+                for (int l = static_cast<int>(used); l < W; ++l) {
+                    EXPECT_LT(bound[l], tau) << at << " pad lane=" << l;
+                    EXPECT_EQ((sweep.saturated >> l) & 1, 0u) << at;
+                }
+            }
+            if (tau > top + 250) {
+                EXPECT_GT(sweep.tiles_skipped, 0u) << at;
+            }
+        }
+        EXPECT_GT(pruned, 0u) << label;
+        EXPECT_GT(kept_total, 0u) << label;
+    }
+}
+
+TEST(UngappedKernels, CompositionCapIsExactPastTheI16Range) {
+    // Trp-rich subjects longer than one i16 accumulator chunk (32767 /
+    // max_raw columns): a cap that wrapped or clipped at 32767 would
+    // fall below a tau the lane's true score clears and prune it.
+    const Code w = Alphabet::protein().encode('W');
+    const std::vector<Code> q(3200, w);
+    const InterseqProfile prof = build_interseq_profile(q, blosum());
+    ASSERT_EQ(prof.col_cap[w], 11);
+    Rng rng(257);
+    const std::vector<Code> w3500(3500, w);
+    const Score self = sw_score_affine(q, w3500, blosum(), kGap);
+    ASSERT_EQ(self, 3200 * 11);
+    const Score tau = 34000;  // past the i16 range, below the true score
+    ASSERT_GT(tau, 32767);
+    ASSERT_LE(tau, self);
+
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const int W = lanes_u8(isa);
+        const std::string label = simd::to_string(isa);
+        // Lane 0: 3500 W; lane 1: 7000 W; lane 2: 6000 residues, one in
+        // three W; lane 3: a short random subject.
+        std::vector<std::vector<Code>> subjects = {w3500,
+                                                   std::vector<Code>(7000, w)};
+        std::vector<Code> mixed =
+            db::random_protein(rng, 6000, "m").residues;
+        for (std::size_t j = 0; j < mixed.size(); j += 3) mixed[j] = w;
+        subjects.push_back(mixed);
+        subjects.push_back(db::random_protein(rng, 80, "r").residues);
+        const std::vector<Code> cols = interleave(subjects, W, 7000);
+
+        Score cap[64];
+        sw_composition_cap(prof, cols.data(), 7000, isa, cap);
+        for (std::size_t l = 0; l < subjects.size(); ++l) {
+            EXPECT_EQ(cap[l], scalar_cap(prof, subjects[l]))
+                << label << " lane=" << l;
+        }
+        for (int l = static_cast<int>(subjects.size()); l < W; ++l) {
+            EXPECT_EQ(cap[l], 0) << label << " pad lane=" << l;
+        }
+        EXPECT_EQ(cap[1], 7000 * 11) << label;
+
+        ScanScratch scratch;
+        Score bound[64];
+        const FilterSweep sweep = sw_ungapped_tiled_u8(
+            prof, cols.data(), 7000, kGap, isa, scratch, tau, bound);
+        for (std::size_t l = 0; l < 2; ++l) {
+            EXPECT_TRUE(((sweep.saturated >> l) & 1) != 0 || bound[l] >= tau)
+                << label << ": Trp lane " << l << " pruned";
+        }
+        // The short random lane cannot reach tau; its cap says so before
+        // any tile, and the saturated Trp lanes decide in the first one.
+        EXPECT_LT(bound[3], tau) << label;
+        EXPECT_EQ(sweep.tiles, 1u) << label;
     }
 }
 

@@ -140,6 +140,8 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "engine.cpu.filter.pruned",
         "engine.cpu.filter.offs",
         "engine.cpu.filter.saturated",
+        "engine.cpu.filter.tiles",
+        "engine.cpu.filter.tiles_skipped",
         "scan.dispatch.cohorts_interseq",
         "scan.dispatch.cohorts_compacted",
         "scan.dispatch.cohorts_striped_head",

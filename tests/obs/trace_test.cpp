@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
@@ -411,10 +412,21 @@ TEST(TraceExport, GanttRendersOneRowPerSpanLane) {
     const TracedRun& run = shared_run();
     const std::string gantt =
         render_trace_gantt(run.trace, /*time_step=*/0.001);
-    // The four slave lanes carry spans; channel lanes don't get rows.
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_NE(gantt.find("sse" + std::to_string(i)), std::string::npos);
+    // Every lane that carries a span gets a row. Which slaves ran a
+    // task of the shared 8-query run is timing-dependent (one can
+    // finish without any), but at least two did; channel lanes carry
+    // no spans and get no rows.
+    std::size_t span_lanes = 0;
+    for (const TraceLaneData& lane : run.trace.lanes) {
+        const bool spans = std::any_of(
+            lane.events.begin(), lane.events.end(), [](const TraceEvent& e) {
+                return e.kind == EventKind::SpanBegin;
+            });
+        if (!spans) continue;
+        ++span_lanes;
+        EXPECT_NE(gantt.find(lane.label), std::string::npos) << lane.label;
     }
+    EXPECT_GE(span_lanes, 2u);
     EXPECT_EQ(gantt.find("chan:"), std::string::npos);
 }
 

@@ -7,6 +7,11 @@ machine (the "host" block in the fresh report says which one), so the
 gate only checks speedup *ratios* — interseq-vs-striped and
 funnel-vs-exact geomeans — which track the code, not the silicon.
 
+Each config's funnel_speedup is also gated against the baseline config
+with the same query_len (configs present in only one report are listed
+and not gated), so one query length losing its funnel gain cannot hide
+inside a geomean.
+
 A ratio regresses when fresh < baseline * (1 - tolerance). The
 tolerance is deliberately generous (default 0.40): CI boxes are noisy,
 short runs double so, and the gate exists to catch "the funnel stopped
@@ -30,6 +35,8 @@ RATIO_KEYS = [
     "funnel_speedup_geomean",
     "funnel_speedup_geomean_short",
 ]
+# Per-config gated key, matched by query_len.
+CONFIG_KEY = "funnel_speedup"
 
 
 def load(path):
@@ -39,6 +46,19 @@ def load(path):
     except (OSError, ValueError) as exc:
         print(f"perf_gate: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(2)
+
+
+def config_ratios(name, path, report, errors):
+    """query_len -> funnel_speedup of a report's configs (may be empty)."""
+    ratios = {}
+    for i, config in enumerate(report.get("configs", [])):
+        try:
+            qlen = int(config["query_len"])
+            ratios[qlen] = float(config[CONFIG_KEY])
+        except (KeyError, TypeError, ValueError):
+            errors.append(f"{name} {path}: configs[{i}] lacks a numeric "
+                          f"query_len and {CONFIG_KEY}")
+    return ratios
 
 
 def main():
@@ -82,15 +102,28 @@ def main():
                 input_errors.append(
                     f"{name} {path}: summary field '{key}' is not a "
                     f"number (got {report[key]!r})")
+    base_configs = config_ratios("baseline", args.baseline, base,
+                                 input_errors)
+    fresh_configs = config_ratios("fresh", args.fresh, fresh, input_errors)
     if input_errors:
         print("perf_gate: bad input", file=sys.stderr)
         for msg in input_errors:
             print(f"  {msg}", file=sys.stderr)
         sys.exit(2)
 
+    checks = [(key, float(base[key]), float(fresh[key]))
+              for key in RATIO_KEYS]
+    for qlen in sorted(set(base_configs) | set(fresh_configs)):
+        if qlen not in base_configs or qlen not in fresh_configs:
+            side = "baseline" if qlen in base_configs else "fresh"
+            print(f"  {CONFIG_KEY}[qlen={qlen}] only in the {side} report, "
+                  "not gated")
+            continue
+        checks.append((f"{CONFIG_KEY}[qlen={qlen}]", base_configs[qlen],
+                       fresh_configs[qlen]))
+
     failures = []
-    for key in RATIO_KEYS:
-        b, f = float(base[key]), float(fresh[key])
+    for key, b, f in checks:
         floor = b * (1.0 - args.tolerance)
         verdict = "ok" if f >= floor else "REGRESSED"
         print(f"  {key:32s} baseline {b:7.4f}  fresh {f:7.4f}  "

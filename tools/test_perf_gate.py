@@ -114,6 +114,39 @@ def main():
                "speedup_geomean" in proc.stderr and "fast" in proc.stderr,
                f"stderr={proc.stderr!r}")
 
+        # Per-config floor: a geomean that still passes does not hide
+        # one query length losing its funnel gain.
+        def with_configs(speedups):
+            report = full_report()
+            report["configs"] = [
+                {"query_len": q, "funnel_speedup": v}
+                for q, v in speedups.items()]
+            return report
+
+        base = with_configs({100: 2.0, 2000: 2.0})
+        proc = run_gate(tmp, with_configs({100: 2.0, 2000: 0.5}), base)
+        expect("per-config regression exits 1", proc.returncode == 1,
+               f"exit={proc.returncode} stderr={proc.stderr!r}")
+        expect("per-config message names the query length",
+               "qlen=2000" in proc.stderr and "qlen=100" not in proc.stderr,
+               f"stderr={proc.stderr!r}")
+        proc = run_gate(tmp, with_configs({100: 1.3, 2000: 2.5}), base)
+        expect("per-config inside tolerance passes", proc.returncode == 0,
+               f"exit={proc.returncode} stderr={proc.stderr!r}")
+        # Configs are matched by query_len; one present on one side
+        # only is reported, not gated.
+        proc = run_gate(tmp, with_configs({100: 2.0, 777: 0.1}), base)
+        expect("unmatched config is not gated", proc.returncode == 0,
+               f"exit={proc.returncode} stderr={proc.stderr!r}")
+        expect("unmatched config is listed",
+               "qlen=777" in proc.stdout and "qlen=2000" in proc.stdout,
+               f"stdout={proc.stdout!r}")
+        broken = with_configs({100: 2.0})
+        broken["configs"][0]["funnel_speedup"] = None
+        proc = run_gate(tmp, broken, base)
+        expect("non-numeric config ratio exits 2", proc.returncode == 2,
+               f"exit={proc.returncode} stderr={proc.stderr!r}")
+
         # Unreadable file: exit 2.
         proc = subprocess.run(
             [sys.executable, GATE, os.path.join(tmp, "nope.json")],
