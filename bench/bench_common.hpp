@@ -46,13 +46,14 @@ inline std::vector<sim::PeModelSpec> hybrid_platform(int gpus, int sses) {
 }
 
 /// A paper experiment: the 40-query workload against one Table II
-/// database on a hybrid platform, PSS + workload adjustment (the paper's
-/// default configuration, SS V).
+/// database on a hybrid platform, PSS + workload adjustment, tasks
+/// handed out in query-file order (the paper's configuration, SS V).
 inline sim::SimConfig paper_config(const db::DatabasePreset& preset,
                                    int gpus, int sses,
                                    bool workload_adjust = true) {
     sim::SimConfig cfg;
     cfg.sched.workload_adjust = workload_adjust;
+    cfg.sched.ready_order = core::ReadyOrder::FifoById;
     cfg.policy = core::make_pss;
     cfg.notify_period_s = 0.5;
     cfg.db_residues = preset.total_residues();

@@ -1,9 +1,10 @@
 // Ablation: ready-queue ordering vs the workload-adjustment mechanism.
 // The straggler tail the mechanism absorbs is largely *created* by
 // handing the biggest tasks out last (the query file is sorted by
-// length). Largest-first (LPT) dispatch attacks the same problem from
-// the other side — this bench quantifies how the two interact on the
-// SwissProt 4 GPU + 4 SSE platform.
+// length). Largest-first (LPT) dispatch, the scheduler's default,
+// attacks the same problem from the other side — this bench quantifies
+// how the two interact in the DES on the SwissProt 4 GPU + 4 SSE
+// platform.
 
 #include <iostream>
 
@@ -37,7 +38,8 @@ int main() {
                  "without the mechanism — the blind first-allocation "
                  "round hands the biggest task to a slow SSE core, which "
                  "then anchors the tail. With the mechanism on, both "
-                 "orderings converge: replication, not dispatch order, is "
-                 "what tames stragglers when PE speeds are unknown.\n";
+                 "orderings land within a few percent in the DES. On the "
+                 "threaded runtime LPT still pays (EXPERIMENTS.md), which "
+                 "is why it is the scheduler's default.\n";
     return 0;
 }

@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
         "load", "inject local load: time:pe:factor (e.g. 60:0:0.5)", "");
     args.add_option("leave", "PE leaves at time: time:pe", "");
     args.add_flag("no-adjust", "disable the workload-adjustment mechanism");
-    args.add_flag("lpt", "dispatch largest tasks first");
+    args.add_flag("file-order",
+                  "dispatch tasks in query-file order (the paper's) "
+                  "instead of largest first");
     args.add_flag("gantt", "render an ASCII Gantt chart");
     args.add_flag("balance-report",
                   "print the workload-balance audit (per-PE busy/idle/comm, "
@@ -72,8 +74,8 @@ int main(int argc, char** argv) {
         sim::SimConfig cfg;
         cfg.sched.workload_adjust = !args.get_flag("no-adjust");
         cfg.sched.omega = static_cast<std::size_t>(args.get_int("omega"));
-        if (args.get_flag("lpt")) {
-            cfg.sched.ready_order = core::ReadyOrder::LargestFirst;
+        if (args.get_flag("file-order")) {
+            cfg.sched.ready_order = core::ReadyOrder::FifoById;
         }
         cfg.policy = policy_factory(args.get("policy"));
         cfg.notify_period_s = args.get_double("notify");

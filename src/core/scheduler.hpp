@@ -34,11 +34,11 @@ struct SchedulerOptions {
     /// Progress-history window Omega (paper SS IV-A.2).
     std::size_t omega = 8;
 
-    /// Ready-queue order. The paper hands tasks out in query-file order
-    /// (FifoById); LargestFirst is the classic LPT heuristic ablation —
-    /// it shrinks the straggler tail the adjustment mechanism exists
-    /// to absorb.
-    ReadyOrder ready_order = ReadyOrder::FifoById;
+    /// Ready-queue order. LargestFirst (LPT) hands out the most cells
+    /// first, which shrinks the straggler tail the adjustment mechanism
+    /// would otherwise absorb with replicas. The paper hands tasks out
+    /// in query-file order (FifoById); the paper reproductions pin it.
+    ReadyOrder ready_order = ReadyOrder::LargestFirst;
 };
 
 /// The master's decision logic, as an event-driven state machine.

@@ -19,7 +19,7 @@ enum class ReadyOrder : std::uint8_t {
 class TaskTable {
 public:
     explicit TaskTable(std::vector<Task> tasks,
-                       ReadyOrder order = ReadyOrder::FifoById);
+                       ReadyOrder order = ReadyOrder::LargestFirst);
 
     std::size_t total() const { return entries_.size(); }
     std::size_t ready_count() const { return ready_count_; }
@@ -36,9 +36,8 @@ public:
     /// PE whose completion was accepted; kInvalidPe if not finished.
     PeId winner(TaskId id) const;
 
-    /// Pops the next ready task (FIFO over task id, i.e. query-file
-    /// order, as the paper's master hands them out) and marks it
-    /// executing on `pe`.
+    /// Pops the next ready task in ReadyOrder and marks it executing on
+    /// `pe`.
     std::optional<TaskId> acquire_ready(PeId pe);
 
     /// Adds `pe` as an extra executor of an already-executing task

@@ -1,5 +1,6 @@
 #include "engines/throttled_engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -9,6 +10,10 @@
 namespace swh::engines {
 
 namespace {
+
+/// Longest uninterrupted pacing sleep: how late a cancelled task (a
+/// losing replica, or the end-of-run Shutdown) notices it should stop.
+constexpr double kPaceSliceS = 0.002;
 
 /// Forwards progress to the slave's observer, sleeping first so that the
 /// cumulative cell count never runs ahead of the target rate.
@@ -35,16 +40,21 @@ public:
     }
 
     /// Final pace so the total task duration matches the model even if
-    /// the inner engine reported progress coarsely.
+    /// the inner engine reported progress coarsely. A no-op once the
+    /// task is cancelled.
     void finish() { pace(); }
 
 private:
+    /// Sleeps until the cells so far are due at the target rate, in
+    /// short slices, and stops as soon as the task is cancelled: a
+    /// whole progress grain can be tens of milliseconds of pacing.
     void pace() {
         const double target =
             overhead_s_ + static_cast<double>(cells_) / rate_;
-        const double ahead = target - timer_.seconds();
-        if (ahead > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
+        for (double ahead = target - timer_.seconds();
+             ahead > 0.0 && !cancelled(); ahead = target - timer_.seconds()) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(std::min(ahead, kPaceSliceS)));
         }
     }
 

@@ -25,7 +25,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 enum class PeState : std::uint8_t {
     Unseen,    ///< never registered (thread/process may not be up yet)
     Active,    ///< registered and presumed alive
-    Shutdown,  ///< sent MsgShutdown (all tasks finished)
+    Shutdown,  ///< sent MsgShutdown (every task settled)
     Dead,      ///< liveness timeout expired; tasks were requeued
     Left,      ///< sent MsgDeregister (leave_after_tasks)
 };
@@ -68,6 +68,13 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
     std::vector<ParkedRetry> parked;
     std::set<std::pair<PeId, TaskId>> parked_keys;
 
+    auto shut_down = [&](PeId pe) {
+        links[pe]->send(net::MsgShutdown{});
+        pe_state[pe] = PeState::Shutdown;
+        waiting.erase(pe);
+        ++finished_slaves;
+    };
+
     auto serve = [&](PeId pe) {
         if (!sched.is_registered(pe)) return;  // raced with deregister
         if (config.lossy_master_link) {
@@ -100,9 +107,7 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
             for (const TaskId t : assigned) with_meta.push_back(sched.task(t));
             links[pe]->send(net::MsgAssign{std::move(with_meta)});
         } else if (sched.all_done()) {
-            links[pe]->send(net::MsgShutdown{});
-            pe_state[pe] = PeState::Shutdown;
-            ++finished_slaves;
+            shut_down(pe);
         } else {
             links[pe]->send(net::MsgNoWorkYet{});
             waiting.insert(pe);
@@ -112,6 +117,20 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
     auto retry_waiting = [&] {
         const std::set<PeId> snapshot = std::exchange(waiting, {});
         for (const PeId pe : snapshot) serve(pe);
+    };
+
+    // A task settled (accepted or abandoned): serve the starved slaves.
+    // Once every task is settled the run is over (paper SS IV-A.3: a
+    // replica still computing would only produce a discarded result),
+    // so every Active slave, busy or waiting, is shut down now rather
+    // than at its next work request. A busy slave's Shutdown cancels its
+    // engine at the next poll. Unseen slaves get theirs when they ask.
+    auto on_task_settled = [&] {
+        retry_waiting();
+        if (!sched.all_done()) return;
+        for (PeId pe = 0; pe < n; ++pe) {
+            if (pe_state[pe] == PeState::Active) shut_down(pe);
+        }
     };
 
     auto declare_dead = [&](PeId pe, double now) {
@@ -150,7 +169,7 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
             // Budget spent: settle the task as failed (unless a replica
             // is still running and may yet win).
             sched.on_task_failed(pe, task, now, /*allow_retry=*/false);
-            retry_waiting();  // all_done may have just become true
+            on_task_settled();
         } else {
             const double backoff = std::min(
                 config.retry_backoff_max_s,
@@ -230,7 +249,8 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
             } else if (auto* done = std::get_if<net::MsgTaskDone>(&*msg)) {
                 report.computed_cells += done->result.cells;
                 const auto key = std::make_pair(done->pe, done->task);
-                if (pe_state[done->pe] != PeState::Active) {
+                const PeState from = pe_state[done->pe];
+                if (from != PeState::Active && from != PeState::Shutdown) {
                     // Liveness false positive: the slave was slow, not
                     // dead. Its tasks were already requeued; treat the
                     // late completion exactly like a raced cancellation
@@ -242,9 +262,11 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
                     if (counters.late_discards != nullptr) {
                         counters.late_discards->add();
                     }
-                } else if (cancelled_inflight.erase(key) > 0) {
-                    // The slave finished before our cancellation reached
-                    // it; the scheduler already released the replica.
+                } else if (from == PeState::Shutdown ||
+                           cancelled_inflight.erase(key) > 0) {
+                    // The slave finished before our cancellation (or the
+                    // end-of-run Shutdown, while a slave that has not
+                    // joined yet keeps the loop open) reached it.
                     ++report.slaves[done->pe].results_discarded;
                     report.slaves[done->pe].cells_discarded +=
                         done->result.cells;
@@ -282,7 +304,7 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
                         cancelled_inflight.insert({loser, done->task});
                     }
                 }
-                retry_waiting();
+                on_task_settled();
             } else if (const auto* fail =
                            std::get_if<net::MsgTaskFailed>(&*msg)) {
                 if (pe_state[fail->pe] == PeState::Active) {

@@ -59,7 +59,9 @@ struct MasterLoopConfig {
 };
 
 /// Runs the master protocol until every slave has finished (shutdown,
-/// left, or presumed dead). Consumes `inbox`; replies go out through
+/// left, or presumed dead). Every Active slave is shut down as soon as
+/// all tasks are settled, busy or not, so the loop returns at the last
+/// accepted result. Consumes `inbox`; replies go out through
 /// `links` (index = PeId). Fills the scheduler-derived fields of
 /// `report` — per-slave accept/discard stats, fault counters,
 /// replicas_issued, completions_discarded, failed_tasks — leaving

@@ -20,8 +20,10 @@ namespace {
 /// Slave-side execution observer: converts engine cell counts into
 /// periodic MsgProgress notifications (which double as liveness
 /// heartbeats while busy) and services master messages that arrive
-/// mid-execution — cancellations, pushed assignments, and the "you're
-/// gone" signal of a closed inbox.
+/// mid-execution — cancellations, pushed assignments, the end-of-run
+/// Shutdown (sent as soon as every task is settled, so it routinely
+/// lands while a losing replica runs), and the "you're gone" signal of
+/// a closed inbox.
 class SlaveObserver final : public engines::ExecutionObserver {
 public:
     SlaveObserver(PeId pe, TaskId current, double notify_period_s,

@@ -38,12 +38,20 @@ TEST(ReadyOrder, ReleasedTaskStillJumpsTheQueue) {
     EXPECT_EQ(t.acquire_ready(1).value(), first);
 }
 
-TEST(ReadyOrder, SchedulerOptionFlowsThrough) {
-    SchedulerOptions options;
-    options.ready_order = ReadyOrder::LargestFirst;
-    SchedulerCore sched(sized_tasks(), make_self_scheduling(), options);
+TEST(ReadyOrder, SchedulerDefaultIsLargestFirst) {
+    SchedulerCore sched(sized_tasks(), make_self_scheduling(),
+                        SchedulerOptions{});
     sched.register_slave(0, PeKind::Gpu);
     EXPECT_EQ(sched.on_work_request(0, 0.0), std::vector<TaskId>{1});
+}
+
+TEST(ReadyOrder, SchedulerOptionFlowsThrough) {
+    // The non-default order, so the option visibly reaches the table.
+    SchedulerOptions options;
+    options.ready_order = ReadyOrder::FifoById;
+    SchedulerCore sched(sized_tasks(), make_self_scheduling(), options);
+    sched.register_slave(0, PeKind::Gpu);
+    EXPECT_EQ(sched.on_work_request(0, 0.0), std::vector<TaskId>{0});
 }
 
 }  // namespace

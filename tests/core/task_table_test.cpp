@@ -32,7 +32,7 @@ TEST(TaskTable, RejectsNonDenseIds) {
 }
 
 TEST(TaskTable, AcquireIsFifo) {
-    TaskTable t(make_n(3));
+    TaskTable t(make_n(3), ReadyOrder::FifoById);
     EXPECT_EQ(t.acquire_ready(0).value(), 0u);
     EXPECT_EQ(t.acquire_ready(1).value(), 1u);
     EXPECT_EQ(t.state(0), TaskState::Executing);

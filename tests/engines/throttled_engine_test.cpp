@@ -79,6 +79,40 @@ TEST(ThrottledEngine, ResultsUnchangedByPacing) {
     }
 }
 
+/// Reports cancellation once `after_s` has passed since construction.
+class CancelAfter final : public ExecutionObserver {
+public:
+    explicit CancelAfter(double after_s) : after_s_(after_s) {}
+    bool cancelled() const override { return clock_.seconds() >= after_s_; }
+    double after_s() const { return after_s_; }
+
+private:
+    double after_s_;
+    Timer clock_;
+};
+
+TEST(ThrottledEngine, CancelStopsPacingMidGrain) {
+    // 1.5 M cells at 0.01 GCUPS: the first 500 k-cell grain alone paces
+    // for 50 ms. A cancel 10 ms in, while that grain is being paced,
+    // must end the task within 20 ms instead of sleeping out the grain.
+    db::DatabaseSpec spec;
+    spec.name = "cancel";
+    spec.num_sequences = 100;
+    spec.length.min_len = 100;
+    spec.length.max_len = 200;
+    spec.seed = 5;
+    const db::Database database = db::Database::generate(spec);
+    Rng rng(6);
+    const align::Sequence q = db::random_protein(rng, 100, "q");
+    EngineConfig c = config();
+    c.progress_grain = 500'000;
+    ThrottledEngine engine(std::make_unique<CpuEngine>(c), /*gcups=*/0.01);
+    Timer t;
+    CancelAfter cancel(0.01);
+    engine.execute(q, 0, 0, database, &cancel);
+    EXPECT_LT(t.seconds() - cancel.after_s(), 0.02);
+}
+
 TEST(ThrottledEngine, PreservesKind) {
     ThrottledEngine engine(std::make_unique<CpuEngine>(config()), 1.0);
     EXPECT_EQ(engine.kind(), core::PeKind::SseCore);

@@ -58,6 +58,12 @@ std::unique_ptr<engines::ComputeEngine> faulty(engines::FaultPlan plan) {
     return std::make_unique<engines::FaultyEngine>(cpu_engine(), plan);
 }
 
+/// Join delay for the healthy slaves of a fault test: twice the
+/// liveness timeout. The run ends at its last accepted result, so
+/// healthy slaves present from the start could replicate a faulty
+/// slave's task and finish before the fault is ever detected.
+double after_detection(double timeout_s) { return 2.0 * timeout_s; }
+
 /// Options with liveness on: the fault-tolerant mode under test.
 RuntimeOptions fault_tolerant_options(double timeout_s = 0.25) {
     RuntimeOptions o;
@@ -108,15 +114,17 @@ TEST(FaultTolerance, SlaveCrashMidTaskIsRecoveredBitIdentical) {
     // to the fault-free reference.
     const db::Database database = test_db();
     const auto queries = test_queries();
-    HybridRuntime rt(database, queries, fault_tolerant_options());
+    const RuntimeOptions options = fault_tolerant_options();
+    HybridRuntime rt(database, queries, options);
 
     engines::FaultPlan crash;
     crash.kind = engines::FaultKind::Crash;
     crash.after_cells = 1;  // crash mid-task, after real work happened
+    const double join = after_detection(options.liveness_timeout_s);
     std::vector<SlaveSpec> slaves;
     slaves.push_back(SlaveSpec{"crash0", faulty(crash)});
-    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
-    slaves.push_back(SlaveSpec{"sse1", cpu_engine()});
+    slaves.push_back(SlaveSpec{"sse0", cpu_engine(), join});
+    slaves.push_back(SlaveSpec{"sse1", cpu_engine(), join});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
@@ -125,6 +133,29 @@ TEST(FaultTolerance, SlaveCrashMidTaskIsRecoveredBitIdentical) {
     EXPECT_TRUE(report.slaves[0].crashed);
     EXPECT_TRUE(report.slaves[0].presumed_dead);
     EXPECT_EQ(total_accepted(report), queries.size());
+}
+
+TEST(FaultTolerance, CrashedSlaveWhoseTaskWasReplicatedDoesNotHoldTheRun) {
+    // The healthy slave joins after the crash and replicates the dead
+    // slave's task. Once that replica wins every task is settled, so the
+    // run ends there instead of waiting out the liveness timeout.
+    const db::Database database = test_db();
+    const auto queries = test_queries();
+    const RuntimeOptions options = fault_tolerant_options(2.0);
+    HybridRuntime rt(database, queries, options);
+
+    engines::FaultPlan crash;
+    crash.kind = engines::FaultKind::Crash;
+    crash.after_cells = 1;
+    std::vector<SlaveSpec> slaves;
+    slaves.push_back(SlaveSpec{"crash0", faulty(crash)});
+    slaves.push_back(SlaveSpec{"sse0", cpu_engine(), 0.05});
+    const RunReport report = rt.run(std::move(slaves), core::make_pss());
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    EXPECT_TRUE(report.failed_tasks.empty());
+    EXPECT_TRUE(report.slaves[0].crashed);
+    EXPECT_LT(report.wall_seconds, options.liveness_timeout_s);
 }
 
 TEST(FaultTolerance, EngineThrowIsRetriedToCompletion) {
@@ -143,9 +174,11 @@ TEST(FaultTolerance, EngineThrowIsRetriedToCompletion) {
     engines::FaultPlan flaky;
     flaky.kind = engines::FaultKind::Throw;
     flaky.max_faults = 2;
+    // flaky0 throws on its first two tasks (after_cells 0) before sse0
+    // joins, which could otherwise finish the run first.
     std::vector<SlaveSpec> slaves;
     slaves.push_back(SlaveSpec{"flaky0", faulty(flaky)});
-    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
+    slaves.push_back(SlaveSpec{"sse0", cpu_engine(), 0.05});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
@@ -201,7 +234,7 @@ TEST(FaultTolerance, StalledSlaveIsDeclaredDeadAndWorkRescued) {
     stall.max_faults = 1;
     std::vector<SlaveSpec> slaves;
     slaves.push_back(SlaveSpec{"stall0", faulty(stall)});
-    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
+    slaves.push_back(SlaveSpec{"sse0", cpu_engine(), after_detection(0.2)});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
@@ -281,6 +314,33 @@ TEST(FaultTolerance, LateCompletionFromPresumedDeadSlaveIsDiscarded) {
     EXPECT_EQ(report.slaves[1].results_accepted, queries.size());
 }
 
+TEST(FaultTolerance, CompletionCrossingTheEndOfRunShutdownIsDiscarded) {
+    // sleepy0 never polls cancellation, so the Shutdown it gets once
+    // worker0's replica settles the last task cannot stop it: its
+    // TaskDone arrives afterwards, while the not-yet-joined late0 keeps
+    // the master loop open. It is a lost replica race, not a late
+    // completion from a presumed-dead slave.
+    const db::Database database = test_db();
+    const auto queries = test_queries(4);
+    HybridRuntime rt(database, queries, fault_tolerant_options(1.0));
+
+    std::vector<SlaveSpec> slaves;
+    slaves.push_back(SlaveSpec{
+        "sleepy0", std::make_unique<SleepyEngine>(cpu_engine(), 0.2)});
+    slaves.push_back(SlaveSpec{"worker0", cpu_engine(), 0.05});
+    slaves.push_back(SlaveSpec{"late0", cpu_engine(), 0.5});
+    const RunReport report =
+        rt.run(std::move(slaves), core::make_self_scheduling());
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    EXPECT_EQ(report.slaves[0].results_discarded, 1u);
+    EXPECT_EQ(report.slaves[0].results_accepted, 0u);
+    EXPECT_EQ(report.late_completions_discarded, 0u);
+    EXPECT_EQ(report.slaves_presumed_dead, 0u);
+    EXPECT_EQ(report.slaves[1].results_accepted, queries.size());
+    EXPECT_EQ(report.slaves[2].results_accepted, 0u);
+}
+
 TEST(FaultTolerance, HalfFaultySlavesMatchFaultFreeBaseline) {
     // The acceptance scenario: faults on half the slaves — one crash
     // without deregistering, one engine-throw, one permanent stall —
@@ -301,7 +361,8 @@ TEST(FaultTolerance, HalfFaultySlavesMatchFaultFreeBaseline) {
     const RunReport baseline =
         baseline_rt.run(std::move(baseline_slaves), core::make_pss());
 
-    HybridRuntime rt(database, queries, fault_tolerant_options());
+    const RuntimeOptions options = fault_tolerant_options();
+    HybridRuntime rt(database, queries, options);
     engines::FaultPlan crash;
     crash.kind = engines::FaultKind::Crash;
     crash.after_cells = 1;
@@ -311,12 +372,17 @@ TEST(FaultTolerance, HalfFaultySlavesMatchFaultFreeBaseline) {
     engines::FaultPlan stall;
     stall.kind = engines::FaultKind::Stall;
     stall.max_faults = 1;
+    // crash0 and stall0 start alone. flaky0 joins once both are declared
+    // dead, and throws on its first two tasks (after_cells 0) before the
+    // healthy slaves join a further 0.1 s later.
+    const double join = after_detection(options.liveness_timeout_s);
     std::vector<SlaveSpec> slaves;
     slaves.push_back(SlaveSpec{"crash0", faulty(crash)});
-    slaves.push_back(SlaveSpec{"flaky0", faulty(flaky)});
+    slaves.push_back(SlaveSpec{"flaky0", faulty(flaky), join});
     slaves.push_back(SlaveSpec{"stall0", faulty(stall)});
     for (int i = 0; i < 3; ++i) {
-        slaves.push_back(SlaveSpec{"sse" + std::to_string(i), cpu_engine()});
+        slaves.push_back(
+            SlaveSpec{"sse" + std::to_string(i), cpu_engine(), join + 0.1});
     }
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 

@@ -13,6 +13,7 @@
 #include "engines/cpu_engine.hpp"
 #include "engines/sim_gpu_engine.hpp"
 #include "engines/throttled_engine.hpp"
+#include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace swh::runtime {
@@ -201,7 +202,10 @@ TEST(HybridRuntime, EarlyLeaverTasksAreRescued) {
     SlaveSpec leaver{"leaver", cpu_engine()};
     leaver.leave_after_tasks = 1;
     slaves.push_back(std::move(leaver));
-    slaves.push_back(SlaveSpec{"stayer", cpu_engine()});
+    // The stayer joins once the leaver has completed its task and left:
+    // a run that ends at its last accepted result would otherwise shut
+    // the leaver down mid-task whenever the stayer finishes first.
+    slaves.push_back(SlaveSpec{"stayer", cpu_engine(), 0.05});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
     EXPECT_TRUE(report.slaves[0].left_early);
@@ -219,6 +223,51 @@ TEST(HybridRuntime, ChannelLatencyDoesNotBreakProtocol) {
     slaves.push_back(SlaveSpec{"b", cpu_engine()});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+}
+
+/// Trace time of the master's last accepted completion.
+double last_accept_s(const obs::Trace& trace) {
+    double last = 0.0;
+    for (const obs::TraceLaneData& lane : trace.lanes) {
+        if (lane.label != "master") continue;
+        for (const obs::TraceEvent& ev : lane.events) {
+            if (ev.kind == obs::EventKind::CompletedAccepted) {
+                last = std::max(last, ev.t);
+            }
+        }
+    }
+    return last;
+}
+
+TEST(HybridRuntime, RunEndsAtLastAcceptedResult) {
+    // The slow slave's task takes about a second; the fast slave joins
+    // 50 ms later, runs everything else and replicates that task. Once
+    // the replica wins, the slow slave's result is worthless: run()
+    // must return right away, not when the loser finishes.
+    const db::Database database = test_db(30, 49);
+    const auto queries = test_queries(4);
+    obs::TraceRecorder trace;
+    RuntimeOptions options = fast_options();
+    options.trace = &trace;
+    HybridRuntime rt(database, queries, options);
+
+    std::size_t min_len = queries[0].size();
+    for (const auto& q : queries) min_len = std::min(min_len, q.size());
+    const double slow_gcups = static_cast<double>(min_len) *
+                              static_cast<double>(database.residues()) /
+                              1.0 / 1e9;
+    std::vector<SlaveSpec> slaves;
+    slaves.push_back(SlaveSpec{
+        "slow", std::make_unique<engines::ThrottledEngine>(cpu_engine(),
+                                                           slow_gcups)});
+    slaves.push_back(SlaveSpec{"fast", cpu_engine(), 0.05});
+    const RunReport report =
+        rt.run(std::move(slaves), core::make_self_scheduling());
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    EXPECT_GE(report.slaves[0].tasks_cancelled, 1u);
+    EXPECT_EQ(report.slaves[1].results_accepted, queries.size());
+    EXPECT_LT(report.wall_seconds - last_accept_s(trace.drain()), 0.1);
 }
 
 /// Paces each task at `rate_cps`, then credits a quarter of its cells

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "db/presets.hpp"
 #include "engines/cpu_engine.hpp"
 #include "engines/faulty_engine.hpp"
+#include "engines/throttled_engine.hpp"
+#include "obs/trace.hpp"
 #include "runtime/hybrid_runtime.hpp"
 #include "runtime/remote.hpp"
 
@@ -81,6 +84,20 @@ RemoteEngineFactory cpu_factory(engines::FaultPlan* plan = nullptr) {
                 std::move(engine), *plan);
         }
         return engine;
+    };
+}
+
+/// Delays a slave's registration by `delay_s`: the factory runs after
+/// the handshake and before the slave loop, so sleeping in it is the
+/// socket runtime's late join. A fault test lets its faulty slave work
+/// alone until the fault is detected; the run ends at its last accepted
+/// result, so a healthy slave present from the start could replicate
+/// the faulty slave's task and finish before the fault is ever seen.
+RemoteEngineFactory joining_after(double delay_s, RemoteEngineFactory inner) {
+    return [delay_s, inner = std::move(inner)](
+               const net::wire::Welcome& welcome) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
+        return inner(welcome);
     };
 }
 
@@ -190,8 +207,11 @@ TEST(SocketRuntime, EngineFaultsAndChannelStallStayBitIdentical) {
     RemoteSlaveOptions stalled;
     stalled.inbox_stall_s = 0.002;
     std::vector<RemoteSlaveResult> slave_results;
+    // The faulty slave fails every task over 30 k cells; 0.2 s alone
+    // reports several failures but spends no task's retry budget.
     const RunReport report = run_socket(
-        database, queries, mo, {cpu_factory(&plan), cpu_factory()},
+        database, queries, mo,
+        {cpu_factory(&plan), joining_after(0.2, cpu_factory())},
         &slave_results, {stalled, RemoteSlaveOptions{}});
 
     EXPECT_EQ(report.hits, reference);
@@ -222,9 +242,11 @@ TEST(SocketRuntime, SlaveCrashOverSocketIsRecoveredBitIdentical) {
     RemoteMasterOptions mo;
     mo.runtime = ro;
     std::vector<RemoteSlaveResult> slave_results;
-    const RunReport report =
-        run_socket(database, queries, mo,
-                   {cpu_factory(&plan), cpu_factory()}, &slave_results);
+    const RunReport report = run_socket(
+        database, queries, mo,
+        {cpu_factory(&plan),
+         joining_after(2.0 * ro.liveness_timeout_s, cpu_factory())},
+        &slave_results);
 
     EXPECT_EQ(report.hits, reference);
     EXPECT_TRUE(report.failed_tasks.empty());
@@ -232,6 +254,92 @@ TEST(SocketRuntime, SlaveCrashOverSocketIsRecoveredBitIdentical) {
     ASSERT_EQ(slave_results.size(), 2u);
     EXPECT_TRUE(slave_results[0].report.crashed);
     EXPECT_FALSE(slave_results[1].report.crashed);
+}
+
+/// Trace time of the master's last accepted completion.
+double last_accept_s(const obs::Trace& trace) {
+    double last = 0.0;
+    for (const obs::TraceLaneData& lane : trace.lanes) {
+        if (lane.label != "master") continue;
+        for (const obs::TraceEvent& ev : lane.events) {
+            if (ev.kind == obs::EventKind::CompletedAccepted) {
+                last = std::max(last, ev.t);
+            }
+        }
+    }
+    return last;
+}
+
+// The run ends at its last accepted result over sockets too: a slow
+// slave still computing a replica that already lost gets Shutdown
+// instead of holding the master loop open until it asks for work.
+TEST(SocketRuntime, RunEndsAtLastAcceptedResult) {
+    const db::Database database = test_db(30, 49);
+    const auto queries = test_queries(4);
+    const auto reference = reference_hits(database, queries, 3);
+
+    obs::TraceRecorder trace;
+    RuntimeOptions ro;
+    ro.top_k = 3;
+    ro.notify_period_s = 0.01;
+    ro.trace = &trace;
+
+    std::size_t min_len = queries[0].size();
+    for (const auto& q : queries) min_len = std::min(min_len, q.size());
+    const double slow_gcups = static_cast<double>(min_len) *
+                              static_cast<double>(database.residues()) /
+                              1.0 / 1e9;
+    const RemoteEngineFactory fast = cpu_factory();
+    const RemoteEngineFactory slow =
+        [&](const net::wire::Welcome& welcome)
+        -> std::unique_ptr<engines::ComputeEngine> {
+        return std::make_unique<engines::ThrottledEngine>(fast(welcome),
+                                                          slow_gcups);
+    };
+
+    RemoteMasterOptions mo;
+    mo.runtime = ro;
+    std::vector<RemoteSlaveResult> slave_results;
+    const RunReport report =
+        run_socket(database, queries, mo, {slow, joining_after(0.05, fast)},
+                   &slave_results);
+
+    EXPECT_EQ(report.hits, reference);
+    ASSERT_EQ(slave_results.size(), 2u);
+    EXPECT_GE(slave_results[0].report.tasks_cancelled, 1u);
+    EXPECT_LT(report.wall_seconds - last_accept_s(trace.drain()), 0.1);
+}
+
+// A crashed slave whose task a replica already finished no longer holds
+// the socket run open for the liveness timeout.
+TEST(SocketRuntime, CrashedSlaveWhoseTaskWasReplicatedDoesNotHoldTheRun) {
+    const db::Database database = test_db();
+    const auto queries = test_queries();
+    const auto reference = reference_hits(database, queries, 3);
+
+    RuntimeOptions ro;
+    ro.top_k = 3;
+    ro.notify_period_s = 0.01;
+    ro.liveness_timeout_s = 2.0;
+    ro.heartbeat_period_s = 0.05;
+
+    engines::FaultPlan plan;
+    plan.kind = engines::FaultKind::Crash;
+    plan.after_cells = 1;
+
+    RemoteMasterOptions mo;
+    mo.runtime = ro;
+    std::vector<RemoteSlaveResult> slave_results;
+    const RunReport report = run_socket(
+        database, queries, mo,
+        {cpu_factory(&plan), joining_after(0.05, cpu_factory())},
+        &slave_results);
+
+    EXPECT_EQ(report.hits, reference);
+    EXPECT_TRUE(report.failed_tasks.empty());
+    ASSERT_EQ(slave_results.size(), 2u);
+    EXPECT_TRUE(slave_results[0].report.crashed);
+    EXPECT_LT(report.wall_seconds, ro.liveness_timeout_s);
 }
 
 // Lossy slave->master channel faults apply to decoded socket traffic
