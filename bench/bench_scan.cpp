@@ -403,7 +403,8 @@ int main(int argc, char** argv) {
             << ", \"funnel_gcups\": " << format_double(r.funnel_gcups, 4)
             << ", \"funnel_speedup\": " << format_double(r.funnel_speedup, 4)
             << ", \"subjects_pruned\": " << r.funnel.subjects_pruned
-            << ", \"filter_offs\": " << r.funnel.filter_offs
+            << ", \"subjects_hot\": " << r.funnel.subjects_hot
+            << ", \"cohorts_parked\": " << r.funnel.cohorts_parked
             << ", \"subjects_saturated\": " << r.funnel.subjects_saturated
             << ", \"filter_tiles\": " << r.funnel.filter_tiles
             << ", \"filter_tiles_skipped\": " << r.funnel.filter_tiles_skipped

@@ -1,8 +1,5 @@
 #include "align/db_scan.hpp"
 
-#include <cstdlib>
-#include <limits>
-
 #include "util/error.hpp"
 
 namespace swh::align {
@@ -18,7 +15,8 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     subjects_striped += o.subjects_striped;
     cohorts_filtered += o.cohorts_filtered;
     subjects_pruned += o.subjects_pruned;
-    filter_offs += o.filter_offs;
+    subjects_hot += o.subjects_hot;
+    cohorts_parked += o.cohorts_parked;
     subjects_saturated += o.subjects_saturated;
     filter_tiles += o.filter_tiles;
     filter_tiles_skipped += o.filter_tiles_skipped;
@@ -77,54 +75,6 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
                 interseq_[c] = 1;
             }
         }
-    }
-
-    if (threshold_ == nullptr || cohorts_.count <= kPrimeCohorts) return;
-    // Threshold priming: scan the cohorts most likely to hold the top
-    // scorers first, so the dynamic threshold reaches a useful value
-    // before the bulk of the scan. Homologs of the query cluster near
-    // its length, so rank cohorts by their nearest member,
-    // min |member length - query length|, and pull the best
-    // kPrimeCohorts to the front. A cohort's mean length would hide a
-    // family split by the layout: members sharing a compacted cohort
-    // with much longer subjects would be claimed last. The
-    // remainder follows in ascending column order — shortest cohorts
-    // carry the cheapest sweeps and the best pruning odds, and the
-    // filter-off guard (claim_cohorts) relies on crossing the
-    // hopeless-length boundary before the expensive cohorts arrive.
-    const auto want_len = static_cast<std::int64_t>(aligner.query().size());
-    std::vector<std::uint32_t> ranked(cohorts_.count);
-    for (std::size_t c = 0; c < cohorts_.count; ++c) {
-        ranked[c] = static_cast<std::uint32_t>(c);
-    }
-    std::vector<std::int64_t> dist(cohorts_.count,
-                                   std::numeric_limits<std::int64_t>::max());
-    for (std::size_t c = 0; c < cohorts_.count; ++c) {
-        const CohortDesc& d = cohorts_.cohorts[c];
-        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-            const auto len = static_cast<std::int64_t>(
-                subjects_.lengths[member_index(d, l)]);
-            dist[c] = std::min(dist[c], std::abs(len - want_len));
-        }
-    }
-    std::partial_sort(ranked.begin(), ranked.begin() + kPrimeCohorts,
-                      ranked.end(), [&](std::uint32_t a, std::uint32_t b) {
-                          return dist[a] != dist[b] ? dist[a] < dist[b]
-                                                    : a < b;
-                      });
-    // Primed cohorts run best-match first — the sooner the likeliest
-    // cohort's exact scores land, the sooner the threshold bites.
-    std::vector<std::uint8_t> primed(cohorts_.count, 0);
-    prime_order_.reserve(cohorts_.count);
-    for (std::size_t p = 0; p < kPrimeCohorts; ++p) {
-        primed[ranked[p]] = 1;
-    }
-    prime_order_.assign(ranked.begin(), ranked.begin() + kPrimeCohorts);
-    // The layout orders cohorts longest-first; walk it backwards for
-    // the ascending-columns remainder.
-    for (std::uint32_t c = static_cast<std::uint32_t>(cohorts_.count); c > 0;
-         --c) {
-        if (!primed[c - 1]) prime_order_.push_back(c - 1);
     }
 }
 

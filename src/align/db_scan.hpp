@@ -11,8 +11,13 @@
 // caller-published pruning threshold — fed back from the running k-th
 // best exact score — are skipped entirely; u8-saturated lanes carry no
 // tile bound and survive unless their cap rules them out, so the
-// surviving top-k is bit-identical to an exhaustive scan. See DESIGN.md
-// "Prefilter funnel" for the soundness argument.
+// surviving top-k is bit-identical to an exhaustive scan. Before the
+// threshold exists a cohort gets only a one-tile probe: lanes that
+// clip u8 in it ("hot", the homolog signal) go straight to the wide
+// exact drain, whose scores create the threshold, and the other lanes
+// are decided by resuming the sweep at the second tile once it exists
+// — at once, or from a worker-local park after the claims run out. See
+// DESIGN.md "Prefilter funnel" for the soundness argument.
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch — in
@@ -120,25 +125,6 @@ public:
     /// length, so groups at this bar are the common case.
     static constexpr std::size_t kEscalateBatchMin = 8;
 
-    /// Consecutive zero-prune cohorts before a worker turns its
-    /// prefilter off for the rest of its claims (queries of more than
-    /// one filter_tile_count() tile only; armed claims visit non-prime
-    /// cohorts in ascending column order, so once bounds stop clearing
-    /// tau at some subject length they stay hopeless for every longer
-    /// cohort — the summed tile bound only grows with subject length).
-    /// Three in a row tolerates an isolated all-homolog cohort without
-    /// disabling a still-productive filter.
-    static constexpr int kFilterOffStreak = 3;
-
-    /// Cohorts scanned first when the prefilter is armed: the ones
-    /// holding the members whose lengths sit closest to the query's,
-    /// where true homologs — the scores that drive the pruning
-    /// threshold up — are most likely to live. Priming turns the
-    /// dynamic threshold from a slow ramp into a near-final value for
-    /// the bulk of the scan; any scan order yields the same top-k (see
-    /// run_worker).
-    static constexpr std::size_t kPrimeCohorts = 4;
-
     /// Scan counters, one struct for the whole scanner. Each worker
     /// tallies into a private instance and merges it into the scanner
     /// total once, at the end of run_worker; stats() reads the total
@@ -149,8 +135,9 @@ public:
     /// (layout-compacted membership or a worker-side repack) is a
     /// subset of it; `cohorts_striped` counts fill-bar rejections
     /// scored per subject by the striped kernel. Subjects deferred to
-    /// the wide rescore count under the kernel that deferred them;
-    /// pruned subjects appear in none of the `subjects_*` fields.
+    /// the wide rescore count under the kernel that deferred them, hot
+    /// ones in `subjects_hot`; pruned subjects appear in none of the
+    /// `subjects_*` fields.
     struct Stats {
         std::uint64_t cohorts_interseq = 0;
         std::uint64_t cohorts_compacted = 0;
@@ -162,18 +149,23 @@ public:
         std::uint64_t subjects_interseq = 0;
         std::uint64_t subjects_compacted = 0;
         std::uint64_t subjects_striped = 0;
-        /// Stage-1 prefilter: ungapped sweeps run (threshold was live),
-        /// lanes proven out of the top-k and skipped, and cohorts whose
-        /// sweep the adaptive filter-off guard skipped.
+        /// Stage-1 prefilter: cohorts it swept (in full, or probed
+        /// before the threshold existed), and lanes proven out of the
+        /// top-k and skipped.
         std::uint64_t cohorts_filtered = 0;
         std::uint64_t subjects_pruned = 0;
-        std::uint64_t filter_offs = 0;
+        /// Probe outcomes: lanes whose first-tile bound clipped u8 and
+        /// went straight to the wide drain, and cohorts parked with
+        /// undecided lanes until the worker's claims ran out.
+        std::uint64_t subjects_hot = 0;
+        std::uint64_t cohorts_parked = 0;
         /// Lanes that survived stage 1 only because a tile's u8 bound
         /// clipped: their summed (clipped) bound fell below tau.
         std::uint64_t subjects_saturated = 0;
-        /// Prefilter row tiles swept, and the ones the early exit
-        /// avoided because every lane of the cohort was already decided
-        /// (see sw_ungapped_tiled_u8).
+        /// Prefilter row tiles swept, and the ones avoided because every
+        /// lane of the cohort was already decided (see
+        /// sw_ungapped_tiled_u8) or settled without a bound after its
+        /// probe.
         std::uint64_t filter_tiles = 0;
         std::uint64_t filter_tiles_skipped = 0;
         /// Settlements: by the u8 kernels, and by a wide kernel (i16
@@ -210,8 +202,10 @@ public:
     /// then for this worker's deferred overflow batch (drained after
     /// every claim when the prefilter is armed: the deferred lanes are
     /// the likely top scorers, and settling them early is what feeds
-    /// the pruning threshold while the scan is still young); `db_index`
-    /// is always the ORIGINAL database index regardless of scan order.
+    /// the pruning threshold while the scan is still young; a probe's
+    /// hot lanes are drained at once, and parked cohorts settle after
+    /// the last claim); `db_index` is always the ORIGINAL database
+    /// index regardless of scan order.
     /// `pruned(db_index, length) -> bool` is called exactly once per
     /// subject the prefilter proved out of the top-k (never called when
     /// the prefilter is unarmed). Once either callback returns false
@@ -239,10 +233,10 @@ public:
         // Emit contract: unless a callback cancelled the scan, every
         // subject this worker claimed either settles exactly once — in
         // stage 2 for the in-range scores, in a wide rescore for the
-        // deferred rest — or is reported pruned exactly once.
+        // deferred and hot rest — or is reported pruned exactly once.
         SWH_DCHECK(!keep || t.settled8 + t.settled_wide ==
                                 t.subjects_interseq + t.subjects_compacted +
-                                    t.subjects_striped,
+                                    t.subjects_striped + t.subjects_hot,
                    "emit contract: one settled score per claimed subject");
         aligner_->credit_runs8(t.settled8);
         merge(t);
@@ -319,25 +313,64 @@ private:
         return keep;
     }
 
-    /// Stage-1 prefilter over one cohort: returns the survivor lane
-    /// mask (within `used`). The query is bounded in the prefilter's
-    /// own filter_tile_count() row tiles and the per-lane tile bounds
-    /// summed (sound — see align/ungapped.hpp); each tile's two DP rows
-    /// stay L1-resident, and its height keeps random-background bounds
-    /// inside u8 even on the longest subjects. The sweep stops once the
-    /// query-row bound and the composition cap have decided every lane.
-    /// A lane is cleared only when its bound provably falls strictly
-    /// below `tau`; a lane that saturated a tile while undecided
-    /// survives, and is counted in `subjects_saturated` when its
-    /// clipped bound alone would have pruned it.
-    SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
-                                             std::uint64_t used, Score tau,
-                                             ScanScratch& scratch, Stats& t) {
+    /// A cohort probed before the threshold existed, with lanes left to
+    /// decide: those lanes (the hot ones are already settled), every
+    /// lane's first-tile bound, and the largest bound among `lanes`.
+    struct Parked {
+        std::uint32_t cohort = 0;
+        std::uint8_t best = 0;
+        std::uint64_t lanes = 0;
+        std::uint8_t partial[64] = {};
+    };
+
+    /// Stage-1 probe of a cohort claimed before the threshold exists:
+    /// sweeps only the first filter tile, on every route, into
+    /// p.partial. Returns the hot lanes — those of `used` whose bound
+    /// clipped u8 there — and leaves the rest in p.lanes. Random-
+    /// background tile bounds stay inside u8 (DESIGN.md "Tile-sum
+    /// bound"), so a clipped tile is the homolog signal; which lanes
+    /// are hot only picks their kernel, never the top-k.
+    SWH_HOT_PATH std::uint64_t probe_cohort(const CohortDesc& d,
+                                            std::uint64_t used, Parked& p,
+                                            ScanScratch& scratch, Stats& t) {
         ++t.cohorts_filtered;
-        Score bound[64];
+        ++t.filter_tiles;
+        const InterseqProfile& profile = *aligner_->interseq();
+        const std::uint64_t hot =
+            used & sw_ungapped_interseq_u8(
+                       profile, cohorts_.arena + d.offset, d.columns,
+                       aligner_->gap(), aligner_->isa(), scratch, p.partial,
+                       0, filter_tile_rows(profile.query_len));
+        t.subjects_hot += static_cast<std::uint64_t>(std::popcount(hot));
+        p.lanes = used & ~hot;
+        for (std::uint64_t m = p.lanes; m != 0; m &= m - 1) {
+            p.best = std::max(p.best, p.partial[std::countr_zero(m)]);
+        }
+        return hot;
+    }
+
+    /// Stage-1 decision over the lanes `lanes` of cohort d: returns
+    /// their survivor mask. The query is bounded in the prefilter's own
+    /// filter_tile_count() row tiles from row `row_begin` on, on top of
+    /// the partial sums in `bound` (see sw_ungapped_tiled_u8), and the
+    /// per-lane tile bounds summed (sound — see align/ungapped.hpp);
+    /// each tile's two DP rows stay L1-resident, and its height keeps
+    /// random-background bounds inside u8 even on the longest subjects.
+    /// The sweep stops once the query-row bound and the composition cap
+    /// have decided every lane. A lane is cleared only when its bound
+    /// provably falls strictly below `tau`; a lane that saturated a
+    /// tile while undecided survives, and is counted in
+    /// `subjects_saturated` when its clipped bound alone would have
+    /// pruned it.
+    SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
+                                             std::uint64_t lanes, Score tau,
+                                             std::size_t row_begin,
+                                             Score* bound,
+                                             ScanScratch& scratch, Stats& t) {
         const FilterSweep sweep = sw_ungapped_tiled_u8(
             *aligner_->interseq(), cohorts_.arena + d.offset, d.columns,
-            aligner_->gap(), aligner_->isa(), scratch, tau, bound);
+            aligner_->gap(), aligner_->isa(), scratch, tau, bound, row_begin,
+            lanes);
         t.filter_tiles += sweep.tiles;
         t.filter_tiles_skipped += sweep.tiles_skipped;
         std::uint64_t above = 0;
@@ -345,17 +378,23 @@ private:
             if (bound[l] >= tau) above |= std::uint64_t{1} << l;
         }
         t.subjects_saturated += static_cast<std::uint64_t>(
-            std::popcount(sweep.saturated & ~above & used));
-        return (above | sweep.saturated) & used;
+            std::popcount(sweep.saturated & ~above & lanes));
+        return (above | sweep.saturated) & lanes;
     }
 
-    /// Cohort claim unit: whole cohorts of the interleaved layout.
-    /// Stage 1 prunes lanes when the threshold feed is live, stage 2
-    /// exact-scores the survivors on the cohort's route — inter-
-    /// sequence for well-filled cohorts, per-subject striped for the
-    /// low-fill rest — batching the survivors of mostly-pruned
+    /// Cohort claim unit: whole cohorts of the interleaved layout, in
+    /// layout order. Stage 1 prunes lanes when the threshold feed is
+    /// live, stage 2 exact-scores the survivors on the cohort's route —
+    /// inter-sequence for well-filled cohorts, per-subject striped for
+    /// the low-fill rest — batching the survivors of mostly-pruned
     /// interseq cohorts into dense repacked cohorts instead of masking
-    /// dead lanes.
+    /// dead lanes. Until the threshold exists a claimed cohort is only
+    /// probed (probe_cohort): its hot lanes are drained at once, and
+    /// its other lanes are resumed from the second tile if that raised
+    /// the threshold, or parked. Parked cohorts settle after the last
+    /// claim, largest first-tile bound first: resumed once a threshold
+    /// exists, exact-scored while none does — on a no-hit query the
+    /// first one seeds it.
     template <class EmitFn, class PrunedFn>
     SWH_HOT_PATH bool claim_cohorts(ScanScratch& scratch, EmitFn&& emit,
                                     PrunedFn&& pruned,
@@ -365,118 +404,162 @@ private:
         const std::size_t n = cohorts_.count;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
-        // The guard reasons about the summed tile bound, so it keys on
-        // the prefilter's own tiling, not the exact kernels'.
-        const bool multi_tile =
-            filter_tile_count(aligner_->interseq()->query_len) > 1;
+        const std::size_t qlen = aligner_->interseq()->query_len;
         InterseqColumnState colstate;
         // Survivor batch for the repack path and the dense repack
         // scratch; both stay empty (no allocation) until the prefilter
         // starves a cohort below the cutover or a batch escalates.
         std::vector<std::uint32_t> pending;
         std::vector<Code> repack;
-        // Adaptive filter-off: for multi-tile queries the summed tile
-        // bound loosens until, at some subject length, it stops
-        // clearing tau for anyone — from there every sweep is pure
-        // overhead on exactly the cohorts that cost the most to
-        // exact-score. Armed claims visit non-prime cohorts shortest
-        // first, so a worker that sees kFilterOffStreak zero-prune
-        // cohorts in a row has crossed that length and turns its
-        // prefilter off for the rest of its claims. Skipping stage 1
-        // never changes the result (all lanes simply survive).
-        bool filter_off = false;
-        int noprune_streak = 0;
+        // Probed cohorts waiting for a threshold; stays empty (no
+        // allocation) on exhaustive scans and once the threshold exists.
+        std::vector<Parked> parked;
+
+        // Reports the lanes of `lanes` outside `survive` pruned and
+        // exact-scores the survivors on cohort c's route.
+        const auto settle = [&](std::size_t c, std::uint64_t lanes,
+                                std::uint64_t survive) {
+            const CohortDesc& d = cohorts_.cohorts[c];
+            bool k = true;
+            for (std::uint64_t m = lanes & ~survive; m != 0 && k;
+                 m &= m - 1) {
+                const std::uint32_t idx = member_index(
+                    d, static_cast<std::uint32_t>(std::countr_zero(m)));
+                ++t.subjects_pruned;
+                k = pruned(idx, subjects_.lengths[idx]);
+            }
+            if (!k || survive == 0) return k;
+            if (interseq_[c] == 0) {
+                ++t.cohorts_striped;
+                for (std::uint64_t m = survive; m != 0 && k; m &= m - 1) {
+                    k = score_striped(
+                        member_index(d, static_cast<std::uint32_t>(
+                                            std::countr_zero(m))),
+                        scratch, emit, overflow, t);
+                }
+            } else if (static_cast<std::uint32_t>(std::popcount(survive)) *
+                           kFunnelStripedCutover >
+                       d.lanes_used) {
+                k = score_interseq(
+                    cohorts_.arena + d.offset, d.columns, survive,
+                    (d.flags & CohortDesc::kCompacted) != 0,
+                    [&](std::uint32_t l) { return member_index(d, l); },
+                    scratch, colstate, emit, overflow, t);
+            } else {
+                // Below the survivor cutover: running the full-width
+                // kernel would waste most of its fixed cost on pruned
+                // lanes. Batch the survivors; they are re-packed into
+                // dense cohorts at claim end.
+                for (std::uint64_t m = survive; m != 0; m &= m - 1) {
+                    // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
+                    // survivor batch; capacity is retained across
+                    // flushes, growth amortizes out.
+                    pending.push_back(member_index(
+                        d, static_cast<std::uint32_t>(std::countr_zero(m))));
+                }
+            }
+            return k;
+        };
+        // Decides the lanes a probe left: resumes the sweep at the
+        // second tile once a threshold exists, exact-scores them
+        // otherwise (their unswept tiles count as skipped).
+        const auto finish = [&](const Parked& p) {
+            const Score tau = threshold_->load(std::memory_order_relaxed);
+            std::uint64_t survive = p.lanes;
+            if (tau > 0) {
+                Score bound[64];
+                std::copy_n(p.partial, w, bound);
+                survive = filter_cohort(cohorts_.cohorts[p.cohort], p.lanes,
+                                        tau, filter_tile_rows(qlen), bound,
+                                        scratch, t);
+            } else {
+                t.filter_tiles_skipped += filter_tile_count(qlen) - 1;
+            }
+            return settle(p.cohort, p.lanes, survive);
+        };
+        // Claim-end work: full survivor batches become dense repacked
+        // cohorts, before the overflow drain so their deferred lanes
+        // join it; with the prefilter armed the deferred lanes settle
+        // now instead of at end of run — the u8-overflowed lanes ARE
+        // the likely top scorers, and the threshold can only rise once
+        // their exact scores reach the caller.
+        const auto flush = [&] {
+            bool k = true;
+            if (pending.size() >= w) {
+                k = flush_repack(pending, /*force=*/false, scratch, colstate,
+                                 repack, emit, overflow, t);
+            }
+            if (k && threshold_ != nullptr && !overflow.empty()) {
+                k = drain_overflow(overflow, scratch, colstate, repack, emit,
+                                   t);
+            }
+            return k;
+        };
+
         while (keep) {
             const std::size_t begin =
                 next_.fetch_add(claim, std::memory_order_relaxed);
             if (begin >= n) break;
             const std::size_t end = std::min(begin + claim, n);
-            for (std::size_t slot = begin; slot < end && keep; ++slot) {
-                const std::size_t c =
-                    prime_order_.empty() ? slot : prime_order_[slot];
+            for (std::size_t c = begin; c < end && keep; ++c) {
                 const CohortDesc& d = cohorts_.cohorts[c];
                 const std::uint64_t used = lane_mask(d.lanes_used);
-                std::uint64_t survive = used;
-                if (threshold_ != nullptr && !filter_off) {
-                    // Re-read per cohort: the threshold rises as exact
-                    // hits accumulate, so late cohorts prune harder.
-                    // tau <= 0 (including TopK::kNoThreshold) cannot
-                    // prune — chain bounds are non-negative.
-                    const Score tau =
-                        threshold_->load(std::memory_order_relaxed);
-                    if (tau > 0) {
-                        survive = filter_cohort(d, used, tau, scratch, t);
-                        // Learn only off non-prime cohorts: the primed
-                        // prefix is homolog-adjacent by construction,
-                        // so its lanes surviving says nothing about
-                        // bound looseness.
-                        const bool prime = !prime_order_.empty() &&
-                                           slot < kPrimeCohorts;
-                        if (multi_tile && !prime) {
-                            noprune_streak =
-                                survive == used ? noprune_streak + 1 : 0;
-                            filter_off = noprune_streak >= kFilterOffStreak;
-                        }
-                    }
-                } else if (threshold_ != nullptr) {
-                    ++t.filter_offs;
+                if (threshold_ == nullptr) {
+                    keep = settle(c, used, used);
+                    continue;
                 }
-                for (std::uint64_t m = used & ~survive; m != 0 && keep;
-                     m &= m - 1) {
-                    const std::uint32_t idx = member_index(
-                        d, static_cast<std::uint32_t>(std::countr_zero(m)));
-                    ++t.subjects_pruned;
-                    keep = pruned(idx, subjects_.lengths[idx]);
+                // Re-read per cohort: the threshold rises as exact hits
+                // accumulate, so late cohorts prune harder. tau <= 0
+                // (including TopK::kNoThreshold) cannot prune — chain
+                // bounds are non-negative.
+                const Score tau = threshold_->load(std::memory_order_relaxed);
+                if (tau > 0) {
+                    ++t.cohorts_filtered;
+                    Score bound[64];
+                    keep = settle(c, used,
+                                  filter_cohort(d, used, tau, 0, bound,
+                                                scratch, t));
+                    continue;
+                }
+                Parked p;
+                p.cohort = static_cast<std::uint32_t>(c);
+                const std::uint64_t hot = probe_cohort(d, used, p, scratch, t);
+                if (hot != 0) {
+                    for (std::uint64_t m = hot; m != 0; m &= m - 1) {
+                        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
+                        // deferred batch, bounded by the claim size.
+                        overflow.push_back(member_index(
+                            d,
+                            static_cast<std::uint32_t>(std::countr_zero(m))));
+                    }
+                    keep = drain_overflow(overflow, scratch, colstate, repack,
+                                          emit, t);
                 }
                 if (!keep) break;
-                if (survive == 0) continue;
-                if (interseq_[c] == 0) {
-                    ++t.cohorts_striped;
-                    for (std::uint64_t m = survive; m != 0 && keep;
-                         m &= m - 1) {
-                        keep = score_striped(
-                            member_index(d, static_cast<std::uint32_t>(
-                                                std::countr_zero(m))),
-                            scratch, emit, overflow, t);
-                    }
-                } else if (static_cast<std::uint32_t>(std::popcount(survive)) *
-                               kFunnelStripedCutover >
-                           d.lanes_used) {
-                    keep = score_interseq(
-                        cohorts_.arena + d.offset, d.columns, survive,
-                        (d.flags & CohortDesc::kCompacted) != 0,
-                        [&](std::uint32_t l) { return member_index(d, l); },
-                        scratch, colstate, emit, overflow, t);
+                if (p.lanes == 0) {
+                    t.filter_tiles_skipped += filter_tile_count(qlen) - 1;
+                } else if (threshold_->load(std::memory_order_relaxed) > 0) {
+                    keep = finish(p);
                 } else {
-                    // Below the survivor cutover: running the
-                    // full-width kernel would waste most of its fixed
-                    // cost on pruned lanes. Batch the survivors; they
-                    // are re-packed into dense cohorts at claim end.
-                    for (std::uint64_t m = survive; m != 0; m &= m - 1) {
-                        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
-                        // survivor batch; capacity is retained across
-                        // flushes, growth amortizes out.
-                        pending.push_back(member_index(
-                            d, static_cast<std::uint32_t>(
-                                   std::countr_zero(m))));
-                    }
+                    ++t.cohorts_parked;
+                    // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): one
+                    // entry per cohort claimed before tau existed.
+                    parked.push_back(p);
                 }
             }
-            // Full survivor batches become dense repacked cohorts here,
-            // before the overflow drain, so their deferred lanes join
-            // this claim's wide-rescore pass.
-            if (keep && pending.size() >= w) {
-                keep = flush_repack(pending, /*force=*/false, scratch,
-                                    colstate, repack, emit, overflow, t);
-            }
-            // With the prefilter armed, settle this claim's deferred
-            // lanes now instead of at end of run: the u8-overflowed
-            // lanes ARE the likely top scorers, and the threshold can
-            // only rise once their exact scores reach the caller.
-            if (keep && threshold_ != nullptr && !overflow.empty()) {
-                keep = drain_overflow(overflow, scratch, colstate, repack,
-                                      emit, t);
-            }
+            if (keep) keep = flush();
+        }
+        // Parked walk: the cohorts whose first tile bounds highest are
+        // the likeliest to raise the threshold, or on a no-hit query to
+        // seed it; any order yields the same top-k.
+        std::sort(parked.begin(), parked.end(),
+                  [](const Parked& a, const Parked& b) {
+                      return a.best != b.best ? a.best > b.best
+                                              : a.cohort < b.cohort;
+                  });
+        for (std::size_t i = 0; i < parked.size() && keep; ++i) {
+            keep = finish(parked[i]);
+            if (keep) keep = flush();
         }
         if (keep && !pending.empty()) {
             keep = flush_repack(pending, /*force=*/true, scratch, colstate,
@@ -594,9 +677,9 @@ private:
     }
 
     /// Re-packs batched funnel survivors into dense scratch cohorts
-    /// and scores them with the inter-sequence u8 kernel. Claims arrive
-    /// primed-first, so the batch is cliff-split (cliff_groups) before
-    /// packing. Without `force`, only full-width groups run (a blocked
+    /// and scores them with the inter-sequence u8 kernel. Parked
+    /// cohorts settle out of layout order, so the batch is cliff-split
+    /// (cliff_groups) before packing. Without `force`, only full-width groups run (a blocked
     /// group waits for more survivors); with `force`, every group is
     /// settled — inter-sequence when its full-width fill still meets
     /// the dispatch bar, striped per subject otherwise (long isolated
@@ -742,15 +825,6 @@ private:
     /// cohort fill: 1 = inter-sequence, 0 = striped per subject.
     /// Written only by the constructor.
     SWH_NOT_GUARDED std::vector<std::uint8_t> interseq_;
-    /// Claim-slot -> cohort-index permutation, built only when the
-    /// prefilter is armed: the kPrimeCohorts cohorts with a member
-    /// length closest to the query's come first (threshold priming),
-    /// the rest follow in ascending column order — shortest cohorts
-    /// (cheapest, best pruning odds) first, so the filter-off guard's
-    /// zero-prune streak crosses the hopeless-length boundary before
-    /// the expensive cohorts are reached. Empty = identity (exhaustive
-    /// scans are untouched). Written only by the constructor.
-    SWH_NOT_GUARDED std::vector<std::uint32_t> prime_order_;
     std::atomic<std::size_t> next_{0};
     mutable Mutex stats_mu_;
     Stats stats_ SWH_GUARDED_BY(stats_mu_);

@@ -8,6 +8,7 @@
 
 #include "align/ungapped_kernels.hpp"
 #include "simd/simd.hpp"
+#include "util/check.hpp"
 #include "util/error.hpp"
 
 namespace swh::align {
@@ -109,22 +110,25 @@ FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
                                  const Code* cols, std::size_t columns,
                                  GapPenalty gap, simd::IsaLevel isa,
                                  ScanScratch& scratch, Score tau,
-                                 Score* lane_bound) {
-    const int lanes = lanes_u8(isa);
-    std::fill_n(lane_bound, lanes, Score{0});
+                                 Score* lane_bound, std::size_t row_begin,
+                                 std::uint64_t lanes) {
+    const int width = lanes_u8(isa);
     const std::size_t qlen = profile.query_len;
-    const std::size_t tiles = filter_tile_count(qlen);
-    const std::size_t rows = (qlen + tiles - 1) / tiles;
+    const std::size_t rows = filter_tile_rows(qlen);
+    SWH_DCHECK(row_begin >= qlen || row_begin % rows == 0,
+               "prefilter sweep resumes at a tile boundary");
+    if (row_begin == 0) std::fill_n(lane_bound, width, Score{0});
+    if (width < 64) lanes &= (std::uint64_t{1} << width) - 1;
     std::uint8_t bound8[64];
     FilterSweep sweep;
     if (tau <= 0) {
         // No threshold can prune: the plain tile sums.
-        for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
-            sweep.saturated |= sw_ungapped_interseq_u8(
-                profile, cols, columns, gap, isa, scratch, bound8, r0,
-                r0 + rows);
+        for (std::size_t r0 = row_begin; r0 < qlen; r0 += rows) {
+            sweep.saturated |= lanes & sw_ungapped_interseq_u8(
+                                           profile, cols, columns, gap, isa,
+                                           scratch, bound8, r0, r0 + rows);
             ++sweep.tiles;
-            for (int l = 0; l < lanes; ++l) lane_bound[l] += bound8[l];
+            for (int l = 0; l < width; ++l) lane_bound[l] += bound8[l];
         }
         return sweep;
     }
@@ -140,16 +144,15 @@ FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
         static_cast<std::int64_t>(columns) * widest,
         std::numeric_limits<Score>::max()));
     Score cap[64];
-    if (tiles > 1 && uniform >= tau) {
+    if (filter_tile_count(qlen) > 1 && uniform >= tau) {
         sw_composition_cap(profile, cols, columns, isa, cap);
     } else {
-        std::fill_n(cap, lanes, uniform);
+        std::fill_n(cap, width, uniform);
     }
     const std::vector<Score>& prefix = profile.row_cap_prefix;
     // lane_bound holds each lane's partial tile sum until the end.
-    std::uint64_t open = lanes >= 64 ? ~std::uint64_t{0}
-                                     : (std::uint64_t{1} << lanes) - 1;
-    std::size_t swept = 0;  // rows swept so far
+    std::uint64_t open = lanes;
+    std::size_t swept = std::min(row_begin, qlen);  // rows swept so far
     const auto decide = [&] {
         const Score rest = prefix[qlen] - prefix[swept];
         for (std::uint64_t m = open; m != 0; m &= m - 1) {
@@ -167,7 +170,7 @@ FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
             swept + rows);
         ++sweep.tiles;
         swept = std::min(swept + rows, qlen);
-        for (int l = 0; l < lanes; ++l) lane_bound[l] += bound8[l];
+        for (int l = 0; l < width; ++l) lane_bound[l] += bound8[l];
         // A clipped tile sum is no bound: the lane survives (its cap
         // is >= tau, or decide() would have pruned it already).
         sweep.saturated |= sat & open;
@@ -176,7 +179,7 @@ FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
     }
     if (swept < qlen) sweep.tiles_skipped = (qlen - swept + rows - 1) / rows;
     const Score rest = prefix[qlen] - prefix[swept];
-    for (int l = 0; l < lanes; ++l) {
+    for (int l = 0; l < width; ++l) {
         lane_bound[l] = std::min(lane_bound[l] + rest, cap[l]);
     }
     return sweep;

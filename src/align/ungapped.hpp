@@ -123,6 +123,12 @@ constexpr std::size_t filter_tile_count(std::size_t qlen) {
                : (qlen + kFilterTileRows - 1) / kFilterTileRows;
 }
 
+/// Rows of each balanced prefilter tile (the last may be shorter): the
+/// first tile spans query rows [0, filter_tile_rows(qlen)).
+constexpr std::size_t filter_tile_rows(std::size_t qlen) {
+    return (qlen + filter_tile_count(qlen) - 1) / filter_tile_count(qlen);
+}
+
 /// Composition cap of every lane of one cohort (geometry as
 /// sw_ungapped_interseq_u8): lane_cap[l] = sum over the lane's columns
 /// of profile.col_cap[residue], exact — the i16 partial sums are
@@ -155,12 +161,18 @@ struct FilterSweep {
 /// sound upper bound on the gapped score, below tau exactly for the
 /// pruned lanes. Single-tile queries, where the exact cap could save
 /// at most the one tile, use the uniform cap columns * max col_cap.
-SWH_HOT_PATH FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,
-                                              const Code* cols,
-                                              std::size_t columns,
-                                              GapPenalty gap,
-                                              simd::IsaLevel isa,
-                                              ScanScratch& scratch, Score tau,
-                                              Score* lane_bound);
+///
+/// Resuming: with `row_begin` > 0 — a tile boundary, a multiple of
+/// filter_tile_rows() — the rows before it are taken as swept, and on
+/// entry lane_bound[l] holds lane l's summed unsaturated tile bounds
+/// over them (with `row_begin` 0 it is ignored). The result is that of
+/// one call from row 0 that swept those tiles. Only the lanes in
+/// `lanes` are decided or reported saturated; the others never keep
+/// the sweep going.
+SWH_HOT_PATH FilterSweep sw_ungapped_tiled_u8(
+    const InterseqProfile& profile, const Code* cols, std::size_t columns,
+    GapPenalty gap, simd::IsaLevel isa, ScanScratch& scratch, Score tau,
+    Score* lane_bound, std::size_t row_begin = 0,
+    std::uint64_t lanes = ~std::uint64_t{0});
 
 }  // namespace swh::align

@@ -35,7 +35,8 @@ void export_scan_stats(const align::DatabaseScanner::Stats& s,
     metrics.counter("scan.dispatch.subjects_striped").add(s.subjects_striped);
     metrics.counter("engine.cpu.filter.cohorts").add(s.cohorts_filtered);
     metrics.counter("engine.cpu.filter.pruned").add(s.subjects_pruned);
-    metrics.counter("engine.cpu.filter.offs").add(s.filter_offs);
+    metrics.counter("engine.cpu.filter.hot").add(s.subjects_hot);
+    metrics.counter("engine.cpu.filter.parked").add(s.cohorts_parked);
     metrics.counter("engine.cpu.filter.saturated").add(s.subjects_saturated);
     metrics.counter("engine.cpu.filter.tiles").add(s.filter_tiles);
     metrics.counter("engine.cpu.filter.tiles_skipped")

@@ -3,8 +3,9 @@
 // must be BIT-identical for every ISA level this host supports, every
 // k, and the adversarial shapes that stress the threshold policy —
 // all-identical scores, ties exactly at the threshold, empty and tiny
-// databases, k larger than the database — plus a concurrency test with
-// cohort-mode claiming and a shared rising threshold.
+// databases, k larger than the database — plus concurrency tests with
+// cohort-mode claiming and a shared rising threshold, and one test per
+// path of the stage-1 probe (hot lanes, parking, the parked walk).
 //
 // The suite name starts with "DatabaseScanner" so the CI TSan job's
 // test filter picks it up alongside the plain scanner suite.
@@ -23,6 +24,7 @@
 #include "db/generator.hpp"
 #include "db/packed.hpp"
 #include "db/presets.hpp"
+#include "engines/cpu_engine.hpp"
 #include "engines/topk.hpp"
 #include "util/rng.hpp"
 
@@ -71,7 +73,8 @@ struct FunnelRun {
     DatabaseScanner::Stats stats;
     std::uint64_t emitted = 0;
     std::uint64_t pruned_calls = 0;
-    std::vector<std::uint32_t> pruned;  ///< db indices reported pruned
+    std::vector<std::uint32_t> settled;  ///< db indices exact-scored
+    std::vector<std::uint32_t> pruned;   ///< db indices reported pruned
 };
 
 /// Funnel scan: prefilter armed with the running k-th best fed back
@@ -94,6 +97,7 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
         [&](std::uint32_t idx, std::uint32_t, Score s) {
             topk.add(idx, s);
             ++run.emitted;
+            run.settled.push_back(idx);
             const Score kth = topk.kth_score();
             Score cur = tau.load(std::memory_order_relaxed);
             while (kth > cur && !tau.compare_exchange_weak(
@@ -246,12 +250,13 @@ TEST(DatabaseScannerFunnel, BatchedEscalationBitIdentical) {
     }
 }
 
-TEST(DatabaseScannerFunnel, NoHitLongQueryTurnsFilterOff) {
+TEST(DatabaseScannerFunnel, NoHitLongQueryParksEveryCohort) {
     // The hetero_nohit shape: a random query with no planted family,
-    // long enough for several prefilter tiles. The summed tile bound
-    // then clears the background's k-th best for every lane, the
-    // zero-prune streak trips the adaptive filter-off guard, and the
-    // remaining cohorts skip stage 1 (filter_offs) — top-k unchanged.
+    // long enough for several prefilter tiles. No lane clips the probe
+    // tile, so no threshold exists while the worker claims: every
+    // cohort is parked with its first-tile bounds, the parked walk
+    // exact-scores the first one to seed tau and resumes the rest at
+    // their second tile — top-k unchanged.
     db::DatabaseSpec spec;
     spec.name = "nohit";
     spec.num_sequences = 700;
@@ -262,6 +267,7 @@ TEST(DatabaseScannerFunnel, NoHitLongQueryTurnsFilterOff) {
     Rng rng(337);
     const Sequence q =
         db::random_protein(rng, 3 * kInterseqTileRows + 40, "nohit");
+    ASSERT_GT(filter_tile_count(q.size()), 1u);
     for (const simd::IsaLevel isa : supported_levels()) {
         const StripedAligner aligner(q.residues, blosum(), kGap, isa);
         const std::string label = "isa=" + std::string(simd::to_string(isa));
@@ -270,7 +276,14 @@ TEST(DatabaseScannerFunnel, NoHitLongQueryTurnsFilterOff) {
         const FunnelRun run = funnel_topk(aligner, database, 10);
         expect_same_hits(run.hits, want, label);
         EXPECT_EQ(run.emitted + run.pruned_calls, database.size()) << label;
-        EXPECT_GT(run.stats.filter_offs, 0u) << label;
+        EXPECT_EQ(run.stats.subjects_hot, 0u) << label;
+        EXPECT_EQ(run.stats.cohorts_parked,
+                  database.packed()
+                      .interleaved(lanes_u8(isa))
+                      .view()
+                      .count)
+            << label;
+        EXPECT_GT(run.stats.cohorts_parked, 0u) << label;
     }
 }
 
@@ -316,9 +329,9 @@ TEST(DatabaseScannerFunnel, LongSubjectsStayInsideU8AndArePruned) {
         const std::string label = "isa=" + std::string(simd::to_string(isa));
 
         // The running feed, as CpuEngine wires it: bit-identical top-k,
-        // and every background subject outside the primed cohorts (the
-        // first kPrimeCohorts claimed, possibly before tau is live) is
-        // pruned.
+        // and every background subject is pruned — the family clips its
+        // probe tile and sets tau before any background lane is
+        // decided, whether its cohort was claimed before or after.
         const FunnelRun run = funnel_topk(aligner, database, kTopK);
         expect_same_hits(run.hits, want, label);
         const auto background_pruned = static_cast<std::size_t>(
@@ -326,15 +339,11 @@ TEST(DatabaseScannerFunnel, LongSubjectsStayInsideU8AndArePruned) {
                           [&](std::uint32_t idx) {
                               return idx < background.size();
                           }));
-        EXPECT_GE(background_pruned +
-                      DatabaseScanner::kPrimeCohorts *
-                          static_cast<std::size_t>(lanes_u8(isa)),
-                  background.size())
-            << label;
+        EXPECT_EQ(background_pruned, background.size()) << label;
 
         // With tau at the final k-th best from the first cohort on,
-        // there is no priming window: every background lane must get a
-        // bound below tau, none saturated.
+        // no cohort is probed: every background lane must get a full
+        // sweep's bound below tau, none saturated.
         const FunnelRun settled = funnel_topk(aligner, background_only,
                                               kTopK, kth);
         EXPECT_EQ(settled.stats.subjects_pruned, background.size()) << label;
@@ -406,43 +415,58 @@ TEST(DatabaseScannerFunnel, MultiTileEarlyExitBitIdentical) {
     }
 }
 
-TEST(DatabaseScannerFunnel, FamilySplitAcrossCohortsPrimesByMemberLength) {
-    // The layout splits the query's family: W - 3 long subjects fill
-    // the first (longest) cohort together with the 3 longest members,
-    // so that cohort's mean length sits far from the query's while it
-    // holds members of the query's own length. Priming by cohort mean
-    // would claim it last, leave fewer than k homologs ahead of the
-    // background, keep tau at background level and trip the filter-off
-    // guard. Priming by nearest member length claims it first.
+/// The layout splits a query's family: W - 3 long random subjects
+/// (900-960 residues) fill the first (longest) cohort together with the
+/// 3 longest of the `planted` members, followed by 10 W short random
+/// subjects and the members. Background first, then the members.
+struct SplitFamily {
+    db::Database database;
+    std::size_t first_member = 0;
+};
+
+SplitFamily split_family_database(int w, const std::vector<Sequence>& planted,
+                                  std::size_t family) {
+    Rng rng(447);
+    std::vector<Sequence> seqs;
+    for (int i = 0; i < w - 3; ++i) {
+        seqs.push_back(db::random_protein(rng, 900 + rng.below(60), "l"));
+    }
+    for (int i = 0; i < 10 * w; ++i) {
+        seqs.push_back(db::random_protein(rng, 100 + rng.below(150), "b"));
+    }
+    const std::size_t first_member = seqs.size();
+    seqs.insert(seqs.end(), planted.end() - static_cast<std::ptrdiff_t>(family),
+                planted.end());
+    return {db::Database("split", std::move(seqs)), first_member};
+}
+
+TEST(DatabaseScannerFunnel, FamilySplitAcrossCohortsIsHotAndPrunesBackground) {
+    // The first cohort claimed holds 3 family members among long random
+    // subjects; the other 9 come later. Every member clips the probe
+    // tile wherever it sits, so all of them reach the wide drain, tau
+    // is the family's k-th best before any background lane is decided,
+    // and the long subjects parked with the first cohort are pruned
+    // like the rest of the background.
     constexpr std::size_t kFamily = 12;
     constexpr std::size_t kTopK = 10;
     const db::ScanSample sample =
         db::make_scan_sample(kFamily + 1, {300}, kFamily, 443);
     const Sequence& q = sample.queries[0];
     ASSERT_GT(filter_tile_count(q.size()), 1u);
-    const std::vector<Sequence>& planted = sample.database.sequences();
 
     for (const simd::IsaLevel isa : supported_levels()) {
         const int w = lanes_u8(isa);
         const std::string label = "isa=" + std::string(simd::to_string(isa));
-        Rng rng(447);
-        std::vector<Sequence> seqs;
-        for (int i = 0; i < w - 3; ++i) {
-            seqs.push_back(db::random_protein(rng, 900 + rng.below(60), "l"));
-        }
-        for (int i = 0; i < 10 * w; ++i) {
-            seqs.push_back(db::random_protein(rng, 100 + rng.below(150), "b"));
-        }
-        const std::size_t first_member = seqs.size();
-        seqs.insert(seqs.end(), planted.end() - kFamily, planted.end());
-        const db::Database database("split", std::move(seqs));
+        const SplitFamily split =
+            split_family_database(w, sample.database.sequences(), kFamily);
+        const db::Database& database = split.database;
 
         // The split this test is about: some cohort holds a family
         // member although its mean length is over twice the query's.
         const InterleavedCohorts view =
             database.packed().interleaved(w).view();
         const std::uint32_t* order = database.packed().view().order;
-        bool split = false;
+        bool split_seen = false;
         for (std::size_t c = 0; c < view.count; ++c) {
             const CohortDesc& d = view.cohorts[c];
             for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
@@ -452,19 +476,132 @@ TEST(DatabaseScannerFunnel, FamilySplitAcrossCohortsPrimesByMemberLength) {
                 const std::uint32_t idx =
                     order != nullptr ? order[slot]
                                      : static_cast<std::uint32_t>(slot);
-                split |= idx >= first_member &&
-                         d.residues / d.lanes_used > 2 * q.size();
+                split_seen |= idx >= split.first_member &&
+                              d.residues / d.lanes_used > 2 * q.size();
             }
         }
-        ASSERT_TRUE(split) << label;
+        ASSERT_TRUE(split_seen) << label;
 
         const StripedAligner aligner(q.residues, blosum(), kGap, isa);
         const std::vector<core::Hit> want =
             exhaustive_topk(aligner, database, kTopK);
         const FunnelRun run = funnel_topk(aligner, database, kTopK);
         expect_same_hits(run.hits, want, label);
-        EXPECT_EQ(run.stats.filter_offs, 0u) << label;
+        EXPECT_EQ(run.stats.subjects_hot, kFamily) << label;
+        EXPECT_EQ(run.stats.subjects_pruned, split.first_member) << label;
+        for (const std::uint32_t idx : run.pruned) {
+            EXPECT_LT(idx, split.first_member) << label << ": member pruned";
+        }
+    }
+}
+
+TEST(DatabaseScannerFunnel, HotLanesAreDrainedBeforeAnyBackground) {
+    // A planted family whose every member clips u8 in the probe tile,
+    // longer than every background subject, so the layout puts it in
+    // the first cohort claimed. The members are drained at once, as
+    // hot lanes: tau exists before that cohort's background lanes are
+    // decided, no cohort is parked, the members are the only subjects
+    // exact-scored, and every background lane is pruned — none is
+    // scored blind.
+    constexpr std::size_t kFamily = 12;
+    const db::ScanSample sample =
+        db::make_scan_sample(kFamily + 1, {300}, kFamily, 443);
+    const Sequence& q = sample.queries[0];
+    ASSERT_GT(filter_tile_count(q.size()), 1u);
+    db::DatabaseSpec spec;
+    spec.name = "short";
+    spec.num_sequences = 300;
+    spec.length.min_len = 40;
+    spec.length.max_len = 250;
+    spec.seed = 451;
+    std::vector<Sequence> seqs = db::generate_database(spec);
+    const std::size_t background = seqs.size();
+    const std::vector<Sequence>& planted = sample.database.sequences();
+    seqs.insert(seqs.end(), planted.end() - kFamily, planted.end());
+    const db::Database database("hot", std::move(seqs));
+    for (std::size_t i = background; i < database.size(); ++i) {
+        ASSERT_GT(database[i].size(), spec.length.max_len);
+    }
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, database, 10);
+        const FunnelRun run = funnel_topk(aligner, database, 10);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.stats.subjects_hot, kFamily) << label;
+        EXPECT_EQ(run.stats.cohorts_parked, 0u) << label;
+        EXPECT_EQ(run.emitted, kFamily) << label;
+        for (const std::uint32_t idx : run.settled) {
+            EXPECT_GE(idx, background) << label << ": background scored";
+        }
+        EXPECT_EQ(run.pruned_calls, background) << label;
+        EXPECT_EQ(run.stats.subjects_pruned, background) << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, ShortFamilyBelowU8SettlesFromThePark) {
+    // A single-tile query whose family stays inside u8 in the probe:
+    // nothing is hot, so every cohort is parked. The parked walk takes
+    // the cohort with the largest first-tile bound first — the one
+    // holding the family — and its exact scores set tau, so the rest
+    // of the background is still pruned: no more than two cohorts'
+    // lanes are exact-scored (walked smallest bound first, the first
+    // cohort sets a background-level tau and nearly every subject is
+    // exact-scored).
+    constexpr std::size_t kFamily = 12;
+    const db::ScanSample sample = db::make_scan_sample(600, {50}, kFamily);
+    ASSERT_EQ(filter_tile_count(sample.queries[0].size()), 1u);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(sample.queries[0].residues, blosum(),
+                                     kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, sample.database, 10);
+        const FunnelRun run = funnel_topk(aligner, sample.database, 10);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.emitted + run.pruned_calls, sample.database.size())
+            << label;
+        EXPECT_EQ(run.stats.subjects_hot, 0u) << label;
+        EXPECT_GT(run.stats.cohorts_parked, 0u) << label;
         EXPECT_GT(run.stats.subjects_pruned, 0u) << label;
+        EXPECT_LE(run.emitted, 2u * static_cast<unsigned>(lanes_u8(isa)))
+            << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, ThreadedEngineMatchesOneThreadOnSplitFamily) {
+    // Three CpuEngine workers claim the split-family cohorts and race
+    // the shared threshold; each parks and drains its own cohorts. The
+    // merged top-k must equal the one-thread run's and the oracle's.
+    constexpr std::size_t kFamily = 12;
+    const db::ScanSample sample =
+        db::make_scan_sample(kFamily + 1, {300}, kFamily, 443);
+    const Sequence& q = sample.queries[0];
+    const ScoreMatrix& matrix = blosum();
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const SplitFamily split = split_family_database(
+            lanes_u8(isa), sample.database.sequences(), kFamily);
+        engines::EngineConfig config;
+        config.matrix = &matrix;
+        config.gap = kGap;
+        config.top_k = 10;
+        config.isa = isa;
+        const std::vector<core::Hit> want = exhaustive_topk(
+            StripedAligner(q.residues, matrix, kGap, isa), split.database,
+            10);
+        const core::TaskResult one = engines::CpuEngine(config, 1).execute(
+            q, 0, 0, split.database, nullptr);
+        expect_same_hits(one.hits, want, label + " threads=1");
+        for (int round = 0; round < 3; ++round) {
+            const core::TaskResult three =
+                engines::CpuEngine(config, 3).execute(q, 0, 0, split.database,
+                                                      nullptr);
+            expect_same_hits(three.hits, one.hits,
+                             label + " threads=3 round " +
+                                 std::to_string(round));
+        }
     }
 }
 

@@ -368,6 +368,89 @@ TEST(UngappedKernels, EarlyExitPrunesOnlyBelowTauAcrossIsaLevels) {
     }
 }
 
+TEST(UngappedKernels, ResumedSweepMatchesOneFullCall) {
+    // The scan funnel probes a cohort's first filter tile before tau
+    // exists and resumes the sweep at the second tile later, handing
+    // the tile-1 bounds back in lane_bound. Resumed, the sweep must
+    // return exactly the bounds, saturated mask and tile counts of one
+    // call from row 0 — the probe's tile counted once — on a multi-tile
+    // query and on a single-tile one (where resuming only decides).
+    Rng rng(263);
+    for (const std::size_t qlen : {2 * kFilterTileRows + 51, std::size_t{100}}) {
+        const auto q = db::random_protein(rng, qlen, "q").residues;
+        const InterseqProfile prof = build_interseq_profile(q, blosum());
+        const std::size_t rows = filter_tile_rows(qlen);
+        const std::size_t tiles = filter_tile_count(qlen);
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const int W = lanes_u8(isa);
+            const std::string label =
+                std::string(simd::to_string(isa)) +
+                " qlen=" + std::to_string(qlen);
+            auto subjects =
+                random_subjects(rng, static_cast<std::size_t>(W), 20, 500);
+            // On a multi-tile query, lanes 0 and 1 carry a verbatim copy
+            // of the query rows past the first tile: they clip a later
+            // tile, never the probed one.
+            if (tiles > 1) {
+                for (std::size_t l = 0; l < 2; ++l) {
+                    subjects[l].assign(q.begin() + static_cast<std::ptrdiff_t>(rows),
+                                       q.end());
+                }
+            }
+            std::size_t columns = 0;
+            for (const auto& s : subjects) {
+                columns = std::max(columns, s.size());
+            }
+            const std::vector<Code> cols = interleave(subjects, W, columns);
+
+            ScanScratch scratch;
+            std::uint8_t probe[64];
+            ASSERT_EQ(sw_ungapped_interseq_u8(prof, cols.data(), columns,
+                                              kGap, isa, scratch, probe, 0,
+                                              rows),
+                      0u)
+                << label;
+            std::size_t compared = 0;
+            bool saturated_seen = false;
+            for (const Score tau : {-5, 0, 1, 40, 90, 150, 250, 400, 1000,
+                                    100000}) {
+                const std::string at = label + " tau=" + std::to_string(tau);
+                Score full[64];
+                const FilterSweep one = sw_ungapped_tiled_u8(
+                    prof, cols.data(), columns, kGap, isa, scratch, tau, full);
+                // A cohort decided before its first tile is never probed
+                // and resumed; nothing to compare.
+                if (one.tiles == 0) continue;
+                ++compared;
+                Score resumed[64];
+                std::copy_n(probe, W, resumed);
+                const FilterSweep rest = sw_ungapped_tiled_u8(
+                    prof, cols.data(), columns, kGap, isa, scratch, tau,
+                    resumed, rows);
+                EXPECT_EQ(rest.tiles + 1, one.tiles) << at;
+                EXPECT_EQ(rest.tiles_skipped, one.tiles_skipped) << at;
+                EXPECT_EQ(rest.saturated, one.saturated) << at;
+                saturated_seen |= one.saturated != 0;
+                for (int l = 0; l < W; ++l) {
+                    EXPECT_EQ(resumed[l], full[l]) << at << " lane=" << l;
+                }
+                if (tiles == 1) EXPECT_EQ(rest.tiles, 0u) << at;
+
+                // Lanes outside `lanes` are neither reported saturated
+                // nor keep the sweep going.
+                std::copy_n(probe, W, resumed);
+                const FilterSweep masked = sw_ungapped_tiled_u8(
+                    prof, cols.data(), columns, kGap, isa, scratch, tau,
+                    resumed, rows, ~std::uint64_t{3});
+                EXPECT_EQ(masked.saturated & 3u, 0u) << at;
+                EXPECT_LE(masked.tiles, rest.tiles) << at;
+            }
+            EXPECT_GT(compared, 3u) << label;
+            if (tiles > 1) EXPECT_TRUE(saturated_seen) << label;
+        }
+    }
+}
+
 TEST(UngappedKernels, CompositionCapIsExactPastTheI16Range) {
     // Trp-rich subjects longer than one i16 accumulator chunk (32767 /
     // max_raw columns): a cap that wrapped or clipped at 32767 would

@@ -138,7 +138,8 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "engine.cpu.filter.tau",
         "engine.cpu.filter.cohorts",
         "engine.cpu.filter.pruned",
-        "engine.cpu.filter.offs",
+        "engine.cpu.filter.hot",
+        "engine.cpu.filter.parked",
         "engine.cpu.filter.saturated",
         "engine.cpu.filter.tiles",
         "engine.cpu.filter.tiles_skipped",
@@ -152,9 +153,11 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "scan.dispatch.subjects_striped",
     };
     EXPECT_EQ(names, want);
-    // Every subject is either pruned or scored on one route.
+    // Every subject is either pruned, hot (settled by the wide drain)
+    // or scored on one route.
     EXPECT_GT(snap.counter("engine.cpu.filter.pruned"), 0u);
     EXPECT_EQ(snap.counter("engine.cpu.filter.pruned") +
+                  snap.counter("engine.cpu.filter.hot") +
                   snap.counter("scan.dispatch.subjects_interseq") +
                   snap.counter("scan.dispatch.subjects_compacted") +
                   snap.counter("scan.dispatch.subjects_striped"),
