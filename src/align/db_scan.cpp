@@ -25,6 +25,18 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     return *this;
 }
 
+simd::IsaLevel DatabaseScanner::drain_isa(std::size_t lanes) const {
+    const simd::IsaLevel own = aligner_->isa();
+    for (const simd::IsaLevel isa :
+         {simd::IsaLevel::SSE2, simd::IsaLevel::AVX2}) {
+        if (isa < own && simd::is_supported(isa) &&
+            lanes * 2 <= static_cast<std::size_t>(lanes_u8(isa))) {
+            return isa;
+        }
+    }
+    return own;
+}
+
 DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
                                  PackedSubjects subjects, std::size_t chunk,
                                  InterleavedCohorts cohorts,

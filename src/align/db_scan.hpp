@@ -20,11 +20,12 @@
 // DESIGN.md "Prefilter funnel" for the soundness argument.
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
-// the (rare) overflowed ones; stage 3 settles the deferred batch — in
-// cohort mode by re-packing length-adjacent groups into dense scratch
-// cohorts for one i16 inter-sequence pass each (scalar int32 for the
-// rare lane that saturates 16 bits too), serial striped i16 only for
-// sub-batch remainders and the packed path.
+// the (rare) overflowed ones; stage 3 settles the deferred batch and the
+// hot lanes — in cohort mode by re-packing length-adjacent groups into
+// dense scratch cohorts for one i16 inter-sequence pass each, at the
+// narrowest SIMD width whose lo half-vector holds the group (scalar
+// int32 for the rare lane that saturates 16 bits too); serial striped
+// i16 only on the packed path.
 //
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
@@ -112,19 +113,6 @@ public:
     /// kernel, when it is too small to meet the fill bar.
     static constexpr std::uint32_t kFunnelStripedCutover = 4;
 
-    /// Minimum deferred-overflow group size before the stage-3 drain
-    /// re-packs it into a dense cohort for one i16 inter-sequence pass
-    /// instead of serial striped i16 rescores. The cohort pass pays a
-    /// fixed full-width sweep whether or not every lane is real, but
-    /// runs ~5x more lane-cells/s on long queries (the striped i16
-    /// profile re-streams from L2+ for every subject; the inter-
-    /// sequence pass reads one 32-byte LUT row per cell) and the
-    /// lo-half kernel variant halves the fixed cost again for
-    /// half-width groups — break-even measures ~6 lanes half-width,
-    /// ~13 full-width. Deferred lanes are homolog families of similar
-    /// length, so groups at this bar are the common case.
-    static constexpr std::size_t kEscalateBatchMin = 8;
-
     /// Scan counters, one struct for the whole scanner. Each worker
     /// tallies into a private instance and merges it into the scanner
     /// total once, at the end of run_worker; stats() reads the total
@@ -143,8 +131,8 @@ public:
         std::uint64_t cohorts_compacted = 0;
         std::uint64_t cohorts_striped = 0;
         std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
-        /// Dense i16 escalation cohorts the stage-3 drain assembled
-        /// from deferred u8-overflow lanes.
+        /// i16 inter-sequence passes of the stage-3 drain: one per
+        /// cliff group of deferred u8-overflow and hot lanes.
         std::uint64_t escalations16 = 0;
         std::uint64_t subjects_interseq = 0;
         std::uint64_t subjects_compacted = 0;
@@ -276,6 +264,14 @@ private:
         return lanes >= 64 ? ~std::uint64_t{0}
                            : (std::uint64_t{1} << lanes) - 1;
     }
+
+    /// ISA level of the stage-3 i16 pass over a cliff group of `lanes`
+    /// lanes: the narrowest level, no wider than the aligner's, that is
+    /// compiled in, runs on this CPU and holds the group in its lo i16
+    /// half-vector (SSE2 up to 8 lanes, AVX2 up to 16); the aligner's
+    /// own level otherwise. Every level runs the same exact dataflow
+    /// per lane, so only the throughput depends on the choice.
+    simd::IsaLevel drain_isa(std::size_t lanes) const;
 
     std::uint32_t slot_index(std::size_t slot) const {
         return subjects_.order != nullptr ? subjects_.order[slot]
@@ -652,14 +648,13 @@ private:
         return true;
     }
 
-    /// Interleaves `count` subjects (original indices, count <= W)
-    /// column-major into `repack` — exactly the layout's cohort
-    /// geometry, pad sentinel past each lane's length — and returns
-    /// the column count (the longest member's length).
+    /// Interleaves `count` subjects (original indices, count <= w)
+    /// column-major into `repack` at width `w` — the layout's cohort
+    /// geometry at that width, pad sentinel past each lane's length —
+    /// and returns the column count (the longest member's length).
     SWH_HOT_PATH std::uint32_t pack_dense(const std::uint32_t* batch,
-                                          std::size_t count,
+                                          std::size_t count, std::size_t w,
                                           std::vector<Code>& repack) const {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
         std::uint32_t columns = 0;
         for (std::size_t i = 0; i < count; ++i) {
             columns = std::max(columns, subjects_.lengths[batch[i]]);
@@ -718,7 +713,8 @@ private:
                     return k;
                 }
                 ++t.repacks;
-                const std::uint32_t packed = pack_dense(batch, count, repack);
+                const std::uint32_t packed =
+                    pack_dense(batch, count, w, repack);
                 return score_interseq(
                     repack.data(), packed, lane_mask(count),
                     /*compacted=*/true,
@@ -732,16 +728,14 @@ private:
         return keep;
     }
 
-    /// Stage-3 drain of this worker's deferred u8-overflow batch:
-    /// cliff groups of kEscalateBatchMin+ are packed densely and
-    /// settled by ONE i16 inter-sequence pass each, with the lo-half
-    /// kernel variant when the group fits half the lanes — a serial
-    /// drain of a homolog family re-streams the wide striped profile
-    /// from L2+ once per subject, and dominates long-query scans.
-    /// Lanes the i16 pass itself flags as saturated go straight to the
-    /// exact int32 rescore (the striped i16 attempt rescore_wide would
-    /// run first is already proven futile). Sub-batch remainders keep
-    /// the serial path, whose fixed cost is lower. Leaves `overflow`
+    /// Stage-3 drain of this worker's deferred u8-overflow and hot
+    /// lanes: each cliff group is packed densely and settled by ONE i16
+    /// inter-sequence pass, at drain_isa(count) — the narrowest width
+    /// whose lo half-vector holds the group, so a homolog family of a
+    /// few lanes fills its vectors instead of padding a full-width
+    /// pass. Lanes the i16 pass itself flags as saturated go straight
+    /// to the exact int32 rescore (the striped i16 attempt rescore_wide
+    /// would run first is already proven futile). Leaves `overflow`
     /// empty.
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
@@ -752,24 +746,17 @@ private:
         const bool keep = cliff_groups(
             overflow, [&](const std::uint32_t* batch, std::size_t count,
                           std::uint64_t) {
-                bool k = true;
-                if (count < kEscalateBatchMin) {
-                    for (std::size_t i = 0; i < count && k; ++i) {
-                        const Score s = aligner_->rescore_wide(
-                            subjects_.subject(batch[i]), scratch,
-                            /*trusted=*/true);
-                        ++t.settled_wide;
-                        k = emit(batch[i], subjects_.lengths[batch[i]], s);
-                    }
-                    return k;
-                }
                 ++t.escalations16;
+                const simd::IsaLevel isa = drain_isa(count);
                 std::int16_t lane_best[64];
-                const std::uint32_t columns = pack_dense(batch, count, repack);
+                const std::uint32_t columns = pack_dense(
+                    batch, count, static_cast<std::size_t>(lanes_u8(isa)),
+                    repack);
                 const std::uint64_t ovf = sw_interseq_i16_tiled(
                     *aligner_->interseq(), repack.data(), columns,
-                    aligner_->gap(), aligner_->isa(), scratch, colstate,
-                    lane_best, count);
+                    aligner_->gap(), isa, scratch, colstate, lane_best,
+                    count);
+                bool k = true;
                 std::uint64_t settled16 = 0;
                 for (std::size_t i = 0; i < count && k; ++i) {
                     const std::uint32_t idx = batch[i];

@@ -231,10 +231,10 @@ TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
 
 TEST(DatabaseScannerFunnel, BatchedEscalationBitIdentical) {
     // Every member of the query's planted family overflows u8, and the
-    // family's near-equal lengths put 8+ of them in one cliff group, so
-    // the stage-3 drain settles them with one dense i16 inter-sequence
-    // pass (escalations16) — in the exhaustive scan's end-of-run drain
-    // and in the funnel's per-claim drain alike.
+    // family's near-equal lengths put them in few cliff groups, so the
+    // stage-3 drain settles them with dense i16 inter-sequence passes
+    // (escalations16) — in the exhaustive scan's end-of-run drain and
+    // in the funnel's per-claim drain alike.
     const db::ScanSample sample = db::make_scan_sample(300, {300});
     for (const simd::IsaLevel isa : supported_levels()) {
         const StripedAligner aligner(sample.queries[0].residues, blosum(),
@@ -247,6 +247,28 @@ TEST(DatabaseScannerFunnel, BatchedEscalationBitIdentical) {
         expect_same_hits(run.hits, want, label);
         EXPECT_GT(exhaustive.escalations16, 0u) << label;
         EXPECT_GT(run.stats.escalations16, 0u) << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, SmallFamilyDrainsInOneInterseqPass) {
+    // A family of 3 is a cliff group of a few lanes: the drain still
+    // settles it with a dense i16 inter-sequence pass, at the narrowest
+    // width that holds it, never one striped rescore per member. Every
+    // wide settlement is a hot lane, and the top-k is the oracle's.
+    constexpr std::size_t kFamily = 3;
+    const db::ScanSample sample =
+        db::make_scan_sample(300, {300}, kFamily, 457);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(sample.queries[0].residues, blosum(),
+                                     kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, sample.database, 10);
+        const FunnelRun run = funnel_topk(aligner, sample.database, 10);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.stats.subjects_hot, kFamily) << label;
+        EXPECT_GT(run.stats.escalations16, 0u) << label;
+        EXPECT_EQ(run.stats.settled_wide, run.stats.subjects_hot) << label;
     }
 }
 

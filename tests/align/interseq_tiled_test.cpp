@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "align/interseq.hpp"
@@ -256,6 +258,70 @@ TEST(InterseqTiledKernels, I16LoHalfHintBitIdentical) {
                 EXPECT_EQ(lo[l], want)
                     << "isa=" << simd::to_string(isa) << " qlen=" << qlen
                     << " lane=" << l;
+            }
+        }
+    }
+}
+
+TEST(InterseqTiledKernels, I16GroupBitIdenticalAtEveryWidthThatHoldsIt) {
+    // The scanner's stage-3 drain packs each cliff group at the
+    // narrowest width that holds it. A group of n lanes must score the
+    // same at every width it fits — per-lane scores and overflow bits
+    // alike, whichever of the lo-half and full kernels the lanes_used
+    // hint selects — and match the scalar oracle; a width-16 build
+    // (no AVX2) checks only the groups it holds. Lane n/2 is a long
+    // near-self match that saturates i16 (~60 per residue over 600
+    // rows), so a narrow group's overflow bit is pinned down too.
+    Rng rng(239);
+    const std::size_t qlen = 600;
+    const std::vector<Code> q = db::random_protein(rng, qlen, "q").residues;
+    const ScoreMatrix matrix =
+        ScoreMatrix::match_mismatch(Alphabet::protein(), 60, -4);
+    const InterseqProfile prof = build_interseq_profile(q, matrix);
+    std::vector<Code> near_self = q;
+    for (std::size_t i = 50; i < qlen; i += 100) {
+        near_self[i] = static_cast<Code>((near_self[i] + 1) % prof.symbols);
+    }
+
+    const std::size_t groups[] = {1, 7, 8, 9, 16, 17, 32, 33};
+    for (const std::size_t n : groups) {
+        auto subjects = random_subjects(rng, n, 100, 400);
+        subjects[n / 2] = near_self;
+        std::size_t columns = 0;
+        for (const auto& s : subjects) columns = std::max(columns, s.size());
+
+        bool first = true;
+        std::int16_t want[64];
+        std::uint64_t want_ovf = 0;
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const int W = lanes_u8(isa);
+            if (static_cast<std::size_t>(W) < n) continue;
+            const std::vector<Code> cols = interleave(subjects, W, columns);
+            ScanScratch scratch;
+            InterseqColumnState state;
+            std::int16_t best[64];
+            const std::uint64_t ovf = sw_interseq_i16_tiled(
+                prof, cols.data(), columns, kGap, isa, scratch, state, best,
+                n);
+            const std::string label = "isa=" +
+                                      std::string(simd::to_string(isa)) +
+                                      " n=" + std::to_string(n);
+            EXPECT_TRUE((ovf >> (n / 2)) & 1) << label;
+            if (first) {
+                first = false;
+                want_ovf = ovf;
+                std::copy_n(best, n, want);
+                for (std::size_t l = 0; l < n; ++l) {
+                    if ((ovf >> l) & 1) continue;
+                    EXPECT_EQ(static_cast<Score>(best[l]),
+                              sw_score_affine(q, subjects[l], matrix, kGap))
+                        << label << " lane=" << l;
+                }
+                continue;
+            }
+            EXPECT_EQ(ovf, want_ovf) << label;
+            for (std::size_t l = 0; l < n; ++l) {
+                EXPECT_EQ(best[l], want[l]) << label << " lane=" << l;
             }
         }
     }
