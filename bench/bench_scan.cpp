@@ -412,13 +412,11 @@ int main(int argc, char** argv) {
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
             << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted
             << ", \"cohorts_striped\": " << r.dispatch.cohorts_striped
-            << ", \"repacks\": " << r.dispatch.repacks
             << ", \"escalations16\": "
             << r.dispatch.escalations16 + r.funnel.escalations16
             << ", \"subjects_interseq\": " << r.dispatch.subjects_interseq
             << ", \"subjects_compacted\": " << r.dispatch.subjects_compacted
             << ", \"subjects_striped\": " << r.dispatch.subjects_striped
-            << ", \"funnel_repacks\": " << r.funnel.repacks
             << ", \"funnel_escalations16\": " << r.funnel.escalations16
             << ", \"funnel_cohorts_interseq\": " << r.funnel.cohorts_interseq
             << ", \"funnel_subjects_interseq\": "

@@ -8,7 +8,6 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     cohorts_interseq += o.cohorts_interseq;
     cohorts_compacted += o.cohorts_compacted;
     cohorts_striped += o.cohorts_striped;
-    repacks += o.repacks;
     escalations16 += o.escalations16;
     subjects_interseq += o.subjects_interseq;
     subjects_compacted += o.subjects_compacted;

@@ -32,12 +32,10 @@
 // dispatches per cohort: well-filled cohorts are scored W subjects at a
 // time by the query-tiled inter-sequence u8 kernel (one tile is the
 // short-query case), while cohorts below the query-length-dependent
-// fill bar fall back to the striped kernel per subject. Survivors of
-// mostly-pruned cohorts and the deferred overflow batch go through the
-// same re-pack (cliff_groups + pack_dense) into dense scratch cohorts
-// instead of masking dead lanes. The emit contract (exactly one
-// settled score per non-pruned subject, original db_index) is the same
-// on every path.
+// fill bar fall back to the striped kernel per subject, as do the few
+// survivors of a mostly-pruned interseq cohort instead of masking its
+// dead lanes. The emit contract (exactly one settled score per
+// non-pruned subject, original db_index) is the same on every path.
 //
 // The scanner consumes non-owning views so swh_align stays independent
 // of swh_db (which produces the views, see db::PackedDatabase).
@@ -106,11 +104,8 @@ public:
     /// Partial-survivor cutover: when the prefilter leaves an
     /// interseq-route cohort with at most 1/kFunnelStripedCutover of
     /// its used lanes, running the full-width kernel on it would waste
-    /// most of its fixed cost on dead lanes. The survivors are instead
-    /// batched worker-locally and re-packed W at a time into a dense
-    /// scratch cohort (see flush_repack); only the sub-width remainder
-    /// of a worker's final batch still falls back to the striped
-    /// kernel, when it is too small to meet the fill bar.
+    /// most of its fixed cost on dead lanes, so the survivors are
+    /// scored per subject by the striped kernel instead.
     static constexpr std::uint32_t kFunnelStripedCutover = 4;
 
     /// Scan counters, one struct for the whole scanner. Each worker
@@ -120,17 +115,16 @@ public:
     ///
     /// Exact-stage routes: `cohorts_interseq` counts every cohort
     /// scored by the inter-sequence u8 kernel; `cohorts_compacted`
-    /// (layout-compacted membership or a worker-side repack) is a
-    /// subset of it; `cohorts_striped` counts fill-bar rejections
-    /// scored per subject by the striped kernel. Subjects deferred to
-    /// the wide rescore count under the kernel that deferred them, hot
-    /// ones in `subjects_hot`; pruned subjects appear in none of the
+    /// (layout-compacted membership) is a subset of it;
+    /// `cohorts_striped` counts fill-bar rejections scored per subject
+    /// by the striped kernel. Subjects deferred to the wide rescore
+    /// count under the kernel that deferred them, hot ones in
+    /// `subjects_hot`; pruned subjects appear in none of the
     /// `subjects_*` fields.
     struct Stats {
         std::uint64_t cohorts_interseq = 0;
         std::uint64_t cohorts_compacted = 0;
         std::uint64_t cohorts_striped = 0;
-        std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
         /// i16 inter-sequence passes of the stage-3 drain: one per
         /// cliff group of deferred u8-overflow and hot lanes.
         std::uint64_t escalations16 = 0;
@@ -382,10 +376,9 @@ private:
     /// layout order. Stage 1 prunes lanes when the threshold feed is
     /// live, stage 2 exact-scores the survivors on the cohort's route —
     /// inter-sequence for well-filled cohorts, per-subject striped for
-    /// the low-fill rest — batching the survivors of mostly-pruned
-    /// interseq cohorts into dense repacked cohorts instead of masking
-    /// dead lanes. Until the threshold exists a claimed cohort is only
-    /// probed (probe_cohort): its hot lanes are drained at once, and
+    /// the low-fill rest and for the few survivors of mostly-pruned
+    /// interseq cohorts. Until the threshold exists a claimed cohort is
+    /// only probed (probe_cohort): its hot lanes are drained at once, and
     /// its other lanes are resumed from the second tile if that raised
     /// the threshold, or parked. Parked cohorts settle after the last
     /// claim, largest first-tile bound first: resumed once a threshold
@@ -402,10 +395,8 @@ private:
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
         const std::size_t qlen = aligner_->interseq()->query_len;
         InterseqColumnState colstate;
-        // Survivor batch for the repack path and the dense repack
-        // scratch; both stay empty (no allocation) until the prefilter
-        // starves a cohort below the cutover or a batch escalates.
-        std::vector<std::uint32_t> pending;
+        // Dense scratch of the stage-3 drain; stays empty (no
+        // allocation) until a batch escalates.
         std::vector<Code> repack;
         // Probed cohorts waiting for a threshold; stays empty (no
         // allocation) on exhaustive scans and once the threshold exists.
@@ -425,34 +416,22 @@ private:
                 k = pruned(idx, subjects_.lengths[idx]);
             }
             if (!k || survive == 0) return k;
-            if (interseq_[c] == 0) {
-                ++t.cohorts_striped;
-                for (std::uint64_t m = survive; m != 0 && k; m &= m - 1) {
-                    k = score_striped(
-                        member_index(d, static_cast<std::uint32_t>(
-                                            std::countr_zero(m))),
-                        scratch, emit, overflow, t);
-                }
-            } else if (static_cast<std::uint32_t>(std::popcount(survive)) *
-                           kFunnelStripedCutover >
-                       d.lanes_used) {
-                k = score_interseq(
-                    cohorts_.arena + d.offset, d.columns, survive,
-                    (d.flags & CohortDesc::kCompacted) != 0,
-                    [&](std::uint32_t l) { return member_index(d, l); },
-                    scratch, colstate, emit, overflow, t);
-            } else {
-                // Below the survivor cutover: running the full-width
-                // kernel would waste most of its fixed cost on pruned
-                // lanes. Batch the survivors; they are re-packed into
-                // dense cohorts at claim end.
-                for (std::uint64_t m = survive; m != 0; m &= m - 1) {
-                    // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
-                    // survivor batch; capacity is retained across
-                    // flushes, growth amortizes out.
-                    pending.push_back(member_index(
-                        d, static_cast<std::uint32_t>(std::countr_zero(m))));
-                }
+            if (interseq_[c] != 0 &&
+                static_cast<std::uint32_t>(std::popcount(survive)) *
+                        kFunnelStripedCutover >
+                    d.lanes_used) {
+                return score_interseq(d, survive, scratch, colstate, emit,
+                                      overflow, t);
+            }
+            // Below the fill bar, or below the survivor cutover: a
+            // full-width pass would waste most of its fixed cost on
+            // pad or pruned lanes.
+            if (interseq_[c] == 0) ++t.cohorts_striped;
+            for (std::uint64_t m = survive; m != 0 && k; m &= m - 1) {
+                k = score_striped(
+                    member_index(d, static_cast<std::uint32_t>(
+                                        std::countr_zero(m))),
+                    scratch, emit, overflow, t);
             }
             return k;
         };
@@ -473,23 +452,14 @@ private:
             }
             return settle(p.cohort, p.lanes, survive);
         };
-        // Claim-end work: full survivor batches become dense repacked
-        // cohorts, before the overflow drain so their deferred lanes
-        // join it; with the prefilter armed the deferred lanes settle
-        // now instead of at end of run — the u8-overflowed lanes ARE
-        // the likely top scorers, and the threshold can only rise once
-        // their exact scores reach the caller.
+        // Claim-end work: with the prefilter armed the deferred lanes
+        // settle now instead of at end of run — the u8-overflowed lanes
+        // ARE the likely top scorers, and the threshold can only rise
+        // once their exact scores reach the caller.
         const auto flush = [&] {
-            bool k = true;
-            if (pending.size() >= w) {
-                k = flush_repack(pending, /*force=*/false, scratch, colstate,
-                                 repack, emit, overflow, t);
-            }
-            if (k && threshold_ != nullptr && !overflow.empty()) {
-                k = drain_overflow(overflow, scratch, colstate, repack, emit,
-                                   t);
-            }
-            return k;
+            if (threshold_ == nullptr || overflow.empty()) return true;
+            return drain_overflow(overflow, scratch, colstate, repack, emit,
+                                  t);
         };
 
         while (keep) {
@@ -557,15 +527,10 @@ private:
             keep = finish(parked[i]);
             if (keep) keep = flush();
         }
-        if (keep && !pending.empty()) {
-            keep = flush_repack(pending, /*force=*/true, scratch, colstate,
-                                repack, emit, overflow, t);
-        }
         // Exhaustive scans arrive here with the whole run's deferred
-        // batch, armed scans with at most the final flush's stragglers;
-        // either way the batched drain settles it, so run_worker's
-        // serial fallback only ever serves the packed claim_subjects
-        // path.
+        // batch (armed scans drained theirs at every flush); the batched
+        // drain settles it, so run_worker's serial fallback only ever
+        // serves the packed claim_subjects path.
         if (keep && !overflow.empty()) {
             keep = drain_overflow(overflow, scratch, colstate, repack, emit,
                                   t);
@@ -573,30 +538,29 @@ private:
         return keep;
     }
 
-    /// Exact stage of one inter-sequence cohort: `columns` column-major
-    /// residue columns scored by the (query-tiled) u8 kernel, then the
-    /// lanes in `lanes` settled — lane l is subject index_of(l), and
+    /// Exact stage of inter-sequence cohort d: its columns scored by
+    /// the (query-tiled) u8 kernel, then the lanes in `lanes` settled;
     /// overflowed lanes join `overflow` for the wide-rescore stages.
-    template <class IndexFn, class EmitFn>
-    SWH_HOT_PATH bool score_interseq(const Code* cols, std::uint32_t columns,
-                                     std::uint64_t lanes, bool compacted,
-                                     IndexFn&& index_of, ScanScratch& scratch,
+    template <class EmitFn>
+    SWH_HOT_PATH bool score_interseq(const CohortDesc& d, std::uint64_t lanes,
+                                     ScanScratch& scratch,
                                      InterseqColumnState& colstate,
                                      EmitFn&& emit,
                                      std::vector<std::uint32_t>& overflow,
                                      Stats& t) {
+        const bool compacted = (d.flags & CohortDesc::kCompacted) != 0;
         ++t.cohorts_interseq;
         if (compacted) ++t.cohorts_compacted;
         std::uint64_t& subj =
             compacted ? t.subjects_compacted : t.subjects_interseq;
         std::uint8_t lane_best[64];
         const std::uint64_t ovf = sw_interseq_u8_tiled(
-            *aligner_->interseq(), cols, columns, aligner_->gap(),
-            aligner_->isa(), scratch, colstate, lane_best);
+            *aligner_->interseq(), cohorts_.arena + d.offset, d.columns,
+            aligner_->gap(), aligner_->isa(), scratch, colstate, lane_best);
         bool keep = true;
         for (std::uint64_t m = lanes; m != 0 && keep; m &= m - 1) {
             const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
-            const std::uint32_t idx = index_of(l);
+            const std::uint32_t idx = member_index(d, l);
             ++subj;
             if ((ovf >> l) & 1) {
                 // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): deferred
@@ -616,8 +580,8 @@ private:
     /// residues keep kInterseqMinFillPct of the group's full-width
     /// columns (the layout compaction's fill rule), so a straggler
     /// long subject never forces pad columns onto a run of short ones.
-    /// Calls group(first, count, residues) per group — `first` points
-    /// into `batch` — until it returns false; returns false iff it did.
+    /// Calls group(first, count) per group — `first` points into
+    /// `batch` — until it returns false; returns false iff it did.
     template <class GroupFn>
     SWH_HOT_PATH bool cliff_groups(std::vector<std::uint32_t>& batch,
                                    GroupFn&& group) const {
@@ -642,7 +606,7 @@ private:
                 residues = next;
                 ++end;
             }
-            if (!group(batch.data() + at, end - at, residues)) return false;
+            if (!group(batch.data() + at, end - at)) return false;
             at = end;
         }
         return true;
@@ -671,63 +635,6 @@ private:
         return columns;
     }
 
-    /// Re-packs batched funnel survivors into dense scratch cohorts
-    /// and scores them with the inter-sequence u8 kernel. Parked
-    /// cohorts settle out of layout order, so the batch is cliff-split
-    /// (cliff_groups) before packing. Without `force`, only full-width groups run (a blocked
-    /// group waits for more survivors); with `force`, every group is
-    /// settled — inter-sequence when its full-width fill still meets
-    /// the dispatch bar, striped per subject otherwise (long isolated
-    /// survivors run near striped peak anyway). Overflowed lanes join
-    /// `overflow` for the wide-rescore stages.
-    template <class EmitFn>
-    SWH_HOT_PATH bool flush_repack(std::vector<std::uint32_t>& pending,
-                                   bool force, ScanScratch& scratch,
-                                   InterseqColumnState& colstate,
-                                   std::vector<Code>& repack, EmitFn&& emit,
-                                   std::vector<std::uint32_t>& overflow,
-                                   Stats& t) {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        const std::uint64_t bar =
-            min_fill_pct(aligner_->interseq()->query_len);
-        std::size_t kept = 0;
-        const bool keep = cliff_groups(
-            pending, [&](const std::uint32_t* batch, std::size_t count,
-                         std::uint64_t residues) {
-                if (!force && count < w) {
-                    // Blocked group: keep it pending for later
-                    // survivors (order is restored by the next flush's
-                    // sort; `kept` never passes `batch`).
-                    for (std::size_t i = 0; i < count; ++i) {
-                        pending[kept++] = batch[i];
-                    }
-                    return true;
-                }
-                const std::uint64_t columns = subjects_.lengths[batch[0]];
-                if (residues * 100 < columns * w * bar) {
-                    bool k = true;
-                    for (std::size_t i = 0; i < count && k; ++i) {
-                        k = score_striped(batch[i], scratch, emit, overflow,
-                                          t);
-                    }
-                    return k;
-                }
-                ++t.repacks;
-                const std::uint32_t packed =
-                    pack_dense(batch, count, w, repack);
-                return score_interseq(
-                    repack.data(), packed, lane_mask(count),
-                    /*compacted=*/true,
-                    [batch](std::uint32_t l) { return batch[l]; }, scratch,
-                    colstate, emit, overflow, t);
-            });
-        // On cancellation (keep == false) the worker is aborting: the
-        // un-flushed tail is abandoned like any other unclaimed work.
-        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): shrinks only.
-        pending.resize(keep ? kept : 0);
-        return keep;
-    }
-
     /// Stage-3 drain of this worker's deferred u8-overflow and hot
     /// lanes: each cliff group is packed densely and settled by ONE i16
     /// inter-sequence pass, at drain_isa(count) — the narrowest width
@@ -744,8 +651,7 @@ private:
                                      std::vector<Code>& repack, EmitFn&& emit,
                                      Stats& t) {
         const bool keep = cliff_groups(
-            overflow, [&](const std::uint32_t* batch, std::size_t count,
-                          std::uint64_t) {
+            overflow, [&](const std::uint32_t* batch, std::size_t count) {
                 ++t.escalations16;
                 const simd::IsaLevel isa = drain_isa(count);
                 std::int16_t lane_best[64];

@@ -8,8 +8,6 @@ const char* to_string(PeKind kind) {
             return "sse";
         case PeKind::Gpu:
             return "gpu";
-        case PeKind::Fpga:
-            return "fpga";
     }
     return "?";
 }

@@ -14,7 +14,7 @@ constexpr PeId kInvalidPe = ~PeId{0};
 /// scheduler itself is kind-agnostic (it learns speeds from observed
 /// progress); the kind is kept for reporting and for the WFixed baseline,
 /// which distributes by *declared* power per kind (Meng & Chaudhary).
-enum class PeKind : std::uint8_t { SseCore, Gpu, Fpga };
+enum class PeKind : std::uint8_t { SseCore, Gpu };
 
 const char* to_string(PeKind kind);
 

@@ -18,15 +18,13 @@ namespace swh::engines {
 void export_scan_stats(const align::DatabaseScanner::Stats& s,
                        obs::MetricsRegistry& metrics) {
     // Route breakdown: why each cohort took the path it did —
-    // compacted (ragged membership, layout- or funnel-repacked; a
-    // subset of cohorts_interseq) or striped-head (fill below the
-    // dispatch bar).
+    // compacted (ragged layout membership; a subset of
+    // cohorts_interseq) or striped-head (fill below the dispatch bar).
     metrics.counter("scan.dispatch.cohorts_interseq").add(s.cohorts_interseq);
     metrics.counter("scan.dispatch.cohorts_compacted")
         .add(s.cohorts_compacted);
     metrics.counter("scan.dispatch.cohorts_striped_head")
         .add(s.cohorts_striped);
-    metrics.counter("scan.dispatch.repacks").add(s.repacks);
     metrics.counter("scan.dispatch.escalations16").add(s.escalations16);
     metrics.counter("scan.dispatch.subjects_interseq")
         .add(s.subjects_interseq);

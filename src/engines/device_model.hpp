@@ -55,17 +55,4 @@ struct SseCoreModel {
     }
 };
 
-/// Future-work FPGA PE (after Meng & Chaudhary): fast but with sequence-
-/// length restrictions handled by the engine via segmentation.
-struct FpgaDeviceModel {
-    double gcups = 12.0;
-    double task_overhead_s = 0.1;  ///< includes reconfiguration amortised
-
-    double effective_gcups(std::uint64_t) const { return gcups; }
-
-    double task_seconds(std::uint64_t cells, std::uint64_t) const {
-        return task_overhead_s + static_cast<double>(cells) / (gcups * 1e9);
-    }
-};
-
 }  // namespace swh::engines

@@ -210,7 +210,7 @@ bool get_task_result(Reader& r, core::TaskResult& out) {
 bool get_pe_kind(Reader& r, core::PeKind& kind) {
     std::uint8_t raw = 0;
     if (!r.u8(raw)) return false;
-    if (raw > static_cast<std::uint8_t>(core::PeKind::Fpga)) {
+    if (raw > static_cast<std::uint8_t>(core::PeKind::Gpu)) {
         return r.fail("PeKind byte out of range");
     }
     kind = static_cast<core::PeKind>(raw);

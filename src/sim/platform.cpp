@@ -23,14 +23,4 @@ PeModelSpec gpu_pe(std::string label, const engines::GpuDeviceModel& model) {
     return pe;
 }
 
-PeModelSpec fpga_pe(std::string label, const engines::FpgaDeviceModel& model) {
-    PeModelSpec pe;
-    pe.label = std::move(label);
-    pe.kind = core::PeKind::Fpga;
-    pe.peak_gcups = model.gcups;
-    pe.half_saturation_residues = 0.0;
-    pe.task_overhead_s = model.task_overhead_s;
-    return pe;
-}
-
 }  // namespace swh::sim

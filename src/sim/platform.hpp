@@ -31,8 +31,6 @@ struct PeModelSpec {
 PeModelSpec sse_core_pe(std::string label,
                         const engines::SseCoreModel& model = {});
 PeModelSpec gpu_pe(std::string label, const engines::GpuDeviceModel& model = {});
-PeModelSpec fpga_pe(std::string label,
-                    const engines::FpgaDeviceModel& model = {});
 
 /// A change in a PE's locally available compute (the paper's Fig. 8
 /// superpi experiment): from `time` on, the PE delivers

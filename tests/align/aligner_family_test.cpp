@@ -2,19 +2,14 @@
 // constraint relaxations, so their scores must be totally ordered for
 // any input pair:
 //
-//   local (SW)  >=  overlap (dovetail)  >=  global (NW)
-//   local       >=  banded local        (band restricts paths)
+//   local (SW)  >=  global (NW)
 //   local       ==  striped == lowmem == full traceback
-//   global      ==  Myers-Miller linear space
 //
 // Violations of any of these caught real bugs during development.
 
 #include <gtest/gtest.h>
 
-#include "align/banded.hpp"
 #include "align/local_align.hpp"
-#include "align/myers_miller.hpp"
-#include "align/overlap.hpp"
 #include "align/striped.hpp"
 #include "align/sw_scalar.hpp"
 #include "align/traceback.hpp"
@@ -67,15 +62,10 @@ TEST_P(AlignerFamilyTest, ScoreHierarchyHolds) {
     const ScoreMatrix m = ScoreMatrix::blosum62();
     for (const Pair& p : random_pairs()) {
         const Score local = sw_score_affine(p.a, p.b, m, gap);
-        const Score over = overlap_align(p.a, p.b, m, gap).score;
         const Score global = nw_align_affine(p.a, p.b, m, gap).score;
 
-        // Each model is a restriction of the one above it.
-        EXPECT_GE(local, over);
-        EXPECT_GE(over, global);
-
-        // Band restricts the local search space.
-        EXPECT_GE(local, sw_score_banded(p.a, p.b, m, gap, 0, 3));
+        // Global alignment is a restriction of local alignment.
+        EXPECT_GE(local, global);
     }
 }
 
@@ -90,12 +80,6 @@ TEST_P(AlignerFamilyTest, EquivalentImplementationsAgree) {
 
         EXPECT_EQ(sw_align_affine(p.a, p.b, m, gap).score, local);
         EXPECT_EQ(sw_align_affine_lowmem(p.a, p.b, m, gap).score, local);
-        EXPECT_EQ(sw_score_banded(p.a, p.b, m, gap, 0,
-                                  full_band_width(p.a.size(), p.b.size())),
-                  local);
-
-        const Score global = nw_align_affine(p.a, p.b, m, gap).score;
-        EXPECT_EQ(nw_align_affine_linear(p.a, p.b, m, gap).score, global);
     }
 }
 
@@ -111,7 +95,6 @@ TEST_P(AlignerFamilyTest, SelfAlignmentIsTheCeiling) {
         // family, and no other subject can beat it.
         EXPECT_EQ(sw_score_affine(a, a, m, gap), self);
         EXPECT_EQ(nw_align_affine(a, a, m, gap).score, self);
-        EXPECT_EQ(overlap_align(a, a, m, gap).score, self);
         const auto other =
             db::random_protein(rng, 10 + rng.below(60)).residues;
         EXPECT_LE(sw_score_affine(a, other, m, gap), self);

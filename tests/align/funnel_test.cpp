@@ -156,24 +156,26 @@ TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
     EXPECT_GT(total_pruned, 0u);
 }
 
-TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
+TEST(DatabaseScannerFunnel, LongQueryTiledSparseSurvivorsBitIdentical) {
     // A multi-tile query drives the query-tiled inter-sequence kernels
-    // and the tile-sum prefilter, and the armed prefilter's surviving
-    // lanes go through the compaction re-pack instead of the striped
-    // fallback. Both paths must keep the funnel's bit-identity promise
-    // — and must actually be exercised, not silently skipped.
+    // and the tile-sum prefilter, and the few survivors of cohorts the
+    // armed prefilter thins out are scored per subject by the striped
+    // kernel instead of a mostly-masked full-width pass. Both paths
+    // must keep the funnel's bit-identity promise — and must actually
+    // be exercised, not silently skipped.
     //
-    // The re-pack needs cohorts the prefilter thins out to a quarter
-    // or less: one homolog (a background subject carrying a verbatim
-    // 40-residue window of the query, scoring far above the rest) per
-    // ~6 background subjects, with the background's length profile, so
-    // most length-sorted cohorts keep a few homolog lanes and lose the
-    // rest. Two tiles keep the summed bound tight enough to prune.
+    // The striped cutover needs cohorts the prefilter thins out to a
+    // quarter or less: one homolog (a background subject carrying a
+    // verbatim 40-residue window of the query, scoring far above the
+    // rest) per ~6 background subjects, with the background's length
+    // profile, so most length-sorted cohorts keep a few homolog lanes
+    // and lose the rest. Two tiles keep the summed bound tight enough
+    // to prune.
     Rng rng(401);
     const Sequence q =
         db::random_protein(rng, kInterseqTileRows + 53, "long");
     db::DatabaseSpec spec;
-    spec.name = "repack";
+    spec.name = "sparse";
     spec.num_sequences = 1000;
     spec.length.min_len = 40;
     spec.length.max_len = 160;
@@ -192,12 +194,13 @@ TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
                     s.residues.begin() + static_cast<std::ptrdiff_t>(to));
         seqs.push_back(std::move(s));
     }
-    const db::Database database("repack", std::move(seqs));
+    const db::Database database("sparse", std::move(seqs));
 
     // Coverage is asserted in aggregate: how many homologs share a
     // cohort depends on the lane count, but the levels together must
-    // prove the interseq and re-pack paths ran.
-    std::uint64_t interseq_cohorts = 0, repacks = 0, pruned = 0;
+    // prove the interseq and striped-cutover paths ran.
+    std::uint64_t interseq_cohorts = 0, striped_cohorts = 0,
+                  striped_subjects = 0, pruned = 0;
     for (const simd::IsaLevel isa : supported_levels()) {
         const StripedAligner aligner(q.residues, blosum(), kGap, isa);
         for (const std::size_t k : {std::size_t{1}, std::size_t{25}}) {
@@ -218,15 +221,18 @@ TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
                           run.stats.subjects_pruned,
                       database.size());
             interseq_cohorts += run.stats.cohorts_interseq;
-            repacks += run.stats.repacks;
+            striped_cohorts += run.stats.cohorts_striped;
+            striped_subjects += run.stats.subjects_striped;
             pruned += run.stats.subjects_pruned;
         }
     }
     EXPECT_GT(interseq_cohorts, 0u);
     EXPECT_GT(pruned, 0u);
-    // Thinned-out survivor cohorts went through the dense re-pack
+    // Every cohort meets the fill bar, so each striped subject is a
+    // survivor of a thinned-out interseq cohort, scored per subject
     // instead of being masked.
-    EXPECT_GT(repacks, 0u);
+    EXPECT_EQ(striped_cohorts, 0u);
+    EXPECT_GT(striped_subjects, 0u);
 }
 
 TEST(DatabaseScannerFunnel, BatchedEscalationBitIdentical) {

@@ -146,7 +146,6 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "scan.dispatch.cohorts_interseq",
         "scan.dispatch.cohorts_compacted",
         "scan.dispatch.cohorts_striped_head",
-        "scan.dispatch.repacks",
         "scan.dispatch.escalations16",
         "scan.dispatch.subjects_interseq",
         "scan.dispatch.subjects_compacted",

@@ -144,7 +144,7 @@ TEST(Wire, RoundTripEverySlaveAlternative) {
 }
 
 TEST(Wire, RoundTripHandshake) {
-    const wire::Hello hello{core::PeKind::Fpga, "fpga-node-3"};
+    const wire::Hello hello{core::PeKind::Gpu, "gpu-node-3"};
     const auto hframe = encode_one(hello);
     std::string why;
     auto h = wire::decode_hello(body(hframe), body_size(hframe), &why);
@@ -298,9 +298,9 @@ TEST(Wire, NonFiniteDoubleRejected) {
 }
 
 TEST(Wire, OutOfRangeEnumBytesRejected) {
-    auto reg = encode_one(MasterMsg{MsgRegister{1, core::PeKind::Fpga}});
+    auto reg = encode_one(MasterMsg{MsgRegister{1, core::PeKind::Gpu}});
     // Body: version, tag, pe u32, kind u8 at offset 6.
-    reg[4 + 6] = 3;  // one past PeKind::Fpga
+    reg[4 + 6] = 2;  // one past PeKind::Gpu
     std::string why;
     EXPECT_FALSE(
         wire::decode_master(body(reg), body_size(reg), &why).has_value());
