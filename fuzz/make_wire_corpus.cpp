@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
          net::SlaveMsg{net::MsgAssign{{{1, 0, 9000}, {2, 1, 8100}}}});
     seed(dir, "assign_empty", net::SlaveMsg{net::MsgAssign{{}}});
     seed(dir, "no_work_yet", net::SlaveMsg{net::MsgNoWorkYet{}});
-    seed(dir, "cancel", net::SlaveMsg{net::MsgCancel{4}});
     seed(dir, "shutdown", net::SlaveMsg{net::MsgShutdown{}});
     seed(dir, "hello",
          net::wire::Hello{core::PeKind::SseCore, "seed-slave"});

@@ -70,13 +70,6 @@ public:
         (void)now;
     }
 
-    /// A loser replica was told to abandon `task` (cancel_losers mode).
-    virtual void on_task_cancelled(PeId pe, TaskId task, double now) {
-        (void)pe;
-        (void)task;
-        (void)now;
-    }
-
     /// `pe` reported an engine failure while executing `task`.
     /// `abandoned` = the retry budget is spent and no replica is still
     /// running, so the task settles as failed instead of requeueing.

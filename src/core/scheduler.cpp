@@ -232,19 +232,6 @@ SchedulerCore::CompletionResult SchedulerCore::on_task_complete(
     if (observer_ != nullptr) {
         observer_->on_task_completed(pe, task, result.accepted, now);
     }
-
-    if (result.accepted && options_.cancel_losers) {
-        // Copy: release() mutates the executor list we iterate.
-        const std::vector<PeId> losers = table_.executors(task);
-        for (const PeId loser : losers) {
-            table_.release(task, loser);
-            remove_from_queue(loser, task, now);
-            result.cancelled.push_back(loser);
-            if (observer_ != nullptr) {
-                observer_->on_task_cancelled(loser, task, now);
-            }
-        }
-    }
     SWH_AUDIT_SWEEP(check_invariants_locked());
     return result;
 }
@@ -255,9 +242,8 @@ SchedulerCore::FailureOutcome SchedulerCore::on_task_failed(
     const check::ScopedContext ctx(pe, task);
     FailureOutcome out;
     // Stale report: the PE was deregistered (presumed dead, or left) or
-    // no longer holds the task (a replica won and it was cancelled, or
-    // the pairing was already settled). Same treatment as a raced
-    // cancellation: ignore it.
+    // no longer holds the task (the pairing was already settled, e.g. a
+    // replica won). Ignore it.
     if (slaves_.find(pe) == slaves_.end() ||
         table_.state(task) != TaskState::Executing ||
         !table_.is_executor(task, pe)) {

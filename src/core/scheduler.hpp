@@ -21,11 +21,6 @@ struct SchedulerOptions {
     /// no ready task exists, re-assign a task still executing elsewhere.
     bool workload_adjust = true;
 
-    /// Extension (after Ino et al. [15]): when a replica wins, tell the
-    /// remaining executors to abandon the task. Off = paper behaviour
-    /// (losers finish and their results are discarded).
-    bool cancel_losers = false;
-
     /// Extension ablation: only replicate a task if the idle PE's
     /// estimated completion beats the current owner's estimate. Off =
     /// paper behaviour (idle PEs always get an executing task).
@@ -96,8 +91,6 @@ public:
 
     struct CompletionResult {
         bool accepted = false;  ///< first finisher; results are kept
-        /// Executors told to abandon the task (only when cancel_losers).
-        std::vector<PeId> cancelled;
     };
 
     CompletionResult on_task_complete(PeId pe, TaskId task, double now)
@@ -106,7 +99,7 @@ public:
     struct FailureOutcome {
         /// The report referred to a pairing that no longer exists (PE
         /// deregistered, task already settled or not held by the PE) —
-        /// nothing changed, like a raced cancellation.
+        /// nothing changed.
         bool stale = false;
         bool requeued = false;   ///< task went back to Ready for retry
         bool abandoned = false;  ///< retry budget spent; settled as failed

@@ -54,7 +54,7 @@ public:
     bool complete(TaskId id, PeId pe);
 
     /// Removes `pe` from a task's executor set without completing it
-    /// (replica cancelled, or node left). If no executors remain and the
+    /// (failed attempt, or node left). If no executors remain and the
     /// task is not finished, it returns to Ready (and to the ready
     /// queue's front, so it is re-issued promptly).
     void release(TaskId id, PeId pe);

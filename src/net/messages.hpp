@@ -87,18 +87,11 @@ struct MsgNoWorkYet {
     friend bool operator==(const MsgNoWorkYet&, const MsgNoWorkYet&) = default;
 };
 
-/// Abandon a replica another PE already finished (cancel_losers mode).
-struct MsgCancel {
-    core::TaskId task;
-
-    friend bool operator==(const MsgCancel&, const MsgCancel&) = default;
-};
-
 /// All tasks finished; the slave should exit.
 struct MsgShutdown {
     friend bool operator==(const MsgShutdown&, const MsgShutdown&) = default;
 };
 
-using SlaveMsg = std::variant<MsgAssign, MsgNoWorkYet, MsgCancel, MsgShutdown>;
+using SlaveMsg = std::variant<MsgAssign, MsgNoWorkYet, MsgShutdown>;
 
 }  // namespace swh::net

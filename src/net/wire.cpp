@@ -307,12 +307,6 @@ void encode(const SlaveMsg& msg, std::vector<std::uint8_t>& out) {
             [&](const MsgNoWorkYet&) {
                 patch_len(out, begin_frame(out, Tag::kNoWorkYet));
             },
-            [&](const MsgCancel& m) {
-                const std::size_t at = begin_frame(out, Tag::kCancel);
-                Writer w(out);
-                w.u32(m.task);
-                patch_len(out, at);
-            },
             [&](const MsgShutdown&) {
                 patch_len(out, begin_frame(out, Tag::kShutdown));
             },
@@ -397,7 +391,6 @@ std::optional<MasterMsg> decode_master(const std::uint8_t* body,
         case Tag::kWelcome:
         case Tag::kAssign:
         case Tag::kNoWorkYet:
-        case Tag::kCancel:
         case Tag::kShutdown:
         default:
             r.fail("unexpected tag for a slave->master frame");
@@ -439,11 +432,6 @@ std::optional<SlaveMsg> decode_slave(const std::uint8_t* body,
         case Tag::kNoWorkYet:
             out = MsgNoWorkYet{};
             break;
-        case Tag::kCancel: {
-            MsgCancel m;
-            if (r.u32(m.task)) out = m;
-            break;
-        }
         case Tag::kShutdown:
             out = MsgShutdown{};
             break;

@@ -76,7 +76,7 @@ enum class Tag : std::uint8_t {
     // Master -> slave (SlaveMsg alternatives).
     kAssign = 0x41,
     kNoWorkYet = 0x42,
-    kCancel = 0x43,
+    // 0x43 was a replica-cancel order; retired, decoders reject it.
     kShutdown = 0x44,
 };
 

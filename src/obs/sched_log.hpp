@@ -65,10 +65,6 @@ public:
             o->on_task_completed(pe, task, accepted, now);
         }
     }
-    void on_task_cancelled(core::PeId pe, core::TaskId task,
-                           double now) override {
-        for (auto* o : observers_) o->on_task_cancelled(pe, task, now);
-    }
     void on_task_failed(core::PeId pe, core::TaskId task, bool abandoned,
                         double now) override {
         for (auto* o : observers_) {
@@ -129,10 +125,6 @@ public:
              accepted ? EventKind::CompletedAccepted
                       : EventKind::CompletedDiscarded,
              pe, task);
-    }
-    void on_task_cancelled(core::PeId pe, core::TaskId task,
-                           double now) override {
-        emit(now, EventKind::TaskCancelled, pe, task);
     }
     void on_task_failed(core::PeId pe, core::TaskId task, bool abandoned,
                         double now) override {

@@ -21,7 +21,6 @@ const char* to_string(EventKind kind) {
         case EventKind::RateError: return "rate_error";
         case EventKind::CompletedAccepted: return "completed_accepted";
         case EventKind::CompletedDiscarded: return "completed_discarded";
-        case EventKind::TaskCancelled: return "task_cancelled";
         case EventKind::TaskFailed: return "task_failed";
         case EventKind::SlavePresumedDead: return "slave_presumed_dead";
         case EventKind::ChannelSend: return "channel_send";

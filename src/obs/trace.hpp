@@ -35,7 +35,6 @@ enum class EventKind : std::uint8_t {
     RateError,           ///< pe, value = |estimate-realised|/realised
     CompletedAccepted,   ///< pe, task (first finisher)
     CompletedDiscarded,  ///< pe, task (lost replica race)
-    TaskCancelled,       ///< pe, task (cancel_losers abandon order)
     TaskFailed,          ///< pe, task, value = 1 if abandoned (no retry)
     SlavePresumedDead,   ///< pe (liveness timeout expired)
     ChannelSend,         ///< value = queue depth after the send

@@ -11,7 +11,6 @@ SchedTracer::SchedTracer(TraceLane* lane, MetricsRegistry* metrics)
         replicas_ = &metrics->counter("sched.replicas_issued");
         accepted_ = &metrics->counter("sched.completions_accepted");
         discarded_ = &metrics->counter("sched.completions_discarded");
-        cancelled_ = &metrics->counter("sched.tasks_cancelled");
         failed_ = &metrics->counter("sched.task_failures");
         abandoned_ = &metrics->counter("sched.tasks_abandoned");
         package_size_ = &metrics->histogram("sched.package_size");
@@ -109,13 +108,6 @@ void SchedTracer::on_task_completed(core::PeId pe, core::TaskId task,
     } else {
         if (discarded_ != nullptr) discarded_->add();
     }
-}
-
-void SchedTracer::on_task_cancelled(core::PeId pe, core::TaskId task,
-                                    double now) {
-    (void)now;
-    if (lane_ != nullptr) lane_->emit(EventKind::TaskCancelled, pe, task);
-    if (cancelled_ != nullptr) cancelled_->add();
 }
 
 void SchedTracer::on_task_failed(core::PeId pe, core::TaskId task,

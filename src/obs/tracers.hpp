@@ -35,8 +35,6 @@ public:
                      double prior_estimate) override;
     void on_task_completed(core::PeId pe, core::TaskId task, bool accepted,
                            double now) override;
-    void on_task_cancelled(core::PeId pe, core::TaskId task,
-                           double now) override;
     void on_task_failed(core::PeId pe, core::TaskId task, bool abandoned,
                         double now) override;
 
@@ -59,7 +57,6 @@ private:
     Counter* replicas_ = nullptr;
     Counter* accepted_ = nullptr;
     Counter* discarded_ = nullptr;
-    Counter* cancelled_ = nullptr;
     Counter* failed_ = nullptr;
     Counter* abandoned_ = nullptr;
     Histogram* package_size_ = nullptr;

@@ -12,7 +12,7 @@
 #include "obs/sched_log.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracers.hpp"
-#include "runtime/master_loop.hpp"
+#include "runtime/master_protocol.hpp"
 #include "runtime/slave_loop.hpp"
 #include "util/annotations.hpp"
 #include "util/check.hpp"
@@ -98,26 +98,7 @@ HybridRuntime::HybridRuntime(const db::Database& database,
       queries_(std::move(queries)),
       options_(options) {
     SWH_CHECK(!queries_.empty(), "query set must be non-empty");
-    SWH_CHECK_GT(options_.notify_period_s, 0.0,
-                 "notify period must be positive");
-    SWH_CHECK_GE(options_.liveness_timeout_s, 0.0,
-                 "liveness timeout must be non-negative");
-    if (options_.liveness_timeout_s > 0.0) {
-        SWH_CHECK_GT(options_.heartbeat_period_s, 0.0,
-                     "heartbeat period must be positive");
-        SWH_CHECK_LT(options_.heartbeat_period_s,
-                     options_.liveness_timeout_s,
-                     "heartbeats slower than the liveness timeout would "
-                     "declare every idle slave dead");
-    }
-    SWH_CHECK_GT(options_.retry_backoff_s, 0.0,
-                 "retry backoff must be positive");
-    SWH_CHECK_GE(options_.retry_backoff_max_s, options_.retry_backoff_s,
-                 "backoff cap below the backoff base");
-    SWH_CHECK(options_.master_link_faults.drop_prob == 0.0 ||
-                  options_.liveness_timeout_s > 0.0,
-              "dropping slave->master messages requires liveness "
-              "timeouts, or a lost Register/TaskDone deadlocks the run");
+    validate_runtime_options(options_);
 }
 
 RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
@@ -189,18 +170,8 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
     if (rec != nullptr || metrics != nullptr) {
         master_inbox.set_observer(&master_chan_tracer);
     }
-    MasterLoopCounters counters;
-    if (metrics != nullptr) {
-        counters.engine_failures =
-            &metrics->counter("runtime.faults.engine_failures");
-        counters.retries = &metrics->counter("runtime.faults.retries");
-        counters.presumed_dead =
-            &metrics->counter("runtime.faults.slaves_presumed_dead");
-        counters.late_discards =
-            &metrics->counter("runtime.faults.late_completions_discarded");
-        counters.heartbeats =
-            &metrics->counter("runtime.faults.heartbeats");
-    }
+    MasterProtocol protocol(sched, merger, n, master_loop_config(options_),
+                            master_loop_counters(metrics), master_lane);
 
     std::vector<obs::TraceLane*> slave_lanes(n, nullptr);
     std::vector<obs::Histogram*> slave_duration(n, nullptr);
@@ -254,7 +225,6 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
     for (PeId pe = 0; pe < n; ++pe) threads.emplace_back(slave_main, pe);
 
     // ---- Master (this thread) -------------------------------------------
-    RunReport report;
     std::vector<std::unique_ptr<ThreadedSlaveLink>> link_storage;
     std::vector<SlaveLink*> links;
     link_storage.reserve(n);
@@ -263,15 +233,8 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
         link_storage.push_back(std::make_unique<ThreadedSlaveLink>(*shared[i]));
         links.push_back(link_storage.back().get());
     }
-    MasterLoopConfig master_config;
-    master_config.liveness_timeout_s = options_.liveness_timeout_s;
-    master_config.lossy_master_link =
-        options_.master_link_faults.drop_prob > 0.0;
-    master_config.max_task_retries = options_.max_task_retries;
-    master_config.retry_backoff_s = options_.retry_backoff_s;
-    master_config.retry_backoff_max_s = options_.retry_backoff_max_s;
-    run_master_loop(sched, merger, master_inbox, links, clock, master_config,
-                    counters, master_lane, report);
+    run_master_loop(protocol, master_inbox, links, clock);
+    RunReport report = protocol.take_report();
 
     // End-of-run drain: close every inbox so any straggler thread (e.g.
     // a false-positive "dead" slave still finishing its task) unwedges

@@ -89,7 +89,7 @@ struct SlaveReport {
     std::uint64_t cells_computed = 0;
     /// Cells of this slave's completions the master accepted (first
     /// finisher of the task) vs discarded (lost replica races, including
-    /// completions that raced a cancellation).
+    /// completions that crossed the end-of-run Shutdown).
     std::uint64_t cells_accepted = 0;
     std::uint64_t cells_discarded = 0;
     bool left_early = false;
@@ -133,8 +133,8 @@ struct RunReport {
     std::size_t task_failures = 0;
     /// Slaves deregistered by the liveness timeout.
     std::size_t slaves_presumed_dead = 0;
-    /// MsgTaskDone from presumed-dead slaves, discarded like raced
-    /// cancellations (never double-merged).
+    /// MsgTaskDone from presumed-dead slaves, discarded (never
+    /// double-merged).
     std::size_t late_completions_discarded = 0;
     /// Tasks given up on, in task order. Empty on a healthy run.
     std::vector<FailedTask> failed_tasks;
@@ -153,8 +153,8 @@ struct RunReport {
 /// calling thread runs the master (sequence acquisition, task allocation,
 /// result merging); each SlaveSpec becomes a slave thread that registers,
 /// requests work, executes tasks on its engine, and streams progress
-/// notifications. All master decisions are delegated to SchedulerCore —
-/// the same logic the discrete-event simulator drives.
+/// notifications. The master is runtime::MasterProtocol over
+/// SchedulerCore — the same protocol the discrete-event simulator drives.
 class HybridRuntime {
 public:
     HybridRuntime(const db::Database& database,

@@ -1,0 +1,191 @@
+#pragma once
+
+// The master protocol as a step function, and the wall-clock pump that
+// drives it. MasterProtocol owns everything the master knows beyond
+// SchedulerCore: PE lifecycle states, the starved slaves owed a reply,
+// parked retries with exponential backoff, the failure log,
+// lost-completion recovery and the report counters. It never reads a
+// clock, blocks or sends; each step takes the caller's `now` and
+// appends its replies and abandon orders to `out`. Three pumps drive
+// it: run_master_loop below behind the threaded runtime and the socket
+// runtime, and the discrete-event simulator on virtual time
+// (sim/simulator.cpp), so all three run one protocol.
+
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/results.hpp"
+#include "core/scheduler.hpp"
+#include "net/channel.hpp"
+#include "net/messages.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "runtime/hybrid_runtime.hpp"
+#include "util/timer.hpp"
+
+namespace swh::runtime {
+
+/// The master loop's downlink to one slave. The threaded runtime backs
+/// it with the slave's shared-inbox Channel; the socket runtime encodes
+/// frames onto that slave's connection.
+class SlaveLink {
+public:
+    virtual ~SlaveLink() = default;
+
+    virtual void send(net::SlaveMsg msg) = 0;
+
+    /// Cooperative kill for a slave the liveness layer gave up on: make
+    /// its blocked recv unblock and its cancellation poll fire
+    /// (threaded: mark abandoned + close the inbox; socket: shut the
+    /// connection down).
+    virtual void abandon() = 0;
+};
+
+/// Optional fault-metric sinks (null = off), pre-resolved by the caller
+/// so the protocol never touches a registry.
+struct MasterLoopCounters {
+    obs::Counter* engine_failures = nullptr;
+    obs::Counter* retries = nullptr;
+    obs::Counter* presumed_dead = nullptr;
+    obs::Counter* late_discards = nullptr;
+    obs::Counter* heartbeats = nullptr;
+};
+
+struct MasterLoopConfig {
+    /// 0 disables liveness — the original immortal-slave assumption.
+    double liveness_timeout_s = 0.0;
+    /// Enables lost-completion recovery on serve (only needed when the
+    /// slave->master link can drop messages).
+    bool lossy_master_link = false;
+    std::size_t max_task_retries = 3;
+    double retry_backoff_s = 0.01;
+    double retry_backoff_max_s = 1.0;
+};
+
+/// The runtime options' contract checks, shared by HybridRuntime and
+/// RemoteMaster.
+void validate_runtime_options(const RuntimeOptions& options);
+
+/// The protocol settings and fault-metric sinks of one runtime run.
+MasterLoopConfig master_loop_config(const RuntimeOptions& options);
+MasterLoopCounters master_loop_counters(obs::MetricsRegistry* metrics);
+
+/// One outbound effect of a protocol step, for slave `pe`.
+struct MasterAction {
+    core::PeId pe = 0;
+    /// The reply to deliver; empty = abandon the slave's link (the
+    /// liveness timeout gave up on it).
+    std::optional<net::SlaveMsg> msg;
+};
+
+/// The master's message handling for `slaves` PEs (ids 0..slaves-1),
+/// on top of `sched` and `merger`. Every Active slave is shut down in
+/// the step where every task becomes settled, busy or not, so a run
+/// ends at its last accepted result.
+class MasterProtocol {
+public:
+    MasterProtocol(core::SchedulerCore& sched, core::ResultMerger& merger,
+                   std::size_t slaves, MasterLoopConfig config,
+                   MasterLoopCounters counters = {},
+                   obs::TraceLane* master_lane = nullptr);
+
+    /// Handles one inbound message that arrived at `now`.
+    void on_message(net::MasterMsg msg, double now,
+                    std::vector<MasterAction>& out);
+
+    /// Requeues the parked retries due by `now` and declares dead every
+    /// Active slave silent since `now - liveness_timeout_s`.
+    void on_timer(double now, std::vector<MasterAction>& out);
+
+    /// When on_timer next has work: the earliest parked retry or
+    /// liveness expiry; +inf when neither exists.
+    double next_deadline() const;
+
+    /// Every slave has been shut down, has left, or was presumed dead.
+    bool finished() const { return finished_slaves_ == state_.size(); }
+
+    /// The report so far: per-slave accept/discard stats, fault
+    /// counters, accepted and computed cells.
+    const RunReport& report() const { return report_; }
+
+    /// Adds replicas_issued, completions_discarded and failed_tasks and
+    /// hands the report over. wall_seconds, gcups, hits, metrics and the
+    /// slave-side stats are the caller's.
+    RunReport take_report();
+
+private:
+    /// Master-side lifecycle of one slave. Exactly one transition out of
+    /// Active increments finished_slaves_, which is what makes the
+    /// termination condition immune to duplicate and late messages.
+    enum class PeState : std::uint8_t {
+        Unseen,    ///< never registered (thread/process may not be up yet)
+        Active,    ///< registered and presumed alive
+        Shutdown,  ///< sent MsgShutdown (every task settled)
+        Dead,      ///< liveness timeout expired; tasks were requeued
+        Left,      ///< sent MsgDeregister (leave_after_tasks)
+    };
+    using Out = std::vector<MasterAction>;
+
+    void on_task_done(const net::MsgTaskDone& done, double now, Out& out);
+    void serve(core::PeId pe, double now, Out& out);
+    void retry_waiting(double now, Out& out);
+    void on_task_settled(double now, Out& out);
+    void shut_down(core::PeId pe, Out& out);
+    void declare_dead(core::PeId pe, double now, Out& out);
+    void record_failure(core::PeId pe, core::TaskId task,
+                        const std::string& what, double now, Out& out);
+    void discard(core::PeId pe, std::uint64_t cells);
+    double liveness_deadline(core::PeId pe) const;
+
+    core::SchedulerCore& sched_;
+    core::ResultMerger& merger_;
+    const MasterLoopConfig config_;
+    const MasterLoopCounters counters_;
+    obs::TraceLane* const master_lane_;
+
+    std::vector<PeState> state_;
+    std::vector<double> last_heard_;
+    /// Starved slaves owed an Assign or a Shutdown.
+    std::set<core::PeId> waiting_;
+    std::size_t finished_slaves_ = 0;
+    /// Completions the scheduler never saw (they crossed the end-of-run
+    /// Shutdown, or duplicate a lost-done re-issue) but which are
+    /// discarded results all the same.
+    std::size_t raced_discards_ = 0;
+
+    /// Engine-failure bookkeeping: per-task counts drive the retry
+    /// budget and the final failed-task report; a parked retry holds a
+    /// failed task back for an exponential-backoff interval before
+    /// requeueing it (a replica may still rescue it meanwhile).
+    struct FailureRecord {
+        std::size_t failures = 0;
+        std::string last_error;
+    };
+    std::map<core::TaskId, FailureRecord> failure_log_;
+    struct ParkedRetry {
+        double due = 0.0;
+        core::PeId pe = 0;
+        core::TaskId task = 0;
+    };
+    std::vector<ParkedRetry> parked_;
+    std::set<std::pair<core::PeId, core::TaskId>> parked_keys_;
+
+    RunReport report_;
+};
+
+/// The wall-clock pump: feeds `protocol` every message of `inbox` and
+/// wakes it at next_deadline(), timed by `clock` (the timebase of the
+/// scheduler's observations), and carries its replies out over `links`
+/// (index = PeId). Returns once protocol.finished().
+void run_master_loop(MasterProtocol& protocol,
+                     net::Channel<net::MasterMsg>& inbox,
+                     const std::vector<SlaveLink*>& links,
+                     const Timer& clock);
+
+}  // namespace swh::runtime

@@ -11,7 +11,7 @@
 #include "net/remote_channel.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracers.hpp"
-#include "runtime/master_loop.hpp"
+#include "runtime/master_protocol.hpp"
 #include "runtime/slave_loop.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -69,28 +69,6 @@ public:
 private:
     net::SlaveRemoteChannel& channel_;
 };
-
-void validate_runtime_options(const RuntimeOptions& options) {
-    SWH_CHECK_GT(options.notify_period_s, 0.0,
-                 "notify period must be positive");
-    SWH_CHECK_GE(options.liveness_timeout_s, 0.0,
-                 "liveness timeout must be non-negative");
-    if (options.liveness_timeout_s > 0.0) {
-        SWH_CHECK_GT(options.heartbeat_period_s, 0.0,
-                     "heartbeat period must be positive");
-        SWH_CHECK_LT(options.heartbeat_period_s, options.liveness_timeout_s,
-                     "heartbeats slower than the liveness timeout would "
-                     "declare every idle slave dead");
-    }
-    SWH_CHECK_GT(options.retry_backoff_s, 0.0,
-                 "retry backoff must be positive");
-    SWH_CHECK_GE(options.retry_backoff_max_s, options.retry_backoff_s,
-                 "backoff cap below the backoff base");
-    SWH_CHECK(options.master_link_faults.drop_prob == 0.0 ||
-                  options.liveness_timeout_s > 0.0,
-              "dropping slave->master messages requires liveness "
-              "timeouts, or a lost Register/TaskDone deadlocks the run");
-}
 
 }  // namespace
 
@@ -152,18 +130,8 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
     if (rec != nullptr || metrics != nullptr) {
         master_inbox.set_observer(&master_chan_tracer);
     }
-    MasterLoopCounters counters;
-    if (metrics != nullptr) {
-        counters.engine_failures =
-            &metrics->counter("runtime.faults.engine_failures");
-        counters.retries = &metrics->counter("runtime.faults.retries");
-        counters.presumed_dead =
-            &metrics->counter("runtime.faults.slaves_presumed_dead");
-        counters.late_discards =
-            &metrics->counter("runtime.faults.late_completions_discarded");
-        counters.heartbeats =
-            &metrics->counter("runtime.faults.heartbeats");
-    }
+    MasterProtocol protocol(sched, merger, n, master_loop_config(rt),
+                            master_loop_counters(metrics), master_lane);
 
     // ---- Accept + handshake ---------------------------------------------
     std::vector<std::shared_ptr<net::StreamTransport>> transports;
@@ -225,15 +193,8 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
     }
 
     Timer clock;
-    RunReport report;
-    MasterLoopConfig config;
-    config.liveness_timeout_s = rt.liveness_timeout_s;
-    config.lossy_master_link = rt.master_link_faults.drop_prob > 0.0;
-    config.max_task_retries = rt.max_task_retries;
-    config.retry_backoff_s = rt.retry_backoff_s;
-    config.retry_backoff_max_s = rt.retry_backoff_max_s;
-    run_master_loop(sched, merger, master_inbox, links, clock, config,
-                    counters, master_lane, report);
+    run_master_loop(protocol, master_inbox, links, clock);
+    RunReport report = protocol.take_report();
 
     // End-of-run drain: every slave already got Shutdown (or was
     // abandoned); shutting the transports down unblocks the pumps so

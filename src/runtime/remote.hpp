@@ -2,7 +2,7 @@
 
 // Multi-process master/slave bootstrap over the socket transport (ISSUE
 // 10 tentpole): RemoteMaster accepts slave connections, handshakes them
-// (Hello -> Welcome), and drives the exact run_master_loop the threaded
+// (Hello -> Welcome), and drives the exact MasterProtocol the threaded
 // runtime uses; run_remote_slave connects, handshakes, and drives the
 // exact run_slave_loop. The scheduler, PR-5 fault machinery, and result
 // merging are byte-for-byte the same code — only the Channel backing

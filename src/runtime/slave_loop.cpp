@@ -1,6 +1,5 @@
 #include "runtime/slave_loop.hpp"
 
-#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -20,21 +19,17 @@ namespace {
 /// Slave-side execution observer: converts engine cell counts into
 /// periodic MsgProgress notifications (which double as liveness
 /// heartbeats while busy) and services master messages that arrive
-/// mid-execution — cancellations, pushed assignments, the end-of-run
-/// Shutdown (sent as soon as every task is settled, so it routinely
+/// mid-execution — pushed assignments, the end-of-run Shutdown (sent as soon as every task is settled, so it routinely
 /// lands while a losing replica runs), and the "you're gone" signal of
 /// a closed inbox.
 class SlaveObserver final : public engines::ExecutionObserver {
 public:
-    SlaveObserver(PeId pe, TaskId current, double notify_period_s,
-                  SlaveEndpoint& endpoint, std::set<TaskId>& cancelled_queue,
+    SlaveObserver(PeId pe, double notify_period_s, SlaveEndpoint& endpoint,
                   std::vector<core::Task>& pending_assigns,
                   obs::TraceLane* lane)
         : pe_(pe),
-          current_(current),
           period_(notify_period_s),
           endpoint_(endpoint),
-          cancelled_queue_(cancelled_queue),
           pending_assigns_(pending_assigns),
           lane_(lane) {}
 
@@ -93,14 +88,7 @@ public:
 private:
     void drain_inbox_locked() const SWH_REQUIRES(mu_) {
         while (auto msg = endpoint_.try_recv()) {
-            if (const auto* cancel = std::get_if<net::MsgCancel>(&*msg)) {
-                if (cancel->task == current_) {
-                    cancelled_current_ = true;
-                } else {
-                    cancelled_queue_.insert(cancel->task);
-                }
-            } else if (const auto* assign =
-                           std::get_if<net::MsgAssign>(&*msg)) {
+            if (const auto* assign = std::get_if<net::MsgAssign>(&*msg)) {
                 // The master served a heartbeat that raced our previous
                 // request; queue the package for after this task.
                 pending_assigns_.insert(pending_assigns_.end(),
@@ -120,13 +108,11 @@ private:
     }
 
     const PeId pe_;
-    const TaskId current_;
     const double period_;
     SlaveEndpoint& endpoint_;
     /// Written under mu_ while the engine runs; the slave thread reads
-    /// them lock-free only after execute() returns (the engine joins its
+    /// it lock-free only after execute() returns (the engine joins its
     /// pollers before returning, which orders those accesses).
-    std::set<TaskId>& cancelled_queue_;
     std::vector<core::Task>& pending_assigns_;
     mutable swh::Mutex mu_;
     mutable bool cancelled_current_ SWH_GUARDED_BY(mu_) = false;
@@ -158,7 +144,6 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
     };
 
     std::vector<core::Task> batch;
-    std::set<TaskId> cancelled_queue;
     std::vector<core::Task> pending_assigns;
     std::size_t completions = 0;
     bool heard_from_master = false;
@@ -199,11 +184,6 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
                     got_batch = true;
                 } else if (std::holds_alternative<net::MsgShutdown>(*msg)) {
                     return;
-                } else if (const auto* cancel =
-                               std::get_if<net::MsgCancel>(&*msg)) {
-                    // Cancellation for a task we already finished or
-                    // never started; nothing to do.
-                    (void)cancel;
                 } else if (std::holds_alternative<net::MsgNoWorkYet>(*msg)) {
                     // Keep blocking; the master will push.
                 }
@@ -213,10 +193,6 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
         const core::Task task_meta = batch.front();
         const TaskId t = task_meta.id;
         batch.erase(batch.begin());
-        if (cancelled_queue.erase(t) > 0) {
-            ++report.tasks_cancelled;
-            continue;  // master already released it
-        }
         // Over a real transport the index arrives off the wire, so it is
         // validated against this process's query set rather than trusted.
         SWH_CHECK_LT(task_meta.query_index, queries.size(),
@@ -226,9 +202,8 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
         // Contract failures raised while this task runs carry the
         // slave/task ids in their report.
         const check::ScopedContext check_ctx(pe, t);
-        SlaveObserver slave_obs(pe, t, config.notify_period_s, endpoint,
-                                cancelled_queue, pending_assigns,
-                                config.lane);
+        SlaveObserver slave_obs(pe, config.notify_period_s, endpoint,
+                                pending_assigns, config.lane);
         if (config.lane != nullptr) config.lane->span_begin("task", t, pe);
         Timer task_timer;
         core::TaskResult result;

@@ -1,17 +1,16 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <queue>
-#include <set>
-#include <sstream>
+#include <variant>
 
 #include "core/results.hpp"
+#include "net/messages.hpp"
 #include "obs/gantt.hpp"
+#include "runtime/master_protocol.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
-#include "util/str.hpp"
 
 namespace swh::sim {
 
@@ -23,7 +22,7 @@ enum class EventKind : std::uint8_t {
     Load,
     Leave,
     Join,
-    StartWork,  ///< delayed assignment arrival (assign_latency_s)
+    Deliver,  ///< a master reply lands (assign_latency_s after it left)
 };
 
 struct Event {
@@ -31,9 +30,9 @@ struct Event {
     std::uint64_t seq = 0;  ///< insertion order; breaks time ties
     EventKind kind = EventKind::TaskFinish;
     std::size_t pe = 0;
-    std::uint64_t gen = 0;      ///< TaskFinish validity generation
-    double factor = 1.0;        ///< Load
-    std::size_t join_idx = 0;   ///< Join
+    std::uint64_t gen = 0;   ///< TaskFinish validity generation
+    double factor = 1.0;     ///< Load
+    std::size_t index = 0;   ///< Join: join_events index; Deliver: mail slot
 };
 
 struct EventLater {
@@ -43,10 +42,12 @@ struct EventLater {
     }
 };
 
+/// The PE model: the DES counterpart of the runtime's slave loop. It
+/// executes what the master assigns, reports progress and completions,
+/// asks for work when its queue runs dry, and stops at MsgShutdown.
 struct PeState {
     PeModelSpec spec;
-    bool registered = false;
-    bool left = false;
+    bool stopped = false;  ///< shut down by the master, or left
     double load_factor = 1.0;
 
     std::deque<core::TaskId> queue;  ///< assigned, not yet started
@@ -61,7 +62,6 @@ struct PeState {
     double cells_since_notify = 0.0;
     double last_notify = 0.0;
     bool notify_scheduled = false;
-    bool starved = false;
 
     PeReport report;
 };
@@ -72,7 +72,14 @@ public:
         : config_(config),
           sched_(core::make_tasks_from_lengths(config.query_lengths,
                                                config.db_residues),
-                 config.policy(), config.sched) {
+                 config.policy(), config.sched),
+          merger_(config.query_lengths.size(), 1),
+          // Liveness off and no engine failures: the protocol never
+          // parks a retry or arms a liveness deadline, so next_deadline()
+          // stays +inf and this pump has no timer to drive.
+          protocol_(sched_, merger_,
+                    config.pes.size() + config.join_events.size(),
+                    runtime::MasterLoopConfig{}) {
         // Attach before run() registers the platform so the observer
         // sees the registrations too (mirrors HybridRuntime's wiring).
         if (config_.observer != nullptr) {
@@ -97,6 +104,30 @@ private:
     void push(Event e) {
         e.seq = next_seq_++;
         heap_.push(e);
+    }
+
+    /// Hands one PE message to the master protocol at `now` and posts
+    /// each reply for delivery assign_latency_s later.
+    void send(net::MasterMsg msg, double now) {
+        protocol_.on_message(std::move(msg), now, out_);
+        for (runtime::MasterAction& action : out_) {
+            SWH_REQUIRE(action.msg.has_value(),
+                        "the master abandoned a PE with liveness off");
+            mail_.push_back(std::move(*action.msg));
+            push(Event{now + config_.assign_latency_s, 0, EventKind::Deliver,
+                       action.pe, 0, 1.0, mail_.size() - 1});
+        }
+        out_.clear();
+    }
+
+    std::size_t add_pe(const PeModelSpec& spec, double now) {
+        pes_.push_back(PeState{});
+        PeState& pe = pes_.back();
+        pe.spec = spec;
+        pe.report.label = spec.label;
+        pe.report.kind = spec.kind;
+        pe.last_advance = now;
+        return pes_.size() - 1;
     }
 
     /// Applies elapsed virtual time to a PE's running task.
@@ -140,10 +171,6 @@ private:
 
     void start_next(std::size_t i, double now) {
         PeState& pe = pes_[i];
-        if (pe.queue.empty()) {
-            pe.busy = false;
-            return;
-        }
         pe.current = pe.queue.front();
         pe.queue.pop_front();
         pe.busy = true;
@@ -156,37 +183,7 @@ private:
         ensure_notify(i, now);
     }
 
-    void request_work(std::size_t i, double now) {
-        PeState& pe = pes_[i];
-        if (pe.left || !pe.registered || pe.busy) return;
-        const std::vector<core::TaskId> assigned =
-            sched_.on_work_request(static_cast<core::PeId>(i), now);
-        if (assigned.empty()) {
-            if (!sched_.all_done()) pe.starved = true;
-            return;
-        }
-        pe.starved = false;
-        for (const core::TaskId t : assigned) pe.queue.push_back(t);
-        if (config_.assign_latency_s > 0.0) {
-            // The reply is in flight; the PE idles until it lands.
-            push(Event{now + config_.assign_latency_s, 0,
-                       EventKind::StartWork, i, 0, 1.0, 0});
-        } else {
-            start_next(i, now);
-        }
-    }
-
-    void retry_starved(double now) {
-        for (std::size_t i = 0; i < pes_.size(); ++i) {
-            if (pes_[i].starved && !pes_[i].left && !pes_[i].busy) {
-                pes_[i].starved = false;
-                request_work(i, now);
-            }
-        }
-    }
-
-    /// Aborts the PE's current task (cancelled replica or node leave).
-    /// The scheduler-side release is the caller's responsibility.
+    /// Aborts the PE's current task (end-of-run Shutdown or node leave).
     void abort_current(std::size_t i, double now) {
         PeState& pe = pes_[i];
         if (!pe.busy) return;
@@ -204,54 +201,53 @@ private:
         const double now = ev.time;
         advance(ev.pe, now);
         pe.cells_remaining = 0.0;
-        const core::TaskId done = pe.current;
-
-        const core::SchedulerCore::CompletionResult cr =
-            sched_.on_task_complete(static_cast<core::PeId>(ev.pe), done,
-                                    now);
-        spans_.push_back(
-            TaskSpan{done, ev.pe, pe.current_start, now, cr.accepted, false});
-        if (cr.accepted) {
-            accepted_cells_ += sched_.task(done).cells;
-            ++pe.report.results_accepted;
-            if (sched_.all_done()) makespan_ = now;
-        } else {
-            ++pe.report.results_discarded;
-        }
         pe.busy = false;
-
-        for (const core::PeId loser : cr.cancelled) {
-            PeState& lp = pes_[loser];
-            std::erase(lp.queue, done);
-            if (lp.busy && lp.current == done) {
-                abort_current(loser, now);
-                if (!lp.queue.empty()) {
-                    start_next(loser, now);
-                } else {
-                    request_work(loser, now);
-                }
-            }
-        }
+        const auto id = static_cast<core::PeId>(ev.pe);
+        const core::Task task = sched_.task(pe.current);
+        send(net::MsgTaskDone{id, task.id,
+                              core::TaskResult{task.id, task.query_index,
+                                               task.cells, {}}},
+             now);
+        const bool accepted = sched_.task_winner(task.id) == id;
+        spans_.push_back(
+            TaskSpan{task.id, ev.pe, pe.current_start, now, accepted, false});
+        if (accepted && sched_.all_done()) makespan_ = now;
 
         if (!pe.queue.empty()) {
             start_next(ev.pe, now);
         } else {
-            request_work(ev.pe, now);
+            send(net::MsgWorkRequest{id}, now);
         }
-        retry_starved(now);
+    }
+
+    void handle_deliver(const Event& ev) {
+        PeState& pe = pes_[ev.pe];
+        const net::SlaveMsg msg = std::move(mail_[ev.index]);
+        if (pe.stopped) return;
+        if (const auto* assign = std::get_if<net::MsgAssign>(&msg)) {
+            for (const core::Task& t : assign->tasks) pe.queue.push_back(t.id);
+            if (!pe.busy) start_next(ev.pe, ev.time);
+        } else if (std::holds_alternative<net::MsgShutdown>(msg)) {
+            // Every task is settled: whatever still runs is a loser.
+            abort_current(ev.pe, ev.time);
+            pe.queue.clear();
+            pe.stopped = true;
+        } else if (std::holds_alternative<net::MsgNoWorkYet>(msg)) {
+            // Stay idle: the master pushes an Assign or a Shutdown.
+        }
     }
 
     void handle_notify(const Event& ev) {
         PeState& pe = pes_[ev.pe];
         pe.notify_scheduled = false;
-        if (pe.left) return;
+        if (pe.stopped) return;
         const double now = ev.time;
         advance(ev.pe, now);
         if (!pe.busy) return;  // went idle; next start re-arms notify
         const double elapsed = now - pe.last_notify;
         if (elapsed > 0.0) {
             const double rate = pe.cells_since_notify / elapsed;
-            sched_.on_progress(static_cast<core::PeId>(ev.pe), now, rate);
+            send(net::MsgProgress{static_cast<core::PeId>(ev.pe), rate}, now);
             rates_.push_back(RateSample{ev.pe, now, rate / 1e9});
         }
         pe.cells_since_notify = 0.0;
@@ -272,53 +268,38 @@ private:
 
     void handle_leave(const Event& ev) {
         PeState& pe = pes_[ev.pe];
-        if (pe.left || !pe.registered) return;
-        const double now = ev.time;
-        sched_.deregister_slave(static_cast<core::PeId>(ev.pe), now);
-        abort_current(ev.pe, now);
+        if (pe.stopped) return;
+        abort_current(ev.pe, ev.time);
         pe.queue.clear();
-        pe.left = true;
-        pe.starved = false;
-        retry_starved(now);
+        pe.stopped = true;
+        send(net::MsgDeregister{static_cast<core::PeId>(ev.pe)}, ev.time);
     }
 
     void handle_join(const Event& ev) {
-        const std::size_t i = pes_.size();
-        pes_.push_back(PeState{});
-        pes_.back().spec = config_.join_events[ev.join_idx].pe;
-        pes_.back().report.label = pes_.back().spec.label;
-        pes_.back().report.kind = pes_.back().spec.kind;
-        pes_.back().registered = true;
-        pes_.back().last_advance = ev.time;
-        sched_.register_slave(static_cast<core::PeId>(i),
-                              pes_.back().spec.kind);
-        request_work(i, ev.time);
+        const std::size_t i = add_pe(config_.join_events[ev.index].pe, ev.time);
+        const auto id = static_cast<core::PeId>(i);
+        send(net::MsgRegister{id, pes_[i].spec.kind}, ev.time);
+        send(net::MsgWorkRequest{id}, ev.time);
     }
 
     const SimConfig& config_;
     core::SchedulerCore sched_;
+    core::ResultMerger merger_;
+    runtime::MasterProtocol protocol_;
+    std::vector<runtime::MasterAction> out_;
+    std::vector<net::SlaveMsg> mail_;  ///< replies in flight, by Deliver
     std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
     std::uint64_t next_seq_ = 0;
     std::vector<PeState> pes_;
     std::vector<TaskSpan> spans_;
     std::vector<RateSample> rates_;
-    std::uint64_t accepted_cells_ = 0;
     std::uint64_t computed_cells_ = 0;
     double makespan_ = 0.0;
 };
 
 SimReport Simulation::run() {
-    // Static platform members register at t = 0.
     pes_.reserve(config_.pes.size() + config_.join_events.size());
-    for (const PeModelSpec& spec : config_.pes) {
-        pes_.push_back(PeState{});
-        pes_.back().spec = spec;
-        pes_.back().report.label = spec.label;
-        pes_.back().report.kind = spec.kind;
-        pes_.back().registered = true;
-        sched_.register_slave(static_cast<core::PeId>(pes_.size() - 1),
-                              spec.kind);
-    }
+    for (const PeModelSpec& spec : config_.pes) add_pe(spec, 0.0);
     for (const LoadEvent& e : config_.load_events) {
         SWH_REQUIRE(e.pe_index < config_.pes.size(),
                     "load event targets unknown PE");
@@ -334,16 +315,21 @@ SimReport Simulation::run() {
         push(Event{config_.join_events[j].time, 0, EventKind::Join, 0, 0,
                    1.0, j});
     }
-    // First-allocation round, in PE order.
-    for (std::size_t i = 0; i < pes_.size(); ++i) request_work(i, 0.0);
+    // Static platform members all register at t = 0, then ask for their
+    // first package in PE order.
+    for (std::size_t i = 0; i < config_.pes.size(); ++i) {
+        send(net::MsgRegister{static_cast<core::PeId>(i), pes_[i].spec.kind},
+             0.0);
+    }
+    for (std::size_t i = 0; i < config_.pes.size(); ++i) {
+        send(net::MsgWorkRequest{static_cast<core::PeId>(i)}, 0.0);
+    }
 
-    double last_time = 0.0;
     while (!heap_.empty()) {
         const Event ev = heap_.top();
         heap_.pop();
         SWH_REQUIRE(ev.time <= config_.max_time,
                     "simulation exceeded max_time (misconfigured scenario?)");
-        last_time = std::max(last_time, ev.time);
         switch (ev.kind) {
             case EventKind::TaskFinish:
                 handle_finish(ev);
@@ -360,41 +346,40 @@ SimReport Simulation::run() {
             case EventKind::Join:
                 handle_join(ev);
                 break;
-            case EventKind::StartWork: {
-                PeState& pe = pes_[ev.pe];
-                if (!pe.left && !pe.busy) {
-                    pe.last_advance = ev.time;
-                    start_next(ev.pe, ev.time);
-                    // Every queued task may have been cancelled while
-                    // the assignment was in flight; ask again.
-                    if (!pe.busy) request_work(ev.pe, ev.time);
-                }
+            case EventKind::Deliver:
+                handle_deliver(ev);
                 break;
-            }
         }
     }
     SWH_REQUIRE(sched_.all_done(),
                 "simulation drained its events with unfinished tasks");
+    SWH_REQUIRE(protocol_.finished(),
+                "simulation drained its events with a PE still running");
     SWH_AUDIT_SWEEP(sched_.check_invariants());
 
+    const runtime::RunReport master = protocol_.take_report();
     SimReport report;
     report.makespan = makespan_;
     report.all_idle_time = 0.0;
     for (const TaskSpan& s : spans_) {
         report.all_idle_time = std::max(report.all_idle_time, s.end);
     }
-    report.accepted_cells = accepted_cells_;
+    report.accepted_cells = master.accepted_cells;
     report.computed_cells = computed_cells_;
     report.gcups = makespan_ > 0.0
-                       ? static_cast<double>(accepted_cells_) / makespan_ /
-                             1e9
+                       ? static_cast<double>(master.accepted_cells) /
+                             makespan_ / 1e9
                        : 0.0;
-    report.replicas_issued = sched_.replicas_issued();
-    report.completions_discarded = sched_.completions_discarded();
-    for (const PeState& pe : pes_) report.pes.push_back(pe.report);
+    report.replicas_issued = master.replicas_issued;
+    report.completions_discarded = master.completions_discarded;
+    for (std::size_t i = 0; i < pes_.size(); ++i) {
+        PeReport pe = pes_[i].report;
+        pe.results_accepted = master.slaves[i].results_accepted;
+        pe.results_discarded = master.slaves[i].results_discarded;
+        report.pes.push_back(std::move(pe));
+    }
     report.spans = std::move(spans_);
     report.rates = std::move(rates_);
-    (void)last_time;
     return report;
 }
 

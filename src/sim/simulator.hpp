@@ -14,18 +14,20 @@ namespace swh::sim {
 
 /// A complete simulated experiment: one database (as a residue count),
 /// one query workload (as lengths), a platform, and a scheduling
-/// configuration. The simulator drives the *same* core::SchedulerCore as
-/// the threaded runtime, in deterministic virtual time.
+/// configuration. The simulator drives the *same* runtime::MasterProtocol
+/// (and so the same core::SchedulerCore) as the threaded and socket
+/// runtimes, in deterministic virtual time: its PEs send the runtime's
+/// messages and act on the master's replies.
 struct SimConfig {
     core::SchedulerOptions sched;
     /// Stateful policies can't be shared between runs, so a factory.
     std::function<std::unique_ptr<core::AllocationPolicy>()> policy =
         core::make_pss;
     double notify_period_s = 0.5;
-    /// Master round-trip cost per work request: an idle PE receives its
-    /// assignment this many (virtual) seconds after asking. Models the
-    /// per-interaction network/master overhead that makes pure SS
-    /// expensive (paper SS IV-A.1); 0 = free communication.
+    /// Master reply latency: every Assign, NoWorkYet and Shutdown reaches
+    /// its PE this many (virtual) seconds after the master sent it.
+    /// Models the per-interaction network/master overhead that makes
+    /// pure SS expensive (paper SS IV-A.1); 0 = free communication.
     double assign_latency_s = 0.0;
     std::uint64_t db_residues = 0;
     std::vector<std::size_t> query_lengths;
@@ -50,7 +52,7 @@ struct TaskSpan {
     double start = 0.0;
     double end = 0.0;
     bool accepted = false;    ///< first finisher
-    bool aborted = false;     ///< cancelled replica / node left
+    bool aborted = false;     ///< stopped by Shutdown / node left
 };
 
 /// Delivered-rate sample at a notification point (paper Figs. 7-8).
@@ -72,10 +74,11 @@ struct PeReport {
 
 struct SimReport {
     /// Virtual time at which the last task reached Finished — the
-    /// application's completion time (results are all merged then, even
-    /// if losing replicas keep a PE busy longer).
+    /// application's completion time (results are all merged then).
     double makespan = 0.0;
-    /// Virtual time at which every PE went idle.
+    /// Virtual time at which every PE went idle: a losing replica runs
+    /// until the master's Shutdown reaches it, assign_latency_s after
+    /// the makespan.
     double all_idle_time = 0.0;
     std::uint64_t accepted_cells = 0;
     std::uint64_t computed_cells = 0;

@@ -26,7 +26,6 @@ struct FuzzParams {
     std::size_t tasks;
     std::size_t slaves;
     bool adjust;
-    bool cancel;
     int policy;  // 0 SS, 1 PSS, 2 chunked, 3 fixed, 4 wfixed
 };
 
@@ -60,7 +59,6 @@ TEST_P(SchedulerFuzzTest, InvariantsHoldUnderRandomSchedules) {
     }
     SchedulerOptions options;
     options.workload_adjust = fp.adjust;
-    options.cancel_losers = fp.cancel;
     options.omega = 1 + rng.below(16);
     SchedulerCore sched(tasks, make_policy(fp.policy), options);
 
@@ -134,10 +132,6 @@ TEST_P(SchedulerFuzzTest, InvariantsHoldUnderRandomSchedules) {
                 winners[t] = pe;
                 ASSERT_EQ(sched.task_winner(t), pe);
             }
-            for (const PeId loser : result.cancelled) {
-                auto& lq = slaves[loser].queue;
-                std::erase(lq, t);
-            }
         } else if (dice < 90) {
             sched.on_progress(pe, now, 1'000.0 + rng.uniform() * 1e6);
         } else if (dice < 95 && live.size() > 1) {
@@ -163,18 +157,18 @@ TEST_P(SchedulerFuzzTest, InvariantsHoldUnderRandomSchedules) {
 
 std::vector<FuzzParams> fuzz_matrix() {
     std::vector<FuzzParams> out;
-    std::uint64_t seed = 1000;
+    // Each (adjust, policy) cell has a fixed seed, so instance names
+    // stay stable.
     for (const bool adjust : {false, true}) {
-        for (const bool cancel : {false, true}) {
-            for (int policy = 0; policy < 5; ++policy) {
-                out.push_back(FuzzParams{seed++, 25, 4, adjust, cancel,
-                                         policy});
-            }
+        for (int policy = 0; policy < 5; ++policy) {
+            out.push_back(FuzzParams{
+                static_cast<std::uint64_t>(1000 + (adjust ? 10 : 0) + policy),
+                25, 4, adjust, policy});
         }
     }
     // A few bigger instances on the paper's configuration.
-    for (int i = 0; i < 5; ++i) {
-        out.push_back(FuzzParams{seed++, 100, 8, true, false, 1});
+    for (std::uint64_t seed = 1020; seed < 1025; ++seed) {
+        out.push_back(FuzzParams{seed, 100, 8, true, 1});
     }
     return out;
 }
@@ -186,7 +180,9 @@ INSTANTIATE_TEST_SUITE_P(Random, SchedulerFuzzTest,
                              return "seed" + std::to_string(p.seed) +
                                     "_p" + std::to_string(p.policy) +
                                     (p.adjust ? "_adj" : "_noadj") +
-                                    (p.cancel ? "_can" : "_nocan");
+                                    // No replica cancellation; the
+                                    // suffix keeps the names stable.
+                                    "_nocan";
                          });
 
 }  // namespace

@@ -132,22 +132,6 @@ TEST(Scheduler, ReplicateOnlyIfFasterGate) {
     EXPECT_TRUE(s.on_work_request(2, 5.0).empty());
 }
 
-TEST(Scheduler, CancelLosersListsOtherExecutors) {
-    SchedulerOptions o = opts(true);
-    o.cancel_losers = true;
-    SchedulerCore s(equal_tasks(1), make_self_scheduling(), o);
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::Gpu);
-    s.on_work_request(0, 0.0);
-    const auto replica = s.on_work_request(1, 0.5);
-    ASSERT_EQ(replica.size(), 1u);
-    const auto result = s.on_task_complete(1, 0, 1.0);
-    EXPECT_TRUE(result.accepted);
-    EXPECT_EQ(result.cancelled, std::vector<PeId>{0});
-    // The cancelled executor's queue is already purged.
-    EXPECT_TRUE(s.queue_of(0).empty());
-}
-
 TEST(Scheduler, DeregisterReturnsTasksToReady) {
     SchedulerCore s(equal_tasks(3), make_chunked_self_scheduling(3),
                     opts(true));

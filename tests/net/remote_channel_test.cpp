@@ -40,11 +40,11 @@ void send_slave_msg(StreamTransport& t, const SlaveMsg& msg) {
 TEST(RemoteChannel, RoundTripBothDirections) {
     Pair p;
     // Master -> slave: frames decode into the slave's inbox.
-    send_slave_msg(*p.master, MsgCancel{42});
+    send_slave_msg(*p.master, MsgNoWorkYet{});
     send_slave_msg(*p.master, MsgAssign{{{7, 3, 900}}});
     auto m1 = p.slave->recv();
     ASSERT_TRUE(m1.has_value());
-    EXPECT_EQ(std::get<MsgCancel>(*m1).task, 42u);
+    EXPECT_TRUE(std::holds_alternative<MsgNoWorkYet>(*m1));
     auto m2 = p.slave->recv();
     ASSERT_TRUE(m2.has_value());
     ASSERT_EQ(std::get<MsgAssign>(*m2).tasks.size(), 1u);
@@ -91,11 +91,11 @@ TEST(RemoteChannel, InjectedDropsApplyToSocketTraffic) {
 // the same close/drain contract as the in-process Channel.
 TEST(RemoteChannel, PeerEofDrainsThenCloses) {
     Pair p;
-    send_slave_msg(*p.master, MsgCancel{5});
+    send_slave_msg(*p.master, MsgAssign{{{5, 0, 100}}});
     p.master->shutdown();
     auto first = p.slave->recv();
     ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(std::get<MsgCancel>(*first).task, 5u);
+    EXPECT_EQ(std::get<MsgAssign>(*first).tasks[0].id, 5u);
     EXPECT_FALSE(p.slave->recv().has_value());
     EXPECT_TRUE(p.slave->closed());
 }

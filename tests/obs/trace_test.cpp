@@ -15,6 +15,7 @@
 #include "engines/cpu_engine.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/hybrid_runtime.hpp"
+#include "sim/simulator.hpp"
 
 namespace swh::obs {
 namespace {
@@ -409,15 +410,31 @@ TEST(TraceExport, CsvHasHeaderAndOneRowPerEvent) {
 }
 
 TEST(TraceExport, GanttRendersOneRowPerSpanLane) {
-    const TracedRun& run = shared_run();
-    const std::string gantt =
-        render_trace_gantt(run.trace, /*time_step=*/0.001);
-    // Every lane that carries a span gets a row. Which slaves ran a
-    // task of the shared 8-query run is timing-dependent (one can
-    // finish without any), but at least two did; channel lanes carry
-    // no spans and get no rows.
+    // A 2-PE DES run (both PEs run tasks, in virtual time) plus a
+    // channel lane that carries only depth samples.
+    sim::SimConfig cfg;
+    cfg.policy = core::make_self_scheduling;
+    cfg.db_residues = 1'000'000;
+    cfg.query_lengths.assign(4, 1'000);
+    for (const char* label : {"A", "B"}) {
+        sim::PeModelSpec pe;
+        pe.label = label;
+        cfg.pes.push_back(pe);
+    }
+    Trace trace = sim::to_trace(sim::simulate(cfg), cfg.pes);
+    TraceLaneData chan;
+    chan.label = "chan:A";
+    chan.events.push_back(TraceEvent{0.0, EventKind::ChannelSend, 0, kNoTask,
+                                     1.0, nullptr});
+    chan.events.push_back(TraceEvent{0.1, EventKind::ChannelRecv, 0, kNoTask,
+                                     0.0, nullptr});
+    trace.lanes.push_back(std::move(chan));
+
+    const std::string gantt = render_trace_gantt(trace, /*time_step=*/0.1);
+    // Every lane that carries a span gets a row; channel lanes carry no
+    // spans and get no rows.
     std::size_t span_lanes = 0;
-    for (const TraceLaneData& lane : run.trace.lanes) {
+    for (const TraceLaneData& lane : trace.lanes) {
         const bool spans = std::any_of(
             lane.events.begin(), lane.events.end(), [](const TraceEvent& e) {
                 return e.kind == EventKind::SpanBegin;

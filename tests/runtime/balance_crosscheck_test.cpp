@@ -151,9 +151,9 @@ TEST(BalanceCrosscheck, RuntimeAndSimulatorAgreeOnTheFig5Workload) {
     ASSERT_EQ(des.pe_count, 4u);
 
     // Same qualitative story. Imbalance ratio within the documented
-    // tolerance (DESIGN.md: |runtime − DES| ≤ 0.4 — thread scheduling,
+    // tolerance (DESIGN.md: |runtime − DES| ≤ 0.2 — thread scheduling,
     // notify quantisation, and engine startup all perturb the runtime).
-    EXPECT_NEAR(rt.imbalance_ratio, des.imbalance_ratio, 0.4);
+    EXPECT_NEAR(rt.imbalance_ratio, des.imbalance_ratio, 0.2);
     // Both runs must be reasonably efficient and attribute the bulk of
     // the tasks to the fast PE.
     EXPECT_GT(rt.efficiency, 0.5);

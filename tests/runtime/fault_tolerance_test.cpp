@@ -442,9 +442,9 @@ TEST(FaultTolerance, LinkStallsDelayButNeverKillHealthySlaves) {
 
 TEST(FaultTolerance, LeaverWithCancelledTasksKeepsAccountingConsistent) {
     // A slow slave leaves after its first completion while holding a
-    // chunked batch; replicas race it and cancel_losers cancels what it
-    // still queues. Completion accounting must stay exact through the
-    // leave (satellite: closed-inbox exits must not silently skip the
+    // chunked batch; replicas race it and the end-of-run Shutdown
+    // cancels the losers. Completion accounting must stay exact through
+    // the leave (closed-inbox exits must not silently skip the
     // finished_slaves bookkeeping).
     const db::Database database = test_db();
     const auto queries = test_queries();
@@ -452,7 +452,6 @@ TEST(FaultTolerance, LeaverWithCancelledTasksKeepsAccountingConsistent) {
     options.notify_period_s = 0.01;
     options.top_k = 3;
     options.sched.workload_adjust = true;
-    options.sched.cancel_losers = true;
     HybridRuntime rt(database, queries, options);
 
     // The leaver is the *fastest* slave so it deterministically finishes

@@ -154,7 +154,6 @@ TEST(HybridRuntime, CancelLosersStopsReplicas) {
     const auto queries = test_queries(4);
     RuntimeOptions options = fast_options();
     options.sched.workload_adjust = true;
-    options.sched.cancel_losers = true;
     HybridRuntime rt(database, queries, options);
 
     std::vector<SlaveSpec> slaves;

@@ -93,7 +93,6 @@ TEST(SimTrace, AssignLatencyDelaysEveryStart) {
 
 TEST(SimTrace, GanttMarksAbortedSpans) {
     SimConfig cfg;
-    cfg.sched.cancel_losers = true;
     cfg.policy = core::make_self_scheduling;
     cfg.db_residues = 1'000'000;
     cfg.query_lengths = {10'000, 10'000};
@@ -104,17 +103,25 @@ TEST(SimTrace, GanttMarksAbortedSpans) {
 }
 
 TEST(SimTrace, ReportCountsReplicaDuplicates) {
-    // Without cancellation the loser finishes and its result is
-    // discarded: computed > accepted.
+    // The fast PE replicates the slow PE's task and wins. The run ends
+    // there, as on the runtime: the slow PE's replica is aborted at the
+    // makespan, and the cells it computed count as duplicate work.
     SimConfig cfg;
     cfg.policy = core::make_self_scheduling;
     cfg.db_residues = 1'000'000;
     cfg.query_lengths = {10'000, 10'000};
     cfg.pes = {pe("slow", 0.1), pe("fast", 10.0, core::PeKind::Gpu)};
     const SimReport r = simulate(cfg);
-    EXPECT_EQ(r.completions_discarded, 1u);
+    std::size_t slow_aborted = 0;
+    for (const TaskSpan& s : r.spans) {
+        if (s.pe != 0 || !s.aborted) continue;
+        ++slow_aborted;
+        EXPECT_DOUBLE_EQ(s.end, r.makespan);
+    }
+    EXPECT_EQ(slow_aborted, 1u);
+    EXPECT_EQ(r.completions_discarded, 0u);
     EXPECT_GT(r.computed_cells, r.accepted_cells);
-    EXPECT_GT(r.all_idle_time, r.makespan);
+    EXPECT_DOUBLE_EQ(r.all_idle_time, r.makespan);
 }
 
 TEST(SimTrace, LptOrderingInSimulation) {

@@ -48,12 +48,12 @@ HOT_PATH_FLOORS = {
 
 MESSAGES_HPP = os.path.join("src", "net", "messages.hpp")
 # The dispatch chains moved out of hybrid_runtime.cpp in ISSUE 10: the
-# master's visit/get_if chain lives in master_loop.cpp, the slave's in
-# slave_loop.cpp (shared by the threaded and socket runtimes), and the
+# master's visit/get_if chain lives in master_protocol.cpp, the slave's
+# in slave_loop.cpp (shared by the threaded and socket runtimes), and the
 # wire codec in wire.cpp must also name every alternative. Each Msg*
 # must appear in at least one dispatcher AND in the codec.
 DISPATCHER_CPPS = [
-    os.path.join("src", "runtime", "master_loop.cpp"),
+    os.path.join("src", "runtime", "master_protocol.cpp"),
     os.path.join("src", "runtime", "slave_loop.cpp"),
 ]
 CODEC_CPP = os.path.join("src", "net", "wire.cpp")
