@@ -410,19 +410,15 @@ int main(int argc, char** argv) {
             << ", \"filter_tiles_skipped\": " << r.funnel.filter_tiles_skipped
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
-            << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted
             << ", \"cohorts_striped\": " << r.dispatch.cohorts_striped
             << ", \"escalations16\": "
             << r.dispatch.escalations16 + r.funnel.escalations16
             << ", \"subjects_interseq\": " << r.dispatch.subjects_interseq
-            << ", \"subjects_compacted\": " << r.dispatch.subjects_compacted
             << ", \"subjects_striped\": " << r.dispatch.subjects_striped
             << ", \"funnel_escalations16\": " << r.funnel.escalations16
             << ", \"funnel_cohorts_interseq\": " << r.funnel.cohorts_interseq
             << ", \"funnel_subjects_interseq\": "
             << r.funnel.subjects_interseq
-            << ", \"funnel_subjects_compacted\": "
-            << r.funnel.subjects_compacted
             << ", \"funnel_subjects_striped\": " << r.funnel.subjects_striped
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }

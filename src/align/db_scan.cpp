@@ -6,11 +6,9 @@ namespace swh::align {
 
 DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     cohorts_interseq += o.cohorts_interseq;
-    cohorts_compacted += o.cohorts_compacted;
     cohorts_striped += o.cohorts_striped;
     escalations16 += o.escalations16;
     subjects_interseq += o.subjects_interseq;
-    subjects_compacted += o.subjects_compacted;
     subjects_striped += o.subjects_striped;
     cohorts_filtered += o.cohorts_filtered;
     subjects_pruned += o.subjects_pruned;

@@ -21,7 +21,7 @@
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch and the
-// hot lanes — in cohort mode by re-packing length-adjacent groups into
+// hot lanes — in cohort mode by interleaving length-adjacent groups into
 // dense scratch cohorts for one i16 inter-sequence pass each, at the
 // narrowest SIMD width whose lo half-vector holds the group (scalar
 // int32 for the rare lane that saturates 16 bits too); serial striped
@@ -29,13 +29,15 @@
 //
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
-// dispatches per cohort: well-filled cohorts are scored W subjects at a
-// time by the query-tiled inter-sequence u8 kernel (one tile is the
-// short-query case), while cohorts below the query-length-dependent
-// fill bar fall back to the striped kernel per subject, as do the few
-// survivors of a mostly-pruned interseq cohort instead of masking its
-// dead lanes. The emit contract (exactly one settled score per
-// non-pruned subject, original db_index) is the same on every path.
+// picks a route per cohort from one fill bar (min_fill_pct, falling
+// with query length): a cohort whose real residues fill enough of its
+// columns x W cells has its survivors scored W subjects at a time by
+// the query-tiled inter-sequence u8 kernel (one tile is the short-query
+// case), pruned lanes masked; a cohort below the bar — the long,
+// ragged head of the scan order and the partial tail — has its
+// survivors scored per subject by the striped kernel. The emit contract
+// (exactly one settled score per non-pruned subject, original
+// db_index) is the same on every path.
 //
 // The scanner consumes non-owning views so swh_align stays independent
 // of swh_db (which produces the views, see db::PackedDatabase).
@@ -75,6 +77,27 @@ struct PackedSubjects {
     }
 };
 
+/// Column-major interleave of `count` subjects (original indices,
+/// count <= w) at width `w`: out[j*w + l] is residue j of `members[l]`,
+/// InterseqProfile::kPadCode past each member's length and in lanes
+/// count..w-1. `out` holds columns*w codes, `columns` covering the
+/// longest member. The one cohort packing of both the database layout
+/// (db::PackedDatabase::interleaved) and the scanner's stage-3 drain.
+SWH_HOT_PATH inline void interleave_subjects(const PackedSubjects& subjects,
+                                             const std::uint32_t* members,
+                                             std::size_t count, std::size_t w,
+                                             std::span<Code> out) {
+    SWH_DCHECK(count <= w && out.size() % w == 0,
+               "interleave: member count or buffer exceeds the width");
+    std::fill(out.begin(), out.end(), InterseqProfile::kPadCode);
+    for (std::size_t l = 0; l < count; ++l) {
+        const std::span<const Code> s = subjects.subject(members[l]);
+        SWH_DCHECK(s.size() * w <= out.size(),
+                   "interleave: member longer than the buffer's columns");
+        for (std::size_t j = 0; j < s.size(); ++j) out[j * w + l] = s[j];
+    }
+}
+
 /// Thread-safe scan orchestrator: workers claim work from a shared
 /// cursor (chunks of subjects, or whole cohorts when a lane-interleaved
 /// layout is attached) and run the funnel scan. One instance per
@@ -101,35 +124,24 @@ public:
         return qlen <= 128 ? 45 : qlen <= 384 ? 60 : kInterseqMinFillPct;
     }
 
-    /// Partial-survivor cutover: when the prefilter leaves an
-    /// interseq-route cohort with at most 1/kFunnelStripedCutover of
-    /// its used lanes, running the full-width kernel on it would waste
-    /// most of its fixed cost on dead lanes, so the survivors are
-    /// scored per subject by the striped kernel instead.
-    static constexpr std::uint32_t kFunnelStripedCutover = 4;
-
     /// Scan counters, one struct for the whole scanner. Each worker
     /// tallies into a private instance and merges it into the scanner
     /// total once, at the end of run_worker; stats() reads the total
     /// (cumulative across workers and resets).
     ///
     /// Exact-stage routes: `cohorts_interseq` counts every cohort
-    /// scored by the inter-sequence u8 kernel; `cohorts_compacted`
-    /// (layout-compacted membership) is a subset of it;
-    /// `cohorts_striped` counts fill-bar rejections scored per subject
-    /// by the striped kernel. Subjects deferred to the wide rescore
-    /// count under the kernel that deferred them, hot ones in
-    /// `subjects_hot`; pruned subjects appear in none of the
-    /// `subjects_*` fields.
+    /// scored by the inter-sequence u8 kernel, `cohorts_striped` every
+    /// fill-bar rejection scored per subject by the striped kernel.
+    /// Subjects deferred to the wide rescore count under the kernel
+    /// that deferred them, hot ones in `subjects_hot`; pruned subjects
+    /// appear in none of the other `subjects_*` fields.
     struct Stats {
         std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_compacted = 0;
         std::uint64_t cohorts_striped = 0;
         /// i16 inter-sequence passes of the stage-3 drain: one per
         /// cliff group of deferred u8-overflow and hot lanes.
         std::uint64_t escalations16 = 0;
         std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_compacted = 0;
         std::uint64_t subjects_striped = 0;
         /// Stage-1 prefilter: cohorts it swept (in full, or probed
         /// before the threshold existed), and lanes proven out of the
@@ -217,8 +229,8 @@ public:
         // stage 2 for the in-range scores, in a wide rescore for the
         // deferred and hot rest — or is reported pruned exactly once.
         SWH_DCHECK(!keep || t.settled8 + t.settled_wide ==
-                                t.subjects_interseq + t.subjects_compacted +
-                                    t.subjects_striped + t.subjects_hot,
+                                t.subjects_interseq + t.subjects_striped +
+                                    t.subjects_hot,
                    "emit contract: one settled score per claimed subject");
         aligner_->credit_runs8(t.settled8);
         merge(t);
@@ -272,15 +284,9 @@ private:
                                           : static_cast<std::uint32_t>(slot);
     }
 
-    /// Original database index of lane l of cohort d: through the
-    /// layout's member table when present (compacted cohorts have
-    /// non-consecutive members), else the consecutive-slot rule.
+    /// Original database index of lane l of cohort d.
     std::uint32_t member_index(const CohortDesc& d, std::uint32_t l) const {
-        const std::size_t slot =
-            cohorts_.slots != nullptr
-                ? cohorts_.slots[d.first_slot + l]
-                : d.first_slot + static_cast<std::size_t>(l);
-        return slot_index(slot);
+        return slot_index(d.first_slot + static_cast<std::size_t>(l));
     }
 
     /// Legacy claim unit: chunks of scan-order subjects, striped u8.
@@ -376,8 +382,7 @@ private:
     /// layout order. Stage 1 prunes lanes when the threshold feed is
     /// live, stage 2 exact-scores the survivors on the cohort's route —
     /// inter-sequence for well-filled cohorts, per-subject striped for
-    /// the low-fill rest and for the few survivors of mostly-pruned
-    /// interseq cohorts. Until the threshold exists a claimed cohort is
+    /// the low-fill rest. Until the threshold exists a claimed cohort is
     /// only probed (probe_cohort): its hot lanes are drained at once, and
     /// its other lanes are resumed from the second tile if that raised
     /// the threshold, or parked. Parked cohorts settle after the last
@@ -416,17 +421,13 @@ private:
                 k = pruned(idx, subjects_.lengths[idx]);
             }
             if (!k || survive == 0) return k;
-            if (interseq_[c] != 0 &&
-                static_cast<std::uint32_t>(std::popcount(survive)) *
-                        kFunnelStripedCutover >
-                    d.lanes_used) {
+            if (interseq_[c] != 0) {
                 return score_interseq(d, survive, scratch, colstate, emit,
                                       overflow, t);
             }
-            // Below the fill bar, or below the survivor cutover: a
-            // full-width pass would waste most of its fixed cost on
-            // pad or pruned lanes.
-            if (interseq_[c] == 0) ++t.cohorts_striped;
+            // Below the fill bar: a full-width pass would spend most of
+            // its columns x W cells on pad.
+            ++t.cohorts_striped;
             for (std::uint64_t m = survive; m != 0 && k; m &= m - 1) {
                 k = score_striped(
                     member_index(d, static_cast<std::uint32_t>(
@@ -548,11 +549,7 @@ private:
                                      EmitFn&& emit,
                                      std::vector<std::uint32_t>& overflow,
                                      Stats& t) {
-        const bool compacted = (d.flags & CohortDesc::kCompacted) != 0;
         ++t.cohorts_interseq;
-        if (compacted) ++t.cohorts_compacted;
-        std::uint64_t& subj =
-            compacted ? t.subjects_compacted : t.subjects_interseq;
         std::uint8_t lane_best[64];
         const std::uint64_t ovf = sw_interseq_u8_tiled(
             *aligner_->interseq(), cohorts_.arena + d.offset, d.columns,
@@ -561,7 +558,7 @@ private:
         for (std::uint64_t m = lanes; m != 0 && keep; m &= m - 1) {
             const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
             const std::uint32_t idx = member_index(d, l);
-            ++subj;
+            ++t.subjects_interseq;
             if ((ovf >> l) & 1) {
                 // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): deferred
                 // batch, bounded by the claim size.
@@ -577,9 +574,9 @@ private:
 
     /// Sorts `batch` (original indices) length-descending and walks it
     /// in cliff groups: greedy runs of at most W subjects whose real
-    /// residues keep kInterseqMinFillPct of the group's full-width
-    /// columns (the layout compaction's fill rule), so a straggler
-    /// long subject never forces pad columns onto a run of short ones.
+    /// residues fill kInterseqMinFillPct of the group's columns x
+    /// members cells, so a straggler long subject never forces pad
+    /// columns onto a run of short ones.
     /// Calls group(first, count) per group — `first` points into
     /// `batch` — until it returns false; returns false iff it did.
     template <class GroupFn>
@@ -612,29 +609,6 @@ private:
         return true;
     }
 
-    /// Interleaves `count` subjects (original indices, count <= w)
-    /// column-major into `repack` at width `w` — the layout's cohort
-    /// geometry at that width, pad sentinel past each lane's length —
-    /// and returns the column count (the longest member's length).
-    SWH_HOT_PATH std::uint32_t pack_dense(const std::uint32_t* batch,
-                                          std::size_t count, std::size_t w,
-                                          std::vector<Code>& repack) const {
-        std::uint32_t columns = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            columns = std::max(columns, subjects_.lengths[batch[i]]);
-        }
-        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
-        // caller-retained; it grows to the largest batch once.
-        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::span<const Code> s = subjects_.subject(batch[i]);
-            for (std::size_t j = 0; j < s.size(); ++j) {
-                repack[j * w + i] = s[j];
-            }
-        }
-        return columns;
-    }
-
     /// Stage-3 drain of this worker's deferred u8-overflow and hot
     /// lanes: each cliff group is packed densely and settled by ONE i16
     /// inter-sequence pass, at drain_isa(count) — the narrowest width
@@ -654,10 +628,14 @@ private:
             overflow, [&](const std::uint32_t* batch, std::size_t count) {
                 ++t.escalations16;
                 const simd::IsaLevel isa = drain_isa(count);
+                const auto w = static_cast<std::size_t>(lanes_u8(isa));
+                // cliff_groups hands the group over longest first.
+                const std::uint32_t columns = subjects_.lengths[batch[0]];
+                // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch
+                // is caller-retained; it grows to the largest group once.
+                repack.resize(std::size_t{columns} * w);
+                interleave_subjects(subjects_, batch, count, w, repack);
                 std::int16_t lane_best[64];
-                const std::uint32_t columns = pack_dense(
-                    batch, count, static_cast<std::size_t>(lanes_u8(isa)),
-                    repack);
                 const std::uint64_t ovf = sw_interseq_i16_tiled(
                     *aligner_->interseq(), repack.data(), columns,
                     aligner_->gap(), isa, scratch, colstate, lane_best,

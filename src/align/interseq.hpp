@@ -5,13 +5,16 @@
 // the intra-sequence striped kernel (Farrar), throughput does not
 // degrade on short queries — there is no lazy-F correction pass, no
 // query-padding waste, and the per-column work is a plain row sweep —
-// so the scan dispatcher prefers these kernels for short/medium
-// queries and falls back to the striped kernel elsewhere.
+// so the scan dispatcher runs them on every cohort whose real residues
+// fill enough of its W lanes (DatabaseScanner::min_fill_pct, a bar that
+// falls with query length) and scores the rest per subject with the
+// striped kernel.
 //
 // The subjects come from a lane-interleaved cohort layout (see
-// db::PackedDatabase::interleaved): W length-adjacent subjects grouped
-// into a cohort, residues stored column-major (column j holds residue j
-// of every lane), short lanes padded with kPadCode. Scoring uses a
+// db::PackedDatabase::interleaved): W consecutive slots of the
+// longest-first scan order form a cohort, residues stored column-major
+// (column j holds residue j of every lane), short lanes padded with
+// kPadCode. Scoring uses a
 // TRANSPOSED query profile: row i is a 32-entry table of biased scores
 // of query residue i against every alphabet symbol, gathered per lane
 // by the subject residue (simd lookup32). This needs every residue
@@ -36,35 +39,20 @@ class ScanScratch;
 
 /// One width-W cohort of the lane-interleaved database layout.
 struct CohortDesc {
-    /// Flag bit: the cohort was assembled by the compacted-tail build —
-    /// its members are ragged scan-order leftovers (low-fill natural
-    /// groups and the partial tail) re-packed into a dense group rather
-    /// than W consecutive scan slots.
-    static constexpr std::uint32_t kCompacted = 1u << 0;
-
     std::uint64_t offset = 0;     ///< Code offset into the cohort arena
     std::uint64_t residues = 0;   ///< real residues (sum of member lengths)
     std::uint32_t columns = 0;    ///< stored columns = longest member length
-    /// First member index. With a slots table (InterleavedCohorts::slots)
-    /// this indexes the table — lane l is scan slot slots[first_slot+l];
-    /// without one it is the scan slot of lane 0 directly.
-    std::uint32_t first_slot = 0;
+    std::uint32_t first_slot = 0; ///< scan slot of lane 0
     std::uint32_t lanes_used = 0; ///< members; tail cohort may be partial
-    std::uint32_t flags = 0;      ///< kCompacted et al.
 };
 
 /// Non-owning view of a lane-interleaved cohort layout. Column j of a
 /// cohort is `lanes` consecutive bytes at `arena + offset + j*lanes`
 /// (pad lanes past lanes_used hold only pad_code). Lane l of cohort d
-/// is the subject at scan-order slot `slots[d.first_slot + l]` when the
-/// member table is present, or `d.first_slot + l` when `slots` is null
-/// (hand-built views with strictly consecutive members).
+/// is the subject at scan-order slot `d.first_slot + l`.
 struct InterleavedCohorts {
     const Code* arena = nullptr;
     const CohortDesc* cohorts = nullptr;
-    /// Cohort-member table: scan-order slot of each lane, cohort-major.
-    /// Null = identity (every cohort covers consecutive scan slots).
-    const std::uint32_t* slots = nullptr;
     std::size_t count = 0;
     int lanes = 0;
     Code pad_code = 0;

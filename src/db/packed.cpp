@@ -25,7 +25,6 @@ align::InterleavedCohorts InterleavedChunks::view() const {
     align::InterleavedCohorts v;
     v.arena = arena_.get();
     v.cohorts = cohorts_.data();
-    v.slots = slots_.empty() ? nullptr : slots_.data();
     v.count = cohorts_.size();
     v.lanes = lanes_;
     v.pad_code = align::InterseqProfile::kPadCode;
@@ -109,125 +108,34 @@ const InterleavedChunks& PackedDatabase::interleaved(int lanes) const {
     const std::size_t n = size();
     const std::size_t w = static_cast<std::size_t>(lanes);
 
-    // Grouping pass: W consecutive scan-order slots stay a natural
-    // cohort when the full-width fill meets the bar (the longest-first
-    // order puts the group's longest member first, so its length is
-    // the column count). Everything else — divergent long-subject head
-    // groups and the partial tail — is set aside for the compacted
-    // re-pack. The leftovers keep scan order, i.e. length-descending.
-    struct Group {
-        std::uint32_t begin = 0;  ///< index into members
-        std::uint32_t count = 0;
-        std::uint32_t columns = 0;
-        std::uint64_t residues = 0;
-        bool compacted = false;
-    };
-    std::vector<Group> groups;
-    std::vector<std::uint32_t> members;  ///< scan slots, group-major
-    members.reserve(n);
-    std::vector<std::uint32_t> leftovers;
-    for (std::size_t s0 = 0; s0 < n; s0 += w) {
-        const std::size_t cnt = std::min(w, n - s0);
-        const std::uint32_t columns = lengths_[order_[s0]];
-        std::uint64_t residues = 0;
-        for (std::size_t l = 0; l < cnt; ++l) {
-            residues += lengths_[order_[s0 + l]];
-        }
-        if (cnt == w &&
-            residues * 100 >= std::uint64_t{columns} * w *
-                                  InterleavedChunks::kCohortFillPct) {
-            Group g;
-            g.begin = static_cast<std::uint32_t>(members.size());
-            g.count = static_cast<std::uint32_t>(cnt);
-            g.columns = columns;
-            g.residues = residues;
-            groups.push_back(g);
-            for (std::size_t l = 0; l < cnt; ++l) {
-                members.push_back(static_cast<std::uint32_t>(s0 + l));
-            }
-        } else {
-            for (std::size_t l = 0; l < cnt; ++l) {
-                leftovers.push_back(static_cast<std::uint32_t>(s0 + l));
-            }
-        }
-    }
-    // Compacted re-pack: greedy length-adjacent grouping of the
-    // leftovers — a group grows while it stays under W members and the
-    // used-lane fill relative to its longest (first) member holds, so
-    // a fresh variable-width boundary starts whenever lengths diverge.
-    // Degenerates to 1-subject cohorts for isolated outliers.
-    for (std::size_t i = 0; i < leftovers.size();) {
-        const std::uint64_t columns = lengths_[order_[leftovers[i]]];
-        std::uint64_t residues = columns;
-        std::size_t j = i + 1;
-        while (j < leftovers.size() && j - i < w) {
-            const std::uint64_t next =
-                residues + lengths_[order_[leftovers[j]]];
-            if (next * 100 < columns * (j - i + 1) *
-                                 InterleavedChunks::kCohortFillPct) {
-                break;
-            }
-            residues = next;
-            ++j;
-        }
-        Group g;
-        g.begin = static_cast<std::uint32_t>(members.size());
-        g.count = static_cast<std::uint32_t>(j - i);
-        g.columns = static_cast<std::uint32_t>(columns);
-        g.residues = residues;
-        g.compacted = true;
-        groups.push_back(g);
-        for (; i < j; ++i) members.push_back(leftovers[i]);
-    }
-
-    // Longest-first cohort order (stable across the natural/compacted
-    // interleaving) keeps the claim-balancing property of the scan
-    // order: workers pick up the expensive cohorts first.
-    std::stable_sort(groups.begin(), groups.end(),
-                     [](const Group& a, const Group& b) {
-                         return a.columns > b.columns;
-                     });
-
-    chunks->cohorts_.reserve(groups.size());
-    chunks->slots_.reserve(n);
+    // One rule: cohort c is scan slots [c*W, min(c*W + W, n)). The scan
+    // order is longest-first, so cohorts come out longest-first too (the
+    // claim-balancing property) and each one's first member sets its
+    // column count.
+    chunks->cohorts_.reserve((n + w - 1) / w);
     std::uint64_t total = 0;
-    for (const Group& g : groups) {
+    for (std::size_t s0 = 0; s0 < n; s0 += w) {
         align::CohortDesc d;
         d.offset = total;
-        d.residues = g.residues;
-        d.columns = g.columns;
-        d.first_slot = static_cast<std::uint32_t>(chunks->slots_.size());
-        d.lanes_used = g.count;
-        if (g.compacted) {
-            d.flags |= align::CohortDesc::kCompacted;
-            ++chunks->compacted_;
+        d.columns = lengths_[order_[s0]];
+        d.first_slot = static_cast<std::uint32_t>(s0);
+        d.lanes_used = static_cast<std::uint32_t>(std::min(w, n - s0));
+        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+            d.residues += lengths_[order_[s0 + l]];
         }
-        total += std::uint64_t{g.columns} * w;
+        total += std::uint64_t{d.columns} * w;
         chunks->cohorts_.push_back(d);
-        for (std::uint32_t l = 0; l < g.count; ++l) {
-            chunks->slots_.push_back(members[g.begin + l]);
-        }
     }
 
     if (total > 0) {
         chunks->arena_.reset(static_cast<align::Code*>(
             ::operator new[](total, std::align_val_t{kArenaAlign})));
-        // Fill pass: column-major — column j holds residue j of every
-        // lane — padding exhausted/absent lanes with the sentinel the
-        // inter-sequence profile maps to the worst score.
-        std::memset(chunks->arena_.get(), align::InterseqProfile::kPadCode,
-                    total);
+        const align::PackedSubjects subjects = view();
         for (const align::CohortDesc& d : chunks->cohorts_) {
-            align::Code* base = chunks->arena_.get() + d.offset;
-            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                const std::uint32_t idx =
-                    order_[chunks->slots_[d.first_slot + l]];
-                const align::Code* src = arena_.get() + offsets_[idx];
-                const std::uint32_t len = lengths_[idx];
-                for (std::uint32_t j = 0; j < len; ++j) {
-                    base[std::size_t{j} * w + l] = src[j];
-                }
-            }
+            align::interleave_subjects(
+                subjects, order_.data() + d.first_slot, d.lanes_used, w,
+                {chunks->arena_.get() + d.offset,
+                 std::size_t{d.columns} * w});
         }
     }
 

@@ -2,11 +2,14 @@
 
 // Packed scan representation of a sequence database: one contiguous,
 // 64-byte-aligned residue arena with per-subject offsets/lengths, plus a
-// length-sorted scan permutation. This is the layout the striped-kernel
-// hot path scans (cf. SWIPE/SWAPHI-style packed device buffers): a scan
-// walks the arena sequentially instead of pointer-chasing one
-// heap-allocated std::vector per sequence, and residues are validated
-// against the alphabet ONCE here instead of per kernel inner loop.
+// length-sorted scan permutation (cf. SWIPE/SWAPHI-style packed device
+// buffers): a scan walks the arena sequentially instead of
+// pointer-chasing one heap-allocated std::vector per sequence, and
+// residues are validated against the alphabet ONCE here instead of per
+// kernel inner loop. The striped kernel scores subjects straight from
+// this arena; the inter-sequence kernels read the lane-interleaved
+// cohorts built from it (InterleavedChunks): consecutive runs of the
+// scan order, one run per cohort.
 
 #include <cstdint>
 #include <memory>
@@ -20,39 +23,23 @@
 namespace swh::db {
 
 /// Lane-interleaved cohort layout of a packed database at one SIMD
-/// width W: scan-order subjects are grouped into cohorts and each
-/// cohort's residues are stored column-major — column j holds residue
-/// j of every member, short lanes padded with the inter-sequence
-/// padding sentinel. This is the input geometry of
+/// width W: cohort c holds scan slots [c*W, min(c*W + W, n)) — W
+/// consecutive subjects of the longest-first scan order, the last
+/// cohort possibly partial — with its residues stored column-major
+/// (column j holds residue j of every member, short and absent lanes
+/// padded with the inter-sequence padding sentinel; see
+/// align::interleave_subjects). Its column count is its first member's
+/// length. This is the input geometry of
 /// align::sw_interseq_u8_tiled/i16_tiled. Built lazily by
-/// PackedDatabase::interleaved().
-///
-/// Grouping: W consecutive scan-order slots form a natural cohort when
-/// the full-width fill meets kCohortFillPct (the longest-first scan
-/// order makes such members near-equal length). The leftovers — the
-/// divergent long-subject head groups and the partial tail — are
-/// re-packed by length adjacency into dense compacted cohorts
-/// (CohortDesc::kCompacted, possibly fewer than W members, down to a
-/// 1-subject tail), so low-fill stretches stop forcing full-width pad
-/// columns. Cohort membership is carried by a slots table: lane l of
-/// cohort d is scan slot slots()[d.first_slot + l].
+/// PackedDatabase::interleaved(); the scanner picks each cohort's route
+/// (inter-sequence or striped per subject) from its fill.
 class InterleavedChunks {
 public:
-    /// Minimum used-lane residue fill (percent) for keeping a natural
-    /// full-width group, and for extending a compacted group by one
-    /// more (shorter) member. Mirrors the historical dispatch bar so a
-    /// kept natural cohort is never worse-filled than before.
-    static constexpr std::uint64_t kCohortFillPct = 75;
-
     int lanes() const { return lanes_; }
     std::size_t cohort_count() const { return cohorts_.size(); }
     const align::CohortDesc& cohort(std::size_t c) const {
         return cohorts_[c];
     }
-    /// Cohort-member table (cohort-major scan slots, see CohortDesc).
-    std::span<const std::uint32_t> slots() const { return slots_; }
-    /// Cohorts assembled by the compacted-tail build.
-    std::size_t compacted_cohorts() const { return compacted_; }
 
     /// Non-owning view for align::DatabaseScanner; valid while this
     /// object (i.e. the owning PackedDatabase) is alive.
@@ -67,8 +54,6 @@ private:
 
     std::unique_ptr<align::Code[], ArenaFree> arena_;
     std::vector<align::CohortDesc> cohorts_;
-    std::vector<std::uint32_t> slots_;
-    std::size_t compacted_ = 0;
     int lanes_ = 0;
 };
 

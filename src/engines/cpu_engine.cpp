@@ -17,19 +17,14 @@ namespace swh::engines {
 
 void export_scan_stats(const align::DatabaseScanner::Stats& s,
                        obs::MetricsRegistry& metrics) {
-    // Route breakdown: why each cohort took the path it did —
-    // compacted (ragged layout membership; a subset of
-    // cohorts_interseq) or striped-head (fill below the dispatch bar).
+    // Route breakdown: inter-sequence, or striped-head (fill below the
+    // dispatch bar).
     metrics.counter("scan.dispatch.cohorts_interseq").add(s.cohorts_interseq);
-    metrics.counter("scan.dispatch.cohorts_compacted")
-        .add(s.cohorts_compacted);
     metrics.counter("scan.dispatch.cohorts_striped_head")
         .add(s.cohorts_striped);
     metrics.counter("scan.dispatch.escalations16").add(s.escalations16);
     metrics.counter("scan.dispatch.subjects_interseq")
         .add(s.subjects_interseq);
-    metrics.counter("scan.dispatch.subjects_compacted")
-        .add(s.subjects_compacted);
     metrics.counter("scan.dispatch.subjects_striped").add(s.subjects_striped);
     metrics.counter("engine.cpu.filter.cohorts").add(s.cohorts_filtered);
     metrics.counter("engine.cpu.filter.pruned").add(s.subjects_pruned);
@@ -64,8 +59,8 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     // Packed arena: built once per database (cached inside it), scanned
     // by every task against that database. When the matrix admits the
     // inter-sequence kernels, also attach the lane-interleaved cohort
-    // layout (likewise cached per width) so the scanner can dispatch
-    // short/medium-cohort work to the W-subjects-at-once kernel.
+    // layout (likewise cached per width) so the scanner can score every
+    // well-filled cohort with the W-subjects-at-once kernel.
     const db::PackedDatabase& packed = database.packed();
     align::InterleavedCohorts cohorts;
     if (config_.interseq && aligner.interseq() != nullptr) {

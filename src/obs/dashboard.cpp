@@ -77,10 +77,13 @@ std::string render_dashboard(const MetricsSnapshot& snapshot,
         if (name == "engine.cpu.filter.tau" && value > 0.0) {
             const std::uint64_t pruned =
                 snapshot.counter("engine.cpu.filter.pruned");
+            // Every subject is pruned, exact-scored on one stage-2 route
+            // or drained hot from a probe — hot lanes count in no
+            // scan.dispatch.subjects_* counter.
             const std::uint64_t subjects =
                 pruned + snapshot.counter("scan.dispatch.subjects_interseq") +
-                snapshot.counter("scan.dispatch.subjects_compacted") +
-                snapshot.counter("scan.dispatch.subjects_striped");
+                snapshot.counter("scan.dispatch.subjects_striped") +
+                snapshot.counter("engine.cpu.filter.hot");
             os << "funnel tau " << format_double(value, 0);
             if (subjects > 0) {
                 os << "  pruned "

@@ -261,8 +261,7 @@ TEST(DatabaseScanner, InterseqScanMatchesStripedAcrossIsaLevels) {
             }
             // Every subject went through exactly one pass-1 kernel, and
             // the short queries must actually use the new kernel.
-            EXPECT_EQ(ds.subjects_interseq + ds.subjects_compacted +
-                          ds.subjects_striped,
+            EXPECT_EQ(ds.subjects_interseq + ds.subjects_striped,
                       database.size());
             EXPECT_GE(ds.cohorts_interseq, 1u)
                 << "isa=" << simd::to_string(isa) << " query=" << q.id;
@@ -291,7 +290,7 @@ TEST(DatabaseScanner, LongQueryDispatchesTiledInterseq) {
     const std::vector<Score> scores =
         cohort_scan_scores(aligner, database, &ds);
     EXPECT_GT(ds.cohorts_interseq, 0u);
-    EXPECT_GT(ds.subjects_interseq + ds.subjects_compacted, 0u);
+    EXPECT_GT(ds.subjects_interseq, 0u);
     for (std::size_t i = 0; i < database.size(); ++i) {
         EXPECT_EQ(scores[i], aligner.score(database[i].residues));
     }
@@ -336,9 +335,7 @@ TEST(DatabaseScanner, ConcurrentCohortWorkersMatchSequential) {
             << "subject " << i;
     }
     const DatabaseScanner::Stats ds = scanner.stats();
-    EXPECT_EQ(ds.subjects_interseq + ds.subjects_compacted +
-                  ds.subjects_striped,
-              database.size());
+    EXPECT_EQ(ds.subjects_interseq + ds.subjects_striped, database.size());
 }
 
 TEST(DatabaseScanner, EmitFalseCancelsMidCohortAcrossWorkers) {

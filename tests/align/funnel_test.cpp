@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "align/sw_scalar.hpp"
 #include "db/database.hpp"
 #include "db/generator.hpp"
 #include "db/packed.hpp"
@@ -158,19 +159,18 @@ TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
 
 TEST(DatabaseScannerFunnel, LongQueryTiledSparseSurvivorsBitIdentical) {
     // A multi-tile query drives the query-tiled inter-sequence kernels
-    // and the tile-sum prefilter, and the few survivors of cohorts the
-    // armed prefilter thins out are scored per subject by the striped
-    // kernel instead of a mostly-masked full-width pass. Both paths
-    // must keep the funnel's bit-identity promise — and must actually
-    // be exercised, not silently skipped.
+    // and the tile-sum prefilter, and cohorts the armed prefilter thins
+    // out to a few survivors still run the full-width u8 kernel, their
+    // pruned lanes masked. That path must keep the funnel's
+    // bit-identity promise — and must actually be exercised, not
+    // silently skipped.
     //
-    // The striped cutover needs cohorts the prefilter thins out to a
-    // quarter or less: one homolog (a background subject carrying a
-    // verbatim 40-residue window of the query, scoring far above the
-    // rest) per ~6 background subjects, with the background's length
-    // profile, so most length-sorted cohorts keep a few homolog lanes
-    // and lose the rest. Two tiles keep the summed bound tight enough
-    // to prune.
+    // Sparse cohorts need the prefilter to thin them to a quarter or
+    // less: one homolog (a background subject carrying a verbatim
+    // 40-residue window of the query, scoring far above the rest) per
+    // ~6 background subjects, with the background's length profile, so
+    // most length-sorted cohorts keep a few homolog lanes and lose the
+    // rest. Two tiles keep the summed bound tight enough to prune.
     Rng rng(401);
     const Sequence q =
         db::random_protein(rng, kInterseqTileRows + 53, "long");
@@ -198,11 +198,16 @@ TEST(DatabaseScannerFunnel, LongQueryTiledSparseSurvivorsBitIdentical) {
 
     // Coverage is asserted in aggregate: how many homologs share a
     // cohort depends on the lane count, but the levels together must
-    // prove the interseq and striped-cutover paths ran.
-    std::uint64_t interseq_cohorts = 0, striped_cohorts = 0,
-                  striped_subjects = 0, pruned = 0;
+    // prove the sparse interseq path ran.
+    std::uint64_t interseq_cohorts = 0, sparse_cohorts = 0, pruned = 0;
     for (const simd::IsaLevel isa : supported_levels()) {
         const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const auto w = static_cast<std::size_t>(lanes_u8(isa));
+        const auto order = database.packed().scan_order();
+        std::vector<std::size_t> slot_of(database.size());
+        for (std::size_t slot = 0; slot < order.size(); ++slot) {
+            slot_of[order[slot]] = slot;
+        }
         for (const std::size_t k : {std::size_t{1}, std::size_t{25}}) {
             const std::vector<core::Hit> want =
                 exhaustive_topk(aligner, database, k);
@@ -213,26 +218,77 @@ TEST(DatabaseScannerFunnel, LongQueryTiledSparseSurvivorsBitIdentical) {
                                  " k=" + std::to_string(k));
             EXPECT_EQ(run.emitted + run.pruned_calls, database.size());
             EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned);
-            // Every subject settles on exactly one of the three paths
+            // Every subject settles on exactly one of the two routes
             // or is pruned — no double counting, no loss.
             EXPECT_EQ(run.stats.subjects_interseq +
-                          run.stats.subjects_compacted +
                           run.stats.subjects_striped +
                           run.stats.subjects_pruned,
                       database.size());
+            // No cohort falls below the fill bar, and however few lanes
+            // survive, the survivors stay on the interseq route.
+            EXPECT_EQ(run.stats.subjects_striped, 0u);
+            EXPECT_GT(run.stats.cohorts_interseq, 0u);
+            // Cohort c holds scan slots [c*w, c*w + w): count the
+            // cohorts thinned to a quarter of their lanes or less.
+            const std::size_t cohorts = (database.size() + w - 1) / w;
+            std::vector<std::size_t> kept(cohorts, 0), gone(cohorts, 0);
+            for (const std::uint32_t idx : run.settled) {
+                ++kept[slot_of[idx] / w];
+            }
+            for (const std::uint32_t idx : run.pruned) {
+                ++gone[slot_of[idx] / w];
+            }
+            for (std::size_t c = 0; c < cohorts; ++c) {
+                if (kept[c] > 0 && gone[c] > 0 &&
+                    4 * kept[c] <= kept[c] + gone[c]) {
+                    ++sparse_cohorts;
+                }
+            }
             interseq_cohorts += run.stats.cohorts_interseq;
-            striped_cohorts += run.stats.cohorts_striped;
-            striped_subjects += run.stats.subjects_striped;
             pruned += run.stats.subjects_pruned;
         }
     }
     EXPECT_GT(interseq_cohorts, 0u);
     EXPECT_GT(pruned, 0u);
-    // Every cohort meets the fill bar, so each striped subject is a
-    // survivor of a thinned-out interseq cohort, scored per subject
-    // instead of being masked.
-    EXPECT_EQ(striped_cohorts, 0u);
-    EXPECT_GT(striped_subjects, 0u);
+    EXPECT_GT(sparse_cohorts, 0u);
+}
+
+TEST(DatabaseScannerFunnel, LowFillOutlierCohortTakesStripedRoute) {
+    // One 2000-residue outlier carrying the query, over 33 subjects of
+    // 50 residues: at every width the outlier leads a cohort far below
+    // the fill bar, so that cohort is scored per subject by the striped
+    // kernel (the outlier overflowing u8 into the drain). Exhaustive
+    // and funnel top-k must both be the scalar oracle's.
+    Rng rng(461);
+    const Sequence q = db::random_protein(rng, 150, "q");
+    std::vector<Sequence> seqs;
+    Sequence outlier = db::random_protein(rng, 2000, "outlier");
+    std::copy(q.residues.begin(), q.residues.end(),
+              outlier.residues.begin() + 900);
+    seqs.push_back(std::move(outlier));
+    for (int i = 0; i < 33; ++i) {
+        seqs.push_back(db::random_protein(rng, 50, "bg" + std::to_string(i)));
+    }
+    const db::Database database("outlier", std::move(seqs));
+    constexpr std::size_t kTopK = 5;
+    engines::TopK oracle(kTopK);
+    for (std::size_t i = 0; i < database.size(); ++i) {
+        oracle.add(static_cast<std::uint32_t>(i),
+                   sw_score_affine(q.residues, database[i].residues, blosum(),
+                                   kGap));
+    }
+    const std::vector<core::Hit> want = oracle.take();
+    ASSERT_EQ(want.front().db_index, 0u);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        DatabaseScanner::Stats exhaustive;
+        expect_same_hits(exhaustive_topk(aligner, database, kTopK, &exhaustive),
+                         want, label + " exhaustive");
+        EXPECT_GT(exhaustive.cohorts_striped, 0u) << label;
+        expect_same_hits(funnel_topk(aligner, database, kTopK).hits, want,
+                         label + " funnel");
+    }
 }
 
 TEST(DatabaseScannerFunnel, BatchedEscalationBitIdentical) {
@@ -498,9 +554,7 @@ TEST(DatabaseScannerFunnel, FamilySplitAcrossCohortsIsHotAndPrunesBackground) {
         for (std::size_t c = 0; c < view.count; ++c) {
             const CohortDesc& d = view.cohorts[c];
             for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                const std::size_t slot = view.slots != nullptr
-                                             ? view.slots[d.first_slot + l]
-                                             : d.first_slot + l;
+                const std::size_t slot = d.first_slot + l;
                 const std::uint32_t idx =
                     order != nullptr ? order[slot]
                                      : static_cast<std::uint32_t>(slot);

@@ -156,10 +156,12 @@ TEST(PackedDatabase, ScanOrderTieBreakIsBitReproducible) {
     }
 }
 
-/// Structural invariants every interleaved layout must satisfy,
-/// whatever mix of natural and compacted cohorts the lengths produce:
-/// each subject packed exactly once, arena contents matching the
-/// subject through the slots table, fill bars respected.
+/// Structural invariants of the one cohort rule: cohort c holds scan
+/// slots [c*W, min(c*W + W, n)) at a contiguous arena offset, its
+/// columns are its first (longest) member's length, the arena holds
+/// each member's residues column-major with padding past each lane's
+/// length and in absent lanes, and every scan slot is packed exactly
+/// once.
 void check_layout(const PackedDatabase& packed, int lanes) {
     const InterleavedChunks& chunks = packed.interleaved(lanes);
     EXPECT_EQ(chunks.lanes(), lanes);
@@ -169,52 +171,26 @@ void check_layout(const PackedDatabase& packed, int lanes) {
     EXPECT_EQ(v.lanes, lanes);
     EXPECT_EQ(v.pad_code, align::InterseqProfile::kPadCode);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.arena) % 64, 0u);
-    if (packed.size() > 0) {
-        ASSERT_NE(v.slots, nullptr);
-        ASSERT_EQ(chunks.slots().size(), packed.size());
-    }
 
     const std::uint64_t w = static_cast<std::uint64_t>(lanes);
-    std::vector<int> seen(packed.size(), 0);
-    std::size_t compacted = 0;
+    const std::uint64_t n = packed.size();
+    EXPECT_EQ(v.count, (n + w - 1) / w);
+    std::vector<int> seen(n, 0);
+    std::uint64_t offset = 0;
     for (std::size_t c = 0; c < v.count; ++c) {
         const align::CohortDesc& d = v.cohorts[c];
-        if (c > 0) {
-            // Longest-first cohort order keeps claim balancing.
-            EXPECT_LE(d.columns, v.cohorts[c - 1].columns);
-        }
-        ASSERT_GE(d.lanes_used, 1u);
-        ASSERT_LE(d.lanes_used, w);
-        const bool is_compacted =
-            (d.flags & align::CohortDesc::kCompacted) != 0;
-        compacted += is_compacted ? 1 : 0;
-        if (!is_compacted) {
-            // Natural cohorts survive only at full width and above the
-            // full-width fill bar; anything else must be re-packed.
-            EXPECT_EQ(d.lanes_used, w);
-            EXPECT_GE(d.residues * 100,
-                      std::uint64_t{d.columns} * w *
-                          InterleavedChunks::kCohortFillPct);
-        } else {
-            // Compacted cohorts hold the bar against their own used
-            // lane count (1-subject outlier cohorts pass trivially).
-            EXPECT_GE(d.residues * 100, std::uint64_t{d.columns} *
-                                            d.lanes_used *
-                                            InterleavedChunks::kCohortFillPct);
-        }
+        ASSERT_EQ(d.first_slot, c * w);
+        ASSERT_EQ(d.lanes_used, std::min(w, n - c * w));
+        EXPECT_EQ(d.columns, packed.length(order[d.first_slot]));
+        EXPECT_EQ(d.offset, offset);
+        offset += std::uint64_t{d.columns} * w;
         std::uint64_t residues = 0;
         for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-            const std::uint32_t slot = v.slots[d.first_slot + l];
-            ASSERT_LT(slot, packed.size());
+            const std::uint32_t slot = d.first_slot + l;
             ++seen[slot];
-            const std::uint32_t idx = order[slot];
-            const auto sub = packed.subject(idx);
+            const auto sub = packed.subject(order[slot]);
             residues += sub.size();
             EXPECT_LE(sub.size(), d.columns);
-            // The longest member leads, so columns is exact.
-            if (l == 0) {
-                EXPECT_EQ(d.columns, sub.size());
-            }
             for (std::size_t j = 0; j < d.columns; ++j) {
                 const align::Code got = v.arena[d.offset + j * w + l];
                 if (j < sub.size()) {
@@ -236,7 +212,6 @@ void check_layout(const PackedDatabase& packed, int lanes) {
             }
         }
     }
-    EXPECT_EQ(compacted, chunks.compacted_cohorts());
     for (std::size_t s = 0; s < seen.size(); ++s) {
         EXPECT_EQ(seen[s], 1) << "scan slot " << s
                               << " not packed exactly once";
@@ -251,8 +226,8 @@ TEST(InterleavedChunksTest, CohortLayoutMatchesScanOrder) {
 }
 
 TEST(InterleavedChunksTest, UniformLengthsStayNaturalCohorts) {
-    // Equal lengths fill every natural cohort to 100%: nothing but the
-    // sub-width tail should be re-packed.
+    // 70 equal-length subjects at W = 16: four full cohorts and a
+    // 6-lane tail.
     std::vector<align::Sequence> seqs;
     for (int i = 0; i < 70; ++i) {
         seqs.push_back(align::Sequence{
@@ -261,60 +236,19 @@ TEST(InterleavedChunksTest, UniformLengthsStayNaturalCohorts) {
     const PackedDatabase packed = PackedDatabase::pack(seqs);
     constexpr int kLanes = 16;
     const InterleavedChunks& chunks = packed.interleaved(kLanes);
-    // 70 = 4 full natural cohorts + a 6-subject compacted tail.
-    EXPECT_EQ(chunks.cohort_count(), 5u);
-    EXPECT_EQ(chunks.compacted_cohorts(), 1u);
+    ASSERT_EQ(chunks.cohort_count(), 5u);
+    for (std::size_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(chunks.cohort(c).lanes_used, 16u);
+    }
+    EXPECT_EQ(chunks.cohort(4).lanes_used, 6u);
     check_layout(packed, kLanes);
 }
 
-TEST(InterleavedChunksTest, RaggedLengthsCompactIntoDenseCohorts) {
-    // A length cliff inside what would be one natural cohort: 8
-    // subjects of 400 followed by 58 of 40. The natural W-stride group
-    // mixing them fills 8*400+8*40 / 16*400 = 55% < 75%, so the whole
-    // head must be re-packed into dense length-adjacent cohorts.
-    std::vector<align::Sequence> seqs;
-    for (int i = 0; i < 8; ++i) {
-        seqs.push_back(align::Sequence{
-            "long" + std::to_string(i), "",
-            std::vector<align::Code>(400, 5)});
-    }
-    for (int i = 0; i < 58; ++i) {
-        seqs.push_back(align::Sequence{
-            "short" + std::to_string(i), "",
-            std::vector<align::Code>(40, 7)});
-    }
-    const PackedDatabase packed = PackedDatabase::pack(seqs);
-    constexpr int kLanes = 16;
-    const InterleavedChunks& chunks = packed.interleaved(kLanes);
-    check_layout(packed, kLanes);
-    EXPECT_GE(chunks.compacted_cohorts(), 2u);
-    // The 400-column cohort must not run at the full natural width (16
-    // lanes would be 55% fill): the re-pack stops adding 40-residue
-    // tag-alongs once aggregate fill would drop below the bar. The
-    // bulk of the short subjects land in dense natural 40-column
-    // cohorts instead.
-    const align::InterleavedCohorts v = chunks.view();
-    bool long_cohort = false, natural_short = false;
-    for (std::size_t c = 0; c < v.count; ++c) {
-        const align::CohortDesc& d = v.cohorts[c];
-        if (d.columns == 400) {
-            long_cohort = true;
-            EXPECT_LT(d.lanes_used, 16u);
-            EXPECT_NE(d.flags & align::CohortDesc::kCompacted, 0u);
-        }
-        if (d.columns == 40 &&
-            (d.flags & align::CohortDesc::kCompacted) == 0) {
-            natural_short = true;
-        }
-    }
-    EXPECT_TRUE(long_cohort);
-    EXPECT_TRUE(natural_short);
-}
-
-TEST(InterleavedChunksTest, IsolatedOutlierGetsSingleSubjectCohort) {
-    // One 2000-residue outlier over a sea of 50-residue subjects: the
-    // greedy re-pack cannot pair anything with it without collapsing
-    // fill, so it must ride alone.
+TEST(InterleavedChunksTest, IsolatedOutlierLeadsAFullNaturalCohort) {
+    // One 2000-residue outlier over 33 subjects of 50 residues at
+    // W = 16: the outlier leads the first cohort, which keeps all 16
+    // lanes at 2000 columns. The layout never splits a group — the
+    // scanner's fill bar routes this low-fill cohort instead.
     std::vector<align::Sequence> seqs;
     seqs.push_back(align::Sequence{
         "outlier", "", std::vector<align::Code>(2000, 2)});
@@ -326,17 +260,12 @@ TEST(InterleavedChunksTest, IsolatedOutlierGetsSingleSubjectCohort) {
     constexpr int kLanes = 16;
     const InterleavedChunks& chunks = packed.interleaved(kLanes);
     check_layout(packed, kLanes);
-    const align::InterleavedCohorts v = chunks.view();
-    bool found = false;
-    for (std::size_t c = 0; c < v.count; ++c) {
-        const align::CohortDesc& d = v.cohorts[c];
-        if (d.columns == 2000) {
-            found = true;
-            EXPECT_EQ(d.lanes_used, 1u);
-            EXPECT_NE(d.flags & align::CohortDesc::kCompacted, 0u);
-        }
-    }
-    EXPECT_TRUE(found);
+    ASSERT_EQ(chunks.cohort_count(), 3u);
+    EXPECT_EQ(chunks.cohort(0).columns, 2000u);
+    EXPECT_EQ(chunks.cohort(0).lanes_used, 16u);
+    EXPECT_EQ(chunks.cohort(0).residues, 2000u + 15u * 50u);
+    EXPECT_EQ(chunks.cohort(1).columns, 50u);
+    EXPECT_EQ(chunks.cohort(2).lanes_used, 2u);
 }
 
 TEST(InterleavedChunksTest, CachedPerWidthAndThreadSafe) {

@@ -144,11 +144,9 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "engine.cpu.filter.tiles",
         "engine.cpu.filter.tiles_skipped",
         "scan.dispatch.cohorts_interseq",
-        "scan.dispatch.cohorts_compacted",
         "scan.dispatch.cohorts_striped_head",
         "scan.dispatch.escalations16",
         "scan.dispatch.subjects_interseq",
-        "scan.dispatch.subjects_compacted",
         "scan.dispatch.subjects_striped",
     };
     EXPECT_EQ(names, want);
@@ -158,7 +156,6 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
     EXPECT_EQ(snap.counter("engine.cpu.filter.pruned") +
                   snap.counter("engine.cpu.filter.hot") +
                   snap.counter("scan.dispatch.subjects_interseq") +
-                  snap.counter("scan.dispatch.subjects_compacted") +
                   snap.counter("scan.dispatch.subjects_striped"),
               sample.database.size());
 }

@@ -25,8 +25,8 @@ MetricsSnapshot synthetic() {
     reg.counter("engine.cpu.filter.cohorts").add(40);
     reg.counter("engine.cpu.filter.pruned").add(900);
     reg.counter("scan.dispatch.subjects_interseq").add(60);
-    reg.counter("scan.dispatch.subjects_compacted").add(30);
     reg.counter("scan.dispatch.subjects_striped").add(10);
+    reg.counter("engine.cpu.filter.hot").add(30);
     Histogram& depth = reg.histogram("channel.master_inbox.depth");
     for (int i = 0; i < 10; ++i) depth.record(2.0);
     return reg.snapshot();
@@ -55,9 +55,23 @@ TEST(Dashboard, UnknownPesGetFallbackLabels) {
 TEST(Dashboard, ShowsFunnelThresholdWhenArmed) {
     const std::string frame = render_dashboard(synthetic(), {});
     EXPECT_NE(frame.find("87"), std::string::npos);  // tau value
-    // Pruned share of all subjects: 900 / (900 + 60 + 30 + 10), not
+    // Pruned share of all subjects: 900 / (900 + 60 + 10 + 30 hot), not
     // pruned subjects per filtered cohort (900 / 40).
     EXPECT_NE(frame.find("funnel tau 87  pruned 90.0% of subjects"),
+              std::string::npos)
+        << frame;
+}
+
+TEST(Dashboard, FunnelShareCountsHotLanes) {
+    // Every exact score came from hot lanes (no stage-2 route ran): the
+    // hot subjects still belong to the denominator, so the pruned share
+    // is 17200 / (17200 + 400), not 100%.
+    MetricsRegistry reg;
+    reg.gauge("engine.cpu.filter.tau").set(120.0);
+    reg.counter("engine.cpu.filter.pruned").add(17200);
+    reg.counter("engine.cpu.filter.hot").add(400);
+    const std::string frame = render_dashboard(reg.snapshot(), {});
+    EXPECT_NE(frame.find("funnel tau 120  pruned 97.7% of subjects"),
               std::string::npos)
         << frame;
 }
