@@ -18,7 +18,8 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     filter_tiles += o.filter_tiles;
     filter_tiles_skipped += o.filter_tiles_skipped;
     settled8 += o.settled8;
-    settled_wide += o.settled_wide;
+    settled16 += o.settled16;
+    settled32 += o.settled32;
     return *this;
 }
 

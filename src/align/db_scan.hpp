@@ -162,10 +162,13 @@ public:
         /// probe.
         std::uint64_t filter_tiles = 0;
         std::uint64_t filter_tiles_skipped = 0;
-        /// Settlements: by the u8 kernels, and by a wide kernel (i16
-        /// inter-sequence, striped i16 or scalar int32).
+        /// Settlements by kernel width, the one escalation tally
+        /// (engine.cpu.runs8/16/32): u8 (inter-sequence or striped),
+        /// i16 (the batched inter-sequence drain or striped i16), and
+        /// the exact scalar int32 rescore.
         std::uint64_t settled8 = 0;
-        std::uint64_t settled_wide = 0;
+        std::uint64_t settled16 = 0;
+        std::uint64_t settled32 = 0;
 
         Stats& operator+=(const Stats& o);
     };
@@ -216,23 +219,29 @@ public:
                         : claim_subjects(scratch, emit, overflow, t);
         // Final stage (packed path only — cohort mode drains its own
         // batch, see drain_overflow): settle the deferred overflow
-        // batch with the wide kernels.
+        // batch with the striped i16 kernel, then scalar int32.
         for (const std::uint32_t idx : overflow) {
             if (!keep) break;
-            const Score s = aligner_->rescore_wide(subjects_.subject(idx),
-                                                   scratch, /*trusted=*/true);
-            ++t.settled_wide;
+            const std::span<const Code> subject = subjects_.subject(idx);
+            const StripedResult r16 =
+                aligner_->score_i16(subject, scratch, /*trusted=*/true);
+            Score s = r16.score;
+            if (r16.overflow) {
+                s = aligner_->rescore_i32(subject, scratch);
+                ++t.settled32;
+            } else {
+                ++t.settled16;
+            }
             keep = emit(idx, subjects_.lengths[idx], s);
         }
         // Emit contract: unless a callback cancelled the scan, every
         // subject this worker claimed either settles exactly once — in
         // stage 2 for the in-range scores, in a wide rescore for the
         // deferred and hot rest — or is reported pruned exactly once.
-        SWH_DCHECK(!keep || t.settled8 + t.settled_wide ==
+        SWH_DCHECK(!keep || t.settled8 + t.settled16 + t.settled32 ==
                                 t.subjects_interseq + t.subjects_striped +
                                     t.subjects_hot,
                    "emit contract: one settled score per claimed subject");
-        aligner_->credit_runs8(t.settled8);
         merge(t);
         return keep;
     }
@@ -615,9 +624,8 @@ private:
     /// whose lo half-vector holds the group, so a homolog family of a
     /// few lanes fills its vectors instead of padding a full-width
     /// pass. Lanes the i16 pass itself flags as saturated go straight
-    /// to the exact int32 rescore (the striped i16 attempt rescore_wide
-    /// would run first is already proven futile). Leaves `overflow`
-    /// empty.
+    /// to the exact int32 rescore (a striped i16 attempt is already
+    /// proven futile). Leaves `overflow` empty.
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
                                      ScanScratch& scratch,
@@ -641,21 +649,19 @@ private:
                     aligner_->gap(), isa, scratch, colstate, lane_best,
                     count);
                 bool k = true;
-                std::uint64_t settled16 = 0;
                 for (std::size_t i = 0; i < count && k; ++i) {
                     const std::uint32_t idx = batch[i];
                     Score s;
                     if ((ovf >> i) & 1) {
                         s = aligner_->rescore_i32(subjects_.subject(idx),
                                                   scratch);
+                        ++t.settled32;
                     } else {
                         s = static_cast<Score>(lane_best[i]);
-                        ++settled16;
+                        ++t.settled16;
                     }
-                    ++t.settled_wide;
                     k = emit(idx, subjects_.lengths[idx], s);
                 }
-                aligner_->credit_runs16(settled16);
                 return k;
             });
         // On cancellation the worker is aborting anyway; clearing keeps

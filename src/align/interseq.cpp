@@ -96,30 +96,10 @@ std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    ScanScratch& scratch,
                                    InterseqColumnState& state,
                                    std::uint8_t* lane_best) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return detail::interseq_u8_tiled<simd::U8x16s>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return detail::interseq_u8_tiled<simd::U8x16>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return detail::interseq_u8_tiled<simd::U8x32>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return detail::interseq_u8_tiled<simd::U8x64>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
+    return simd::dispatch(isa, [&]<class T>(T) {
+        return detail::interseq_u8_tiled<typename T::U8>(
+            profile, cols, columns, gap, scratch, state, lane_best);
+    });
 }
 
 std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
@@ -129,50 +109,16 @@ std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
                                     InterseqColumnState& state,
                                     std::int16_t* lane_best,
                                     std::size_t lanes_used) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return lo_half_fits(lanes_used, simd::U8x16s::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x16s, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x16s>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return lo_half_fits(lanes_used, simd::U8x16::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x16, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x16>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return lo_half_fits(lanes_used, simd::U8x32::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x32, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x32>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return lo_half_fits(lanes_used, simd::U8x64::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x64, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x64>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
+    return simd::dispatch(isa, [&]<class T>(T) {
+        using V = typename T::U8;
+        return lo_half_fits(lanes_used, V::kLanes)
+                   ? detail::interseq_i16_tiled<V, true>(
+                         profile, cols, columns, gap, scratch, state,
+                         lane_best)
+                   : detail::interseq_i16_tiled<V>(profile, cols, columns,
+                                                   gap, scratch, state,
+                                                   lane_best);
+    });
 }
 
 }  // namespace swh::align

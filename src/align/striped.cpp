@@ -65,23 +65,6 @@ StripedProfile<Cell> build_profile(std::span<const Code> query,
     return p;
 }
 
-template <class V>
-StripedResult run_u8(const Profile8& p, std::span<const Code> db,
-                     GapPenalty gap, ScanScratch& scratch, bool trusted) {
-    return trusted ? detail::striped_u8_auto<V, false>(p, db, gap, scratch)
-                   : detail::striped_u8_auto<V, true>(p, db, gap, scratch);
-}
-
-template <class V>
-StripedResult run_i16(const Profile16& p, std::span<const Code> db,
-                      GapPenalty gap, Score matrix_max, ScanScratch& scratch,
-                      bool trusted) {
-    return trusted ? detail::striped_i16_auto<V, false>(p, db, gap, matrix_max,
-                                                        scratch)
-                   : detail::striped_i16_auto<V, true>(p, db, gap, matrix_max,
-                                                       scratch);
-}
-
 }  // namespace
 
 void ScanScratch::Free::operator()(std::byte* p) const {
@@ -127,74 +110,24 @@ Profile16 build_profile16(std::span<const Code> query,
 }
 
 int lanes_u8(simd::IsaLevel isa) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return simd::U8x16s::kLanes;
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return simd::U8x16::kLanes;
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return simd::U8x32::kLanes;
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return simd::U8x64::kLanes;
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
+    return simd::dispatch(isa, []<class T>(T) { return T::U8::kLanes; });
 }
 
 int lanes_i16(simd::IsaLevel isa) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return simd::I16x8s::kLanes;
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return simd::I16x8::kLanes;
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return simd::I16x16::kLanes;
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return simd::I16x32::kLanes;
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
+    return simd::dispatch(isa, []<class T>(T) { return T::I16::kLanes; });
 }
 
 StripedResult sw_striped_u8(const Profile8& profile, std::span<const Code> db,
                             GapPenalty gap, simd::IsaLevel isa,
                             ScanScratch& scratch, bool trusted) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return run_u8<simd::U8x16s>(profile, db, gap, scratch, trusted);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return run_u8<simd::U8x16>(profile, db, gap, scratch, trusted);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return run_u8<simd::U8x32>(profile, db, gap, scratch, trusted);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return run_u8<simd::U8x64>(profile, db, gap, scratch, trusted);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return {};
+    return simd::dispatch(isa, [&]<class T>(T) {
+        using V = typename T::U8;
+        return trusted
+                   ? detail::striped_u8_auto<V, false>(profile, db, gap,
+                                                       scratch)
+                   : detail::striped_u8_auto<V, true>(profile, db, gap,
+                                                      scratch);
+    });
 }
 
 StripedResult sw_striped_u8(const Profile8& profile, std::span<const Code> db,
@@ -208,30 +141,13 @@ StripedResult sw_striped_i16(const Profile16& profile,
                              simd::IsaLevel isa, ScanScratch& scratch,
                              bool trusted) {
     const Score matrix_max = profile.max_entry;
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return run_i16<simd::I16x8s>(profile, db, gap, matrix_max, scratch,
-                                         trusted);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return run_i16<simd::I16x8>(profile, db, gap, matrix_max, scratch,
-                                        trusted);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return run_i16<simd::I16x16>(profile, db, gap, matrix_max, scratch,
-                                         trusted);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return run_i16<simd::I16x32>(profile, db, gap, matrix_max, scratch,
-                                         trusted);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return {};
+    return simd::dispatch(isa, [&]<class T>(T) {
+        using V = typename T::I16;
+        return trusted ? detail::striped_i16<V, false>(profile, db, gap,
+                                                       matrix_max, scratch)
+                       : detail::striped_i16<V, true>(profile, db, gap,
+                                                      matrix_max, scratch);
+    });
 }
 
 StripedResult sw_striped_i16(const Profile16& profile,
@@ -262,22 +178,14 @@ StripedResult StripedAligner::score_u8(std::span<const Code> db,
     return sw_striped_u8(profile8_, db, gap_, isa_, scratch, trusted);
 }
 
-Score StripedAligner::rescore_wide(std::span<const Code> db,
-                                   ScanScratch& scratch, bool trusted) const {
-    const StripedResult r16 =
-        sw_striped_i16(profile16_, db, gap_, isa_, scratch, trusted);
-    if (!r16.overflow) {
-        runs16_.fetch_add(1, std::memory_order_relaxed);
-        return r16.score;
-    }
-    runs32_.fetch_add(1, std::memory_order_relaxed);
-    const ScanScratch::ScoreRows rows = scratch.score_rows(db.size() + 1);
-    return sw_score_affine_rows(query_, db, *matrix_, gap_, rows.h, rows.f);
+StripedResult StripedAligner::score_i16(std::span<const Code> db,
+                                        ScanScratch& scratch,
+                                        bool trusted) const {
+    return sw_striped_i16(profile16_, db, gap_, isa_, scratch, trusted);
 }
 
 Score StripedAligner::rescore_i32(std::span<const Code> db,
                                   ScanScratch& scratch) const {
-    runs32_.fetch_add(1, std::memory_order_relaxed);
     const ScanScratch::ScoreRows rows = scratch.score_rows(db.size() + 1);
     return sw_score_affine_rows(query_, db, *matrix_, gap_, rows.h, rows.f);
 }
@@ -285,22 +193,15 @@ Score StripedAligner::rescore_i32(std::span<const Code> db,
 Score StripedAligner::score(std::span<const Code> db,
                             ScanScratch& scratch) const {
     const StripedResult r8 = score_u8(db, scratch);
-    if (!r8.overflow) {
-        runs8_.fetch_add(1, std::memory_order_relaxed);
-        return r8.score;
-    }
-    return rescore_wide(db, scratch);
+    if (!r8.overflow) return r8.score;
+    const StripedResult r16 = score_i16(db, scratch);
+    if (!r16.overflow) return r16.score;
+    return rescore_i32(db, scratch);
 }
 
 Score StripedAligner::score(std::span<const Code> db) const {
     thread_local ScanScratch scratch;
     return score(db, scratch);
-}
-
-StripedAligner::Stats StripedAligner::stats() const {
-    return Stats{runs8_.load(std::memory_order_relaxed),
-                 runs16_.load(std::memory_order_relaxed),
-                 runs32_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace swh::align

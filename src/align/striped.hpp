@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -129,8 +128,9 @@ int lanes_i16(simd::IsaLevel isa);
 
 /// Query-vs-many-databases scorer with automatic 8 -> 16 -> 32-bit
 /// escalation, mirroring how SSE database-search tools (and the paper's
-/// adapted Farrar code) handle score overflow. Thread-safe for concurrent
-/// score() calls after construction.
+/// adapted Farrar code) handle score overflow. Immutable after
+/// construction, so concurrent score() calls are thread-safe; the
+/// escalation tally of a scan lives in DatabaseScanner::Stats.
 struct InterseqProfile;
 
 class StripedAligner {
@@ -152,37 +152,23 @@ public:
 
     /// Pass-1 primitive of the batched two-pass scan: runs only the u8
     /// kernel. On `overflow` the caller must settle the subject later
-    /// via rescore_wide(). Does NOT touch the escalation counters —
-    /// batch-credit settled subjects with credit_runs8().
+    /// with score_i16(), then rescore_i32() if that overflows too.
     SWH_HOT_PATH StripedResult score_u8(std::span<const Code> db,
                                         ScanScratch& scratch,
                                         bool trusted = false) const;
 
-    /// Pass-2: i16 kernel, then the exact scalar int32 fallback, both
-    /// routed through `scratch`. Bumps runs16/runs32 exactly once.
-    SWH_HOT_PATH Score rescore_wide(std::span<const Code> db,
-                                    ScanScratch& scratch,
-                                    bool trusted = false) const;
+    /// Pass-2 primitive: the striped i16 kernel alone, routed through
+    /// `scratch`. On `overflow` the caller settles with rescore_i32().
+    SWH_HOT_PATH StripedResult score_i16(std::span<const Code> db,
+                                         ScanScratch& scratch,
+                                         bool trusted = false) const;
 
     /// Final-escalation primitive: the exact scalar int32 alignment,
-    /// for subjects a 16-bit kernel already proved saturated (e.g. an
-    /// overflowed lane of a batched interseq i16 escalation) — skips
-    /// the redundant striped i16 attempt rescore_wide would repeat.
-    /// Bumps runs32 once.
+    /// for subjects a 16-bit kernel already proved saturated (the
+    /// striped score_i16() or an overflowed lane of a batched interseq
+    /// i16 escalation).
     SWH_HOT_PATH Score rescore_i32(std::span<const Code> db,
                                    ScanScratch& scratch) const;
-
-    /// Credits `n` subjects settled by pass-1 score_u8() calls: one
-    /// atomic op per flushed batch instead of one per subject.
-    void credit_runs8(std::uint64_t n) const {
-        if (n > 0) runs8_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /// Credits `n` subjects settled at 16 bits by a batched interseq
-    /// escalation pass (the scanner's cohort-wide 8 -> 16 pass-2).
-    void credit_runs16(std::uint64_t n) const {
-        if (n > 0) runs16_.fetch_add(n, std::memory_order_relaxed);
-    }
 
     std::span<const Code> query() const { return query_; }
     const ScoreMatrix& matrix() const { return *matrix_; }
@@ -194,15 +180,6 @@ public:
     /// them; null means the scan must stay on the striped kernels.
     const InterseqProfile* interseq() const { return interseq_.get(); }
 
-    struct Stats {
-        std::uint64_t runs8 = 0;    ///< sequences settled by the u8 kernel
-        std::uint64_t runs16 = 0;   ///< escalations to i16
-        std::uint64_t runs32 = 0;   ///< escalations to scalar int32
-    };
-    /// Cumulative escalation counters. Exact: every settled subject is
-    /// counted exactly once, on whichever path settled it.
-    Stats stats() const;
-
 private:
     std::vector<Code> query_;
     const ScoreMatrix* matrix_;
@@ -211,7 +188,6 @@ private:
     Profile8 profile8_;
     Profile16 profile16_;
     std::unique_ptr<InterseqProfile> interseq_;  // null = not eligible
-    mutable std::atomic<std::uint64_t> runs8_{0}, runs16_{0}, runs32_{0};
 };
 
 }  // namespace swh::align

@@ -211,16 +211,11 @@ SWH_HOT_PATH StripedResult striped_u8_auto(const Profile8& p,
     return striped_u8<V, kChecked>(p, db, gap, scratch);
 }
 
-/// Convenience overload with per-call scratch (tests, one-off scores).
-template <class V>
-StripedResult striped_u8(const Profile8& p, std::span<const Code> db,
-                         GapPenalty gap) {
-    ScanScratch scratch;
-    return striped_u8<V, true>(p, db, gap, scratch);
-}
-
 /// 16-bit signed kernel with an explicit zero clamp (signed lanes do not
-/// get it for free from saturation like the unsigned kernel does).
+/// get it for free from saturation like the unsigned kernel does). It
+/// has no register-blocked variant: it only settles striped u8
+/// overflows (the packed scan path and StripedAligner::score), which
+/// the cohort scan never produces.
 template <class V, bool kChecked = true>
 SWH_HOT_PATH StripedResult striped_i16(const Profile16& p,
                                        std::span<const Code> db,
@@ -292,127 +287,6 @@ SWH_HOT_PATH StripedResult striped_i16(const Profile16& p,
     r.score = m;
     r.overflow = static_cast<Score>(m) + matrix_max >= 32767;
     return r;
-}
-
-/// Register-blocked 16-bit kernel; see striped_u8_fixed for the layout
-/// and lazy-F sweep rationale.
-template <class V, std::size_t kSeg, bool kChecked>
-SWH_HOT_PATH StripedResult striped_i16_fixed(const Profile16& p,
-                                             std::span<const Code> db,
-                                             GapPenalty gap,
-                                             Score matrix_max) {
-    StripedResult r;
-    const V vGapOE = V::splat(static_cast<std::int16_t>(
-        std::min<Score>(gap.open + gap.extend, 32767)));
-    const V vGapE =
-        V::splat(static_cast<std::int16_t>(std::min<Score>(gap.extend, 32767)));
-    const V vZero = V::zero();
-
-    V h[kSeg], e[kSeg];
-#pragma GCC unroll 16
-    for (std::size_t i = 0; i < kSeg; ++i) {
-        h[i] = V::zero();
-        e[i] = V::zero();
-    }
-    V vMax = V::zero();
-
-    for (const Code c : db) {
-        if constexpr (kChecked) {
-            SWH_REQUIRE(c < p.symbols, "db residue outside profile alphabet");
-        }
-        const std::int16_t* __restrict prof = p.row(c);
-        V vF = V::zero();
-        V vH = h[kSeg - 1].shl_lane();
-#pragma GCC unroll 16
-        for (std::size_t i = 0; i < kSeg; ++i) {
-            vH = adds(vH, V::load(prof + i * V::kLanes));
-            vH = vmax(vH, e[i]);
-            vH = vmax(vH, vF);
-            vH = vmax(vH, vZero);  // local-alignment clamp
-            vMax = vmax(vMax, vH);
-            const V old = h[i];
-            h[i] = vH;
-            const V vHgap = subs(vH, vGapOE);
-            e[i] = vmax(subs(e[i], vGapE), vHgap);
-            vF = vmax(subs(vF, vGapE), vHgap);
-            vH = old;
-        }
-        // Lazy-F as branch-free half-segment sweeps; see the 8-bit
-        // kernel. The vZero clamp in the checks mirrors the generic
-        // signed kernel.
-        constexpr std::size_t kHalf = kSeg >= 6 ? kSeg / 2 : kSeg;
-        vF = vF.shl_lane();
-        while (any_gt(vF, vmax(subs(h[0], vGapOE), vZero))) {
-#pragma GCC unroll 16
-            for (std::size_t j = 0; j < kHalf; ++j) {
-                h[j] = vmax(h[j], vF);
-                e[j] = vmax(e[j], subs(h[j], vGapOE));
-                vF = subs(vF, vGapE);
-            }
-            if constexpr (kHalf < kSeg) {
-                if (!any_gt(vF, vmax(subs(h[kHalf], vGapOE), vZero))) break;
-#pragma GCC unroll 16
-                for (std::size_t j = kHalf; j < kSeg; ++j) {
-                    h[j] = vmax(h[j], vF);
-                    e[j] = vmax(e[j], subs(h[j], vGapOE));
-                    vF = subs(vF, vGapE);
-                }
-            }
-            vF = vF.shl_lane();
-        }
-    }
-
-    const std::int16_t m = vMax.hmax();
-    r.score = m;
-    r.overflow = static_cast<Score>(m) + matrix_max >= 32767;
-    return r;
-}
-
-/// Register-blocked dispatch for the 16-bit kernel; see striped_u8_auto.
-template <class V, bool kChecked = true>
-SWH_HOT_PATH StripedResult striped_i16_auto(const Profile16& p,
-                                            std::span<const Code> db,
-                                            GapPenalty gap, Score matrix_max,
-                                            ScanScratch& scratch) {
-    if (p.query_len != 0 && !db.empty() && p.lanes == V::kLanes) {
-        switch (p.seg_len) {
-            case 1:
-                return striped_i16_fixed<V, 1, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 2:
-                return striped_i16_fixed<V, 2, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 3:
-                return striped_i16_fixed<V, 3, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 4:
-                return striped_i16_fixed<V, 4, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 5:
-                return striped_i16_fixed<V, 5, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 6:
-                return striped_i16_fixed<V, 6, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 7:
-                return striped_i16_fixed<V, 7, kChecked>(p, db, gap,
-                                                         matrix_max);
-            case 8:
-                return striped_i16_fixed<V, 8, kChecked>(p, db, gap,
-                                                         matrix_max);
-            default:
-                break;
-        }
-    }
-    return striped_i16<V, kChecked>(p, db, gap, matrix_max, scratch);
-}
-
-/// Convenience overload with per-call scratch (tests, one-off scores).
-template <class V>
-StripedResult striped_i16(const Profile16& p, std::span<const Code> db,
-                          GapPenalty gap, Score matrix_max) {
-    ScanScratch scratch;
-    return striped_i16<V, true>(p, db, gap, matrix_max, scratch);
 }
 
 }  // namespace swh::align::detail

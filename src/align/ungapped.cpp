@@ -9,7 +9,6 @@
 #include "align/ungapped_kernels.hpp"
 #include "simd/simd.hpp"
 #include "util/check.hpp"
-#include "util/error.hpp"
 
 namespace swh::align {
 
@@ -48,62 +47,20 @@ std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
                                       std::uint8_t* lane_best,
                                       std::size_t row_begin,
                                       std::size_t row_end) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return detail::ungapped_interseq_u8<simd::U8x16s>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return detail::ungapped_interseq_u8<simd::U8x16>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return detail::ungapped_interseq_u8<simd::U8x32>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return detail::ungapped_interseq_u8<simd::U8x64>(
-                profile, cols, columns, gap, scratch, lane_best, row_begin,
-                row_end);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
+    return simd::dispatch(isa, [&]<class T>(T) {
+        return detail::ungapped_interseq_u8<typename T::U8>(
+            profile, cols, columns, gap, scratch, lane_best, row_begin,
+            row_end);
+    });
 }
 
 void sw_composition_cap(const InterseqProfile& profile, const Code* cols,
                         std::size_t columns, simd::IsaLevel isa,
                         Score* lane_cap) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return detail::composition_cap<simd::U8x16s>(profile, cols,
-                                                         columns, lane_cap);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return detail::composition_cap<simd::U8x16>(profile, cols,
-                                                        columns, lane_cap);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return detail::composition_cap<simd::U8x32>(profile, cols,
-                                                        columns, lane_cap);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return detail::composition_cap<simd::U8x64>(profile, cols,
-                                                        columns, lane_cap);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
+    simd::dispatch(isa, [&]<class T>(T) {
+        detail::composition_cap<typename T::U8>(profile, cols, columns,
+                                                lane_cap);
+    });
 }
 
 FilterSweep sw_ungapped_tiled_u8(const InterseqProfile& profile,

@@ -34,13 +34,16 @@ void export_scan_stats(const align::DatabaseScanner::Stats& s,
     metrics.counter("engine.cpu.filter.tiles").add(s.filter_tiles);
     metrics.counter("engine.cpu.filter.tiles_skipped")
         .add(s.filter_tiles_skipped);
+    // Escalation profile: subjects settled at each kernel width.
+    metrics.counter("engine.cpu.runs8").add(s.settled8);
+    metrics.counter("engine.cpu.runs16").add(s.settled16);
+    metrics.counter("engine.cpu.runs32").add(s.settled32);
 }
 
 CpuEngine::CpuEngine(EngineConfig config, unsigned threads)
     : config_(config), threads_(threads) {
     SWH_REQUIRE(config_.matrix != nullptr, "engine needs a score matrix");
     SWH_REQUIRE(threads_ >= 1, "engine needs at least one thread");
-    SWH_REQUIRE(config_.scan_chunk >= 1, "scan chunk must be at least 1");
     SWH_REQUIRE(simd::is_supported(config_.isa),
                 "requested ISA not supported on this machine");
 }
@@ -71,7 +74,8 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     // (CAS-max) as hits accumulate. A stale (lower) read only prunes
     // less, so relaxed ordering is enough.
     std::atomic<align::Score> tau{TopK::kNoThreshold};
-    align::DatabaseScanner scanner(aligner, packed.view(), config_.scan_chunk,
+    align::DatabaseScanner scanner(aligner, packed.view(),
+                                   align::DatabaseScanner::kDefaultChunk,
                                    cohorts,
                                    config_.prefilter ? &tau : nullptr);
     // Live τ exposition for the watch dashboard: resolved once here,
@@ -95,7 +99,8 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     std::vector<TopK> collectors(threads_, TopK(config_.top_k));
 
     // Workers pull chunks of subjects from the scanner's shared cursor
-    // (config_.scan_chunk per atomic op) and run the funnel scan.
+    // (DatabaseScanner::kDefaultChunk per atomic op) and run the funnel
+    // scan.
     auto worker = [&](unsigned wid) {
         align::ScanScratch scratch;
         std::uint64_t local_pending = 0;
@@ -181,12 +186,8 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     result.cells = cells_done.load();
 
     if (config_.metrics != nullptr) {
-        // The aligner is per-task, so its counters are exactly this
-        // task's escalation profile.
-        const align::StripedAligner::Stats st = aligner.stats();
-        config_.metrics->counter("engine.cpu.runs8").add(st.runs8);
-        config_.metrics->counter("engine.cpu.runs16").add(st.runs16);
-        config_.metrics->counter("engine.cpu.runs32").add(st.runs32);
+        // The scanner is per-task, so its counters are exactly this
+        // task's scan and escalation profile.
         export_scan_stats(scanner.stats(), *config_.metrics);
     }
     if (lane != nullptr) {

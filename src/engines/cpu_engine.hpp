@@ -7,7 +7,8 @@ namespace swh::engines {
 
 /// Exports one scan's counters, one metric name per fact: exact-stage
 /// routes under `scan.dispatch.*`, the prefilter under
-/// `engine.cpu.filter.*`. Shared by CpuEngine and bench_scan.
+/// `engine.cpu.filter.*`, the settlements per kernel width under
+/// `engine.cpu.runs8/16/32`. Shared by CpuEngine and bench_scan.
 void export_scan_stats(const align::DatabaseScanner::Stats& stats,
                        obs::MetricsRegistry& metrics);
 
@@ -16,8 +17,9 @@ void export_scan_stats(const align::DatabaseScanner::Stats& stats,
 /// three-stage funnel — an ungapped prefilter prunes subjects provably
 /// outside the running top-k (EngineConfig::prefilter), the 8-bit exact
 /// kernels settle the survivors, and the deferred overflow batch is
-/// rescored at 16/32 bits. `threads` > 1 splits the database across internal worker
-/// threads claiming `EngineConfig::scan_chunk` subjects per atomic op
+/// rescored at 16/32 bits. `threads` > 1 splits the database across
+/// internal worker threads claiming DatabaseScanner::kDefaultChunk
+/// subjects per atomic op
 /// (a whole multicore presented as one PE); the paper's setup registers
 /// each core as its own single-threaded slave.
 class CpuEngine final : public ComputeEngine {

@@ -1,9 +1,19 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 namespace swh::engines {
+
+/// Occupancy-saturation rate curve shared by every device model:
+/// peak * R / (R + R_half) on a database of R residues, or the flat
+/// `peak_gcups` when `half_saturation_residues` <= 0.
+inline double saturated_gcups(double peak_gcups,
+                              double half_saturation_residues,
+                              std::uint64_t db_residues) {
+    if (half_saturation_residues <= 0.0) return peak_gcups;
+    const double r = static_cast<double>(db_residues);
+    return peak_gcups * r / (r + half_saturation_residues);
+}
 
 /// Calibrated throughput model of a CUDASW++ 2.0-class GPU (GTX580 era).
 ///
@@ -26,17 +36,9 @@ struct GpuDeviceModel {
     double half_saturation_residues = 24e6;
     double task_overhead_s = 0.05;  ///< per-task launch/transfer cost
 
-    /// rate(R) = peak * R / (R + R_half).
     double effective_gcups(std::uint64_t db_residues) const {
-        const double r = static_cast<double>(db_residues);
-        return peak_gcups * r / (r + half_saturation_residues);
-    }
-
-    double task_seconds(std::uint64_t cells,
-                        std::uint64_t db_residues) const {
-        return task_overhead_s +
-               static_cast<double>(cells) /
-                   (effective_gcups(db_residues) * 1e9);
+        return saturated_gcups(peak_gcups, half_saturation_residues,
+                               db_residues);
     }
 };
 
@@ -47,12 +49,6 @@ struct GpuDeviceModel {
 struct SseCoreModel {
     double gcups = 2.75;
     double task_overhead_s = 0.002;
-
-    double effective_gcups(std::uint64_t) const { return gcups; }
-
-    double task_seconds(std::uint64_t cells, std::uint64_t) const {
-        return task_overhead_s + static_cast<double>(cells) / (gcups * 1e9);
-    }
 };
 
 }  // namespace swh::engines

@@ -48,9 +48,6 @@ struct EngineConfig {
     /// Progress granularity: observer notified roughly every this many
     /// cells (engines round to whole database sequences).
     std::uint64_t progress_grain = 50'000'000;
-    /// Subjects a worker claims per atomic op when scanning the packed
-    /// database (align::DatabaseScanner chunked work claiming).
-    std::size_t scan_chunk = 64;
     /// Allow the inter-sequence kernels (lane-interleaved cohort scan)
     /// where the matrix and query admit them; the scanner still falls
     /// back to the striped kernels per cohort. Off forces striped-only.

@@ -10,9 +10,9 @@
 namespace swh::sim {
 
 /// Timing model of one processing element in the simulated platform.
-/// rate(R) = peak_gcups * saturation(R) * load_factor, with the same
-/// occupancy-saturation curve as engines::GpuDeviceModel when
-/// half_saturation_residues > 0 (0 = flat rate, as for SSE cores).
+/// rate(R) = engines::saturated_gcups(peak_gcups, R_half, R) *
+/// load_factor: the occupancy curve of engines::GpuDeviceModel when
+/// half_saturation_residues > 0, a flat rate (SSE cores) at 0.
 struct PeModelSpec {
     std::string label;
     core::PeKind kind = core::PeKind::SseCore;
@@ -21,9 +21,8 @@ struct PeModelSpec {
     double task_overhead_s = 0.0;
 
     double effective_gcups(std::uint64_t db_residues) const {
-        if (half_saturation_residues <= 0.0) return peak_gcups;
-        const double r = static_cast<double>(db_residues);
-        return peak_gcups * r / (r + half_saturation_residues);
+        return engines::saturated_gcups(peak_gcups, half_saturation_residues,
+                                        db_residues);
     }
 };
 

@@ -5,6 +5,11 @@
 
 #include "util/str.hpp"
 
+// The commit stamp is generated at build time (cmake/git_sha.cmake);
+// a build that does not generate it reports "unknown".
+#if __has_include("swh_git_sha.h")
+#include "swh_git_sha.h"
+#endif
 #ifndef SWH_GIT_SHA
 #define SWH_GIT_SHA "unknown"
 #endif

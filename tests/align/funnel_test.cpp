@@ -330,7 +330,9 @@ TEST(DatabaseScannerFunnel, SmallFamilyDrainsInOneInterseqPass) {
         expect_same_hits(run.hits, want, label);
         EXPECT_EQ(run.stats.subjects_hot, kFamily) << label;
         EXPECT_GT(run.stats.escalations16, 0u) << label;
-        EXPECT_EQ(run.stats.settled_wide, run.stats.subjects_hot) << label;
+        EXPECT_EQ(run.stats.settled16 + run.stats.settled32,
+                  run.stats.subjects_hot)
+            << label;
     }
 }
 

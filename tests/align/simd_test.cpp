@@ -5,6 +5,8 @@
 #include <array>
 #include <cstring>
 
+#include "align/striped.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace swh::simd {
@@ -125,6 +127,49 @@ TEST(SimdArch, ToStringNames) {
     EXPECT_STREQ(to_string(IsaLevel::SSE2), "sse2");
     EXPECT_STREQ(to_string(IsaLevel::AVX2), "avx2");
     EXPECT_STREQ(to_string(IsaLevel::AVX512), "avx512");
+}
+
+TEST(SimdDispatch, EveryLevelMapsToItsLanesOrRejects) {
+    // A level compiled into this build (same macros as dispatch) maps
+    // to its vector types; any other level throws. Builds without
+    // -march=native take the throw for AVX2 and AVX-512.
+    struct Case {
+        IsaLevel level;
+        bool compiled;
+        int u8_lanes;
+        int i16_lanes;
+    };
+    const Case cases[] = {
+        {IsaLevel::Scalar, true, 16, 8},
+#if defined(__SSE2__)
+        {IsaLevel::SSE2, true, 16, 8},
+#else
+        {IsaLevel::SSE2, false, 16, 8},
+#endif
+#if defined(__AVX2__)
+        {IsaLevel::AVX2, true, 32, 16},
+#else
+        {IsaLevel::AVX2, false, 32, 16},
+#endif
+#if defined(__AVX512BW__)
+        {IsaLevel::AVX512, true, 64, 32},
+#else
+        {IsaLevel::AVX512, false, 64, 32},
+#endif
+    };
+    for (const Case& c : cases) {
+        if (c.compiled) {
+            EXPECT_EQ(align::lanes_u8(c.level), c.u8_lanes)
+                << to_string(c.level);
+            EXPECT_EQ(align::lanes_i16(c.level), c.i16_lanes)
+                << to_string(c.level);
+        } else {
+            EXPECT_THROW(align::lanes_u8(c.level), ContractError)
+                << to_string(c.level);
+            EXPECT_THROW(align::lanes_i16(c.level), ContractError)
+                << to_string(c.level);
+        }
+    }
 }
 
 }  // namespace
