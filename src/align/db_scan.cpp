@@ -28,7 +28,7 @@ simd::IsaLevel DatabaseScanner::drain_isa(std::size_t lanes) const {
     for (const simd::IsaLevel isa :
          {simd::IsaLevel::SSE2, simd::IsaLevel::AVX2}) {
         if (isa < own && simd::is_supported(isa) &&
-            lanes * 2 <= static_cast<std::size_t>(lanes_u8(isa))) {
+            lanes <= static_cast<std::size_t>(lanes_i16(isa))) {
             return isa;
         }
     }

@@ -21,11 +21,11 @@
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch and the
-// hot lanes — in cohort mode by interleaving length-adjacent groups into
-// dense scratch cohorts for one i16 inter-sequence pass each, at the
-// narrowest SIMD width whose lo half-vector holds the group (scalar
-// int32 for the rare lane that saturates 16 bits too); serial striped
-// i16 only on the packed path.
+// hot lanes — in cohort mode by interleaving length-adjacent groups of
+// at most one i16 vector's lanes into dense scratch cohorts for one i16
+// inter-sequence pass each, at the narrowest SIMD width whose i16
+// vector holds the group (scalar int32 for the rare lane that saturates
+// 16 bits too); serial striped i16 only on the packed path.
 //
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
@@ -282,10 +282,11 @@ private:
 
     /// ISA level of the stage-3 i16 pass over a cliff group of `lanes`
     /// lanes: the narrowest level, no wider than the aligner's, that is
-    /// compiled in, runs on this CPU and holds the group in its lo i16
-    /// half-vector (SSE2 up to 8 lanes, AVX2 up to 16); the aligner's
-    /// own level otherwise. Every level runs the same exact dataflow
-    /// per lane, so only the throughput depends on the choice.
+    /// compiled in, runs on this CPU and holds the group in one i16
+    /// vector (SSE2 up to 8 lanes, AVX2 up to 16); the aligner's own
+    /// level otherwise, which holds every group cliff_groups forms.
+    /// Every level runs the same exact dataflow per lane, so only the
+    /// throughput depends on the choice.
     simd::IsaLevel drain_isa(std::size_t lanes) const;
 
     std::uint32_t slot_index(std::size_t slot) const {
@@ -582,16 +583,17 @@ private:
     }
 
     /// Sorts `batch` (original indices) length-descending and walks it
-    /// in cliff groups: greedy runs of at most W subjects whose real
-    /// residues fill kInterseqMinFillPct of the group's columns x
-    /// members cells, so a straggler long subject never forces pad
-    /// columns onto a run of short ones.
+    /// in cliff groups: greedy runs of at most lanes_i16 subjects (one
+    /// i16 vector of the aligner's width) whose real residues fill
+    /// kInterseqMinFillPct of the group's columns x members cells, so a
+    /// straggler long subject never forces pad columns onto a run of
+    /// short ones.
     /// Calls group(first, count) per group — `first` points into
     /// `batch` — until it returns false; returns false iff it did.
     template <class GroupFn>
     SWH_HOT_PATH bool cliff_groups(std::vector<std::uint32_t>& batch,
                                    GroupFn&& group) const {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
+        const auto w = static_cast<std::size_t>(lanes_i16(aligner_->isa()));
         std::sort(batch.begin(), batch.end(),
                   [this](std::uint32_t a, std::uint32_t b) {
                       const std::uint32_t la = subjects_.lengths[a];
@@ -621,11 +623,11 @@ private:
     /// Stage-3 drain of this worker's deferred u8-overflow and hot
     /// lanes: each cliff group is packed densely and settled by ONE i16
     /// inter-sequence pass, at drain_isa(count) — the narrowest width
-    /// whose lo half-vector holds the group, so a homolog family of a
-    /// few lanes fills its vectors instead of padding a full-width
-    /// pass. Lanes the i16 pass itself flags as saturated go straight
-    /// to the exact int32 rescore (a striped i16 attempt is already
-    /// proven futile). Leaves `overflow` empty.
+    /// whose i16 vector holds the group, so a homolog family of a few
+    /// lanes fills its vectors instead of padding a full-width pass.
+    /// Lanes the i16 pass itself flags as saturated go straight to the
+    /// exact int32 rescore (a striped i16 attempt is already proven
+    /// futile). Leaves `overflow` empty.
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
                                      ScanScratch& scratch,
@@ -646,8 +648,7 @@ private:
                 std::int16_t lane_best[64];
                 const std::uint64_t ovf = sw_interseq_i16_tiled(
                     *aligner_->interseq(), repack.data(), columns,
-                    aligner_->gap(), isa, scratch, colstate, lane_best,
-                    count);
+                    aligner_->gap(), isa, scratch, colstate, lane_best);
                 bool k = true;
                 for (std::size_t i = 0; i < count && k; ++i) {
                     const std::uint32_t idx = batch[i];

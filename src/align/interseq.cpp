@@ -80,16 +80,6 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
     return p;
 }
 
-namespace {
-
-/// True when the occupancy hint allows skipping the hi i16 half-vectors
-/// of a W-lane cohort: the caller packed lanes [0, lanes_used) only.
-constexpr bool lo_half_fits(std::size_t lanes_used, int w) {
-    return lanes_used != 0 && lanes_used * 2 <= static_cast<std::size_t>(w);
-}
-
-}  // namespace
-
 std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    const Code* cols, std::size_t columns,
                                    GapPenalty gap, simd::IsaLevel isa,
@@ -107,17 +97,10 @@ std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
                                     GapPenalty gap, simd::IsaLevel isa,
                                     ScanScratch& scratch,
                                     InterseqColumnState& state,
-                                    std::int16_t* lane_best,
-                                    std::size_t lanes_used) {
+                                    std::int16_t* lane_best) {
     return simd::dispatch(isa, [&]<class T>(T) {
-        using V = typename T::U8;
-        return lo_half_fits(lanes_used, V::kLanes)
-                   ? detail::interseq_i16_tiled<V, true>(
-                         profile, cols, columns, gap, scratch, state,
-                         lane_best)
-                   : detail::interseq_i16_tiled<V>(profile, cols, columns,
-                                                   gap, scratch, state,
-                                                   lane_best);
+        return detail::interseq_i16_tiled<typename T::U8>(
+            profile, cols, columns, gap, scratch, state, lane_best);
     });
 }
 

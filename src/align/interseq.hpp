@@ -164,22 +164,17 @@ SWH_HOT_PATH std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    InterseqColumnState& state,
                                    std::uint8_t* lane_best);
 
-/// 16-bit companion for the 8 -> 16 escalation: same cohort geometry
-/// (the u8 lane count — each lane is widened to two i16 half-vectors
-/// internally) and tiling, carried state held as i16 half-vector
-/// pairs, per-lane i16 best scores and the `score + max_raw >= 32767`
-/// overflow mask of the striped i16 kernel. `lanes_used` is an
-/// optional occupancy hint (0 = all lanes): when the caller packed at
-/// most half the lanes — typical for the scanner's escalation batches
-/// — the kernel skips the all-pad hi half-vectors entirely. Lanes are
-/// dataflow-independent, so the used lanes' scores and overflow bits
-/// are unchanged; unused lanes report score 0.
+/// 16-bit companion for the 8 -> 16 escalation: the same tiling over a
+/// `lanes_u8(isa)`-wide interleave, of which it scores lanes
+/// [0, lanes_i16(isa)) — one i16 vector — and never reads the rest.
+/// Writes those lanes' best scores to lane_best[0..lanes_i16(isa)) and
+/// returns their `score + max_raw >= 32767` overflow mask, the bound
+/// of the striped i16 kernel.
 SWH_HOT_PATH std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
                                     const Code* cols, std::size_t columns,
                                     GapPenalty gap, simd::IsaLevel isa,
                                     ScanScratch& scratch,
                                     InterseqColumnState& state,
-                                    std::int16_t* lane_best,
-                                    std::size_t lanes_used = 0);
+                                    std::int16_t* lane_best);
 
 }  // namespace swh::align

@@ -29,7 +29,6 @@
 // golden-equivalence suites pin down.
 
 #include <algorithm>
-#include <cstring>
 
 #include "align/interseq.hpp"
 #include "align/striped.hpp"
@@ -48,7 +47,7 @@ SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Cod
                                 InterseqColumnState& state,
                                 std::uint8_t* lane_best) {
     constexpr int W = V::kLanes;
-    std::memset(lane_best, 0, W);
+    std::fill_n(lane_best, W, std::uint8_t{0});
     const std::size_t m = p.query_len;
     if (m == 0 || columns == 0) return 0;
 
@@ -74,9 +73,8 @@ SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Cod
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        const std::size_t tbytes = tm * sizeof(V);
-        std::memset(h, 0, tbytes);
-        std::memset(e, 0, tbytes);
+        std::fill_n(h, tm, V::zero());
+        std::fill_n(e, tm, V::zero());
         const bool first = r0 == 0;
         // H(r0-1, j-1): the diagonal feeding the tile's top row. Starts
         // at the 0 boundary column and then trails crow by one column.
@@ -112,16 +110,13 @@ SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Cod
     return overflow;
 }
 
-/// 16-bit kernel over the same u8-width cohort: each DP row holds two
-/// i16 half-vectors (lanes [0, W/2) and [W/2, W) of the residue vector,
-/// widened in order), so one cohort layout serves both precisions; the
-/// carried column state is held as [lo, hi] pairs at crow/cf[2j, 2j+1].
-/// Scores are looked up through the shared biased u8 table and
-/// un-biased exactly after widening. With kLoOnly the hi half-vector
-/// work is compiled out — for callers that packed at most W/2 lanes
-/// (escalation batches); lanes are independent, so the lo lanes'
-/// results are identical either way.
-template <class V, bool kLoOnly = false>
+/// 16-bit kernel over the same u8-width interleave: each residue
+/// vector's lo half is widened to one i16 vector, so the kernel scores
+/// lanes [0, W/2) and never reads lanes [W/2, W). Scores are looked up
+/// through the shared biased u8 table and un-biased exactly after
+/// widening. Returns the overflow mask of the scored lanes;
+/// lane_best[0..W/2) receives their maxima.
+template <class V>
 SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Code* cols,
                                  std::size_t columns, GapPenalty gap,
                                  ScanScratch& scratch,
@@ -129,7 +124,7 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
                                  std::int16_t* lane_best) {
     constexpr int W = V::kLanes;
     using VW = decltype(widen_lo(V::zero()));
-    for (int l = 0; l < W; ++l) lane_best[l] = 0;
+    std::fill_n(lane_best, VW::kLanes, std::int16_t{0});
     const std::size_t m = p.query_len;
     if (m == 0 || columns == 0) return 0;
 
@@ -140,80 +135,53 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
     const VW vBias = VW::splat(static_cast<std::int16_t>(p.bias));
     const VW vZero = VW::zero();
 
-    // Row arrays hold [lo, hi] half-vector pairs: entry 2i / 2i+1.
     const std::size_t tiles = interseq_tile_count(m);
     const std::size_t rows = (m + tiles - 1) / tiles;
-    const std::size_t bytes = 2 * std::min(rows, m) * sizeof(VW);
+    const std::size_t bytes = std::min(rows, m) * sizeof(VW);
     const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
     VW* __restrict h = static_cast<VW*>(bufs.h_load);
     VW* __restrict e = static_cast<VW*>(bufs.e);
     const InterseqColumnState::Arrays carry =
-        state.arrays(2 * columns * sizeof(VW));
+        state.arrays(columns * sizeof(VW));
     VW* __restrict crow = static_cast<VW*>(carry.h);
     VW* __restrict cf = static_cast<VW*>(carry.f);
-    VW vMaxLo = VW::zero();
-    VW vMaxHi = VW::zero();
+    VW vMax = VW::zero();
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        const std::size_t tbytes = 2 * tm * sizeof(VW);
-        std::memset(h, 0, tbytes);
-        std::memset(e, 0, tbytes);
+        std::fill_n(h, tm, VW::zero());
+        std::fill_n(e, tm, VW::zero());
         const bool first = r0 == 0;
-        VW carryDiagLo = VW::zero();
-        VW carryDiagHi = VW::zero();
+        VW carryDiag = VW::zero();
         for (std::size_t j = 0; j < columns; ++j) {
             const V dbv = V::load(cols + j * static_cast<std::size_t>(W));
-            VW vFLo = first ? VW::zero() : cf[2 * j];
-            VW vFHi = (kLoOnly || first) ? VW::zero() : cf[2 * j + 1];
-            VW vDiagLo = carryDiagLo;
-            VW vDiagHi = carryDiagHi;
-            carryDiagLo = first ? VW::zero() : crow[2 * j];
-            carryDiagHi = (kLoOnly || first) ? VW::zero() : crow[2 * j + 1];
+            VW vF = first ? VW::zero() : cf[j];
+            VW vDiag = carryDiag;
+            carryDiag = first ? VW::zero() : crow[j];
             for (std::size_t i = 0; i < tm; ++i) {
-                const V s8 = lookup32(p.row(r0 + i), dbv);
                 // Exact un-bias: widened entries are in [0, 255], so the
                 // subtraction cannot saturate and yields the raw score.
-                const VW sLo = subs(widen_lo(s8), vBias);
-
-                VW vH = adds(vDiagLo, sLo);
-                vDiagLo = h[2 * i];
-                vH = vmax(vH, e[2 * i]);
-                vH = vmax(vH, vFLo);
+                const VW s =
+                    subs(widen_lo(lookup32(p.row(r0 + i), dbv)), vBias);
+                VW vH = adds(vDiag, s);
+                vDiag = h[i];
+                vH = vmax(vH, e[i]);
+                vH = vmax(vH, vF);
                 vH = vmax(vH, vZero);  // local-alignment clamp
-                vMaxLo = vmax(vMaxLo, vH);
-                h[2 * i] = vH;
-                VW vHgap = subs(vH, vGapOE);
-                e[2 * i] = vmax(subs(e[2 * i], vGapE), vHgap);
-                vFLo = vmax(subs(vFLo, vGapE), vHgap);
-
-                if constexpr (!kLoOnly) {
-                    const VW sHi = subs(widen_hi(s8), vBias);
-                    vH = adds(vDiagHi, sHi);
-                    vDiagHi = h[2 * i + 1];
-                    vH = vmax(vH, e[2 * i + 1]);
-                    vH = vmax(vH, vFHi);
-                    vH = vmax(vH, vZero);
-                    vMaxHi = vmax(vMaxHi, vH);
-                    h[2 * i + 1] = vH;
-                    vHgap = subs(vH, vGapOE);
-                    e[2 * i + 1] = vmax(subs(e[2 * i + 1], vGapE), vHgap);
-                    vFHi = vmax(subs(vFHi, vGapE), vHgap);
-                }
+                vMax = vmax(vMax, vH);
+                h[i] = vH;
+                const VW vHgap = subs(vH, vGapOE);
+                e[i] = vmax(subs(e[i], vGapE), vHgap);
+                vF = vmax(subs(vF, vGapE), vHgap);
             }
-            crow[2 * j] = h[2 * (tm - 1)];
-            cf[2 * j] = vFLo;
-            if constexpr (!kLoOnly) {
-                crow[2 * j + 1] = h[2 * (tm - 1) + 1];
-                cf[2 * j + 1] = vFHi;
-            }
+            crow[j] = h[tm - 1];
+            cf[j] = vF;
         }
     }
 
-    vMaxLo.store(lane_best);
-    vMaxHi.store(lane_best + W / 2);
+    vMax.store(lane_best);
     std::uint64_t overflow = 0;
-    for (int l = 0; l < W; ++l) {
+    for (int l = 0; l < VW::kLanes; ++l) {
         if (static_cast<Score>(lane_best[l]) + p.max_raw >= 32767) {
             overflow |= std::uint64_t{1} << l;
         }

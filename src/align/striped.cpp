@@ -122,11 +122,10 @@ StripedResult sw_striped_u8(const Profile8& profile, std::span<const Code> db,
                             ScanScratch& scratch, bool trusted) {
     return simd::dispatch(isa, [&]<class T>(T) {
         using V = typename T::U8;
-        return trusted
-                   ? detail::striped_u8_auto<V, false>(profile, db, gap,
-                                                       scratch)
-                   : detail::striped_u8_auto<V, true>(profile, db, gap,
-                                                      scratch);
+        return trusted ? detail::striped_u8<V, false>(profile, db, gap,
+                                                      scratch)
+                       : detail::striped_u8<V, true>(profile, db, gap,
+                                                     scratch);
     });
 }
 

@@ -12,7 +12,7 @@
 // behaviour) and is compiled out for residues validated once at pack
 // time (db::PackedDatabase).
 
-#include <cstring>
+#include <algorithm>
 #include <span>
 
 #include "align/striped.hpp"
@@ -40,16 +40,16 @@ SWH_HOT_PATH StripedResult striped_u8(const Profile8& p,
     const V vGapE = V::splat(ext);
     const V vBias = V::splat(static_cast<std::uint8_t>(p.bias));
 
-    const std::size_t bytes = seg * sizeof(V);
-    const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
+    const ScanScratch::KernelBuffers bufs =
+        scratch.kernel_buffers(seg * sizeof(V));
     // The three buffers are disjoint slices of the scratch; __restrict
     // lets the inner loop keep H/E/F in registers across the stores.
     V* __restrict h_load = static_cast<V*>(bufs.h_load);
     V* __restrict h_store = static_cast<V*>(bufs.h_store);
     V* __restrict e = static_cast<V*>(bufs.e);
     // h_store is fully written each column before it is read.
-    std::memset(h_load, 0, bytes);
-    std::memset(e, 0, bytes);
+    std::fill_n(h_load, seg, V::zero());
+    std::fill_n(e, seg, V::zero());
     V vMax = V::zero();
 
     for (const Code c : db) {
@@ -106,116 +106,10 @@ SWH_HOT_PATH StripedResult striped_u8(const Profile8& p,
     return r;
 }
 
-/// Register-blocked 8-bit kernel for compile-time segment counts. With
-/// kSeg known, the H and E columns live entirely in vector registers —
-/// no loads or stores of DP state in the inner loop. The lazy-F pass is
-/// restructured as unconditional full-segment sweeps; see the comment at
-/// the sweep for why results stay bit-identical.
-template <class V, std::size_t kSeg, bool kChecked>
-SWH_HOT_PATH StripedResult striped_u8_fixed(const Profile8& p,
-                                            std::span<const Code> db,
-                                            GapPenalty gap) {
-    StripedResult r;
-    const auto open_ext =
-        static_cast<std::uint8_t>(std::min<Score>(gap.open + gap.extend, 255));
-    const auto ext =
-        static_cast<std::uint8_t>(std::min<Score>(gap.extend, 255));
-    const V vGapOE = V::splat(open_ext);
-    const V vGapE = V::splat(ext);
-    const V vBias = V::splat(static_cast<std::uint8_t>(p.bias));
-
-    V h[kSeg], e[kSeg];
-#pragma GCC unroll 16
-    for (std::size_t i = 0; i < kSeg; ++i) {
-        h[i] = V::zero();
-        e[i] = V::zero();
-    }
-    V vMax = V::zero();
-
-    for (const Code c : db) {
-        if constexpr (kChecked) {
-            SWH_REQUIRE(c < p.symbols, "db residue outside profile alphabet");
-        }
-        const std::uint8_t* __restrict prof = p.row(c);
-        V vF = V::zero();
-        V vH = h[kSeg - 1].shl_lane();
-#pragma GCC unroll 16
-        for (std::size_t i = 0; i < kSeg; ++i) {
-            vH = subs(adds(vH, V::load(prof + i * V::kLanes)), vBias);
-            vH = vmax(vH, e[i]);
-            vH = vmax(vH, vF);
-            vMax = vmax(vMax, vH);
-            const V old = h[i];  // previous column's H, input to step i+1
-            h[i] = vH;
-            const V vHgap = subs(vH, vGapOE);
-            e[i] = vmax(subs(e[i], vGapE), vHgap);
-            vF = vmax(subs(vF, vGapE), vHgap);
-            vH = old;
-        }
-        // Lazy-F as branch-free half-segment sweeps: dynamic indexing
-        // would force the state back to memory, and a per-step early
-        // exit mispredicts. Sweeping past Farrar's exit point only
-        // applies vmax with already-dominated F values, so results stay
-        // bit-identical to the generic kernel; the midpoint check (for
-        // wider segments) prunes the second half-sweep in the common
-        // case where F dies early.
-        constexpr std::size_t kHalf = kSeg >= 6 ? kSeg / 2 : kSeg;
-        vF = vF.shl_lane();
-        while (any_gt(vF, subs(h[0], vGapOE))) {
-#pragma GCC unroll 16
-            for (std::size_t j = 0; j < kHalf; ++j) {
-                h[j] = vmax(h[j], vF);
-                e[j] = vmax(e[j], subs(h[j], vGapOE));
-                vF = subs(vF, vGapE);
-            }
-            if constexpr (kHalf < kSeg) {
-                if (!any_gt(vF, subs(h[kHalf], vGapOE))) break;
-#pragma GCC unroll 16
-                for (std::size_t j = kHalf; j < kSeg; ++j) {
-                    h[j] = vmax(h[j], vF);
-                    e[j] = vmax(e[j], subs(h[j], vGapOE));
-                    vF = subs(vF, vGapE);
-                }
-            }
-            vF = vF.shl_lane();
-        }
-    }
-
-    const std::uint8_t m = vMax.hmax();
-    r.score = m;
-    r.overflow = static_cast<Score>(m) + p.bias >= 255;
-    return r;
-}
-
-/// Dispatches to a register-blocked instantiation when the segment count
-/// is small enough for the DP state to stay in registers; falls back to
-/// the scratch-backed generic kernel otherwise.
-template <class V, bool kChecked = true>
-SWH_HOT_PATH StripedResult striped_u8_auto(const Profile8& p,
-                                           std::span<const Code> db,
-                                           GapPenalty gap,
-                                           ScanScratch& scratch) {
-    if (p.query_len != 0 && !db.empty() && p.lanes == V::kLanes) {
-        switch (p.seg_len) {
-            case 1: return striped_u8_fixed<V, 1, kChecked>(p, db, gap);
-            case 2: return striped_u8_fixed<V, 2, kChecked>(p, db, gap);
-            case 3: return striped_u8_fixed<V, 3, kChecked>(p, db, gap);
-            case 4: return striped_u8_fixed<V, 4, kChecked>(p, db, gap);
-            case 5: return striped_u8_fixed<V, 5, kChecked>(p, db, gap);
-            case 6: return striped_u8_fixed<V, 6, kChecked>(p, db, gap);
-            case 7: return striped_u8_fixed<V, 7, kChecked>(p, db, gap);
-            case 8: return striped_u8_fixed<V, 8, kChecked>(p, db, gap);
-            default: break;
-        }
-    }
-    return striped_u8<V, kChecked>(p, db, gap, scratch);
-}
-
 /// 16-bit signed kernel with an explicit zero clamp (signed lanes do not
 /// get it for free from saturation like the unsigned kernel does). It
-/// has no register-blocked variant: it only settles striped u8
-/// overflows (the packed scan path and StripedAligner::score), which
-/// the cohort scan never produces.
+/// only settles striped u8 overflows (the packed scan path and
+/// StripedAligner::score), which the cohort scan never produces.
 template <class V, bool kChecked = true>
 SWH_HOT_PATH StripedResult striped_i16(const Profile16& p,
                                        std::span<const Code> db,
@@ -232,13 +126,13 @@ SWH_HOT_PATH StripedResult striped_i16(const Profile16& p,
         V::splat(static_cast<std::int16_t>(std::min<Score>(gap.extend, 32767)));
     const V vZero = V::zero();
 
-    const std::size_t bytes = seg * sizeof(V);
-    const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
+    const ScanScratch::KernelBuffers bufs =
+        scratch.kernel_buffers(seg * sizeof(V));
     V* __restrict h_load = static_cast<V*>(bufs.h_load);
     V* __restrict h_store = static_cast<V*>(bufs.h_store);
     V* __restrict e = static_cast<V*>(bufs.e);
-    std::memset(h_load, 0, bytes);
-    std::memset(e, 0, bytes);
+    std::fill_n(h_load, seg, V::zero());
+    std::fill_n(e, seg, V::zero());
     V vMax = V::zero();
 
     for (const Code c : db) {

@@ -57,8 +57,8 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
     // (A(i, j) in ungapped.hpp) — the only legal restart sources for
     // row i.
     V* __restrict above = static_cast<V*>(bufs.e);
-    std::memset(h, 0, bytes);
-    std::memset(above, 0, bytes);
+    std::fill_n(h, m, V::zero());
+    std::fill_n(above, m, V::zero());
     V vMax = V::zero();
 
     for (std::size_t j = 0; j < columns; ++j) {

@@ -336,6 +336,48 @@ TEST(DatabaseScannerFunnel, SmallFamilyDrainsInOneInterseqPass) {
     }
 }
 
+TEST(DatabaseScannerFunnel, DrainSplitsGroupsWiderThanOneI16Vector) {
+    // lanes_i16 + 5 equal-length copies of the query, longer than every
+    // background subject, all overflow u8 and form one dense cliff run
+    // of more lanes than one i16 vector holds: the drain must cut it
+    // into at least two groups, and the top-k must still be the
+    // oracle's in the exhaustive scan and in the funnel.
+    Rng rng(461);
+    const Sequence q = db::random_protein(rng, 300, "q");
+    db::DatabaseSpec spec;
+    spec.name = "background";
+    spec.num_sequences = 200;
+    spec.length.min_len = 40;
+    spec.length.max_len = 250;
+    spec.seed = 463;
+    const std::vector<Sequence> background = db::generate_database(spec);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const auto family = static_cast<std::size_t>(lanes_i16(isa)) + 5;
+        std::vector<Sequence> seqs = background;
+        seqs.insert(seqs.end(), family, q);
+        const db::Database database("wide-family", std::move(seqs));
+        engines::TopK oracle(10);
+        for (std::size_t i = 0; i < database.size(); ++i) {
+            oracle.add(static_cast<std::uint32_t>(i),
+                       sw_score_affine(q.residues, database[i].residues,
+                                       blosum(), kGap));
+        }
+        const std::vector<core::Hit> want = oracle.take();
+
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        DatabaseScanner::Stats exhaustive;
+        expect_same_hits(exhaustive_topk(aligner, database, 10, &exhaustive),
+                         want, label + " exhaustive");
+        const FunnelRun run = funnel_topk(aligner, database, 10);
+        expect_same_hits(run.hits, want, label + " funnel");
+        for (const DatabaseScanner::Stats& st : {exhaustive, run.stats}) {
+            EXPECT_EQ(st.settled16 + st.settled32, family) << label;
+            EXPECT_GE(st.escalations16, 2u) << label;
+        }
+    }
+}
+
 TEST(DatabaseScannerFunnel, NoHitLongQueryParksEveryCohort) {
     // The hetero_nohit shape: a random query with no planted family,
     // long enough for several prefilter tiles. No lane clips the probe

@@ -211,7 +211,8 @@ TEST(InterseqKernels, I16MatchesStripedIncludingOverflowMask) {
     Rng rng(107);
     // match=60 over a 600-residue self-match scores 36000 > 32767: the
     // planted lane must trip the i16 overflow mask while the random
-    // lanes stay exact.
+    // lanes stay exact. The kernel scores one i16 vector's lanes of the
+    // u8-wide interleave, so the pack fills exactly those.
     const std::vector<Code> q = db::random_protein(rng, 600, "q").residues;
     const ScoreMatrix matrix =
         ScoreMatrix::match_mismatch(Alphabet::protein(), 60, -4);
@@ -220,8 +221,9 @@ TEST(InterseqKernels, I16MatchesStripedIncludingOverflowMask) {
 
     for (const simd::IsaLevel isa : supported_levels()) {
         const int W = lanes_u8(isa);
+        const int H = lanes_i16(isa);
         std::vector<std::vector<Code>> subjects =
-            random_subjects(rng, static_cast<std::size_t>(W), 100, 400);
+            random_subjects(rng, static_cast<std::size_t>(H), 100, 400);
         subjects[2] = q;  // saturates i16
         std::size_t columns = 0;
         for (const auto& s : subjects) columns = std::max(columns, s.size());
@@ -232,10 +234,11 @@ TEST(InterseqKernels, I16MatchesStripedIncludingOverflowMask) {
         std::int16_t lane_best[64];
         const std::uint64_t ovf = sw_interseq_i16_tiled(
             prof, cols.data(), columns, kGap, isa, scratch, state, lane_best);
+        EXPECT_EQ(ovf >> H, 0u) << simd::to_string(isa);
 
-        const Profile16 p16 = build_profile16(q, matrix, lanes_i16(isa));
+        const Profile16 p16 = build_profile16(q, matrix, H);
         bool any_overflow = false;
-        for (int l = 0; l < W; ++l) {
+        for (int l = 0; l < H; ++l) {
             const StripedResult r = sw_striped_i16(p16, subjects[l], kGap, isa);
             EXPECT_EQ(static_cast<Score>(lane_best[l]), r.score)
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
@@ -278,6 +281,8 @@ TEST(InterseqKernels, EmptyQueryAndEmptyCohortAreClean) {
                       0u);
             for (int l = 0; l < W; ++l) {
                 EXPECT_EQ(best8[l], 0) << simd::to_string(isa);
+            }
+            for (int l = 0; l < lanes_i16(isa); ++l) {
                 EXPECT_EQ(best16[l], 0) << simd::to_string(isa);
             }
             EXPECT_EQ(state.capacity(), 0u);

@@ -171,11 +171,11 @@ TEST(InterseqTiledKernels, U8SaturationCarriesAcrossTiles) {
 
 TEST(InterseqTiledKernels, I16MatchesStripedAcrossTiles) {
     Rng rng(227);
-    // Wide-lane rescue path for long queries: i16 carried state is a
-    // [lo,hi] half-vector pair per column, escalated consistently from
-    // the u8 layout. One planted self-match lane saturates even i16 —
-    // its self score is ~60 * qlen, so qlen must clear 32767 / 60
-    // regardless of where the tile boundary sits.
+    // Wide-lane rescue path for long queries: the i16 kernel scores one
+    // i16 vector's lanes of the u8 layout and carries one i16 vector
+    // per column across tiles. One planted self-match lane saturates
+    // even i16 — its self score is ~60 * qlen, so qlen must clear
+    // 32767 / 60 regardless of where the tile boundary sits.
     const std::size_t qlen =
         std::max<std::size_t>(2 * kInterseqTileRows + 31, 560);
     const std::vector<Code> q = db::random_protein(rng, qlen, "q").residues;
@@ -185,8 +185,9 @@ TEST(InterseqTiledKernels, I16MatchesStripedAcrossTiles) {
 
     for (const simd::IsaLevel isa : supported_levels()) {
         const int W = lanes_u8(isa);
+        const int H = lanes_i16(isa);
         std::vector<std::vector<Code>> subjects =
-            random_subjects(rng, static_cast<std::size_t>(W), 100, 400);
+            random_subjects(rng, static_cast<std::size_t>(H), 100, 400);
         subjects[2] = q;  // saturates i16
         std::size_t columns = 0;
         for (const auto& s : subjects) columns = std::max(columns, s.size());
@@ -197,10 +198,11 @@ TEST(InterseqTiledKernels, I16MatchesStripedAcrossTiles) {
         std::int16_t best[64];
         const std::uint64_t ovf = sw_interseq_i16_tiled(
             prof, cols.data(), columns, kGap, isa, scratch, state, best);
+        EXPECT_EQ(ovf >> H, 0u) << simd::to_string(isa);
 
-        const Profile16 p16 = build_profile16(q, matrix, lanes_i16(isa));
+        const Profile16 p16 = build_profile16(q, matrix, H);
         bool any_overflow = false;
-        for (int l = 0; l < W; ++l) {
+        for (int l = 0; l < H; ++l) {
             const StripedResult r =
                 sw_striped_i16(p16, subjects[l], kGap, isa);
             EXPECT_EQ(static_cast<Score>(best[l]), r.score)
@@ -217,61 +219,15 @@ TEST(InterseqTiledKernels, I16MatchesStripedAcrossTiles) {
     }
 }
 
-TEST(InterseqTiledKernels, I16LoHalfHintBitIdentical) {
-    // The scanner's 8 -> 16 escalation batches often fill at most half
-    // a cohort's lanes; the lanes_used hint then compiles out the
-    // all-pad hi half-vectors. The used lanes' scores and overflow
-    // bits must be bit-identical to the full-width kernel, with one
-    // tile and with several, and the skipped lanes must report 0.
-    Rng rng(233);
-    for (const std::size_t qlen :
-         {kInterseqTileRows - 3, 2 * kInterseqTileRows + 77}) {
-        const std::vector<Code> q =
-            db::random_protein(rng, qlen, "q").residues;
-        const InterseqProfile prof = build_interseq_profile(q, blosum());
-
-        for (const simd::IsaLevel isa : supported_levels()) {
-            const int W = lanes_u8(isa);
-            const auto used = static_cast<std::size_t>(W) / 2;
-            auto subjects = random_subjects(rng, used, 40, 300);
-            subjects.resize(static_cast<std::size_t>(W));  // hi half pad
-            std::size_t columns = 0;
-            for (const auto& s : subjects) {
-                columns = std::max(columns, s.size());
-            }
-            const std::vector<Code> cols = interleave(subjects, W, columns);
-
-            ScanScratch scratch;
-            InterseqColumnState state;
-            std::int16_t full[64], lo[64];
-            const std::uint64_t full_ovf =
-                sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
-                                      scratch, state, full);
-            const std::uint64_t lo_ovf =
-                sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
-                                      scratch, state, lo, used);
-            EXPECT_EQ(lo_ovf, full_ovf)
-                << "isa=" << simd::to_string(isa) << " qlen=" << qlen;
-            for (int l = 0; l < W; ++l) {
-                const std::int16_t want =
-                    l < static_cast<int>(used) ? full[l] : std::int16_t{0};
-                EXPECT_EQ(lo[l], want)
-                    << "isa=" << simd::to_string(isa) << " qlen=" << qlen
-                    << " lane=" << l;
-            }
-        }
-    }
-}
-
 TEST(InterseqTiledKernels, I16GroupBitIdenticalAtEveryWidthThatHoldsIt) {
-    // The scanner's stage-3 drain packs each cliff group at the
-    // narrowest width that holds it. A group of n lanes must score the
-    // same at every width it fits — per-lane scores and overflow bits
-    // alike, whichever of the lo-half and full kernels the lanes_used
-    // hint selects — and match the scalar oracle; a width-16 build
-    // (no AVX2) checks only the groups it holds. Lane n/2 is a long
-    // near-self match that saturates i16 (~60 per residue over 600
-    // rows), so a narrow group's overflow bit is pinned down too.
+    // The scanner's stage-3 drain packs each cliff group, at most one
+    // i16 vector's lanes, at the narrowest width whose i16 vector holds
+    // it. A group of n lanes must score the same at every width it fits
+    // — per-lane scores and overflow bits alike — and match the scalar
+    // oracle; a build without AVX2 checks only the groups of at most 8.
+    // Lane n/2 is a long near-self match that saturates i16 (~60 per
+    // residue over 600 rows), so a narrow group's overflow bit is
+    // pinned down too.
     Rng rng(239);
     const std::size_t qlen = 600;
     const std::vector<Code> q = db::random_protein(rng, qlen, "q").residues;
@@ -283,7 +239,7 @@ TEST(InterseqTiledKernels, I16GroupBitIdenticalAtEveryWidthThatHoldsIt) {
         near_self[i] = static_cast<Code>((near_self[i] + 1) % prof.symbols);
     }
 
-    const std::size_t groups[] = {1, 7, 8, 9, 16, 17, 32, 33};
+    const std::size_t groups[] = {1, 7, 8, 9, 15, 16, 17, 31, 32};
     for (const std::size_t n : groups) {
         auto subjects = random_subjects(rng, n, 100, 400);
         subjects[n / 2] = near_self;
@@ -294,15 +250,14 @@ TEST(InterseqTiledKernels, I16GroupBitIdenticalAtEveryWidthThatHoldsIt) {
         std::int16_t want[64];
         std::uint64_t want_ovf = 0;
         for (const simd::IsaLevel isa : supported_levels()) {
-            const int W = lanes_u8(isa);
-            if (static_cast<std::size_t>(W) < n) continue;
-            const std::vector<Code> cols = interleave(subjects, W, columns);
+            if (static_cast<std::size_t>(lanes_i16(isa)) < n) continue;
+            const std::vector<Code> cols =
+                interleave(subjects, lanes_u8(isa), columns);
             ScanScratch scratch;
             InterseqColumnState state;
             std::int16_t best[64];
             const std::uint64_t ovf = sw_interseq_i16_tiled(
-                prof, cols.data(), columns, kGap, isa, scratch, state, best,
-                n);
+                prof, cols.data(), columns, kGap, isa, scratch, state, best);
             const std::string label = "isa=" +
                                       std::string(simd::to_string(isa)) +
                                       " n=" + std::to_string(n);

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "align/striped_kernels.hpp"
 #include "align/sw_scalar.hpp"
 #include "db/generator.hpp"
 #include "simd/simd.hpp"
@@ -47,6 +46,24 @@ TEST_P(StripedIsaTest, U8MatchesOracleOnRandomPairs) {
         ASSERT_FALSE(r.overflow) << "random short pairs should not saturate";
         EXPECT_EQ(r.score, sw_score_affine(q, d, m, gap)) << "iter " << iter;
     }
+    // Query lengths spanning segment counts 1..10 at this lane width,
+    // so every short segment count and the lazy-F wrap are covered.
+    const int lanes = lanes_u8(isa);
+    for (int seg = 1; seg <= 10; ++seg) {
+        const std::size_t qlen =
+            static_cast<std::size_t>(seg * lanes) - rng.below(lanes);
+        const auto q = db::random_protein(rng, qlen).residues;
+        const Profile8 p = build_profile8(q, m, lanes);
+        ASSERT_EQ(p.seg_len, static_cast<std::size_t>(seg));
+        for (int iter = 0; iter < 8; ++iter) {
+            const auto d =
+                db::random_protein(rng, 1 + rng.below(300)).residues;
+            const StripedResult r = sw_striped_u8(p, d, gap, isa);
+            ASSERT_FALSE(r.overflow) << "seg " << seg << " iter " << iter;
+            EXPECT_EQ(r.score, sw_score_affine(q, d, m, gap))
+                << "seg " << seg << " iter " << iter;
+        }
+    }
 }
 
 TEST_P(StripedIsaTest, I16MatchesOracleOnRandomPairs) {
@@ -63,44 +80,6 @@ TEST_P(StripedIsaTest, I16MatchesOracleOnRandomPairs) {
         const StripedResult r = sw_striped_i16(p, d, gap, isa);
         ASSERT_FALSE(r.overflow);
         EXPECT_EQ(r.score, sw_score_affine(q, d, m, gap)) << "iter " << iter;
-    }
-}
-
-// The always-generic scratch kernel, bypassing the register-blocked
-// dispatch that sw_striped_u8 applies for small segment counts.
-StripedResult generic_u8(const Profile8& p, std::span<const Code> db,
-                         GapPenalty gap, simd::IsaLevel isa) {
-    ScanScratch scratch;
-    return simd::dispatch(isa, [&]<class T>(T) {
-        return detail::striped_u8<typename T::U8>(p, db, gap, scratch);
-    });
-}
-
-TEST_P(StripedIsaTest, RegisterBlockedU8MatchesGenericKernel) {
-    // Query lengths spanning segment counts 1..10 at every lane width:
-    // both the register-blocked instantiations (seg <= 8) and the
-    // generic fallback must produce identical scores and overflow flags.
-    const simd::IsaLevel isa = GetParam();
-    Rng rng(111);
-    const ScoreMatrix m = ScoreMatrix::blosum62();
-    const GapPenalty gap{10, 2};
-    const int lanes = lanes_u8(isa);
-    for (int seg = 1; seg <= 10; ++seg) {
-        const std::size_t qlen =
-            static_cast<std::size_t>(seg * lanes) - rng.below(lanes);
-        const auto q = db::random_protein(rng, qlen).residues;
-        const Profile8 p = build_profile8(q, m, lanes);
-        ASSERT_EQ(p.seg_len, static_cast<std::size_t>(seg));
-        for (int iter = 0; iter < 8; ++iter) {
-            const auto d =
-                db::random_protein(rng, 1 + rng.below(300)).residues;
-            const StripedResult auto_r = sw_striped_u8(p, d, gap, isa);
-            const StripedResult gen_r = generic_u8(p, d, gap, isa);
-            EXPECT_EQ(auto_r.score, gen_r.score)
-                << "seg " << seg << " iter " << iter;
-            EXPECT_EQ(auto_r.overflow, gen_r.overflow)
-                << "seg " << seg << " iter " << iter;
-        }
     }
 }
 

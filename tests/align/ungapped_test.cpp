@@ -434,7 +434,9 @@ TEST(UngappedKernels, ResumedSweepMatchesOneFullCall) {
                 for (int l = 0; l < W; ++l) {
                     EXPECT_EQ(resumed[l], full[l]) << at << " lane=" << l;
                 }
-                if (tiles == 1) EXPECT_EQ(rest.tiles, 0u) << at;
+                if (tiles == 1) {
+                    EXPECT_EQ(rest.tiles, 0u) << at;
+                }
 
                 // Lanes outside `lanes` are neither reported saturated
                 // nor keep the sweep going.
@@ -446,7 +448,9 @@ TEST(UngappedKernels, ResumedSweepMatchesOneFullCall) {
                 EXPECT_LE(masked.tiles, rest.tiles) << at;
             }
             EXPECT_GT(compared, 3u) << label;
-            if (tiles > 1) EXPECT_TRUE(saturated_seen) << label;
+            if (tiles > 1) {
+                EXPECT_TRUE(saturated_seen) << label;
+            }
         }
     }
 }

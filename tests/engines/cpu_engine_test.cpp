@@ -66,7 +66,9 @@ TEST(CpuEngine, ScoresMatchOracle) {
             q.residues, database[i].residues, blosum(), {10, 2});
         bool in_hits = false;
         for (const core::Hit& h : r.hits) in_hits |= (h.db_index == i);
-        if (!in_hits) EXPECT_LE(s, r.hits.back().score);
+        if (!in_hits) {
+            EXPECT_LE(s, r.hits.back().score);
+        }
     }
 }
 
