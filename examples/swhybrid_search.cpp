@@ -335,6 +335,10 @@ int main(int argc, char** argv) {
             SWH_REQUIRE(args.get("fault").empty(),
                         "--fault wraps in-process engines; pass --fault "
                         "to swhybrid_slave instead");
+            // RemoteMaster does not forward the scheduler observer, so
+            // the weight log would stay empty.
+            SWH_REQUIRE(weights_path.empty(),
+                        "--weights-out needs --transport=inproc");
         }
 
         std::cout << "searching " << queries.size() << " queries against "

@@ -9,14 +9,12 @@
 
 #include "net/channel.hpp"
 #include "net/messages.hpp"
-#include "obs/sched_log.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracers.hpp"
-#include "runtime/master_protocol.hpp"
+#include "runtime/master_host.hpp"
 #include "runtime/slave_loop.hpp"
 #include "util/annotations.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace swh::runtime {
 
@@ -98,24 +96,15 @@ HybridRuntime::HybridRuntime(const db::Database& database,
       queries_(std::move(queries)),
       options_(options) {
     SWH_CHECK(!queries_.empty(), "query set must be non-empty");
-    validate_runtime_options(options_);
 }
 
 RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
                              std::unique_ptr<core::AllocationPolicy> policy) {
     SWH_CHECK(!slaves.empty(), "need at least one slave");
     const std::size_t n = slaves.size();
+    MasterHost host(queries_, database_->residues(), std::move(policy), n,
+                    options_);
 
-    core::SchedulerCore sched(
-        core::make_tasks(queries_, database_->residues()), std::move(policy),
-        options_.sched);
-    core::ResultMerger merger(queries_.size(), options_.top_k);
-
-    net::Channel<net::MasterMsg> master_inbox(options_.channel_delay_s);
-    if (options_.master_link_faults.drop_prob > 0.0 ||
-        options_.master_link_faults.stall_s > 0.0) {
-        master_inbox.inject_faults(options_.master_link_faults);
-    }
     std::vector<std::unique_ptr<SlaveShared>> shared;
     shared.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -132,47 +121,11 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
     /// Set before the master closes slave inboxes at end of run.
     std::atomic<bool> draining{false};
 
-    // ---- Observability wiring (all optional) ----------------------------
+    // ---- Slave-side observability (optional) ----------------------------
     // Lanes and metric handles are resolved here, before any thread
     // starts, so the hot paths only ever touch pre-resolved pointers.
     obs::TraceRecorder* const rec = options_.trace;
     obs::MetricsRegistry* const metrics = options_.metrics;
-    if (rec != nullptr) rec->reset_epoch();
-
-    // One master lane shared by the scheduler tracer and the runtime's
-    // own fault events (TraceRecorder::lane() creates a fresh lane per
-    // call, so resolving it twice would split the timeline row).
-    obs::TraceLane* const master_lane =
-        rec != nullptr ? &rec->lane("master") : nullptr;
-    obs::SchedTracer sched_tracer(master_lane, metrics);
-    obs::SchedFanout sched_fanout;
-    if (rec != nullptr || metrics != nullptr) {
-        sched_fanout.add(&sched_tracer);
-    }
-    // Caller-supplied observer (e.g. an obs::WeightLog recording the
-    // PSS weight trajectory) shares the scheduler's observer slot with
-    // the tracer through the fanout. Either alone skips the fanout hop.
-    if (options_.sched_observer != nullptr) {
-        sched_fanout.add(options_.sched_observer);
-    }
-    if (sched_fanout.size() == 1 && options_.sched_observer != nullptr) {
-        sched.set_observer(options_.sched_observer);
-    } else if (sched_fanout.size() == 1) {
-        sched.set_observer(&sched_tracer);
-    } else if (!sched_fanout.empty()) {
-        sched.set_observer(&sched_fanout);
-    }
-    obs::ChannelTracer master_chan_tracer(
-        rec != nullptr ? &rec->lane("chan:master") : nullptr,
-        metrics != nullptr
-            ? &metrics->histogram("channel.master_inbox.depth")
-            : nullptr);
-    if (rec != nullptr || metrics != nullptr) {
-        master_inbox.set_observer(&master_chan_tracer);
-    }
-    MasterProtocol protocol(sched, merger, n, master_loop_config(options_),
-                            master_loop_counters(metrics), master_lane);
-
     std::vector<obs::TraceLane*> slave_lanes(n, nullptr);
     std::vector<obs::Histogram*> slave_duration(n, nullptr);
     std::vector<std::unique_ptr<obs::ChannelTracer>> chan_tracers;
@@ -197,8 +150,6 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
         }
     }
 
-    Timer clock;
-
     // ---- Slave threads --------------------------------------------------
     auto slave_main = [&](PeId pe) {
         SlaveSpec& spec = slaves[pe];
@@ -207,7 +158,7 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(spec.join_delay_s));
         }
-        ThreadedSlaveEndpoint endpoint(master_inbox, sh, draining);
+        ThreadedSlaveEndpoint endpoint(host.inbox(), sh, draining);
         SlaveLoopConfig config;
         config.pe = pe;
         config.notify_period_s = options_.notify_period_s;
@@ -225,16 +176,11 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
     for (PeId pe = 0; pe < n; ++pe) threads.emplace_back(slave_main, pe);
 
     // ---- Master (this thread) -------------------------------------------
-    std::vector<std::unique_ptr<ThreadedSlaveLink>> link_storage;
-    std::vector<SlaveLink*> links;
-    link_storage.reserve(n);
-    links.reserve(n);
+    std::vector<std::unique_ptr<SlaveLink>> links;
     for (std::size_t i = 0; i < n; ++i) {
-        link_storage.push_back(std::make_unique<ThreadedSlaveLink>(*shared[i]));
-        links.push_back(link_storage.back().get());
+        links.push_back(std::make_unique<ThreadedSlaveLink>(*shared[i]));
     }
-    run_master_loop(protocol, master_inbox, links, clock);
-    RunReport report = protocol.take_report();
+    host.pump(links);
 
     // End-of-run drain: close every inbox so any straggler thread (e.g.
     // a false-positive "dead" slave still finishing its task) unwedges
@@ -244,11 +190,8 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
         if (!shared[i]->inbox.closed()) shared[i]->inbox.close();
     }
     for (std::thread& t : threads) t.join();
-    SWH_AUDIT_SWEEP(sched.check_invariants());
 
-    report.wall_seconds = clock.seconds();
-    report.gcups =
-        align::gcups(report.accepted_cells, report.wall_seconds);
+    RunReport report = host.finish();
     for (std::size_t i = 0; i < n; ++i) {
         SlaveReport merged = shared[i]->report;
         merged.results_accepted = report.slaves[i].results_accepted;
@@ -261,18 +204,6 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
                      report.slaves[i].engine_failures);
         report.slaves[i] = std::move(merged);
     }
-    report.hits.reserve(queries_.size());
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-        report.hits.push_back(merger.hits_for(q));
-    }
-    // Ring overflow must be visible in the metrics, not just buried in
-    // the drained lanes: a truncated trace silently skews any analysis
-    // built on it. Counted after the joins so every lane has quiesced;
-    // created even at zero so dashboards can rely on its presence.
-    if (metrics != nullptr && rec != nullptr) {
-        metrics->counter("obs.trace.dropped").add(rec->dropped_total());
-    }
-    if (metrics != nullptr) report.metrics = metrics->snapshot();
     return report;
 }
 

@@ -49,6 +49,7 @@ struct RuntimeOptions {
     /// alongside the built-in SchedTracer. Callbacks arrive on the
     /// master thread with the scheduler mutex held — the observer must
     /// not re-enter the scheduler. Non-owning; must outlive run().
+    /// RemoteMaster does not forward it (see RemoteMasterOptions).
     core::SchedObserver* sched_observer = nullptr;
 
     // ---- Fault tolerance (ISSUE 5) --------------------------------------
@@ -153,8 +154,9 @@ struct RunReport {
 /// calling thread runs the master (sequence acquisition, task allocation,
 /// result merging); each SlaveSpec becomes a slave thread that registers,
 /// requests work, executes tasks on its engine, and streams progress
-/// notifications. The master is runtime::MasterProtocol over
-/// SchedulerCore — the same protocol the discrete-event simulator drives.
+/// notifications. The master side is runtime::MasterHost, shared with
+/// the socket runtime; its MasterProtocol is the same protocol the
+/// discrete-event simulator drives.
 class HybridRuntime {
 public:
     HybridRuntime(const db::Database& database,

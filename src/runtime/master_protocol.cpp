@@ -15,9 +15,32 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The counter `name` of `metrics`, or null when metrics are off.
+obs::Counter* fault_counter(obs::MetricsRegistry* metrics, const char* name) {
+    return metrics != nullptr ? &metrics->counter(name) : nullptr;
+}
+
 }  // namespace
 
-void validate_runtime_options(const RuntimeOptions& options) {
+MasterProtocol::MasterProtocol(core::SchedulerCore& sched,
+                               core::ResultMerger& merger,
+                               std::size_t slaves,
+                               const RuntimeOptions& options,
+                               obs::TraceLane* master_lane)
+    : sched_(sched),
+      merger_(merger),
+      options_(options),
+      master_lane_(master_lane),
+      engine_failures_(fault_counter(options.metrics,
+                                     "runtime.faults.engine_failures")),
+      retries_(fault_counter(options.metrics, "runtime.faults.retries")),
+      presumed_dead_(fault_counter(options.metrics,
+                                   "runtime.faults.slaves_presumed_dead")),
+      late_discards_(fault_counter(
+          options.metrics, "runtime.faults.late_completions_discarded")),
+      heartbeats_(fault_counter(options.metrics, "runtime.faults.heartbeats")),
+      state_(slaves, PeState::Unseen),
+      last_heard_(slaves, 0.0) {
     SWH_CHECK_GT(options.notify_period_s, 0.0,
                  "notify period must be positive");
     SWH_CHECK_GE(options.liveness_timeout_s, 0.0,
@@ -37,40 +60,6 @@ void validate_runtime_options(const RuntimeOptions& options) {
                   options.liveness_timeout_s > 0.0,
               "dropping slave->master messages requires liveness "
               "timeouts, or a lost Register/TaskDone deadlocks the run");
-}
-
-MasterLoopConfig master_loop_config(const RuntimeOptions& options) {
-    MasterLoopConfig config;
-    config.liveness_timeout_s = options.liveness_timeout_s;
-    config.lossy_master_link = options.master_link_faults.drop_prob > 0.0;
-    config.max_task_retries = options.max_task_retries;
-    config.retry_backoff_s = options.retry_backoff_s;
-    config.retry_backoff_max_s = options.retry_backoff_max_s;
-    return config;
-}
-
-MasterLoopCounters master_loop_counters(obs::MetricsRegistry* metrics) {
-    if (metrics == nullptr) return {};
-    return MasterLoopCounters{
-        &metrics->counter("runtime.faults.engine_failures"),
-        &metrics->counter("runtime.faults.retries"),
-        &metrics->counter("runtime.faults.slaves_presumed_dead"),
-        &metrics->counter("runtime.faults.late_completions_discarded"),
-        &metrics->counter("runtime.faults.heartbeats")};
-}
-
-MasterProtocol::MasterProtocol(core::SchedulerCore& sched,
-                               core::ResultMerger& merger,
-                               std::size_t slaves, MasterLoopConfig config,
-                               MasterLoopCounters counters,
-                               obs::TraceLane* master_lane)
-    : sched_(sched),
-      merger_(merger),
-      config_(config),
-      counters_(counters),
-      master_lane_(master_lane),
-      state_(slaves, PeState::Unseen),
-      last_heard_(slaves, 0.0) {
     report_.slaves.resize(slaves);
 }
 
@@ -97,7 +86,7 @@ void MasterProtocol::on_message(net::MasterMsg msg, double now, Out& out) {
             sched_.on_progress(from, now, prog->cells_per_second);
         }
     } else if (std::holds_alternative<net::MsgHeartbeat>(msg)) {
-        if (counters_.heartbeats != nullptr) counters_.heartbeats->add();
+        if (heartbeats_ != nullptr) heartbeats_->add();
         // Heartbeats double as an idle-work poll: one arrives only from
         // an idle-blocked slave, so if it is not parked in waiting_ its
         // WorkRequest must have been lost — serve it now (self-healing).
@@ -130,7 +119,7 @@ void MasterProtocol::on_task_done(const net::MsgTaskDone& done, double now,
         // tasks were already requeued; discard, never double-merge.
         discard(done.pe, done.result.cells);
         ++report_.late_completions_discarded;
-        if (counters_.late_discards != nullptr) counters_.late_discards->add();
+        if (late_discards_ != nullptr) late_discards_->add();
     } else if (state == PeState::Shutdown ||
                std::find(holders.begin(), holders.end(), done.pe) ==
                    holders.end()) {
@@ -159,7 +148,7 @@ void MasterProtocol::discard(PeId pe, std::uint64_t cells) {
 
 void MasterProtocol::serve(PeId pe, double now, Out& out) {
     if (!sched_.is_registered(pe)) return;  // raced with deregister
-    if (config_.lossy_master_link) {
+    if (options_.master_link_faults.drop_prob > 0.0) {
         // Lost-completion recovery: serve() only ever targets an idle
         // slave, so any Executing task the scheduler still shows queued
         // on it (minus parked retries) lost its TaskDone/TaskFailed to
@@ -233,7 +222,7 @@ void MasterProtocol::declare_dead(PeId pe, double now, Out& out) {
     if (master_lane_ != nullptr) {
         master_lane_->emit(obs::EventKind::SlavePresumedDead, pe);
     }
-    if (counters_.presumed_dead != nullptr) counters_.presumed_dead->add();
+    if (presumed_dead_ != nullptr) presumed_dead_->add();
     // Abandoning the link is the cooperative kill signal: a stalled
     // engine polling cancellation unwedges, an idle-blocked slave wakes
     // and exits. It also guarantees the caller can join/reap.
@@ -247,13 +236,11 @@ void MasterProtocol::record_failure(PeId pe, TaskId task,
                                     Out& out) {
     ++report_.task_failures;
     ++report_.slaves[pe].engine_failures;
-    if (counters_.engine_failures != nullptr) {
-        counters_.engine_failures->add();
-    }
+    if (engine_failures_ != nullptr) engine_failures_->add();
     FailureRecord& log = failure_log_[task];
     ++log.failures;
     log.last_error = what;
-    if (log.failures > config_.max_task_retries) {
+    if (log.failures > options_.max_task_retries) {
         // Budget spent: settle the task as failed (unless a replica is
         // still running and may yet win).
         sched_.on_task_failed(pe, task, now, /*allow_retry=*/false);
@@ -261,12 +248,12 @@ void MasterProtocol::record_failure(PeId pe, TaskId task,
         return;
     }
     const double backoff = std::min(
-        config_.retry_backoff_max_s,
-        config_.retry_backoff_s *
+        options_.retry_backoff_max_s,
+        options_.retry_backoff_s *
             static_cast<double>(std::size_t{1} << (log.failures - 1)));
     parked_.push_back(ParkedRetry{now + backoff, pe, task});
     parked_keys_.insert({pe, task});
-    if (counters_.retries != nullptr) counters_.retries->add();
+    if (retries_ != nullptr) retries_->add();
 }
 
 void MasterProtocol::on_timer(double now, Out& out) {
@@ -293,7 +280,7 @@ void MasterProtocol::on_timer(double now, Out& out) {
     }
     // Liveness sweep: any Active slave silent past the timeout is
     // declared dead and its work reclaimed.
-    if (config_.liveness_timeout_s > 0.0) {
+    if (options_.liveness_timeout_s > 0.0) {
         for (PeId pe = 0; pe < state_.size(); ++pe) {
             if (state_[pe] == PeState::Active &&
                 now >= liveness_deadline(pe)) {
@@ -304,13 +291,13 @@ void MasterProtocol::on_timer(double now, Out& out) {
 }
 
 double MasterProtocol::liveness_deadline(PeId pe) const {
-    return last_heard_[pe] + config_.liveness_timeout_s;
+    return last_heard_[pe] + options_.liveness_timeout_s;
 }
 
 double MasterProtocol::next_deadline() const {
     double deadline = kInf;
     for (const ParkedRetry& p : parked_) deadline = std::min(deadline, p.due);
-    if (config_.liveness_timeout_s > 0.0) {
+    if (options_.liveness_timeout_s > 0.0) {
         for (PeId pe = 0; pe < state_.size(); ++pe) {
             if (state_[pe] == PeState::Active) {
                 deadline = std::min(deadline, liveness_deadline(pe));
@@ -343,36 +330,6 @@ RunReport MasterProtocol::take_report() {
         report_.failed_tasks.push_back(std::move(failed));
     }
     return std::move(report_);
-}
-
-void run_master_loop(MasterProtocol& protocol,
-                     net::Channel<net::MasterMsg>& inbox,
-                     const std::vector<SlaveLink*>& links,
-                     const Timer& clock) {
-    std::vector<MasterAction> out;
-    while (!protocol.finished()) {
-        // Deadline-driven wait: a blocking recv() alone would deadlock
-        // when a slave dies silently, so wake at the protocol's next
-        // deadline; block indefinitely only when it has none.
-        const double deadline = protocol.next_deadline();
-        std::optional<net::MasterMsg> msg =
-            deadline == kInf
-                ? inbox.recv()
-                : inbox.recv_for(std::max(deadline - clock.seconds(), 1e-4));
-        SWH_CHECK(msg.has_value() || !inbox.closed(),
-                  "master inbox closed prematurely");
-        const double now = clock.seconds();
-        if (msg.has_value()) protocol.on_message(std::move(*msg), now, out);
-        protocol.on_timer(now, out);
-        for (MasterAction& action : out) {
-            if (action.msg.has_value()) {
-                links[action.pe]->send(std::move(*action.msg));
-            } else {
-                links[action.pe]->abandon();
-            }
-        }
-        out.clear();
-    }
 }
 
 }  // namespace swh::runtime

@@ -1,15 +1,15 @@
 #pragma once
 
-// The master protocol as a step function, and the wall-clock pump that
-// drives it. MasterProtocol owns everything the master knows beyond
-// SchedulerCore: PE lifecycle states, the starved slaves owed a reply,
-// parked retries with exponential backoff, the failure log,
-// lost-completion recovery and the report counters. It never reads a
-// clock, blocks or sends; each step takes the caller's `now` and
-// appends its replies and abandon orders to `out`. Three pumps drive
-// it: run_master_loop below behind the threaded runtime and the socket
-// runtime, and the discrete-event simulator on virtual time
-// (sim/simulator.cpp), so all three run one protocol.
+// The master protocol as a step function. MasterProtocol owns everything
+// the master knows beyond SchedulerCore: PE lifecycle states, the
+// starved slaves owed a reply, parked retries with exponential backoff,
+// the failure log, lost-completion recovery and the report counters. It
+// never reads a clock, blocks or sends; each step takes the caller's
+// `now` and appends its replies and abandon orders to `out`. Two pumps
+// drive it: MasterHost's wall-clock pump (runtime/master_host.hpp)
+// behind both the threaded and the socket runtime, and the
+// discrete-event simulator on virtual time (sim/simulator.cpp), so every
+// master runs one protocol.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,59 +22,12 @@
 
 #include "core/results.hpp"
 #include "core/scheduler.hpp"
-#include "net/channel.hpp"
 #include "net/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/hybrid_runtime.hpp"
-#include "util/timer.hpp"
 
 namespace swh::runtime {
-
-/// The master loop's downlink to one slave. The threaded runtime backs
-/// it with the slave's shared-inbox Channel; the socket runtime encodes
-/// frames onto that slave's connection.
-class SlaveLink {
-public:
-    virtual ~SlaveLink() = default;
-
-    virtual void send(net::SlaveMsg msg) = 0;
-
-    /// Cooperative kill for a slave the liveness layer gave up on: make
-    /// its blocked recv unblock and its cancellation poll fire
-    /// (threaded: mark abandoned + close the inbox; socket: shut the
-    /// connection down).
-    virtual void abandon() = 0;
-};
-
-/// Optional fault-metric sinks (null = off), pre-resolved by the caller
-/// so the protocol never touches a registry.
-struct MasterLoopCounters {
-    obs::Counter* engine_failures = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* presumed_dead = nullptr;
-    obs::Counter* late_discards = nullptr;
-    obs::Counter* heartbeats = nullptr;
-};
-
-struct MasterLoopConfig {
-    /// 0 disables liveness — the original immortal-slave assumption.
-    double liveness_timeout_s = 0.0;
-    /// Enables lost-completion recovery on serve (only needed when the
-    /// slave->master link can drop messages).
-    bool lossy_master_link = false;
-    std::size_t max_task_retries = 3;
-    double retry_backoff_s = 0.01;
-    double retry_backoff_max_s = 1.0;
-};
-
-/// The runtime options' contract checks, shared by HybridRuntime and
-/// RemoteMaster.
-void validate_runtime_options(const RuntimeOptions& options);
-
-/// The protocol settings and fault-metric sinks of one runtime run.
-MasterLoopConfig master_loop_config(const RuntimeOptions& options);
-MasterLoopCounters master_loop_counters(obs::MetricsRegistry* metrics);
 
 /// One outbound effect of a protocol step, for slave `pe`.
 struct MasterAction {
@@ -90,9 +43,11 @@ struct MasterAction {
 /// ends at its last accepted result.
 class MasterProtocol {
 public:
+    /// Reads the fault-tolerance settings of `options` and resolves the
+    /// runtime.faults.* counters of `options.metrics`; throws
+    /// ContractError on inconsistent settings.
     MasterProtocol(core::SchedulerCore& sched, core::ResultMerger& merger,
-                   std::size_t slaves, MasterLoopConfig config,
-                   MasterLoopCounters counters = {},
+                   std::size_t slaves, const RuntimeOptions& options,
                    obs::TraceLane* master_lane = nullptr);
 
     /// Handles one inbound message that arrived at `now`.
@@ -145,9 +100,14 @@ private:
 
     core::SchedulerCore& sched_;
     core::ResultMerger& merger_;
-    const MasterLoopConfig config_;
-    const MasterLoopCounters counters_;
+    const RuntimeOptions options_;
     obs::TraceLane* const master_lane_;
+    /// Fault-metric sinks (null = metrics off).
+    obs::Counter* const engine_failures_;
+    obs::Counter* const retries_;
+    obs::Counter* const presumed_dead_;
+    obs::Counter* const late_discards_;
+    obs::Counter* const heartbeats_;
 
     std::vector<PeState> state_;
     std::vector<double> last_heard_;
@@ -178,14 +138,5 @@ private:
 
     RunReport report_;
 };
-
-/// The wall-clock pump: feeds `protocol` every message of `inbox` and
-/// wakes it at next_deadline(), timed by `clock` (the timebase of the
-/// scheduler's observations), and carries its replies out over `links`
-/// (index = PeId). Returns once protocol.finished().
-void run_master_loop(MasterProtocol& protocol,
-                     net::Channel<net::MasterMsg>& inbox,
-                     const std::vector<SlaveLink*>& links,
-                     const Timer& clock);
 
 }  // namespace swh::runtime

@@ -5,13 +5,8 @@
 #include <variant>
 #include <vector>
 
-#include "core/results.hpp"
-#include "core/scheduler.hpp"
-#include "net/channel.hpp"
 #include "net/remote_channel.hpp"
-#include "obs/trace.hpp"
-#include "obs/tracers.hpp"
-#include "runtime/master_protocol.hpp"
+#include "runtime/master_host.hpp"
 #include "runtime/slave_loop.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -81,7 +76,6 @@ RemoteMaster::RemoteMaster(const db::Database& database,
     SWH_CHECK(!queries_.empty(), "query set must be non-empty");
     SWH_CHECK_GT(options_.expect_slaves, std::size_t{0},
                  "need at least one slave");
-    validate_runtime_options(options_.runtime);
 }
 
 RemoteMaster::~RemoteMaster() = default;
@@ -98,40 +92,6 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
     listen();
     const std::size_t n = options_.expect_slaves;
     const RuntimeOptions& rt = options_.runtime;
-
-    core::SchedulerCore sched(
-        core::make_tasks(queries_, database_->residues()), std::move(policy),
-        rt.sched);
-    core::ResultMerger merger(queries_.size(), rt.top_k);
-
-    // The shared master inbox is a real net::Channel fed by one decode
-    // pump per connection, so delivery delay, fault injection, and depth
-    // observation behave exactly as in-process.
-    net::Channel<net::MasterMsg> master_inbox(rt.channel_delay_s);
-    if (rt.master_link_faults.drop_prob > 0.0 ||
-        rt.master_link_faults.stall_s > 0.0) {
-        master_inbox.inject_faults(rt.master_link_faults);
-    }
-
-    obs::TraceRecorder* const rec = rt.trace;
-    obs::MetricsRegistry* const metrics = rt.metrics;
-    if (rec != nullptr) rec->reset_epoch();
-    obs::TraceLane* const master_lane =
-        rec != nullptr ? &rec->lane("master") : nullptr;
-    obs::SchedTracer sched_tracer(master_lane, metrics);
-    if (rec != nullptr || metrics != nullptr) {
-        sched.set_observer(&sched_tracer);
-    }
-    obs::ChannelTracer master_chan_tracer(
-        rec != nullptr ? &rec->lane("chan:master") : nullptr,
-        metrics != nullptr
-            ? &metrics->histogram("channel.master_inbox.depth")
-            : nullptr);
-    if (rec != nullptr || metrics != nullptr) {
-        master_inbox.set_observer(&master_chan_tracer);
-    }
-    MasterProtocol protocol(sched, merger, n, master_loop_config(rt),
-                            master_loop_counters(metrics), master_lane);
 
     // ---- Accept + handshake ---------------------------------------------
     std::vector<std::shared_ptr<net::StreamTransport>> transports;
@@ -165,58 +125,49 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
         hellos.push_back(*hello);
     }
 
-    // One decode pump per connection into the shared inbox. The pump
-    // never closes the shared sink (one slave's EOF must not close the
-    // others' channel) and refuses frames whose PeId is not the one this
+    // The sched_observer stays unforwarded (see RemoteMasterOptions).
+    RuntimeOptions host_options = rt;
+    host_options.sched_observer = nullptr;
+    MasterHost host(queries_, database_->residues(), std::move(policy), n,
+                    host_options);
+
+    // One decode pump per connection into the shared inbox, a real
+    // net::Channel, so delivery delay, fault injection and depth
+    // observation behave exactly as in-process. The pump never closes
+    // the shared sink (one slave's EOF must not close the others'
+    // channel) and refuses frames whose PeId is not the one this
     // connection was welcomed as — a forged or corrupted id must not
     // reach the scheduler's contracts.
     std::vector<std::unique_ptr<net::FrameReceiver<net::MasterBound>>>
         receivers;
-    std::vector<std::unique_ptr<RemoteSlaveLink>> link_storage;
-    std::vector<SlaveLink*> links;
+    std::vector<std::unique_ptr<SlaveLink>> links;
     receivers.reserve(n);
-    link_storage.reserve(n);
-    links.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const PeId expected = static_cast<PeId>(i);
         receivers.push_back(
             std::make_unique<net::FrameReceiver<net::MasterBound>>(
-                transports[i], master_inbox,
+                transports[i], host.inbox(),
                 /*close_sink_on_exit=*/false,
                 [expected](const net::MasterMsg& msg) {
                     return std::visit([](const auto& m) { return m.pe; },
                                       msg) == expected;
                 }));
-        link_storage.push_back(
-            std::make_unique<RemoteSlaveLink>(transports[i]));
-        links.push_back(link_storage.back().get());
+        links.push_back(std::make_unique<RemoteSlaveLink>(transports[i]));
     }
 
-    Timer clock;
-    run_master_loop(protocol, master_inbox, links, clock);
-    RunReport report = protocol.take_report();
+    host.pump(links);
 
     // End-of-run drain: every slave already got Shutdown (or was
     // abandoned); shutting the transports down unblocks the pumps so
     // their threads join.
     for (auto& transport : transports) transport->shutdown();
     for (auto& receiver : receivers) receiver->stop();
-    SWH_AUDIT_SWEEP(sched.check_invariants());
 
-    report.wall_seconds = clock.seconds();
-    report.gcups = align::gcups(report.accepted_cells, report.wall_seconds);
+    RunReport report = host.finish();
     for (std::size_t i = 0; i < n; ++i) {
         report.slaves[i].label = hellos[i].label;
         report.slaves[i].kind = hellos[i].kind;
     }
-    report.hits.reserve(queries_.size());
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-        report.hits.push_back(merger.hits_for(q));
-    }
-    if (metrics != nullptr && rec != nullptr) {
-        metrics->counter("obs.trace.dropped").add(rec->dropped_total());
-    }
-    if (metrics != nullptr) report.metrics = metrics->snapshot();
     return report;
 }
 

@@ -1,13 +1,14 @@
 #pragma once
 
-// Multi-process master/slave bootstrap over the socket transport (ISSUE
-// 10 tentpole): RemoteMaster accepts slave connections, handshakes them
-// (Hello -> Welcome), and drives the exact MasterProtocol the threaded
-// runtime uses; run_remote_slave connects, handshakes, and drives the
-// exact run_slave_loop. The scheduler, PR-5 fault machinery, and result
-// merging are byte-for-byte the same code — only the Channel backing
-// differs — which is what keeps the socket run bit-identical in top-k
-// to the in-process runtime.
+// Multi-process master/slave bootstrap over the socket transport.
+// RemoteMaster accepts slave connections, handshakes them (Hello ->
+// Welcome), then hands the run to the MasterHost the threaded runtime
+// uses (runtime/master_host.hpp); run_remote_slave connects, handshakes
+// and drives the same run_slave_loop. The scheduler, the fault
+// machinery, the result merging and the master telemetry are one code
+// path for both transports — only the links behind the master inbox
+// differ — which is what keeps the socket run bit-identical in top-k to
+// the in-process runtime.
 
 #include <cstdint>
 #include <functional>
@@ -31,7 +32,10 @@ struct RemoteMasterOptions {
     /// every slave in its Welcome so the processes cannot diverge.
     /// channel_delay_s and master_link_faults apply to the master's
     /// inbox exactly as in-process (the frames pass through a real
-    /// net::Channel after decode).
+    /// net::Channel after decode). sched_observer is not forwarded: the
+    /// scheduler's decisions reach trace/metrics through the master
+    /// host's SchedTracer, and perfbench replays the "master" lane into
+    /// its own observer, so forwarding it would count each event twice.
     RuntimeOptions runtime;
     /// TCP port to listen on (loopback); 0 picks a free port — read it
     /// back from listen().
@@ -56,7 +60,7 @@ public:
     std::uint16_t listen();
 
     /// Accepts and handshakes expect_slaves connections, assigns PeIds
-    /// in connection order, and blocks in the shared master loop until
+    /// in connection order, and blocks in the shared master host until
     /// every task is finished and every slave has exited. RunReport
     /// carries the master-side view; slave-side stats (cells computed,
     /// cancellations survived) live in each slave process's own report.

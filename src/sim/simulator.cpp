@@ -79,7 +79,7 @@ public:
           // stays +inf and this pump has no timer to drive.
           protocol_(sched_, merger_,
                     config.pes.size() + config.join_events.size(),
-                    runtime::MasterLoopConfig{}) {
+                    runtime::RuntimeOptions{}) {
         // Attach before run() registers the platform so the observer
         // sees the registrations too (mirrors HybridRuntime's wiring).
         if (config_.observer != nullptr) {

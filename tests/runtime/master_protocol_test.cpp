@@ -30,16 +30,12 @@ std::vector<core::Task> equal_tasks(std::size_t n) {
 
 /// One self-scheduled run of `tasks` equal tasks on `slaves` PEs.
 struct Harness {
-    Harness(std::size_t tasks, std::size_t slaves, MasterLoopConfig config,
-            bool workload_adjust = true)
+    Harness(std::size_t tasks, std::size_t slaves,
+            const RuntimeOptions& options = {})
         : sched(equal_tasks(tasks), core::make_self_scheduling(),
-                [&] {
-                    core::SchedulerOptions o;
-                    o.workload_adjust = workload_adjust;
-                    return o;
-                }()),
+                options.sched),
           merger(tasks, 1),
-          protocol(sched, merger, slaves, config) {}
+          protocol(sched, merger, slaves, options) {}
 
     /// Replies to one message, as "pe:kind" strings in send order.
     std::vector<std::string> step(net::MasterMsg msg, double now) {
@@ -97,10 +93,10 @@ struct Harness {
 
 using Replies = std::vector<std::string>;
 
-MasterLoopConfig with_liveness(double timeout_s) {
-    MasterLoopConfig config;
-    config.liveness_timeout_s = timeout_s;
-    return config;
+RuntimeOptions with_liveness(double timeout_s) {
+    RuntimeOptions options;
+    options.liveness_timeout_s = timeout_s;
+    return options;
 }
 
 TEST(MasterProtocol, LivenessDeclaresDeathExactlyAtTheDeadline) {
@@ -128,11 +124,11 @@ TEST(MasterProtocol, LivenessDeclaresDeathExactlyAtTheDeadline) {
 TEST(MasterProtocol, ParkedRetriesFallDueWithDoublingBackoffUpToTheCap) {
     for (const double cap : {1.0, 0.03}) {
         SCOPED_TRACE(cap);
-        MasterLoopConfig config;
-        config.retry_backoff_s = 0.01;
-        config.retry_backoff_max_s = cap;
-        config.max_task_retries = 3;
-        Harness h(1, 1, config);
+        RuntimeOptions options;
+        options.retry_backoff_s = 0.01;
+        options.retry_backoff_max_s = cap;
+        options.max_task_retries = 3;
+        Harness h(1, 1, options);
         EXPECT_EQ(h.join(0, 0.0), (Replies{"0:assign t0"}));
         const std::vector<double> backoffs =
             cap == 1.0 ? std::vector<double>{0.01, 0.02, 0.04}
@@ -183,7 +179,9 @@ TEST(MasterProtocol, CompletionFromADeadSlaveIsALateDiscard) {
 
 TEST(MasterProtocol, EveryActiveSlaveIsShutDownInTheStepAllDoneTurnsTrue) {
     // pe 3 never registers before the end.
-    Harness h(2, 4, MasterLoopConfig{}, /*workload_adjust=*/false);
+    RuntimeOptions options;
+    options.sched.workload_adjust = false;
+    Harness h(2, 4, options);
     EXPECT_EQ(h.join(0, 0.0), (Replies{"0:assign t0"}));
     EXPECT_EQ(h.join(1, 0.0), (Replies{"1:assign t1"}));
     EXPECT_EQ(h.join(2, 0.0), (Replies{"2:no_work_yet"}));
@@ -203,8 +201,63 @@ TEST(MasterProtocol, EveryActiveSlaveIsShutDownInTheStepAllDoneTurnsTrue) {
     EXPECT_EQ(h.protocol.report().accepted_cells, 2'000u);
 }
 
+TEST(MasterProtocol, ReplicaLoserIsDiscardedWhileOtherTasksRemain) {
+    Harness h(3, 3);
+    EXPECT_EQ(h.join(0, 0.0), (Replies{"0:assign t0"}));
+    EXPECT_EQ(h.join(1, 0.0), (Replies{"1:assign t1"}));
+    EXPECT_EQ(h.join(2, 0.0), (Replies{"2:assign t2"}));
+    EXPECT_TRUE(h.done(2, 2, 1.0).empty());
+    EXPECT_EQ(h.step(net::MsgWorkRequest{2}, 1.0), (Replies{"2:assign t0"}));
+
+    // The replica wins t0; the original's result arrives while t1 is
+    // still running, so the scheduler rejects it and the run goes on.
+    EXPECT_TRUE(h.done(2, 0, 2.0, {{3, 42}}).empty());
+    EXPECT_TRUE(h.done(0, 0, 2.5, {{3, 42}}).empty());
+    EXPECT_EQ(h.sched.completions_discarded(), 1u);
+    EXPECT_EQ(h.protocol.report().slaves[0].results_discarded, 1u);
+    EXPECT_EQ(h.protocol.report().slaves[0].results_accepted, 0u);
+    EXPECT_EQ(h.merger.results_merged(), 2u);
+
+    Replies last = h.done(1, 1, 3.0);
+    std::sort(last.begin(), last.end());
+    EXPECT_EQ(last, (Replies{"0:shutdown", "1:shutdown", "2:shutdown"}));
+    const RunReport report = h.protocol.take_report();
+    EXPECT_EQ(report.completions_discarded, 1u);
+    EXPECT_EQ(report.replicas_issued, 1u);
+    EXPECT_EQ(report.accepted_cells, 3'000u);
+}
+
+TEST(MasterProtocol, LoserFinishingAfterItsShutdownIsARacedDiscard) {
+    // pe 2 never registers before the end, so the run stays open after
+    // every task has settled.
+    Harness h(2, 3);
+    EXPECT_EQ(h.join(0, 0.0), (Replies{"0:assign t0"}));
+    EXPECT_EQ(h.join(1, 0.0), (Replies{"1:assign t1"}));
+    EXPECT_TRUE(h.done(1, 1, 1.0).empty());
+    EXPECT_EQ(h.step(net::MsgWorkRequest{1}, 1.0), (Replies{"1:assign t0"}));
+    Replies last = h.done(1, 0, 2.0);
+    std::sort(last.begin(), last.end());
+    EXPECT_EQ(last, (Replies{"0:shutdown", "1:shutdown"}));
+    EXPECT_FALSE(h.protocol.finished());
+
+    // pe 0 finished t0 before the Shutdown reached it: discarded by the
+    // protocol itself, never shown to the scheduler.
+    EXPECT_TRUE(h.done(0, 0, 2.1, {{3, 42}}).empty());
+    EXPECT_EQ(h.sched.completions_discarded(), 0u);
+    EXPECT_EQ(h.protocol.report().slaves[0].results_discarded, 1u);
+    EXPECT_EQ(h.protocol.report().slaves[0].cells_discarded, 1'000u);
+    EXPECT_EQ(h.merger.results_merged(), 2u);
+
+    EXPECT_EQ(h.join(2, 3.0), (Replies{"2:shutdown"}));
+    EXPECT_TRUE(h.protocol.finished());
+    const RunReport report = h.protocol.take_report();
+    EXPECT_EQ(report.completions_discarded, 1u);
+    EXPECT_EQ(report.late_completions_discarded, 0u);
+    EXPECT_EQ(report.accepted_cells, 2'000u);
+}
+
 TEST(MasterProtocol, NoDeadlineWithoutLivenessOrParkedRetries) {
-    Harness off(1, 1, MasterLoopConfig{});
+    Harness off(1, 1);
     EXPECT_EQ(off.protocol.next_deadline(), kInf);
     off.join(0, 0.0);
     EXPECT_EQ(off.protocol.next_deadline(), kInf);

@@ -1,9 +1,14 @@
-// Protocol stress: many slaves, many tiny tasks, chatty policies —
-// hammers the message layer (registration storms, NoWorkYet parking,
-// replica races, end-of-run cancellations) far harder than the
-// functional tests.
+// Protocol stress: many slaves, many tiny tasks, a 2 ms notification
+// period, fast slaves next to throttled ones. Every case asserts exact
+// top hits, one accepted result per query, per-slave discards that sum
+// to the master's count, and at least one replica issued; the
+// cancel_tail cases also assert that the end-of-run Shutdown cancelled
+// a slow slave's task. Which discard branch a run takes is up to thread
+// timing; master_protocol_test fires each one with scripted messages.
 
 #include <gtest/gtest.h>
+
+#include <latch>
 
 #include "align/sw_scalar.hpp"
 #include "db/database.hpp"
@@ -39,6 +44,38 @@ db::Database tiny_db(std::uint64_t seed) {
     spec.seed = seed;
     return db::Database::generate(spec);
 }
+
+/// Holds a fast slave's tasks until every slow slave has started one, so
+/// each run has slow tasks to replicate and cancel however the threads
+/// happen to be scheduled.
+class GatedEngine final : public engines::ComputeEngine {
+public:
+    GatedEngine(std::unique_ptr<engines::ComputeEngine> inner,
+                std::latch& slow_started, bool slow)
+        : inner_(std::move(inner)), slow_started_(slow_started), slow_(slow) {}
+
+    std::string_view name() const override { return inner_->name(); }
+    core::PeKind kind() const override { return inner_->kind(); }
+
+    core::TaskResult execute(const align::Sequence& query,
+                             std::uint32_t query_index, core::TaskId task,
+                             const db::Database& database,
+                             engines::ExecutionObserver* observer) override {
+        if (!slow_) {
+            slow_started_.wait();
+        } else if (!counted_) {
+            counted_ = true;
+            slow_started_.count_down();
+        }
+        return inner_->execute(query, query_index, task, database, observer);
+    }
+
+private:
+    std::unique_ptr<engines::ComputeEngine> inner_;
+    std::latch& slow_started_;
+    const bool slow_;
+    bool counted_ = false;
+};
 
 struct StressCase {
     std::size_t slaves;
@@ -78,16 +115,20 @@ TEST_P(RuntimeStressTest, CompletesWithExactResults) {
     HybridRuntime rt(database, queries, options);
 
     std::vector<SlaveSpec> slaves;
+    std::latch slow_started(static_cast<std::ptrdiff_t>(c.slaves / 2));
     for (std::size_t i = 0; i < c.slaves; ++i) {
         // Alternate fast and very slow slaves to provoke replica races.
+        const bool slow = i % 2 == 1;
         std::unique_ptr<engines::ComputeEngine> engine =
             std::make_unique<engines::CpuEngine>(tiny_config());
-        if (i % 2 == 1) {
+        if (slow) {
             engine = std::make_unique<engines::ThrottledEngine>(
                 std::move(engine), c.cancel_tail ? 0.00005 : 0.0002);
         }
-        slaves.push_back(
-            SlaveSpec{"s" + std::to_string(i), std::move(engine)});
+        slaves.push_back(SlaveSpec{
+            "s" + std::to_string(i),
+            std::make_unique<GatedEngine>(std::move(engine), slow_started,
+                                          slow)});
     }
     const RunReport report = rt.run(
         std::move(slaves), c.self_scheduling ? core::make_self_scheduling()
@@ -114,6 +155,14 @@ TEST_P(RuntimeStressTest, CompletesWithExactResults) {
     }
     EXPECT_EQ(accepted, queries.size());
     EXPECT_EQ(discarded, report.completions_discarded);
+    EXPECT_GT(report.replicas_issued, 0u);
+    if (c.cancel_tail) {
+        std::size_t slow_cancelled = 0;
+        for (std::size_t i = 1; i < report.slaves.size(); i += 2) {
+            slow_cancelled += report.slaves[i].tasks_cancelled;
+        }
+        EXPECT_GT(slow_cancelled, 0u);
+    }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "engines/cpu_engine.hpp"
 #include "engines/faulty_engine.hpp"
 #include "engines/throttled_engine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/hybrid_runtime.hpp"
 #include "runtime/remote.hpp"
@@ -101,6 +103,24 @@ RemoteEngineFactory joining_after(double delay_s, RemoteEngineFactory inner) {
     };
 }
 
+/// The master-side metric names of a run (scheduler, fault counters,
+/// master inbox, trace drops), sorted.
+std::vector<std::string> master_metric_names(const obs::MetricsSnapshot& m) {
+    std::vector<std::string> names;
+    auto keep = [&names](const std::string& name) {
+        if (name.starts_with("sched.") || name.starts_with("runtime.faults.") ||
+            name == "channel.master_inbox.depth" ||
+            name == "obs.trace.dropped") {
+            names.push_back(name);
+        }
+    };
+    for (const auto& counter : m.counters) keep(counter.first);
+    for (const auto& gauge : m.gauges) keep(gauge.first);
+    for (const obs::HistogramSummary& h : m.histograms) keep(h.name);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
 /// Runs a RemoteMaster against `n` slave threads dialling loopback TCP.
 RunReport run_socket(const db::Database& database,
                      const std::vector<align::Sequence>& queries,
@@ -146,6 +166,10 @@ TEST(SocketRuntime, LoopbackMatchesInProcessAndReference) {
     config.gap = {10, 2};
     config.top_k = 3;
     config.isa = simd::best_supported();
+    obs::MetricsRegistry inproc_metrics;
+    obs::TraceRecorder inproc_trace;
+    ro.metrics = &inproc_metrics;
+    ro.trace = &inproc_trace;
     HybridRuntime rt(database, queries, ro);
     std::vector<SlaveSpec> specs;
     specs.push_back(
@@ -156,8 +180,12 @@ TEST(SocketRuntime, LoopbackMatchesInProcessAndReference) {
         rt.run(std::move(specs), core::make_self_scheduling());
 
     // Same workload over loopback TCP, two slave endpoints.
+    obs::MetricsRegistry socket_metrics;
+    obs::TraceRecorder socket_trace;
     RemoteMasterOptions mo;
     mo.runtime = ro;
+    mo.runtime.metrics = &socket_metrics;
+    mo.runtime.trace = &socket_trace;
     std::vector<RemoteSlaveResult> slave_results;
     const RunReport socket =
         run_socket(database, queries, mo, {cpu_factory(), cpu_factory()},
@@ -180,6 +208,20 @@ TEST(SocketRuntime, LoopbackMatchesInProcessAndReference) {
     for (const auto& s : socket.slaves) labels.push_back(s.label);
     std::sort(labels.begin(), labels.end());
     EXPECT_EQ(labels, (std::vector<std::string>{"remote0", "remote1"}));
+
+    // One master host wires the same telemetry for both transports.
+    const std::vector<std::string> names = master_metric_names(inproc.metrics);
+    EXPECT_EQ(master_metric_names(socket.metrics), names);
+    for (const char* name :
+         {"sched.completions_accepted", "runtime.faults.heartbeats",
+          "channel.master_inbox.depth", "obs.trace.dropped"}) {
+        EXPECT_TRUE(std::find(names.begin(), names.end(), name) != names.end())
+            << name;
+    }
+    EXPECT_EQ(inproc.metrics.counter("sched.completions_accepted"),
+              queries.size());
+    EXPECT_EQ(socket.metrics.counter("sched.completions_accepted"),
+              queries.size());
 }
 
 // The PR-5 fault machinery over sockets: engine failures are retried,
