@@ -49,8 +49,8 @@ std::unique_ptr<core::AllocationPolicy> make_policy(const std::string& name) {
         return core::make_wfixed(
             {{core::PeKind::Gpu, 16.0}, {core::PeKind::SseCore, 1.0}});
     }
-    throw ContractError("unknown policy: " + name +
-                        " (expected ss|pss|fixed|wfixed)");
+    throw ParseError("unknown policy: " + name +
+                     " (expected ss|pss|fixed|wfixed)");
 }
 
 /// Parses "gpu:1,sse:2" into slave specs.
@@ -59,9 +59,9 @@ std::vector<runtime::SlaveSpec> make_slaves(
     std::vector<runtime::SlaveSpec> slaves;
     for (const std::string& part : split(spec, ',')) {
         const std::vector<std::string> kv = split(part, ':');
-        SWH_REQUIRE(kv.size() == 2, "slave spec must look like kind:count");
-        const long long count = std::stoll(kv[1]);
-        SWH_REQUIRE(count >= 0 && count <= 64, "unreasonable slave count");
+        require_arg(kv.size() == 2, "slave spec must look like kind:count");
+        const long long count = parse_int(kv[1], "slave count");
+        require_arg(count >= 0 && count <= 64, "unreasonable slave count");
         for (long long i = 0; i < count; ++i) {
             const std::string label = kv[0] + std::to_string(i);
             if (kv[0] == "gpu") {
@@ -73,11 +73,11 @@ std::vector<runtime::SlaveSpec> make_slaves(
                 slaves.push_back(runtime::SlaveSpec{
                     label, std::make_unique<engines::CpuEngine>(config)});
             } else {
-                throw ContractError("unknown slave kind: " + kv[0]);
+                throw ParseError("unknown slave kind: " + kv[0]);
             }
         }
     }
-    SWH_REQUIRE(!slaves.empty(), "no slaves configured");
+    require_arg(!slaves.empty(), "no slaves configured");
     return slaves;
 }
 
@@ -86,8 +86,8 @@ engines::FaultKind parse_fault_kind(const std::string& name) {
     if (name == "crash") return engines::FaultKind::Crash;
     if (name == "stall") return engines::FaultKind::Stall;
     if (name == "slow") return engines::FaultKind::Slow;
-    throw ContractError("unknown fault kind: " + name +
-                        " (expected throw|crash|stall|slow)");
+    throw ParseError("unknown fault kind: " + name +
+                     " (expected throw|crash|stall|slow)");
 }
 
 /// Parses "--fault sse0=crash@50000,gpu0=throw" and wraps the named
@@ -99,16 +99,16 @@ void apply_faults(std::vector<runtime::SlaveSpec>& slaves,
     std::uint64_t stream = 0;
     for (const std::string& part : split(spec, ',')) {
         const std::vector<std::string> kv = split(part, '=');
-        SWH_REQUIRE(kv.size() == 2,
+        require_arg(kv.size() == 2,
                     "fault spec must look like label=kind[@cells]");
         const std::vector<std::string> ka = split(kv[1], '@');
-        SWH_REQUIRE(ka.size() <= 2,
+        require_arg(ka.size() <= 2,
                     "fault spec must look like label=kind[@cells]");
         engines::FaultPlan plan;
         plan.kind = parse_fault_kind(ka[0]);
         if (ka.size() == 2) {
             plan.after_cells =
-                static_cast<std::uint64_t>(std::stoull(ka[1]));
+                static_cast<std::uint64_t>(parse_int(ka[1], "fault cells"));
         }
         plan.seed = seed + stream++;
         bool found = false;
@@ -120,8 +120,8 @@ void apply_faults(std::vector<runtime::SlaveSpec>& slaves,
             break;
         }
         if (!found) {
-            throw ContractError("no slave labelled " + kv[0] +
-                                " to inject a fault into");
+            throw ParseError("no slave labelled " + kv[0] +
+                             " to inject a fault into");
         }
     }
 }
@@ -262,20 +262,19 @@ int main(int argc, char** argv) {
 
         const align::Alphabet& aa = align::Alphabet::protein();
         const auto queries = io::read_fasta_file(args.get("queries"), aa);
-        SWH_REQUIRE(!queries.empty(), "query file has no sequences");
+        require_arg(!queries.empty(), "query file has no sequences");
         // The indexed reader both builds the sidecar (paper SS IV-B) and
         // gives us residue totals without a second scan.
         const io::IndexedFastaReader db_reader(args.get("database"), aa);
         db::Database database(
             args.get("database"),
             db_reader.slice(0, db_reader.size()));
-        SWH_REQUIRE(database.size() > 0, "database has no sequences");
+        require_arg(database.size() > 0, "database has no sequences");
 
         align::ScoreMatrix matrix = align::ScoreMatrix::blosum62();
         if (args.get("matrix") != "blosum62") {
             std::ifstream min(args.get("matrix"));
-            SWH_REQUIRE(static_cast<bool>(min),
-                        "cannot open matrix file");
+            if (!min) throw IoError("cannot open matrix file");
             matrix = align::ScoreMatrix::from_ncbi_stream(
                 aa, min, args.get("matrix"));
         }
@@ -327,17 +326,17 @@ int main(int argc, char** argv) {
         if (!weights_path.empty()) options.sched_observer = &weight_log;
 
         const std::string transport = args.get("transport");
-        SWH_REQUIRE(transport == "inproc" || transport == "socket",
+        require_arg(transport == "inproc" || transport == "socket",
                     "--transport must be inproc or socket");
         const bool socket_mode = transport == "socket";
         if (socket_mode) {
             // Engine-side knobs belong to the slave processes there.
-            SWH_REQUIRE(args.get("fault").empty(),
+            require_arg(args.get("fault").empty(),
                         "--fault wraps in-process engines; pass --fault "
                         "to swhybrid_slave instead");
             // RemoteMaster does not forward the scheduler observer, so
             // the weight log would stay empty.
-            SWH_REQUIRE(weights_path.empty(),
+            require_arg(weights_path.empty(),
                         "--weights-out needs --transport=inproc");
         }
 
@@ -361,7 +360,7 @@ int main(int argc, char** argv) {
         std::vector<std::string> slave_labels;
         if (socket_mode) {
             const long long expect = args.get_int("expect-slaves");
-            SWH_REQUIRE(expect > 0 && expect <= 64,
+            require_arg(expect > 0 && expect <= 64,
                         "unreasonable --expect-slaves");
             for (long long i = 0; i < expect; ++i) {
                 slave_labels.push_back("pe" + std::to_string(i));
@@ -439,8 +438,7 @@ int main(int argc, char** argv) {
         std::ofstream tsv;
         if (!args.get("out").empty()) {
             tsv.open(args.get("out"));
-            SWH_REQUIRE(static_cast<bool>(tsv),
-                        "cannot open --out file for writing");
+            if (!tsv) throw IoError("cannot open --out file for writing");
             tsv << "query\tsubject\tscore\tbits\tevalue\n";
         }
 
@@ -525,8 +523,9 @@ int main(int argc, char** argv) {
             const obs::Trace trace = recorder->drain();
             if (!args.get("trace").empty()) {
                 std::ofstream tf(args.get("trace"));
-                SWH_REQUIRE(static_cast<bool>(tf),
-                            "cannot open --trace file for writing");
+                if (!tf) {
+                    throw IoError("cannot open --trace file for writing");
+                }
                 obs::export_chrome_json(trace, tf);
                 std::cout << "trace (" << trace.total_events()
                           << " events) written to " << args.get("trace")
@@ -551,8 +550,7 @@ int main(int argc, char** argv) {
                 }
                 if (!args.get("balance-json").empty()) {
                     std::ofstream bf(args.get("balance-json"));
-                    SWH_REQUIRE(static_cast<bool>(bf),
-                                "cannot open --balance-json file");
+                    if (!bf) throw IoError("cannot open --balance-json file");
                     bf << balance.to_json();
                     std::cout << "balance report written to "
                               << args.get("balance-json") << '\n';
@@ -561,8 +559,7 @@ int main(int argc, char** argv) {
         }
         if (!weights_path.empty()) {
             std::ofstream wf(weights_path);
-            SWH_REQUIRE(static_cast<bool>(wf),
-                        "cannot open --weights-out file");
+            if (!wf) throw IoError("cannot open --weights-out file");
             const bool as_json =
                 weights_path.size() >= 5 &&
                 weights_path.compare(weights_path.size() - 5, 5, ".json") ==
@@ -580,8 +577,9 @@ int main(int argc, char** argv) {
             const std::string tmp = args.get("prom") + ".tmp";
             {
                 std::ofstream pf(tmp);
-                SWH_REQUIRE(static_cast<bool>(pf),
-                            "cannot open --prom file for writing");
+                if (!pf) {
+                    throw IoError("cannot open --prom file for writing");
+                }
                 obs::export_prometheus(report.metrics, pf);
             }
             std::rename(tmp.c_str(), args.get("prom").c_str());
@@ -590,8 +588,9 @@ int main(int argc, char** argv) {
         }
         if (!args.get("metrics").empty()) {
             std::ofstream mf(args.get("metrics"));
-            SWH_REQUIRE(static_cast<bool>(mf),
-                        "cannot open --metrics file for writing");
+            if (!mf) {
+                throw IoError("cannot open --metrics file for writing");
+            }
             mf << report.metrics.to_json() << '\n';
             for (const runtime::KindCells& kc : report.cells_by_kind()) {
                 std::cout << core::to_string(kc.kind) << ": "

@@ -31,7 +31,7 @@ std::function<std::unique_ptr<core::AllocationPolicy>()> policy_factory(
                 {{core::PeKind::Gpu, 16.0}, {core::PeKind::SseCore, 1.0}});
         };
     }
-    throw ContractError("unknown policy: " + name);
+    throw ParseError("unknown policy: " + name);
 }
 
 }  // namespace
@@ -94,17 +94,20 @@ int main(int argc, char** argv) {
         }
         if (!args.get("load").empty()) {
             const auto parts = split(args.get("load"), ':');
-            SWH_REQUIRE(parts.size() == 3, "--load wants time:pe:factor");
+            require_arg(parts.size() == 3, "--load wants time:pe:factor");
             cfg.load_events.push_back(
-                sim::LoadEvent{std::stod(parts[0]),
-                               std::stoul(parts[1]), std::stod(parts[2])});
+                sim::LoadEvent{parse_double(parts[0], "--load time"),
+                               static_cast<std::size_t>(
+                                   parse_int(parts[1], "--load pe")),
+                               parse_double(parts[2], "--load factor")});
         }
         if (!args.get("leave").empty()) {
             const auto parts = split(args.get("leave"), ':');
-            SWH_REQUIRE(parts.size() == 2, "--leave wants time:pe");
+            require_arg(parts.size() == 2, "--leave wants time:pe");
             cfg.leave_events.push_back(
-                sim::LeaveEvent{std::stod(parts[0]),
-                                std::stoul(parts[1])});
+                sim::LeaveEvent{parse_double(parts[0], "--leave time"),
+                                static_cast<std::size_t>(
+                                    parse_int(parts[1], "--leave pe"))});
         }
 
         // Balance auditing observes the scheduler exactly like the
@@ -163,8 +166,10 @@ int main(int argc, char** argv) {
             }
             if (!args.get("balance-json").empty()) {
                 std::ofstream bf(args.get("balance-json"));
-                SWH_REQUIRE(static_cast<bool>(bf),
-                            "cannot open --balance-json file for writing");
+                if (!bf) {
+                    throw IoError(
+                        "cannot open --balance-json file for writing");
+                }
                 bf << balance.to_json() << '\n';
                 std::cout << "balance report written to "
                           << args.get("balance-json") << '\n';
@@ -176,8 +181,9 @@ int main(int argc, char** argv) {
                 labels.push_back(pe.label);
             }
             std::ofstream wf(weights_path);
-            SWH_REQUIRE(static_cast<bool>(wf),
-                        "cannot open --weights-out file for writing");
+            if (!wf) {
+                throw IoError("cannot open --weights-out file for writing");
+            }
             if (weights_path.size() >= 5 &&
                 weights_path.rfind(".json") == weights_path.size() - 5) {
                 wf << weight_log.to_json() << '\n';

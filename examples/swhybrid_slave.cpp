@@ -34,8 +34,8 @@ engines::FaultKind parse_fault_kind(const std::string& name) {
     if (name == "crash") return engines::FaultKind::Crash;
     if (name == "stall") return engines::FaultKind::Stall;
     if (name == "slow") return engines::FaultKind::Slow;
-    throw ContractError("unknown fault kind: " + name +
-                        " (expected throw|crash|stall|slow)");
+    throw ParseError("unknown fault kind: " + name +
+                     " (expected throw|crash|stall|slow)");
 }
 
 }  // namespace
@@ -74,21 +74,21 @@ int main(int argc, char** argv) {
 
     try {
         if (!args.parse(argc, argv)) return 0;
-        SWH_REQUIRE(args.get_int("port") > 0,
+        require_arg(args.get_int("port") > 0,
                     "--port is required (the master prints it)");
 
         const align::Alphabet& aa = align::Alphabet::protein();
         const auto queries = io::read_fasta_file(args.get("queries"), aa);
-        SWH_REQUIRE(!queries.empty(), "query file has no sequences");
+        require_arg(!queries.empty(), "query file has no sequences");
         const io::IndexedFastaReader db_reader(args.get("database"), aa);
         db::Database database(args.get("database"),
                               db_reader.slice(0, db_reader.size()));
-        SWH_REQUIRE(database.size() > 0, "database has no sequences");
+        require_arg(database.size() > 0, "database has no sequences");
 
         align::ScoreMatrix matrix = align::ScoreMatrix::blosum62();
         if (args.get("matrix") != "blosum62") {
             std::ifstream min(args.get("matrix"));
-            SWH_REQUIRE(static_cast<bool>(min), "cannot open matrix file");
+            if (!min) throw IoError("cannot open matrix file");
             matrix = align::ScoreMatrix::from_ncbi_stream(
                 aa, min, args.get("matrix"));
         }
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
             static_cast<align::Score>(args.get_int("gap-extend"))};
 
         const std::string kind_name = args.get("kind");
-        SWH_REQUIRE(kind_name == "sse" || kind_name == "gpu",
+        require_arg(kind_name == "sse" || kind_name == "gpu",
                     "unknown slave kind (expected sse|gpu)");
 
         runtime::RemoteSlaveOptions options;
@@ -130,13 +130,14 @@ int main(int argc, char** argv) {
             if (!args.get("fault").empty()) {
                 const std::vector<std::string> ka =
                     split(args.get("fault"), '@');
-                SWH_REQUIRE(ka.size() <= 2,
+                require_arg(ka.size() <= 2,
                             "fault spec must look like kind[@cells]");
                 engines::FaultPlan plan;
                 plan.kind = parse_fault_kind(ka[0]);
                 if (ka.size() == 2) {
                     plan.after_cells =
-                        static_cast<std::uint64_t>(std::stoull(ka[1]));
+                        static_cast<std::uint64_t>(
+                            parse_int(ka[1], "fault cells"));
                 }
                 plan.seed =
                     static_cast<std::uint64_t>(args.get_int("fault-seed"));
@@ -162,6 +163,10 @@ int main(int argc, char** argv) {
                   << " cancelled, " << result.report.engine_failures
                   << " engine failures"
                   << (result.report.crashed ? ", crashed" : "") << '\n';
+        if (!result.error.empty()) {
+            std::cerr << options.label << ": " << result.error << '\n';
+            return 1;
+        }
         return 0;
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << '\n';

@@ -84,10 +84,9 @@ public:
                 // deregister racing the master's close() used to trip
                 // SWH_CHECK and abort the process. A real link would
                 // simply lose the message — so the send becomes a
-                // counted drop, visible through dropped(). Misuse before
-                // the link even exists stays a hard check at the remote
-                // layer (RemoteChannel refuses construction without a
-                // handshaken transport).
+                // counted drop, visible through dropped(). The socket
+                // writer (net::send_msg) has the same contract: a send
+                // on a shut-down link returns false and is lost.
                 ++dropped_;
                 return;
             }

@@ -4,8 +4,8 @@
 // socket, loopback/TCP bootstrap helpers, and StreamTransport — framed,
 // length-prefix-validated reads plus mutex-serialised writes over one
 // connected stream socket. Nothing here knows about Msg* payloads; the
-// codec lives in net/wire.hpp and the Channel-shaped surface in
-// net/remote_channel.hpp.
+// codec lives in net/wire.hpp and message I/O (send_msg, FrameReceiver)
+// in net/frames.hpp.
 
 #include <cstdint>
 #include <optional>

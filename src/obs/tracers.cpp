@@ -10,8 +10,6 @@ SchedTracer::SchedTracer(TraceLane* lane, MetricsRegistry* metrics)
         packages_ = &metrics->counter("sched.packages");
         replicas_ = &metrics->counter("sched.replicas_issued");
         accepted_ = &metrics->counter("sched.completions_accepted");
-        discarded_ = &metrics->counter("sched.completions_discarded");
-        failed_ = &metrics->counter("sched.task_failures");
         abandoned_ = &metrics->counter("sched.tasks_abandoned");
         package_size_ = &metrics->histogram("sched.package_size");
         rate_error_ = &metrics->histogram("sched.rate_estimate_rel_error");
@@ -102,11 +100,11 @@ void SchedTracer::on_task_completed(core::PeId pe, core::TaskId task,
                              : EventKind::CompletedDiscarded,
                     pe, task);
     }
+    // Discards are counted by runtime::MasterProtocol, which also sees
+    // the completions that never reach the scheduler.
     if (accepted) {
         if (accepted_ != nullptr) accepted_->add();
         if (metrics_ != nullptr) pe_handles(pe).accepted->add();
-    } else {
-        if (discarded_ != nullptr) discarded_->add();
     }
 }
 
@@ -116,7 +114,6 @@ void SchedTracer::on_task_failed(core::PeId pe, core::TaskId task,
     if (lane_ != nullptr) {
         lane_->emit(EventKind::TaskFailed, pe, task, abandoned ? 1.0 : 0.0);
     }
-    if (failed_ != nullptr) failed_->add();
     if (abandoned && abandoned_ != nullptr) abandoned_->add();
 }
 

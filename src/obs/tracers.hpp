@@ -56,8 +56,6 @@ private:
     Counter* packages_ = nullptr;
     Counter* replicas_ = nullptr;
     Counter* accepted_ = nullptr;
-    Counter* discarded_ = nullptr;
-    Counter* failed_ = nullptr;
     Counter* abandoned_ = nullptr;
     Histogram* package_size_ = nullptr;
     Histogram* rate_error_ = nullptr;

@@ -26,47 +26,12 @@ struct SlaveShared {
     net::Channel<net::SlaveMsg> inbox;
     SlaveReport report;
     /// Set by the master right before it closes `inbox` mid-run (the
-    /// liveness layer gave up on this slave). Lets the slave's exit path
-    /// assert the inbox never closes outside a master-initiated drain.
+    /// liveness layer gave up on this slave). Lets the slave thread
+    /// assert, once its loop returns, that the inbox never closes outside
+    /// a master-initiated drain.
     std::atomic<bool> abandoned_by_master{false};
 
     explicit SlaveShared(double delay) : inbox(delay) {}
-};
-
-/// In-process SlaveEndpoint: uplink through the shared master inbox,
-/// downlink through this slave's own Channel. The protocol itself lives
-/// in run_slave_loop (runtime/slave_loop.cpp) — identical over sockets.
-class ThreadedSlaveEndpoint final : public SlaveEndpoint {
-public:
-    ThreadedSlaveEndpoint(net::Channel<net::MasterMsg>& to_master,
-                          SlaveShared& shared,
-                          const std::atomic<bool>& draining)
-        : to_master_(to_master), shared_(shared), draining_(draining) {}
-
-    void send(net::MasterMsg msg) override {
-        to_master_.send(std::move(msg));
-    }
-    std::optional<net::SlaveMsg> recv() override {
-        return shared_.inbox.recv();
-    }
-    std::optional<net::SlaveMsg> recv_for(double timeout_s) override {
-        return shared_.inbox.recv_for(timeout_s);
-    }
-    std::optional<net::SlaveMsg> try_recv() override {
-        return shared_.inbox.try_recv();
-    }
-    bool inbox_closed() override { return shared_.inbox.closed(); }
-
-    void on_inbox_closed_exit() override {
-        SWH_INVARIANT(draining_.load() ||
-                          shared_.abandoned_by_master.load(),
-                      "slave inbox closed outside a master-initiated drain");
-    }
-
-private:
-    net::Channel<net::MasterMsg>& to_master_;
-    SlaveShared& shared_;
-    const std::atomic<bool>& draining_;
 };
 
 /// In-process SlaveLink: the master writes straight into the slave's
@@ -158,7 +123,6 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(spec.join_delay_s));
         }
-        ThreadedSlaveEndpoint endpoint(host.inbox(), sh, draining);
         SlaveLoopConfig config;
         config.pe = pe;
         config.notify_period_s = options_.notify_period_s;
@@ -167,8 +131,13 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
         config.leave_after_tasks = spec.leave_after_tasks;
         config.lane = slave_lanes[pe];
         config.duration_hist = slave_duration[pe];
-        run_slave_loop(endpoint, *spec.engine, queries_, *database_, config,
-                       sh.report);
+        run_slave_loop(
+            sh.inbox,
+            [&host](net::MasterMsg msg) { host.inbox().send(std::move(msg)); },
+            *spec.engine, queries_, *database_, config, sh.report);
+        SWH_INVARIANT(!sh.inbox.closed() || draining.load() ||
+                          sh.abandoned_by_master.load(),
+                      "slave inbox closed outside a master-initiated drain");
     };
 
     std::vector<std::thread> threads;

@@ -16,7 +16,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The counter `name` of `metrics`, or null when metrics are off.
-obs::Counter* fault_counter(obs::MetricsRegistry* metrics, const char* name) {
+obs::Counter* counter_of(obs::MetricsRegistry* metrics, const char* name) {
     return metrics != nullptr ? &metrics->counter(name) : nullptr;
 }
 
@@ -31,14 +31,16 @@ MasterProtocol::MasterProtocol(core::SchedulerCore& sched,
       merger_(merger),
       options_(options),
       master_lane_(master_lane),
-      engine_failures_(fault_counter(options.metrics,
+      completions_discarded_(
+          counter_of(options.metrics, "sched.completions_discarded")),
+      engine_failures_(counter_of(options.metrics,
                                      "runtime.faults.engine_failures")),
-      retries_(fault_counter(options.metrics, "runtime.faults.retries")),
-      presumed_dead_(fault_counter(options.metrics,
+      retries_(counter_of(options.metrics, "runtime.faults.retries")),
+      presumed_dead_(counter_of(options.metrics,
                                    "runtime.faults.slaves_presumed_dead")),
-      late_discards_(fault_counter(
+      late_discards_(counter_of(
           options.metrics, "runtime.faults.late_completions_discarded")),
-      heartbeats_(fault_counter(options.metrics, "runtime.faults.heartbeats")),
+      heartbeats_(counter_of(options.metrics, "runtime.faults.heartbeats")),
       state_(slaves, PeState::Unseen),
       last_heard_(slaves, 0.0) {
     SWH_CHECK_GT(options.notify_period_s, 0.0,
@@ -130,6 +132,7 @@ void MasterProtocol::on_task_done(const net::MsgTaskDone& done, double now,
         // lost.
         discard(done.pe, done.result.cells);
         ++raced_discards_;
+        if (completions_discarded_ != nullptr) completions_discarded_->add();
     } else if (sched_.on_task_complete(done.pe, done.task, now).accepted) {
         report_.accepted_cells += done.result.cells;
         ++report_.slaves[done.pe].results_accepted;
@@ -137,6 +140,7 @@ void MasterProtocol::on_task_done(const net::MsgTaskDone& done, double now,
         merger_.add(done.result);
     } else {
         discard(done.pe, done.result.cells);
+        if (completions_discarded_ != nullptr) completions_discarded_->add();
     }
     on_task_settled(now, out);
 }

@@ -44,7 +44,8 @@ struct MasterAction {
 class MasterProtocol {
 public:
     /// Reads the fault-tolerance settings of `options` and resolves the
-    /// runtime.faults.* counters of `options.metrics`; throws
+    /// runtime.faults.* and sched.completions_discarded counters of
+    /// `options.metrics`; throws
     /// ContractError on inconsistent settings.
     MasterProtocol(core::SchedulerCore& sched, core::ResultMerger& merger,
                    std::size_t slaves, const RuntimeOptions& options,
@@ -102,7 +103,10 @@ private:
     core::ResultMerger& merger_;
     const RuntimeOptions options_;
     obs::TraceLane* const master_lane_;
-    /// Fault-metric sinks (null = metrics off).
+    /// Metric sinks (null = metrics off). completions_discarded_ counts
+    /// what RunReport::completions_discarded counts, here where both
+    /// kinds of discard are known.
+    obs::Counter* const completions_discarded_;
     obs::Counter* const engine_failures_;
     obs::Counter* const retries_;
     obs::Counter* const presumed_dead_;

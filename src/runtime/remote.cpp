@@ -5,7 +5,8 @@
 #include <variant>
 #include <vector>
 
-#include "net/remote_channel.hpp"
+#include "net/channel.hpp"
+#include "net/frames.hpp"
 #include "runtime/master_host.hpp"
 #include "runtime/slave_loop.hpp"
 #include "util/check.hpp"
@@ -27,9 +28,7 @@ public:
         : transport_(std::move(transport)) {}
 
     void send(net::SlaveMsg msg) override {
-        std::vector<std::uint8_t> frame;
-        net::wire::encode(msg, frame);
-        transport_->send_frame(frame);
+        net::send_msg(*transport_, msg);
     }
 
     void abandon() override {
@@ -41,28 +40,6 @@ public:
 
 private:
     std::shared_ptr<net::StreamTransport> transport_;
-};
-
-/// Slave-side SlaveEndpoint over the remote channel.
-class RemoteEndpoint final : public SlaveEndpoint {
-public:
-    explicit RemoteEndpoint(net::SlaveRemoteChannel& channel)
-        : channel_(channel) {}
-
-    void send(net::MasterMsg msg) override { channel_.send(msg); }
-    std::optional<net::SlaveMsg> recv() override { return channel_.recv(); }
-    std::optional<net::SlaveMsg> recv_for(double timeout_s) override {
-        return channel_.recv_for(timeout_s);
-    }
-    std::optional<net::SlaveMsg> try_recv() override {
-        return channel_.try_recv();
-    }
-    bool inbox_closed() override { return channel_.closed(); }
-    // on_inbox_closed_exit(): over a socket a closed inbox can also mean
-    // the connection dropped, so no master-initiated-drain invariant.
-
-private:
-    net::SlaveRemoteChannel& channel_;
 };
 
 }  // namespace
@@ -118,9 +95,7 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
         welcome.notify_period_s = rt.notify_period_s;
         welcome.heartbeat_period_s = rt.heartbeat_period_s;
         welcome.liveness = rt.liveness_timeout_s > 0.0;
-        std::vector<std::uint8_t> frame;
-        net::wire::encode(welcome, frame);
-        if (!transport->send_frame(frame)) continue;
+        if (!net::send_msg(*transport, welcome)) continue;
         transports.push_back(std::move(transport));
         hellos.push_back(*hello);
     }
@@ -138,14 +113,14 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
     // channel) and refuses frames whose PeId is not the one this
     // connection was welcomed as — a forged or corrupted id must not
     // reach the scheduler's contracts.
-    std::vector<std::unique_ptr<net::FrameReceiver<net::MasterBound>>>
+    std::vector<std::unique_ptr<net::FrameReceiver<net::MasterMsg>>>
         receivers;
     std::vector<std::unique_ptr<SlaveLink>> links;
     receivers.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const PeId expected = static_cast<PeId>(i);
         receivers.push_back(
-            std::make_unique<net::FrameReceiver<net::MasterBound>>(
+            std::make_unique<net::FrameReceiver<net::MasterMsg>>(
                 transports[i], host.inbox(),
                 /*close_sink_on_exit=*/false,
                 [expected](const net::MasterMsg& msg) {
@@ -187,9 +162,8 @@ RemoteSlaveResult run_remote_slave(
     }
     auto transport = std::make_shared<net::StreamTransport>(std::move(*sock));
 
-    std::vector<std::uint8_t> frame;
-    net::wire::encode(net::wire::Hello{options.kind, options.label}, frame);
-    if (!transport->send_frame(frame)) {
+    if (!net::send_msg(*transport,
+                       net::wire::Hello{options.kind, options.label})) {
         result.error = "handshake send failed: " + transport->last_error();
         return result;
     }
@@ -211,21 +185,31 @@ RemoteSlaveResult run_remote_slave(
     auto engine = factory(*welcome);
     SWH_CHECK(engine != nullptr, "engine factory returned null");
 
-    net::SlaveRemoteChannel channel(transport, options.inbox_delay_s);
+    // The inbox is a plain Channel carrying this slave's link faults,
+    // filled by a FrameReceiver that closes it at EOF: the master's
+    // abandon (a transport shutdown) reaches the loop as a closed inbox,
+    // as in-process. The receiver is declared last, so it stops (and
+    // drops the connection) before the inbox goes.
+    net::Channel<net::SlaveMsg> inbox(options.inbox_delay_s);
     if (options.inbox_stall_s > 0.0) {
-        channel.inject_faults(
-            net::ChannelFaults{0.0, options.inbox_stall_s,
-                               0x5EEDF00DULL + welcome->pe});
+        inbox.inject_faults(net::ChannelFaults{
+            0.0, options.inbox_stall_s, 0x5EEDF00DULL + welcome->pe});
     }
-    RemoteEndpoint endpoint(channel);
+    const net::FrameReceiver<net::SlaveMsg> receiver(
+        transport, inbox, /*close_sink_on_exit=*/true);
     SlaveLoopConfig config;
     config.pe = welcome->pe;
     config.notify_period_s = welcome->notify_period_s;
     config.liveness = welcome->liveness;
     config.heartbeat_period_s = welcome->heartbeat_period_s;
-    run_slave_loop(endpoint, *engine, queries, database, config,
-                   result.report);
-    channel.close();
+    const SlaveExit ended = run_slave_loop(
+        inbox,
+        [&transport](net::MasterMsg msg) { net::send_msg(*transport, msg); },
+        *engine, queries, database, config, result.report);
+    if (ended == SlaveExit::LinkClosed) {
+        result.error = "link to master closed before shutdown: " +
+                       transport->last_error();
+    }
     return result;
 }
 

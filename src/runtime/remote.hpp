@@ -4,11 +4,13 @@
 // RemoteMaster accepts slave connections, handshakes them (Hello ->
 // Welcome), then hands the run to the MasterHost the threaded runtime
 // uses (runtime/master_host.hpp); run_remote_slave connects, handshakes
-// and drives the same run_slave_loop. The scheduler, the fault
-// machinery, the result merging and the master telemetry are one code
-// path for both transports — only the links behind the master inbox
-// differ — which is what keeps the socket run bit-identical in top-k to
-// the in-process runtime.
+// and drives the same run_slave_loop. Each end of a connection is a
+// plain net::Channel inbox filled by a net::FrameReceiver, and every
+// frame toward the peer goes through net::send_msg (net/frames.hpp). The
+// scheduler, the fault machinery, the result merging, the slave loop
+// and the master telemetry are one code path for both transports —
+// only how a message reaches the peer's channel differs — which is what
+// keeps the socket run bit-identical in top-k to the in-process runtime.
 
 #include <cstdint>
 #include <functional>
@@ -91,8 +93,11 @@ struct RemoteSlaveOptions {
 
 struct RemoteSlaveResult {
     bool connected = false;
-    /// Set when the session ended abnormally (handshake refused, link
-    /// error); empty on a clean shutdown.
+    /// Set when the session ended abnormally: no connection, a failed
+    /// handshake, or the link to the master closing before its
+    /// MsgShutdown (the master died or presumed this slave dead). Empty
+    /// after a Shutdown, and after an injected crash fault (the crash is
+    /// report.crashed).
     std::string error;
     /// The master's handshake reply (valid when connected).
     net::wire::Welcome welcome;

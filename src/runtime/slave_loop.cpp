@@ -1,5 +1,6 @@
 #include "runtime/slave_loop.hpp"
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -19,17 +20,19 @@ namespace {
 /// Slave-side execution observer: converts engine cell counts into
 /// periodic MsgProgress notifications (which double as liveness
 /// heartbeats while busy) and services master messages that arrive
-/// mid-execution — pushed assignments, the end-of-run Shutdown (sent as soon as every task is settled, so it routinely
-/// lands while a losing replica runs), and the "you're gone" signal of
-/// a closed inbox.
+/// mid-execution — pushed assignments, the end-of-run Shutdown (sent as
+/// soon as every task is settled, so it routinely lands while a losing
+/// replica runs), and the "you're gone" signal of a closed inbox.
 class SlaveObserver final : public engines::ExecutionObserver {
 public:
-    SlaveObserver(PeId pe, double notify_period_s, SlaveEndpoint& endpoint,
+    SlaveObserver(PeId pe, double notify_period_s,
+                  net::Channel<net::SlaveMsg>& inbox, const Uplink& uplink,
                   std::vector<core::Task>& pending_assigns,
                   obs::TraceLane* lane)
         : pe_(pe),
           period_(notify_period_s),
-          endpoint_(endpoint),
+          inbox_(inbox),
+          uplink_(uplink),
           pending_assigns_(pending_assigns),
           lane_(lane) {}
 
@@ -44,7 +47,7 @@ public:
         // elapsed > 0 keeps a zero period (a Welcome off the wire is
         // not range-checked) from dividing by a zero-length window.
         if (elapsed > 0.0 && elapsed >= period_ && cells_ > 0) {
-            endpoint_.send(net::MsgProgress{
+            uplink_(net::MsgProgress{
                 pe_, static_cast<double>(cells_) / elapsed});
             cells_ = 0;
             since_notify_.reset();
@@ -80,14 +83,14 @@ public:
     void send_final_rate(double task_seconds) {
         const swh::LockGuard lock(mu_);
         if (task_cells_ > 0 && task_seconds > 0.0) {
-            endpoint_.send(net::MsgProgress{
+            uplink_(net::MsgProgress{
                 pe_, static_cast<double>(task_cells_) / task_seconds});
         }
     }
 
 private:
     void drain_inbox_locked() const SWH_REQUIRES(mu_) {
-        while (auto msg = endpoint_.try_recv()) {
+        while (auto msg = inbox_.try_recv()) {
             if (const auto* assign = std::get_if<net::MsgAssign>(&*msg)) {
                 // The master served a heartbeat that raced our previous
                 // request; queue the package for after this task.
@@ -104,12 +107,13 @@ private:
         // A closed inbox is the master's "you're gone" (presumed dead,
         // or the end-of-run drain): stop the engine cooperatively. This
         // is what unwedges a permanently stalled engine.
-        if (endpoint_.inbox_closed()) cancelled_current_ = true;
+        if (inbox_.closed()) cancelled_current_ = true;
     }
 
     const PeId pe_;
     const double period_;
-    SlaveEndpoint& endpoint_;
+    net::Channel<net::SlaveMsg>& inbox_;
+    const Uplink& uplink_;
     /// Written under mu_ while the engine runs; the slave thread reads
     /// it lock-free only after execute() returns (the engine joins its
     /// pollers before returning, which orders those accesses).
@@ -125,22 +129,30 @@ private:
 
 }  // namespace
 
-void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
-                    const std::vector<align::Sequence>& queries,
-                    const db::Database& database,
-                    const SlaveLoopConfig& config, SlaveReport& report) {
+SlaveExit run_slave_loop(net::Channel<net::SlaveMsg>& inbox,
+                         const Uplink& uplink, engines::ComputeEngine& engine,
+                         const std::vector<align::Sequence>& queries,
+                         const db::Database& database,
+                         const SlaveLoopConfig& config, SlaveReport& report) {
     const PeId pe = config.pe;
-    endpoint.send(net::MsgRegister{pe, engine.kind()});
+    uplink(net::MsgRegister{pe, engine.kind()});
 
-    // ISSUE 5 satellite fix: the old code silently `return`ed here on a
-    // closed inbox, leaving the master's finished_slaves count short and
-    // the run deadlocked. The inbox now only closes when the master
-    // already wrote this slave off (presumed dead, end-of-run drain, or
-    // — over sockets — a dropped connection); we still notify it for
-    // the audit trail.
+    // The inbox closed: the master wrote this slave off (presumed dead,
+    // or the end-of-run drain) or the link dropped. What is still queued
+    // drains first, so a Shutdown sent right before the close (delayed
+    // or stalled on the link) still ends the session as a Shutdown.
+    // Otherwise the master still gets a farewell MsgDeregister for the
+    // audit trail.
     auto exit_on_closed_inbox = [&] {
-        endpoint.on_inbox_closed_exit();
-        endpoint.send(net::MsgDeregister{pe});
+        bool shutdown = false;
+        while (auto msg = inbox.recv()) {
+            if (std::holds_alternative<net::MsgShutdown>(*msg)) {
+                shutdown = true;
+            }
+        }
+        if (shutdown) return SlaveExit::Shutdown;
+        uplink(net::MsgDeregister{pe});
+        return SlaveExit::LinkClosed;
     };
 
     std::vector<core::Task> batch;
@@ -153,28 +165,25 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
             pending_assigns.clear();
         }
         if (batch.empty()) {
-            endpoint.send(net::MsgWorkRequest{pe});
+            uplink(net::MsgWorkRequest{pe});
             bool got_batch = false;
             while (!got_batch) {
                 std::optional<net::SlaveMsg> msg =
                     config.liveness
-                        ? endpoint.recv_for(config.heartbeat_period_s)
-                        : endpoint.recv();
+                        ? inbox.recv_for(config.heartbeat_period_s)
+                        : inbox.recv();
                 if (!msg) {
-                    if (endpoint.inbox_closed()) {
-                        exit_on_closed_inbox();
-                        return;
-                    }
+                    if (inbox.closed()) return exit_on_closed_inbox();
                     // recv_for timed out: beacon liveness. Until the
                     // master has spoken to us at all, re-send the
                     // registration instead — the first Register (or the
                     // work request after it) may have been dropped by an
                     // injected link fault.
                     if (heard_from_master) {
-                        endpoint.send(net::MsgHeartbeat{pe});
+                        uplink(net::MsgHeartbeat{pe});
                     } else {
-                        endpoint.send(net::MsgRegister{pe, engine.kind()});
-                        endpoint.send(net::MsgWorkRequest{pe});
+                        uplink(net::MsgRegister{pe, engine.kind()});
+                        uplink(net::MsgWorkRequest{pe});
                     }
                     continue;
                 }
@@ -183,7 +192,7 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
                     batch = assign->tasks;
                     got_batch = true;
                 } else if (std::holds_alternative<net::MsgShutdown>(*msg)) {
-                    return;
+                    return SlaveExit::Shutdown;
                 } else if (std::holds_alternative<net::MsgNoWorkYet>(*msg)) {
                     // Keep blocking; the master will push.
                 }
@@ -202,7 +211,7 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
         // Contract failures raised while this task runs carry the
         // slave/task ids in their report.
         const check::ScopedContext check_ctx(pe, t);
-        SlaveObserver slave_obs(pe, config.notify_period_s, endpoint,
+        SlaveObserver slave_obs(pe, config.notify_period_s, inbox, uplink,
                                 pending_assigns, config.lane);
         if (config.lane != nullptr) config.lane->span_begin("task", t, pe);
         Timer task_timer;
@@ -223,7 +232,7 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
             if (config.lane != nullptr) {
                 config.lane->span_end("task", t, 1.0, pe);
             }
-            return;  // die silently: no MsgDeregister, no cleanup
+            return SlaveExit::Crashed;  // no MsgDeregister, no cleanup
         } catch (const std::exception& e) {
             failed = true;
             failure = e.what();
@@ -245,27 +254,26 @@ void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
 
         if (failed) {
             ++report.engine_failures;
-            endpoint.send(net::MsgTaskFailed{pe, t, failure});
+            uplink(net::MsgTaskFailed{pe, t, failure});
         } else if (was_cancelled) {
             ++report.tasks_cancelled;
         } else {
             slave_obs.send_final_rate(task_seconds);
-            endpoint.send(net::MsgTaskDone{pe, t, std::move(result)});
+            uplink(net::MsgTaskDone{pe, t, std::move(result)});
             ++completions;
         }
 
-        if (endpoint.inbox_closed()) {
-            exit_on_closed_inbox();
-            return;
-        }
-        if (slave_obs.saw_shutdown()) return;
+        // A Shutdown the cancellation poll consumed counts even when the
+        // link closed right behind it.
+        if (slave_obs.saw_shutdown()) return SlaveExit::Shutdown;
+        if (inbox.closed()) return exit_on_closed_inbox();
 
         if (config.leave_after_tasks > 0 &&
             completions >= config.leave_after_tasks) {
             // Abandon whatever is still queued and leave the platform.
             report.left_early = true;
-            endpoint.send(net::MsgDeregister{pe});
-            return;
+            uplink(net::MsgDeregister{pe});
+            return SlaveExit::Left;
         }
     }
 }

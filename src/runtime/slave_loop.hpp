@@ -1,17 +1,21 @@
 #pragma once
 
-// Protocol loop of one slave PE, factored out of HybridRuntime (ISSUE
-// 10) so the identical logic — work requests, progress notifications,
-// cancellation polling, engine-failure containment, heartbeats — drives
-// both an in-process slave thread and a swhybrid_slave OS process over
-// the socket transport.
+// Protocol loop of one slave PE, shared by an in-process slave thread
+// and a swhybrid_slave OS process over the socket transport: work
+// requests, progress notifications, cancellation polling,
+// engine-failure containment, heartbeats. The loop reads its own
+// net::Channel inbox in both; the transports differ only in how a
+// message reaches the peer's channel — the uplink callable here, and
+// SlaveLink on the master side (runtime/master_host.hpp).
 
-#include <optional>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "align/sequence.hpp"
 #include "db/database.hpp"
 #include "engines/engine.hpp"
+#include "net/channel.hpp"
 #include "net/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,24 +23,17 @@
 
 namespace swh::runtime {
 
-/// The slave loop's view of its two links: the uplink to the master and
-/// its own inbox. The threaded runtime backs this with a pair of
-/// net::Channel; the socket runtime with a net::SlaveRemoteChannel.
-class SlaveEndpoint {
-public:
-    virtual ~SlaveEndpoint() = default;
+/// Sends one message to the master. Called from the slave thread and,
+/// for progress notes, from the engine's polling threads.
+using Uplink = std::function<void(net::MasterMsg)>;
 
-    virtual void send(net::MasterMsg msg) = 0;
-    virtual std::optional<net::SlaveMsg> recv() = 0;
-    virtual std::optional<net::SlaveMsg> recv_for(double timeout_s) = 0;
-    virtual std::optional<net::SlaveMsg> try_recv() = 0;
-    virtual bool inbox_closed() = 0;
-
-    /// Invoked when the loop observes a closed inbox and is about to
-    /// exit (right before the farewell MsgDeregister). The threaded
-    /// runtime asserts the close was master-initiated; the socket
-    /// runtime treats it as a dropped connection.
-    virtual void on_inbox_closed_exit() {}
+/// How a slave's session ended.
+enum class SlaveExit : std::uint8_t {
+    Shutdown,    ///< the master's MsgShutdown arrived
+    Left,        ///< leave_after_tasks reached; sent MsgDeregister
+    Crashed,     ///< engines::SimulatedCrash: vanished mid-task
+    LinkClosed,  ///< the inbox closed without a Shutdown in it: the
+                 ///< master abandoned this slave or the link dropped
 };
 
 struct SlaveLoopConfig {
@@ -56,13 +53,14 @@ struct SlaveLoopConfig {
 };
 
 /// Runs the slave protocol to completion: register, request work,
-/// execute, report, until MsgShutdown / early leave / master
-/// abandonment. Engine exceptions become MsgTaskFailed (the loop
-/// survives them); engines::SimulatedCrash makes the loop vanish
-/// silently with report.crashed set, exactly like a dead process.
-void run_slave_loop(SlaveEndpoint& endpoint, engines::ComputeEngine& engine,
-                    const std::vector<align::Sequence>& queries,
-                    const db::Database& database,
-                    const SlaveLoopConfig& config, SlaveReport& report);
+/// execute, report, until MsgShutdown / early leave / a closed inbox.
+/// Engine exceptions become MsgTaskFailed (the loop survives them);
+/// engines::SimulatedCrash makes the loop vanish silently with
+/// report.crashed set, exactly like a dead process.
+SlaveExit run_slave_loop(net::Channel<net::SlaveMsg>& inbox,
+                         const Uplink& uplink, engines::ComputeEngine& engine,
+                         const std::vector<align::Sequence>& queries,
+                         const db::Database& database,
+                         const SlaveLoopConfig& config, SlaveReport& report);
 
 }  // namespace swh::runtime

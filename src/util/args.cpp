@@ -8,6 +8,40 @@
 
 namespace swh {
 
+void require_arg(bool ok, const std::string& message) {
+    if (!ok) throw ParseError(message);
+}
+
+long long parse_int(const std::string& text, const std::string& what) {
+    std::size_t pos = 0;
+    long long out = 0;
+    try {
+        out = std::stoll(text, &pos);
+    } catch (const std::out_of_range&) {
+        throw ParseError(what + " out of range: " + text);
+    } catch (const std::invalid_argument&) {
+        pos = 0;
+    }
+    require_arg(pos > 0 && pos == text.size(),
+                what + " is not an integer: " + text);
+    return out;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+    std::size_t pos = 0;
+    double out = 0.0;
+    try {
+        out = std::stod(text, &pos);
+    } catch (const std::out_of_range&) {
+        throw ParseError(what + " out of range: " + text);
+    } catch (const std::invalid_argument&) {
+        pos = 0;
+    }
+    require_arg(pos > 0 && pos == text.size(),
+                what + " is not a number: " + text);
+    return out;
+}
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
@@ -46,28 +80,28 @@ bool ArgParser::parse(int argc, const char* const* argv) {
                 has_value = true;
             }
             const auto it = options_.find(name);
-            SWH_REQUIRE(it != options_.end(),
-                        ("unknown option --" + name).c_str());
+            require_arg(it != options_.end(), "unknown option --" + name);
             Option& opt = it->second;
             if (opt.is_flag) {
-                SWH_REQUIRE(!has_value, "flags do not take values");
+                require_arg(!has_value, "flag --" + name + " takes no value");
                 opt.value = "true";
             } else if (has_value) {
                 opt.value = std::move(value);
             } else {
-                SWH_REQUIRE(i + 1 < argc, "option missing its value");
+                require_arg(i + 1 < argc,
+                            "option --" + name + " is missing its value");
                 opt.value = argv[++i];
             }
             opt.seen = true;
         } else {
-            SWH_REQUIRE(next_positional < positionals_.size(),
-                        "unexpected positional argument");
+            require_arg(next_positional < positionals_.size(),
+                        "unexpected positional argument " + arg);
             positionals_[next_positional++].value = std::move(arg);
         }
     }
     for (const Positional& p : positionals_) {
-        SWH_REQUIRE(p.value.has_value(),
-                    ("missing required argument: " + p.name).c_str());
+        require_arg(p.value.has_value(),
+                    "missing required argument: " + p.name);
     }
     return true;
 }
@@ -88,29 +122,11 @@ const std::string& ArgParser::get(const std::string& name) const {
 }
 
 long long ArgParser::get_int(const std::string& name) const {
-    const std::string& v = get(name);
-    try {
-        std::size_t pos = 0;
-        const long long out = std::stoll(v, &pos);
-        SWH_REQUIRE(pos == v.size(), "trailing junk in integer argument");
-        return out;
-    } catch (const std::invalid_argument&) {
-        throw ContractError("argument " + name + " is not an integer: " + v);
-    } catch (const std::out_of_range&) {
-        throw ContractError("argument " + name + " out of range: " + v);
-    }
+    return parse_int(get(name), "--" + name);
 }
 
 double ArgParser::get_double(const std::string& name) const {
-    const std::string& v = get(name);
-    try {
-        std::size_t pos = 0;
-        const double out = std::stod(v, &pos);
-        SWH_REQUIRE(pos == v.size(), "trailing junk in numeric argument");
-        return out;
-    } catch (const std::invalid_argument&) {
-        throw ContractError("argument " + name + " is not a number: " + v);
-    }
+    return parse_double(get(name), "--" + name);
 }
 
 bool ArgParser::get_flag(const std::string& name) const {

@@ -7,6 +7,16 @@
 
 namespace swh {
 
+/// Throws ParseError(`message`) unless `ok`: a check on what the user
+/// typed, as opposed to a programmer contract (SWH_REQUIRE), so the
+/// error carries the message alone.
+void require_arg(bool ok, const std::string& message);
+
+/// All of `text` as an integer or a number; otherwise throws ParseError
+/// naming `what`.
+long long parse_int(const std::string& text, const std::string& what);
+double parse_double(const std::string& text, const std::string& what);
+
 /// Minimal declarative command-line parser for the example tools.
 /// Supports `--flag`, `--key value`, `--key=value`, and positional
 /// arguments; unknown options throw. Not a general-purpose library —
@@ -27,12 +37,13 @@ public:
     void add_positional(const std::string& name, const std::string& help,
                         std::optional<std::string> fallback = std::nullopt);
 
-    /// Parses argv. Throws ContractError on unknown/malformed input.
+    /// Parses argv. Throws ParseError on unknown/malformed input.
     /// Returns false if --help was requested (help text already printed
     /// to stdout).
     bool parse(int argc, const char* const* argv);
 
     const std::string& get(const std::string& name) const;
+    /// The value of `name` as a number; ParseError if it is not one.
     long long get_int(const std::string& name) const;
     double get_double(const std::string& name) const;
     bool get_flag(const std::string& name) const;

@@ -12,7 +12,9 @@ public:
     explicit ContractError(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Thrown on malformed input files or protocol messages.
+/// Thrown on malformed input: files, protocol messages and command
+/// lines. The message is meant for the user, so it names what was wrong
+/// with the input and carries no source location.
 class ParseError : public std::runtime_error {
 public:
     explicit ParseError(const std::string& what) : std::runtime_error(what) {}

@@ -1,4 +1,7 @@
-#include "net/remote_channel.hpp"
+// Message I/O over a socket: each end is a plain Channel inbox filled by
+// a FrameReceiver, and send_msg writes every frame toward the peer.
+
+#include "net/frames.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,25 +19,27 @@
 namespace swh::net {
 namespace {
 
-// A connected pair: the "slave" end wrapped in a SlaveRemoteChannel,
-// the "master" end held raw so tests can write arbitrary frames.
+// A connected pair wired like a slave process: the "slave" end's frames
+// decode into its inbox through a FrameReceiver that closes it at EOF;
+// the "master" end is held raw so tests can write arbitrary frames.
 struct Pair {
     std::shared_ptr<StreamTransport> master;
-    std::unique_ptr<SlaveRemoteChannel> slave;
+    std::shared_ptr<StreamTransport> slave;
+    Channel<SlaveMsg> inbox;
+    /// Declared after `inbox`: stops reading before the inbox goes.
+    std::unique_ptr<FrameReceiver<SlaveMsg>> receiver;
 
-    explicit Pair(double delivery_delay_s = 0.0) {
+    Pair() {
         auto [a, b] = socket_pair();
         master = std::make_shared<StreamTransport>(std::move(a));
-        slave = std::make_unique<SlaveRemoteChannel>(
-            std::make_shared<StreamTransport>(std::move(b)),
-            delivery_delay_s);
+        slave = std::make_shared<StreamTransport>(std::move(b));
+        receiver = std::make_unique<FrameReceiver<SlaveMsg>>(
+            slave, inbox, /*close_sink_on_exit=*/true);
     }
 };
 
 void send_slave_msg(StreamTransport& t, const SlaveMsg& msg) {
-    std::vector<std::uint8_t> frame;
-    wire::encode(msg, frame);
-    ASSERT_TRUE(t.send_frame(frame));
+    ASSERT_TRUE(send_msg(t, msg));
 }
 
 TEST(RemoteChannel, RoundTripBothDirections) {
@@ -42,16 +47,16 @@ TEST(RemoteChannel, RoundTripBothDirections) {
     // Master -> slave: frames decode into the slave's inbox.
     send_slave_msg(*p.master, MsgNoWorkYet{});
     send_slave_msg(*p.master, MsgAssign{{{7, 3, 900}}});
-    auto m1 = p.slave->recv();
+    auto m1 = p.inbox.recv();
     ASSERT_TRUE(m1.has_value());
     EXPECT_TRUE(std::holds_alternative<MsgNoWorkYet>(*m1));
-    auto m2 = p.slave->recv();
+    auto m2 = p.inbox.recv();
     ASSERT_TRUE(m2.has_value());
     ASSERT_EQ(std::get<MsgAssign>(*m2).tasks.size(), 1u);
     EXPECT_EQ(std::get<MsgAssign>(*m2).tasks[0].id, 7u);
 
-    // Slave -> master: channel.send produces a decodable frame.
-    p.slave->send(MsgTaskFailed{1, 9, "broke"});
+    // Slave -> master: send_msg produces a decodable frame.
+    ASSERT_TRUE(send_msg(*p.slave, MasterMsg{MsgTaskFailed{1, 9, "broke"}}));
     auto body = p.master->recv_frame();
     ASSERT_TRUE(body.has_value());
     auto decoded = wire::decode_master(body->data(), body->size());
@@ -69,22 +74,22 @@ TEST(RemoteChannel, ObserverSeesSocketTraffic) {
     };
     Pair p;
     Gauge gauge;
-    p.slave->set_observer(&gauge);
+    p.inbox.set_observer(&gauge);
     send_slave_msg(*p.master, MsgNoWorkYet{});
     send_slave_msg(*p.master, MsgShutdown{});
-    ASSERT_TRUE(p.slave->recv().has_value());
-    ASSERT_TRUE(p.slave->recv().has_value());
+    ASSERT_TRUE(p.inbox.recv().has_value());
+    ASSERT_TRUE(p.inbox.recv().has_value());
     EXPECT_EQ(gauge.sends, 2u);
     EXPECT_EQ(gauge.recvs, 2u);
 }
 
 TEST(RemoteChannel, InjectedDropsApplyToSocketTraffic) {
     Pair p;
-    p.slave->inject_faults({/*drop_prob=*/1.0, /*stall_s=*/0.0, 1234});
+    p.inbox.inject_faults({/*drop_prob=*/1.0, /*stall_s=*/0.0, 1234});
     send_slave_msg(*p.master, MsgShutdown{});
     // Deterministically dropped on delivery: never becomes visible.
-    EXPECT_FALSE(p.slave->recv_for(0.1).has_value());
-    EXPECT_GE(p.slave->dropped(), 1u);
+    EXPECT_FALSE(p.inbox.recv_for(0.1).has_value());
+    EXPECT_GE(p.inbox.dropped(), 1u);
 }
 
 // Peer EOF closes the inbox: pending messages drain, then nullopt —
@@ -93,11 +98,11 @@ TEST(RemoteChannel, PeerEofDrainsThenCloses) {
     Pair p;
     send_slave_msg(*p.master, MsgAssign{{{5, 0, 100}}});
     p.master->shutdown();
-    auto first = p.slave->recv();
+    auto first = p.inbox.recv();
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(std::get<MsgAssign>(*first).tasks[0].id, 5u);
-    EXPECT_FALSE(p.slave->recv().has_value());
-    EXPECT_TRUE(p.slave->closed());
+    EXPECT_FALSE(p.inbox.recv().has_value());
+    EXPECT_TRUE(p.inbox.closed());
 }
 
 // One malformed frame poisons the connection (decode reason preserved);
@@ -110,11 +115,10 @@ TEST(RemoteChannel, MalformedFramePoisonsConnection) {
     std::memcpy(garbage.data(), &len, 4);
     garbage.insert(garbage.end(), {wire::kWireVersion, 0xEE, 1});
     ASSERT_TRUE(p.master->send_frame(garbage));
-    EXPECT_FALSE(p.slave->recv().has_value());
-    EXPECT_TRUE(p.slave->closed());
-    EXPECT_NE(p.slave->transport().last_error().find("decode"),
-              std::string::npos)
-        << p.slave->transport().last_error();
+    EXPECT_FALSE(p.inbox.recv().has_value());
+    EXPECT_TRUE(p.inbox.closed());
+    EXPECT_NE(p.slave->last_error().find("decode"), std::string::npos)
+        << p.slave->last_error();
 }
 
 // An oversized length prefix is rejected before any buffering.
@@ -134,14 +138,13 @@ TEST(RemoteChannel, OversizedLengthPrefixPoisonsConnection) {
         << victim.last_error();
 }
 
-// Sends after close are counted drops, mirroring the ISSUE-10
-// shutdown-race fix on the in-process Channel.
-TEST(RemoteChannel, SendAfterCloseIsCountedDrop) {
+// A send on a shut-down link is lost, and the frame writer says so —
+// the socket counterpart of a send on a closed in-process Channel.
+TEST(RemoteChannel, FrameWriterReturnsFalseAfterShutdown) {
     Pair p;
-    p.slave->close();
-    const std::size_t before = p.slave->dropped();
-    p.slave->send(MsgHeartbeat{0});
-    EXPECT_EQ(p.slave->dropped(), before + 1);
+    ASSERT_TRUE(send_msg(*p.slave, MasterMsg{MsgHeartbeat{0}}));
+    p.slave->shutdown();
+    EXPECT_FALSE(send_msg(*p.slave, MasterMsg{MsgHeartbeat{0}}));
 }
 
 // Concurrent senders may interleave frames but never tear them: every
@@ -153,8 +156,9 @@ TEST(RemoteChannel, ConcurrentSendsDoNotTearFrames) {
     for (int t = 0; t < 4; ++t) {
         writers.emplace_back([&p, t] {
             for (int i = 0; i < kPerThread; ++i) {
-                p.slave->send(
-                    MsgProgress{static_cast<core::PeId>(t), 1.0 + i});
+                ASSERT_TRUE(send_msg(
+                    *p.slave, MasterMsg{MsgProgress{
+                                  static_cast<core::PeId>(t), 1.0 + i}}));
             }
         });
     }
@@ -178,17 +182,13 @@ TEST(RemoteChannel, FrameReceiverFiltersIntoSharedInbox) {
     auto [a1, b1] = socket_pair();
     auto remote1 = std::make_shared<StreamTransport>(std::move(a1));
     StreamTransport slave1(std::move(b1));
-    FrameReceiver<MasterBound> pump(
+    FrameReceiver<MasterMsg> pump(
         remote1, inbox, /*close_sink_on_exit=*/false,
         [](const MasterMsg& m) {
             return std::visit([](const auto& x) { return x.pe; }, m) == 0u;
         });
-    std::vector<std::uint8_t> frame;
-    wire::encode(MasterMsg{MsgHeartbeat{0}}, frame);
-    ASSERT_TRUE(slave1.send_frame(frame));
-    frame.clear();
-    wire::encode(MasterMsg{MsgHeartbeat{7}}, frame);  // impersonator
-    ASSERT_TRUE(slave1.send_frame(frame));
+    ASSERT_TRUE(send_msg(slave1, MasterMsg{MsgHeartbeat{0}}));
+    ASSERT_TRUE(send_msg(slave1, MasterMsg{MsgHeartbeat{7}}));  // impersonator
     auto msg = inbox.recv();
     ASSERT_TRUE(msg.has_value());
     EXPECT_EQ(std::get<MsgHeartbeat>(*msg).pe, 0u);
@@ -208,9 +208,7 @@ TEST(RemoteChannel, TcpLoopbackConnectAndExchange) {
         auto sock = tcp_connect("127.0.0.1", port, 5.0);
         ASSERT_TRUE(sock.has_value());
         StreamTransport t(std::move(*sock));
-        std::vector<std::uint8_t> frame;
-        wire::encode(MasterMsg{MsgWorkRequest{3}}, frame);
-        ASSERT_TRUE(t.send_frame(frame));
+        ASSERT_TRUE(send_msg(t, MasterMsg{MsgWorkRequest{3}}));
         auto reply = t.recv_frame();
         ASSERT_TRUE(reply.has_value());
         auto msg = wire::decode_slave(reply->data(), reply->size());
@@ -225,9 +223,7 @@ TEST(RemoteChannel, TcpLoopbackConnectAndExchange) {
     auto msg = wire::decode_master(body->data(), body->size());
     ASSERT_TRUE(msg.has_value());
     EXPECT_EQ(std::get<MsgWorkRequest>(*msg).pe, 3u);
-    std::vector<std::uint8_t> frame;
-    wire::encode(SlaveMsg{MsgShutdown{}}, frame);
-    ASSERT_TRUE(t.send_frame(frame));
+    ASSERT_TRUE(send_msg(t, SlaveMsg{MsgShutdown{}}));
     dialler.join();
 }
 

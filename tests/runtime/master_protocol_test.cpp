@@ -201,8 +201,16 @@ TEST(MasterProtocol, EveryActiveSlaveIsShutDownInTheStepAllDoneTurnsTrue) {
     EXPECT_EQ(h.protocol.report().accepted_cells, 2'000u);
 }
 
+/// Options that attach `metrics` to the protocol under test.
+RuntimeOptions with_metrics(obs::MetricsRegistry& metrics) {
+    RuntimeOptions options;
+    options.metrics = &metrics;
+    return options;
+}
+
 TEST(MasterProtocol, ReplicaLoserIsDiscardedWhileOtherTasksRemain) {
-    Harness h(3, 3);
+    obs::MetricsRegistry metrics;
+    Harness h(3, 3, with_metrics(metrics));
     EXPECT_EQ(h.join(0, 0.0), (Replies{"0:assign t0"}));
     EXPECT_EQ(h.join(1, 0.0), (Replies{"1:assign t1"}));
     EXPECT_EQ(h.join(2, 0.0), (Replies{"2:assign t2"}));
@@ -223,6 +231,8 @@ TEST(MasterProtocol, ReplicaLoserIsDiscardedWhileOtherTasksRemain) {
     EXPECT_EQ(last, (Replies{"0:shutdown", "1:shutdown", "2:shutdown"}));
     const RunReport report = h.protocol.take_report();
     EXPECT_EQ(report.completions_discarded, 1u);
+    EXPECT_EQ(metrics.snapshot().counter("sched.completions_discarded"),
+              report.completions_discarded);
     EXPECT_EQ(report.replicas_issued, 1u);
     EXPECT_EQ(report.accepted_cells, 3'000u);
 }
@@ -230,7 +240,8 @@ TEST(MasterProtocol, ReplicaLoserIsDiscardedWhileOtherTasksRemain) {
 TEST(MasterProtocol, LoserFinishingAfterItsShutdownIsARacedDiscard) {
     // pe 2 never registers before the end, so the run stays open after
     // every task has settled.
-    Harness h(2, 3);
+    obs::MetricsRegistry metrics;
+    Harness h(2, 3, with_metrics(metrics));
     EXPECT_EQ(h.join(0, 0.0), (Replies{"0:assign t0"}));
     EXPECT_EQ(h.join(1, 0.0), (Replies{"1:assign t1"}));
     EXPECT_TRUE(h.done(1, 1, 1.0).empty());
@@ -252,6 +263,8 @@ TEST(MasterProtocol, LoserFinishingAfterItsShutdownIsARacedDiscard) {
     EXPECT_TRUE(h.protocol.finished());
     const RunReport report = h.protocol.take_report();
     EXPECT_EQ(report.completions_discarded, 1u);
+    EXPECT_EQ(metrics.snapshot().counter("sched.completions_discarded"),
+              report.completions_discarded);
     EXPECT_EQ(report.late_completions_discarded, 0u);
     EXPECT_EQ(report.accepted_cells, 2'000u);
 }

@@ -20,6 +20,8 @@
 #include "engines/cpu_engine.hpp"
 #include "engines/faulty_engine.hpp"
 #include "engines/throttled_engine.hpp"
+#include "net/frames.hpp"
+#include "net/stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/hybrid_runtime.hpp"
@@ -295,7 +297,37 @@ TEST(SocketRuntime, SlaveCrashOverSocketIsRecoveredBitIdentical) {
     EXPECT_GE(report.slaves_presumed_dead, 1u);
     ASSERT_EQ(slave_results.size(), 2u);
     EXPECT_TRUE(slave_results[0].report.crashed);
+    // A crash fault is the engine's, not the link's.
+    EXPECT_TRUE(slave_results[0].error.empty()) << slave_results[0].error;
     EXPECT_FALSE(slave_results[1].report.crashed);
+}
+
+// A master that drops the link before its MsgShutdown (here: it
+// welcomes the slave and closes) leaves the slave with an error, so a
+// swhybrid_slave process exits non-zero.
+TEST(SocketRuntime, SlaveReportsALinkClosedBeforeShutdown) {
+    const db::Database database = test_db();
+    const auto queries = test_queries(2);
+    std::uint16_t port = 0;
+    net::Socket listener = net::tcp_listen(port);
+
+    std::thread master([&listener] {
+        auto sock = net::tcp_accept(listener, 10.0);
+        if (!sock.has_value()) return;
+        net::StreamTransport link(std::move(*sock));
+        if (link.recv_frame().has_value()) {  // the Hello
+            net::send_msg(link, net::wire::Welcome{});
+        }
+    });  // `link` closes as the thread ends
+    RemoteSlaveOptions so;
+    so.port = port;
+    const RemoteSlaveResult result =
+        run_remote_slave(database, queries, so, cpu_factory());
+    master.join();
+
+    EXPECT_TRUE(result.connected);
+    EXPECT_FALSE(result.error.empty());
+    EXPECT_FALSE(result.report.crashed);
 }
 
 /// Trace time of the master's last accepted completion.
@@ -349,6 +381,11 @@ TEST(SocketRuntime, RunEndsAtLastAcceptedResult) {
     EXPECT_EQ(report.hits, reference);
     ASSERT_EQ(slave_results.size(), 2u);
     EXPECT_GE(slave_results[0].report.tasks_cancelled, 1u);
+    // The losing replica's Shutdown arrives mid-task, right before the
+    // master closes the link: still a clean end, not a link error.
+    for (const RemoteSlaveResult& r : slave_results) {
+        EXPECT_TRUE(r.error.empty()) << r.error;
+    }
     EXPECT_LT(report.wall_seconds - last_accept_s(trace.drain()), 0.1);
 }
 

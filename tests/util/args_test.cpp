@@ -49,14 +49,40 @@ TEST(ArgParser, MissingRequiredPositionalThrows) {
     p.add_positional("input", "input file");
     const auto argv = argv_of({"tool"});
     EXPECT_THROW(p.parse(static_cast<int>(argv.size()), argv.data()),
-                 ContractError);
+                 ParseError);
 }
 
 TEST(ArgParser, UnknownOptionThrows) {
     ArgParser p("tool", "t");
     const auto argv = argv_of({"tool", "--bogus", "1"});
     EXPECT_THROW(p.parse(static_cast<int>(argv.size()), argv.data()),
-                 ContractError);
+                 ParseError);
+}
+
+// Malformed input is the user's, so the error names the input alone:
+// no source location.
+TEST(ArgParser, ErrorsCarryTheMessageAlone) {
+    ArgParser p("tool", "t");
+    p.add_option("n", "", "1x");
+    const auto argv = argv_of({"tool", "--bogus"});
+    try {
+        p.parse(static_cast<int>(argv.size()), argv.data());
+        ADD_FAILURE() << "parse accepted an unknown option";
+    } catch (const ParseError& e) {
+        EXPECT_STREQ(e.what(), "unknown option --bogus");
+    }
+    try {
+        p.get_int("n");
+        ADD_FAILURE() << "get_int accepted trailing junk";
+    } catch (const ParseError& e) {
+        EXPECT_STREQ(e.what(), "--n is not an integer: 1x");
+    }
+}
+
+TEST(ArgParser, DuplicateOptionIsAContractError) {
+    ArgParser p("tool", "t");
+    p.add_option("n", "", "1");
+    EXPECT_THROW(p.add_option("n", "", "2"), ContractError);
 }
 
 TEST(ArgParser, MissingValueThrows) {
@@ -64,7 +90,7 @@ TEST(ArgParser, MissingValueThrows) {
     p.add_option("n", "", "1");
     const auto argv = argv_of({"tool", "--n"});
     EXPECT_THROW(p.parse(static_cast<int>(argv.size()), argv.data()),
-                 ContractError);
+                 ParseError);
 }
 
 TEST(ArgParser, FlagRejectsValue) {
@@ -72,7 +98,7 @@ TEST(ArgParser, FlagRejectsValue) {
     p.add_flag("f", "");
     const auto argv = argv_of({"tool", "--f=yes"});
     EXPECT_THROW(p.parse(static_cast<int>(argv.size()), argv.data()),
-                 ContractError);
+                 ParseError);
 }
 
 TEST(ArgParser, NumericValidation) {
@@ -81,7 +107,7 @@ TEST(ArgParser, NumericValidation) {
     p.add_option("x", "", "1.5");
     const auto argv = argv_of({"tool"});
     ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
-    EXPECT_THROW(p.get_int("n"), ContractError);
+    EXPECT_THROW(p.get_int("n"), ParseError);
     EXPECT_DOUBLE_EQ(p.get_double("x"), 1.5);
 }
 
