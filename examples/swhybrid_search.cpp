@@ -159,6 +159,21 @@ void generate_demo(const std::string& query_path,
               << '\n';
 }
 
+/// Opens the file an output option names, or leaves the stream closed
+/// when the option is unset. Throws IoError when the path cannot be
+/// written.
+std::ofstream open_output(const ArgParser& args, const std::string& option) {
+    std::ofstream out;
+    const std::string& path = args.get(option);
+    if (path.empty()) return out;
+    out.open(path);
+    if (!out) {
+        throw IoError("cannot open --" + option + " file for writing: " +
+                      path);
+    }
+    return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -340,6 +355,22 @@ int main(int argc, char** argv) {
                         "--weights-out needs --transport=inproc");
         }
 
+        // Open every output file before the search, so an unwritable
+        // path fails now rather than after the whole run. The Prometheus
+        // file is written through "<prom>.tmp" and a rename; probe that.
+        std::ofstream tsv = open_output(args, "out");
+        std::ofstream trace_file = open_output(args, "trace");
+        std::ofstream balance_file = open_output(args, "balance-json");
+        std::ofstream weights_file = open_output(args, "weights-out");
+        std::ofstream metrics_file = open_output(args, "metrics");
+        if (want_prom) {
+            const std::string tmp = args.get("prom") + ".tmp";
+            if (!std::ofstream(tmp)) {
+                throw IoError("cannot open --prom file for writing: " + tmp);
+            }
+            std::remove(tmp.c_str());
+        }
+
         std::cout << "searching " << queries.size() << " queries against "
                   << database.size() << " sequences ("
                   << with_thousands(
@@ -435,12 +466,7 @@ int main(int argc, char** argv) {
         const align::GumbelParams stats = align::fit_gumbel(matrix, gap);
         const double max_evalue = args.get_double("max-evalue");
 
-        std::ofstream tsv;
-        if (!args.get("out").empty()) {
-            tsv.open(args.get("out"));
-            if (!tsv) throw IoError("cannot open --out file for writing");
-            tsv << "query\tsubject\tscore\tbits\tevalue\n";
-        }
+        if (tsv.is_open()) tsv << "query\tsubject\tscore\tbits\tevalue\n";
 
         for (std::size_t q = 0; q < queries.size(); ++q) {
             std::cout << "\nquery " << queries[q].id << " ("
@@ -521,12 +547,8 @@ int main(int argc, char** argv) {
 
         if (want_trace) {
             const obs::Trace trace = recorder->drain();
-            if (!args.get("trace").empty()) {
-                std::ofstream tf(args.get("trace"));
-                if (!tf) {
-                    throw IoError("cannot open --trace file for writing");
-                }
-                obs::export_chrome_json(trace, tf);
+            if (trace_file.is_open()) {
+                obs::export_chrome_json(trace, trace_file);
                 std::cout << "trace (" << trace.total_events()
                           << " events) written to " << args.get("trace")
                           << " — open it at ui.perfetto.dev\n";
@@ -548,26 +570,22 @@ int main(int argc, char** argv) {
                 if (args.get_flag("balance-report")) {
                     std::cout << "\n" << balance.to_text();
                 }
-                if (!args.get("balance-json").empty()) {
-                    std::ofstream bf(args.get("balance-json"));
-                    if (!bf) throw IoError("cannot open --balance-json file");
-                    bf << balance.to_json();
+                if (balance_file.is_open()) {
+                    balance_file << balance.to_json();
                     std::cout << "balance report written to "
                               << args.get("balance-json") << '\n';
                 }
             }
         }
-        if (!weights_path.empty()) {
-            std::ofstream wf(weights_path);
-            if (!wf) throw IoError("cannot open --weights-out file");
+        if (weights_file.is_open()) {
             const bool as_json =
                 weights_path.size() >= 5 &&
                 weights_path.compare(weights_path.size() - 5, 5, ".json") ==
                     0;
             if (as_json) {
-                wf << weight_log.to_json(slave_labels);
+                weights_file << weight_log.to_json(slave_labels);
             } else {
-                weight_log.export_csv(wf, slave_labels);
+                weight_log.export_csv(weights_file, slave_labels);
             }
             std::cout << weight_log.samples().size()
                       << " PSS weight samples written to " << weights_path
@@ -586,12 +604,8 @@ int main(int argc, char** argv) {
             std::cout << "prometheus metrics written to " << args.get("prom")
                       << '\n';
         }
-        if (!args.get("metrics").empty()) {
-            std::ofstream mf(args.get("metrics"));
-            if (!mf) {
-                throw IoError("cannot open --metrics file for writing");
-            }
-            mf << report.metrics.to_json() << '\n';
+        if (metrics_file.is_open()) {
+            metrics_file << report.metrics.to_json() << '\n';
             for (const runtime::KindCells& kc : report.cells_by_kind()) {
                 std::cout << core::to_string(kc.kind) << ": "
                           << with_thousands(static_cast<long long>(

@@ -1,57 +1,79 @@
 #include "io/fasta.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
+#include "io/fasta_scan.hpp"
 #include "util/error.hpp"
-#include "util/str.hpp"
 
 namespace swh::io {
 
 using align::Alphabet;
 using align::Sequence;
 
-std::vector<Sequence> read_fasta(std::istream& in, const Alphabet& alphabet) {
-    std::vector<Sequence> out;
-    Sequence* current = nullptr;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::string_view t = trim(line);
-        if (t.empty()) continue;
-        if (t.front() == '>') {
-            const std::string_view header = trim(t.substr(1));
-            SWH_REQUIRE(!header.empty(), "FASTA header with no id");
-            Sequence seq;
-            const std::size_t sp = header.find_first_of(" \t");
-            if (sp == std::string_view::npos) {
-                seq.id = std::string(header);
-            } else {
-                seq.id = std::string(header.substr(0, sp));
-                seq.description = std::string(trim(header.substr(sp + 1)));
-            }
-            out.push_back(std::move(seq));
-            current = &out.back();
-        } else {
-            if (current == nullptr) {
-                throw ParseError("FASTA line " + std::to_string(line_no) +
-                                 ": sequence data before any header");
-            }
-            for (const char c : t) {
-                current->residues.push_back(alphabet.encode(c));
-            }
-        }
+std::string read_file_bytes(const std::string& path, std::uint64_t begin,
+                            std::uint64_t end) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw IoError("cannot open FASTA file: " + path);
+    std::error_code ec;
+    const std::uint64_t size = std::filesystem::file_size(path, ec);
+    if (ec) {
+        // Not a regular file (a pipe, say): no size to seek by, so read
+        // it through and keep the range.
+        std::string bytes = read_stream_bytes(in);
+        if (begin >= bytes.size()) return {};
+        return bytes.substr(static_cast<std::size_t>(begin),
+                            static_cast<std::size_t>(std::min<std::uint64_t>(
+                                end - begin, bytes.size() - begin)));
     }
+    end = std::min(end, size);
+    if (begin >= end) return {};
+    std::string bytes(static_cast<std::size_t>(end - begin), '\0');
+    in.seekg(static_cast<std::streamoff>(begin));
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    bytes.resize(static_cast<std::size_t>(in.gcount()));
+    return bytes;
+}
+
+std::string read_stream_bytes(std::istream& in) {
+    std::string bytes;
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+        bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+    }
+    return bytes;
+}
+
+namespace {
+
+std::vector<Sequence> parse_fasta(std::string_view text,
+                                  const Alphabet& alphabet) {
+    std::vector<Sequence> out;
+    scan_fasta(
+        text,
+        [&out](const FastaHeader& h) {
+            out.push_back(
+                Sequence{std::string(h.id), std::string(h.description), {}});
+            return true;
+        },
+        [&](std::string_view line) {
+            append_residues(line, alphabet, out.back().residues);
+        });
     return out;
+}
+
+}  // namespace
+
+std::vector<Sequence> read_fasta(std::istream& in, const Alphabet& alphabet) {
+    return parse_fasta(read_stream_bytes(in), alphabet);
 }
 
 std::vector<Sequence> read_fasta_file(const std::string& path,
                                       const Alphabet& alphabet) {
-    std::ifstream in(path);
-    if (!in) throw IoError("cannot open FASTA file: " + path);
-    return read_fasta(in, alphabet);
+    return parse_fasta(read_file_bytes(path), alphabet);
 }
 
 void write_fasta(std::ostream& out, const std::vector<Sequence>& seqs,

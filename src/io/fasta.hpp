@@ -10,9 +10,11 @@ namespace swh::io {
 
 /// Reads every record of a FASTA stream. Header lines are '>' followed by
 /// an id token and an optional description; sequence lines are folded.
-/// Characters outside the alphabet map to its wildcard (as tools like
-/// BLAST do); blank lines are ignored. Throws ParseError on a record with
-/// no header or an empty stream that is not empty of content.
+/// Lines are trimmed of whitespace and blank lines are ignored; interior
+/// whitespace in a sequence line is skipped. Other characters outside
+/// the alphabet map to its wildcard (as tools like BLAST do). Throws
+/// ParseError on sequence data before the first header and ContractError
+/// on a header with no id.
 std::vector<align::Sequence> read_fasta(std::istream& in,
                                         const align::Alphabet& alphabet);
 

@@ -1,12 +1,11 @@
 #include "io/indexed.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <limits>
 
-#include "io/fasta.hpp"
+#include "io/fasta_scan.hpp"
 #include "util/error.hpp"
 
 namespace swh::io {
@@ -30,48 +29,34 @@ std::uint64_t read_u64(std::istream& in) {
     return v;
 }
 
-}  // namespace
-
-SequenceIndex build_index(std::istream& fasta) {
+SequenceIndex index_fasta(std::string_view text) {
     SequenceIndex idx;
-    std::string line;
-    std::uint64_t offset = 0;
-    std::uint64_t current_len = 0;
-    bool in_record = false;
-    auto close_record = [&] {
-        if (!in_record) return;
-        idx.lengths.push_back(current_len);
-        idx.max_sequence_length =
-            std::max(idx.max_sequence_length, current_len);
-        idx.total_residues += current_len;
-    };
-    while (std::getline(fasta, line)) {
-        // +1 for the newline getline consumed. A final line without a
-        // trailing newline over-counts by one byte, but only *after* the
-        // last record's offset, so seeks stay correct.
-        const std::uint64_t line_bytes = line.size() + 1;
-        if (!line.empty() && line.front() == '>') {
-            close_record();
-            idx.offsets.push_back(offset);
-            ++idx.sequence_count;
-            current_len = 0;
-            in_record = true;
-        } else if (in_record) {
-            for (const char c : line) {
-                if (!std::isspace(static_cast<unsigned char>(c)))
-                    ++current_len;
-            }
-        }
-        offset += line_bytes;
+    scan_fasta(
+        text,
+        [&idx](const FastaHeader& h) {
+            idx.offsets.push_back(h.pos);
+            idx.lengths.push_back(0);
+            return true;
+        },
+        [&idx](std::string_view line) {
+            idx.lengths.back() += residue_count(line);
+        });
+    idx.sequence_count = idx.offsets.size();
+    for (const std::uint64_t len : idx.lengths) {
+        idx.total_residues += len;
+        idx.max_sequence_length = std::max(idx.max_sequence_length, len);
     }
-    close_record();
     return idx;
 }
 
+}  // namespace
+
+SequenceIndex build_index(std::istream& fasta) {
+    return index_fasta(read_stream_bytes(fasta));
+}
+
 SequenceIndex build_index_file(const std::string& fasta_path) {
-    std::ifstream in(fasta_path, std::ios::binary);
-    if (!in) throw IoError("cannot open FASTA file: " + fasta_path);
-    return build_index(in);
+    return index_fasta(read_file_bytes(fasta_path));
 }
 
 void save_index(const SequenceIndex& index, std::ostream& out) {
@@ -179,33 +164,63 @@ IndexedFastaReader::IndexedFastaReader(std::string fasta_path,
 }
 
 align::Sequence IndexedFastaReader::get(std::size_t i) const {
-    SWH_REQUIRE(i < index_.sequence_count, "sequence index out of range");
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) throw IoError("cannot open FASTA file: " + path_);
-    in.seekg(static_cast<std::streamoff>(index_.offsets[i]));
-    // Read from the record's header up to (not including) the next one.
-    std::ostringstream record;
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-        if (!first && !line.empty() && line.front() == '>') break;
-        record << line << '\n';
-        first = false;
-    }
-    std::istringstream record_in(record.str());
-    std::vector<align::Sequence> seqs = read_fasta(record_in, *alphabet_);
-    if (seqs.size() != 1)
-        throw ParseError("index pointed at a malformed record");
-    return std::move(seqs.front());
+    return std::move(slice(i, 1).front());
 }
 
 std::vector<align::Sequence> IndexedFastaReader::slice(
     std::size_t begin, std::size_t count) const {
-    SWH_REQUIRE(begin + count <= index_.sequence_count,
-                "slice out of range");
+    const std::uint64_t n = index_.sequence_count;
+    SWH_REQUIRE(begin <= n && count <= n - begin, "slice out of range");
     std::vector<align::Sequence> out;
+    if (count == 0) return out;
+    // One read from the first record's header to the next record's, or
+    // to EOF after the last record.
+    const std::uint64_t first = index_.offsets[begin];
+    const bool to_eof = begin + count == n;
+    const std::string bytes = read_file_bytes(
+        path_, first,
+        to_eof ? std::numeric_limits<std::uint64_t>::max()
+               : index_.offsets[begin + count]);
+    // The sidecar is untrusted input. Each header must sit at its indexed
+    // offset, exactly `count` records must parse, and each must have its
+    // indexed length; index lengths only size reservations, capped by the
+    // bytes read.
+    const auto stale = [this](std::size_t record, const char* what) {
+        return ParseError("index " + index_path_for(path_) + " is stale: " +
+                          what + " (record " + std::to_string(record) + ")");
+    };
+    const auto check_length = [&] {
+        const std::size_t record = begin + out.size() - 1;
+        if (out.back().size() != index_.lengths[record])
+            throw stale(record, "parsed length differs from indexed length");
+    };
     out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) out.push_back(get(begin + i));
+    scan_fasta(
+        bytes,
+        [&](const FastaHeader& h) {
+            const std::size_t k = out.size();
+            // A bounded range holds exactly `count` headers; past the last
+            // record, one more header is a record appended since indexing.
+            if (k == count) {
+                if (to_eof) return false;
+                throw stale(begin + k, "unindexed record inside the range");
+            }
+            if (first + h.pos != index_.offsets[begin + k])
+                throw stale(begin + k, "offset is not at its header");
+            if (k > 0) check_length();
+            out.push_back(align::Sequence{std::string(h.id),
+                                          std::string(h.description), {}});
+            out.back().residues.reserve(static_cast<std::size_t>(
+                std::min<std::uint64_t>(index_.lengths[begin + k],
+                                        bytes.size() - h.pos)));
+            return true;
+        },
+        [&](std::string_view line) {
+            append_residues(line, *alphabet_, out.back().residues);
+        });
+    if (out.size() != count)
+        throw stale(begin + out.size(), "record missing from the file");
+    check_length();
     return out;
 }
 

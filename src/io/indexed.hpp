@@ -24,8 +24,9 @@ struct SequenceIndex {
     bool empty() const { return sequence_count == 0; }
 };
 
-/// Scans a FASTA stream once and builds the index. Residue counts ignore
-/// whitespace; every line starting with '>' begins a new record.
+/// Scans a FASTA stream once, with read_fasta's scanner, and builds the
+/// index: each offset is the byte of a header's '>', each length the
+/// residues read_fasta parses for that record. Throws as read_fasta does.
 SequenceIndex build_index(std::istream& fasta);
 
 SequenceIndex build_index_file(const std::string& fasta_path);
@@ -39,9 +40,10 @@ SequenceIndex load_index_file(const std::string& path);
 /// Conventional sidecar path: "<fasta>.swhidx".
 std::string index_path_for(const std::string& fasta_path);
 
-/// Random-access reader over a FASTA file + its index. get(i) seeks
-/// directly to record i — the constant-time retrieval the paper's master
-/// needs when handing query subsets to slaves.
+/// Random-access reader over a FASTA file + its index. slice(b, c) reads
+/// records [b, b+c) in one positioned read of the file, from record b's
+/// header to record b+c's (or to EOF) — the constant-time retrieval the
+/// paper's master needs when handing query subsets to slaves.
 class IndexedFastaReader {
 public:
     /// Loads (or builds and saves, if missing/stale) the sidecar index.
@@ -54,10 +56,14 @@ public:
 
     const SequenceIndex& index() const { return index_; }
 
-    /// Reads record i (0-based). Throws on out-of-range.
+    /// Reads record i (0-based): slice(i, 1). Throws on out-of-range.
     align::Sequence get(std::size_t i) const;
 
-    /// Reads records [begin, begin+count).
+    /// Reads records [begin, begin+count), parsed as read_fasta parses
+    /// them. The sidecar is untrusted: throws ParseError unless each
+    /// header sits at its indexed offset, exactly `count` records parse
+    /// and each has its indexed length. Records appended to the file
+    /// after the last indexed one are not read.
     std::vector<align::Sequence> slice(std::size_t begin,
                                        std::size_t count) const;
 

@@ -51,6 +51,25 @@ TEST(Fasta, UnknownResiduesBecomeWildcard) {
     EXPECT_EQ(Alphabet::protein().decode(seqs[0].residues), "MXV");
 }
 
+TEST(Fasta, InteriorWhitespaceIsSkipped) {
+    // Spaces and tabs inside a sequence line are layout, not residues, as
+    // build_index counts them; other unknown characters stay wildcards.
+    std::istringstream in(">a\nMK VL\n>b\nG\tG\v3\n");
+    const auto seqs = read_fasta(in, Alphabet::protein());
+    ASSERT_EQ(seqs.size(), 2u);
+    EXPECT_EQ(Alphabet::protein().decode(seqs[0].residues), "MKVL");
+    EXPECT_EQ(Alphabet::protein().decode(seqs[1].residues), "GGX");
+}
+
+TEST(Fasta, IndentedHeaderStartsARecord) {
+    std::istringstream in(">a\nMK\n  >b  two words \nVL\n");
+    const auto seqs = read_fasta(in, Alphabet::protein());
+    ASSERT_EQ(seqs.size(), 2u);
+    EXPECT_EQ(seqs[1].id, "b");
+    EXPECT_EQ(seqs[1].description, "two words");
+    EXPECT_EQ(Alphabet::protein().decode(seqs[1].residues), "VL");
+}
+
 TEST(Fasta, LowercaseSequenceAccepted) {
     std::istringstream in(">s\nacgt\n");
     const auto seqs = read_fasta(in, Alphabet::dna());

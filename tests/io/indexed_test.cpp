@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "io/fasta.hpp"
 #include "util/error.hpp"
@@ -58,6 +61,30 @@ TEST(BuildIndex, CountsAndOffsets) {
     // ">alpha first\n" (13) + "MKVL\n" (5) + "AWHE\n" (5) = 23.
     EXPECT_EQ(idx.offsets[1], 23u);
     EXPECT_EQ(idx.lengths, (std::vector<std::uint64_t>{8, 2, 14}));
+}
+
+TEST(BuildIndex, LengthsSkipInteriorWhitespaceAsTheParserDoes) {
+    const char* text = ">a\nMK VL\n>b\nG\tG\n";
+    std::istringstream idx_in(text);
+    const SequenceIndex idx = build_index(idx_in);
+    std::istringstream seq_in(text);
+    const auto seqs = read_fasta(seq_in, Alphabet::protein());
+    ASSERT_EQ(seqs.size(), 2u);
+    EXPECT_EQ(idx.lengths, (std::vector<std::uint64_t>{4, 2}));
+    EXPECT_EQ(seqs[0].size(), 4u);
+    EXPECT_EQ(seqs[1].size(), 2u);
+}
+
+TEST(BuildIndex, IndentedHeaderOffsetIsItsAngleBracket) {
+    std::istringstream in(">a\nMK\n  >b\nVL\n");
+    const SequenceIndex idx = build_index(in);
+    EXPECT_EQ(idx.offsets, (std::vector<std::uint64_t>{0, 8}));
+    EXPECT_EQ(idx.lengths, (std::vector<std::uint64_t>{2, 2}));
+}
+
+TEST(BuildIndex, RejectsDataBeforeHeaderAsTheParserDoes) {
+    std::istringstream in("MKVL\n>seq\nAAAA\n");
+    EXPECT_THROW(build_index(in), ParseError);
 }
 
 TEST(BuildIndex, EmptyStream) {
@@ -242,6 +269,172 @@ TEST_F(TempDir, NoTrailingNewline) {
     EXPECT_EQ(reader.size(), 2u);
     EXPECT_EQ(Alphabet::protein().decode(reader.get(1).residues), "VL");
     EXPECT_EQ(reader.index().total_residues, 4u);
+}
+
+// ---- One scanner: slice, get and read_fasta_file agree ------------------
+
+namespace {
+
+void expect_same(const std::vector<align::Sequence>& got,
+                 const std::vector<align::Sequence>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << i;
+        EXPECT_EQ(got[i].description, want[i].description) << i;
+        EXPECT_EQ(got[i].residues, want[i].residues) << i;
+    }
+}
+
+/// slice(b, c) must equal get(b) ... get(b+c-1) and the same records of
+/// `expected` (read_fasta_file's parse) for every range.
+void expect_readers_agree(const IndexedFastaReader& reader,
+                          const std::vector<align::Sequence>& expected) {
+    ASSERT_EQ(reader.size(), expected.size());
+    for (std::size_t b = 0; b <= expected.size(); ++b) {
+        for (std::size_t c = 0; b + c <= expected.size(); ++c) {
+            const std::vector<align::Sequence> want(
+                expected.begin() + static_cast<std::ptrdiff_t>(b),
+                expected.begin() + static_cast<std::ptrdiff_t>(b + c));
+            std::vector<align::Sequence> one_by_one;
+            for (std::size_t i = b; i < b + c; ++i)
+                one_by_one.push_back(reader.get(i));
+            SCOPED_TRACE("slice(" + std::to_string(b) + ", " +
+                         std::to_string(c) + ")");
+            expect_same(reader.slice(b, c), want);
+            expect_same(one_by_one, want);
+        }
+    }
+}
+
+}  // namespace
+
+TEST_F(TempDir, ReadersAgreeOnFoldedCrlfBlankLowercaseNoTrailingNewline) {
+    const std::string path = write_fasta_file(
+        "db.fa",
+        ">a first one\r\nmkvl\r\nAWHE\r\n\r\n"
+        ">b\r\n\r\ngg\r\n\n"
+        ">c  padded  \nMK\nvl\nQN");
+    const auto expected = read_fasta_file(path, Alphabet::protein());
+    ASSERT_EQ(expected.size(), 3u);
+    EXPECT_EQ(expected[0].description, "first one");
+    EXPECT_EQ(Alphabet::protein().decode(expected[2].residues), "MKVLQN");
+    expect_readers_agree(IndexedFastaReader(path, Alphabet::protein()),
+                         expected);
+    // Again through the sidecar the first reader wrote.
+    expect_readers_agree(IndexedFastaReader(path, Alphabet::protein()),
+                         expected);
+}
+
+TEST_F(TempDir, ReadersAgreeOnIndentedHeader) {
+    const std::string path =
+        write_fasta_file("db.fa", ">a\nMK\n  >b desc\nVL\n\t>c\nGG\n");
+    const auto expected = read_fasta_file(path, Alphabet::protein());
+    ASSERT_EQ(expected.size(), 3u);
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_EQ(reader.index().offsets,
+              (std::vector<std::uint64_t>{0, 8, 20}));
+    expect_readers_agree(reader, expected);
+}
+
+TEST_F(TempDir, ReadersAgreeOnInteriorWhitespace) {
+    const std::string path =
+        write_fasta_file("db.fa", ">a\nMK VL\n>b\nG\tG\n");
+    const auto expected = read_fasta_file(path, Alphabet::protein());
+    EXPECT_EQ(Alphabet::protein().decode(expected[0].residues), "MKVL");
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_EQ(reader.index().lengths, (std::vector<std::uint64_t>{4, 2}));
+    expect_readers_agree(reader, expected);
+}
+
+TEST_F(TempDir, ReadFastaFileReadsAPipe) {
+    // A pipe has no size to seek by (`<(zcat db.fa.gz)`, say); the file
+    // read falls back to streaming it.
+    const std::string path = (dir_ / "pipe.fa").string();
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    std::thread writer([&path] {
+        std::ofstream out(path);
+        out << kFasta;
+    });
+    std::vector<align::Sequence> seqs;
+    EXPECT_NO_THROW(seqs = read_fasta_file(path, Alphabet::protein()));
+    writer.join();
+    std::istringstream in(kFasta);
+    expect_same(seqs, read_fasta(in, Alphabet::protein()));
+}
+
+TEST_F(TempDir, GrownFileStillReadsExactlyTheIndexedRecords) {
+    const std::string path = write_fasta_file("db.fa", kFasta);
+    const auto expected = read_fasta_file(path, Alphabet::protein());
+    { const IndexedFastaReader writes_sidecar(path, Alphabet::protein()); }
+    {
+        std::ofstream grow(path, std::ios::app);
+        grow << ">delta appended later\nWWWW\n";
+    }
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    ASSERT_EQ(reader.size(), 3u);  // the sidecar was loaded, not rebuilt
+    expect_readers_agree(reader, expected);
+}
+
+TEST_F(TempDir, OffsetMidRecordThrowsParseError) {
+    const std::string path = write_fasta_file("db.fa", kFasta);
+    {
+        // alpha and beta are indexed right; gamma's header is at 32, the
+        // index says 50 (inside its residues).
+        std::ofstream out(index_path_for(path), std::ios::binary);
+        out << raw_index(3, 14, 24, {0, 23, 50}, {8, 2, 14});
+    }
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_EQ(reader.get(0).id, "alpha");
+    EXPECT_THROW(reader.get(1), ParseError);  // gamma's header in range
+    EXPECT_THROW(reader.get(2), ParseError);  // starts mid-record
+    EXPECT_THROW(reader.slice(0, 3), ParseError);
+}
+
+TEST_F(TempDir, StaleLengthWithAlignedOffsetsThrowsParseError) {
+    const std::string path = write_fasta_file("db.fa", kFasta);
+    {
+        // Right offsets, consistent summary, wrong per-record lengths.
+        std::ofstream out(index_path_for(path), std::ios::binary);
+        out << raw_index(3, 14, 24, {0, 23, 32}, {7, 3, 14});
+    }
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_THROW(reader.get(0), ParseError);
+    EXPECT_THROW(reader.get(1), ParseError);
+    EXPECT_EQ(reader.get(2).id, "gamma");
+    EXPECT_THROW(reader.slice(0, 3), ParseError);
+}
+
+TEST_F(TempDir, IndexedRecordMissingFromTheFileThrowsParseError) {
+    // The file lost its last record but kept trailing blank lines, so the
+    // sidecar's last offset still lies inside it: two records parse where
+    // the index promises three.
+    const std::string path = write_fasta_file(
+        "db.fa", ">alpha first\nMKVL\nAWHE\n>beta\nGG\n\n\n\n");
+    {
+        std::ofstream out(index_path_for(path), std::ios::binary);
+        out << raw_index(3, 8, 10, {0, 23, 33}, {8, 2, 0});
+    }
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_EQ(reader.get(1).id, "beta");
+    EXPECT_THROW(reader.get(2), ParseError);
+    EXPECT_THROW(reader.slice(0, 3), ParseError);
+}
+
+TEST_F(TempDir, HugeIndexedLengthsAllocateNoMoreThanTheBytesRead) {
+    const std::string path = write_fasta_file("db.fa", kFasta);
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+    {
+        // 2^40 residues claimed per record: a reservation sized from the
+        // index alone would ask for terabytes before the length check.
+        std::ofstream out(index_path_for(path), std::ios::binary);
+        out << raw_index(3, kHuge, 3 * kHuge, {0, 23, 32},
+                         {kHuge, kHuge, kHuge});
+    }
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_EQ(reader.index().max_sequence_length, kHuge);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_THROW(reader.get(i), ParseError) << i;
+    EXPECT_THROW(reader.slice(0, 3), ParseError);
 }
 
 }  // namespace

@@ -109,11 +109,10 @@ TEST(RemoteChannel, PeerEofDrainsThenCloses) {
 // the process survives and the channel closes like a dead link.
 TEST(RemoteChannel, MalformedFramePoisonsConnection) {
     Pair p;
-    // A well-framed body (valid length prefix) whose tag is garbage.
-    std::vector<std::uint8_t> garbage(4);
-    const std::uint32_t len = 3;
-    std::memcpy(garbage.data(), &len, 4);
-    garbage.insert(garbage.end(), {wire::kWireVersion, 0xEE, 1});
+    // A well-framed body (little-endian length prefix 3) whose tag is
+    // garbage.
+    const std::vector<std::uint8_t> garbage = {3, 0, 0, 0, wire::kWireVersion,
+                                               0xEE, 1};
     ASSERT_TRUE(p.master->send_frame(garbage));
     EXPECT_FALSE(p.inbox.recv().has_value());
     EXPECT_TRUE(p.inbox.closed());
