@@ -86,9 +86,11 @@ TopKOutcome run_topk(const align::StripedAligner& aligner,
                      align::InterleavedCohorts cohorts, std::size_t k,
                      bool prefilter) {
     std::atomic<align::Score> tau{engines::TopK::kNoThreshold};
-    align::DatabaseScanner scanner(aligner, packed.view(),
-                                   align::DatabaseScanner::kDefaultChunk,
-                                   cohorts, prefilter ? &tau : nullptr);
+    align::DatabaseScanner scanner(
+        aligner, packed.view(), align::DatabaseScanner::kDefaultChunk,
+        cohorts,
+        prefilter ? align::ThresholdFeed{&tau, k}
+                  : align::ThresholdFeed{});
     engines::TopK collector(k);
     scanner.run_worker(
         scratch,

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -274,6 +275,20 @@ int main(int argc, char** argv) {
             generate_demo(args.get("queries"), args.get("database"));
             return 0;
         }
+        // The kernels, and the prefilter's bound, need non-negative
+        // penalties, and open + extend must fit a Score: reject others
+        // before any input is read.
+        constexpr long long kMaxGap =
+            std::numeric_limits<align::Score>::max() / 2;
+        for (const char* name : {"gap-open", "gap-extend"}) {
+            const long long penalty = args.get_int(name);
+            require_arg(penalty >= 0 && penalty <= kMaxGap,
+                        "--gap-open and --gap-extend must be non-negative "
+                        "(at most " + std::to_string(kMaxGap) + ")");
+        }
+        const align::GapPenalty gap{
+            static_cast<align::Score>(args.get_int("gap-open")),
+            static_cast<align::Score>(args.get_int("gap-extend"))};
 
         const align::Alphabet& aa = align::Alphabet::protein();
         const auto queries = io::read_fasta_file(args.get("queries"), aa);
@@ -293,9 +308,6 @@ int main(int argc, char** argv) {
             matrix = align::ScoreMatrix::from_ncbi_stream(
                 aa, min, args.get("matrix"));
         }
-        const align::GapPenalty gap{
-            static_cast<align::Score>(args.get_int("gap-open")),
-            static_cast<align::Score>(args.get_int("gap-extend"))};
 
         engines::EngineConfig config;
         config.matrix = &matrix;

@@ -14,6 +14,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "db/database.hpp"
 #include "engines/cpu_engine.hpp"
@@ -76,6 +77,20 @@ int main(int argc, char** argv) {
         if (!args.parse(argc, argv)) return 0;
         require_arg(args.get_int("port") > 0,
                     "--port is required (the master prints it)");
+        // The kernels, and the prefilter's bound, need non-negative
+        // penalties, and open + extend must fit a Score: reject others
+        // before any input is read.
+        constexpr long long kMaxGap =
+            std::numeric_limits<align::Score>::max() / 2;
+        for (const char* name : {"gap-open", "gap-extend"}) {
+            const long long penalty = args.get_int(name);
+            require_arg(penalty >= 0 && penalty <= kMaxGap,
+                        "--gap-open and --gap-extend must be non-negative "
+                        "(at most " + std::to_string(kMaxGap) + ")");
+        }
+        const align::GapPenalty gap{
+            static_cast<align::Score>(args.get_int("gap-open")),
+            static_cast<align::Score>(args.get_int("gap-extend"))};
 
         const align::Alphabet& aa = align::Alphabet::protein();
         const auto queries = io::read_fasta_file(args.get("queries"), aa);
@@ -92,9 +107,6 @@ int main(int argc, char** argv) {
             matrix = align::ScoreMatrix::from_ncbi_stream(
                 aa, min, args.get("matrix"));
         }
-        const align::GapPenalty gap{
-            static_cast<align::Score>(args.get_int("gap-open")),
-            static_cast<align::Score>(args.get_int("gap-extend"))};
 
         const std::string kind_name = args.get("kind");
         require_arg(kind_name == "sse" || kind_name == "gpu",

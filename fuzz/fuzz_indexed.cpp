@@ -1,4 +1,4 @@
-// libFuzzer harness for the SWHIDX1 binary index reader — the
+// libFuzzer harness for the SWHIDX2 binary index reader — the
 // header/offset-table parser behind IndexedFastaReader. A hostile
 // sidecar must yield ParseError, never an allocation blow-up or a
 // structurally inconsistent index.
@@ -29,6 +29,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         }
         if (total != idx.total_residues) __builtin_trap();
         if (longest != idx.max_sequence_length) __builtin_trap();
+        if (!idx.offsets.empty() && idx.offsets.back() >= idx.source_size)
+            __builtin_trap();
         std::ostringstream out;
         swh::io::save_index(idx, out);
     } catch (const swh::ParseError&) {

@@ -38,12 +38,13 @@ simd::IsaLevel DatabaseScanner::drain_isa(std::size_t lanes) const {
 DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
                                  PackedSubjects subjects, std::size_t chunk,
                                  InterleavedCohorts cohorts,
-                                 const std::atomic<Score>* threshold)
+                                 ThresholdFeed threshold)
     : aligner_(&aligner),
       subjects_(subjects),
       chunk_(chunk),
       cohorts_(cohorts),
-      threshold_(threshold) {
+      threshold_(threshold.tau),
+      top_k_(threshold.k) {
     SWH_REQUIRE(chunk_ >= 1, "scan chunk must be at least 1");
     SWH_REQUIRE(subjects_.count == 0 || subjects_.arena != nullptr,
                 "packed view has subjects but no arena");

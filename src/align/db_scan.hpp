@@ -13,11 +13,12 @@
 // tile bound and survive unless their cap rules them out, so the
 // surviving top-k is bit-identical to an exhaustive scan. Before the
 // threshold exists a cohort gets only a one-tile probe: lanes that
-// clip u8 in it ("hot", the homolog signal) go straight to the wide
-// exact drain, whose scores create the threshold, and the other lanes
-// are decided by resuming the sweep at the second tile once it exists
-// — at once, or from a worker-local park after the claims run out. See
-// DESIGN.md "Prefilter funnel" for the soundness argument.
+// clip u8 in it ("hot", the homolog signal) go to the wide exact drain,
+// whose scores create the threshold — held until the worker's settled
+// and held lanes reach k, so the drain that runs can seed it — and the
+// other lanes are decided by resuming the sweep at the second tile once
+// it exists: at once, or from a worker-local park after the claims run
+// out. See DESIGN.md "Prefilter funnel" for the soundness argument.
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch and the
@@ -98,6 +99,23 @@ SWH_HOT_PATH inline void interleave_subjects(const PackedSubjects& subjects,
     }
 }
 
+/// Pruning-threshold feed of the stage-1 prefilter. `tau`, when
+/// non-null, arms the prefilter (cohort mode only; inert otherwise):
+/// each cohort loads the current value — the caller keeps it at the
+/// running k-th best exact score, or any value <= 0 /
+/// engines::TopK::kNoThreshold while fewer than k hits exist — and
+/// prunes lanes whose gap-slack score bound falls strictly below it.
+/// The atomic must only ever increase and must outlive the scanner;
+/// monotonicity is what makes a stale read safe (a lower threshold
+/// only prunes less). `k` is that top-k size: while no threshold
+/// exists, a worker holds its hot lanes until its settled hits plus
+/// the held lanes reach k (see claim_cohorts). Any k yields the same
+/// top-k; only the number of drain passes depends on it.
+struct ThresholdFeed {
+    const std::atomic<Score>* tau = nullptr;
+    std::size_t k = 0;
+};
+
 /// Thread-safe scan orchestrator: workers claim work from a shared
 /// cursor (chunks of subjects, or whole cohorts when a lane-interleaved
 /// layout is attached) and run the funnel scan. One instance per
@@ -149,8 +167,8 @@ public:
         std::uint64_t cohorts_filtered = 0;
         std::uint64_t subjects_pruned = 0;
         /// Probe outcomes: lanes whose first-tile bound clipped u8 and
-        /// went straight to the wide drain, and cohorts parked with
-        /// undecided lanes until the worker's claims ran out.
+        /// went to the wide drain, and cohorts parked with undecided
+        /// lanes until the worker's claims ran out.
         std::uint64_t subjects_hot = 0;
         std::uint64_t cohorts_parked = 0;
         /// Lanes that survived stage 1 only because a tile's u8 bound
@@ -180,18 +198,11 @@ public:
     /// profile and the cohort width must match its u8 lane count; the
     /// per-cohort kernel choice is precomputed here.
     ///
-    /// `threshold`, when non-null, arms the stage-1 prefilter (cohort
-    /// mode only; inert otherwise): each cohort loads the current value
-    /// — the caller keeps it at the running k-th best exact score, or
-    /// any value <= 0 / engines::TopK::kNoThreshold while fewer than k
-    /// hits exist — and prunes lanes whose gap-slack score bound falls
-    /// strictly below it. The atomic must only ever increase and must
-    /// outlive the scanner; monotonicity is what makes a stale read
-    /// safe (a lower threshold only prunes less).
+    /// `threshold` arms the stage-1 prefilter (see ThresholdFeed).
     DatabaseScanner(const StripedAligner& aligner, PackedSubjects subjects,
                     std::size_t chunk = kDefaultChunk,
                     InterleavedCohorts cohorts = {},
-                    const std::atomic<Score>* threshold = nullptr);
+                    ThresholdFeed threshold = {});
 
     /// Claims work until the database is exhausted or `emit` asks to
     /// stop. `emit(db_index, length, score) -> bool` is called exactly
@@ -199,8 +210,9 @@ public:
     /// then for this worker's deferred overflow batch (drained after
     /// every claim when the prefilter is armed: the deferred lanes are
     /// the likely top scorers, and settling them early is what feeds
-    /// the pruning threshold while the scan is still young; a probe's
-    /// hot lanes are drained at once, and parked cohorts settle after
+    /// the pruning threshold while the scan is still young; before the
+    /// threshold exists, a probe's hot lanes are held until they can
+    /// seed it or the claims run out, and parked cohorts settle after
     /// the last claim); `db_index` is always the ORIGINAL database
     /// index regardless of scan order.
     /// `pruned(db_index, length) -> bool` is called exactly once per
@@ -393,12 +405,16 @@ private:
     /// live, stage 2 exact-scores the survivors on the cohort's route —
     /// inter-sequence for well-filled cohorts, per-subject striped for
     /// the low-fill rest. Until the threshold exists a claimed cohort is
-    /// only probed (probe_cohort): its hot lanes are drained at once, and
-    /// its other lanes are resumed from the second tile if that raised
-    /// the threshold, or parked. Parked cohorts settle after the last
-    /// claim, largest first-tile bound first: resumed once a threshold
-    /// exists, exact-scored while none does — on a no-hit query the
-    /// first one seeds it.
+    /// only probed (probe_cohort): its hot lanes join the deferred batch,
+    /// which is held until this worker's settled hits plus the held
+    /// lanes reach k — a drain of fewer cannot create the threshold, so
+    /// a family split across cohorts settles in one drain, not one per
+    /// cohort — and its other lanes are resumed from the second tile if
+    /// the threshold exists by then, or parked. When the claims run out
+    /// the held lanes drain whatever their count. Parked cohorts settle
+    /// after that, largest first-tile bound first: resumed once a
+    /// threshold exists, exact-scored while none does — on a no-hit
+    /// query the first one seeds it.
     template <class EmitFn, class PrunedFn>
     SWH_HOT_PATH bool claim_cohorts(ScanScratch& scratch, EmitFn&& emit,
                                     PrunedFn&& pruned,
@@ -463,14 +479,27 @@ private:
             }
             return settle(p.cohort, p.lanes, survive);
         };
-        // Claim-end work: with the prefilter armed the deferred lanes
-        // settle now instead of at end of run — the u8-overflowed lanes
-        // ARE the likely top scorers, and the threshold can only rise
-        // once their exact scores reach the caller.
-        const auto flush = [&] {
-            if (threshold_ == nullptr || overflow.empty()) return true;
-            return drain_overflow(overflow, scratch, colstate, repack, emit,
+        // Settles the deferred batch — u8-overflowed and hot lanes — in
+        // one drain pass.
+        const auto drain = [&] {
+            return overflow.empty() ||
+                   drain_overflow(overflow, scratch, colstate, repack, emit,
                                   t);
+        };
+        // Claim-time drain of an armed scan: the deferred lanes settle
+        // now instead of at end of run — they ARE the likely top scorers,
+        // and the threshold can only rise once their exact scores reach
+        // the caller. Before it exists they are held until they can
+        // create it: this worker's collector needs k hits.
+        const auto flush = [&] {
+            if (threshold_ == nullptr) return true;
+            const std::uint64_t settled =
+                t.settled8 + t.settled16 + t.settled32;
+            if (threshold_->load(std::memory_order_relaxed) <= 0 &&
+                settled + overflow.size() < top_k_) {
+                return true;
+            }
+            return drain();
         };
 
         while (keep) {
@@ -504,13 +533,12 @@ private:
                 if (hot != 0) {
                     for (std::uint64_t m = hot; m != 0; m &= m - 1) {
                         // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
-                        // deferred batch, bounded by the claim size.
+                        // held batch, under k plus one claim's lanes.
                         overflow.push_back(member_index(
                             d,
                             static_cast<std::uint32_t>(std::countr_zero(m))));
                     }
-                    keep = drain_overflow(overflow, scratch, colstate, repack,
-                                          emit, t);
+                    keep = flush();
                 }
                 if (!keep) break;
                 if (p.lanes == 0) {
@@ -526,6 +554,11 @@ private:
             }
             if (keep) keep = flush();
         }
+        // The claims ran out: the held lanes settle now, however few.
+        // Exhaustive scans arrive here with the whole run's deferred
+        // batch; the batched drain settles it, so run_worker's serial
+        // fallback only ever serves the packed claim_subjects path.
+        if (keep) keep = drain();
         // Parked walk: the cohorts whose first tile bounds highest are
         // the likeliest to raise the threshold, or on a no-hit query to
         // seed it; any order yields the same top-k.
@@ -536,15 +569,7 @@ private:
                   });
         for (std::size_t i = 0; i < parked.size() && keep; ++i) {
             keep = finish(parked[i]);
-            if (keep) keep = flush();
-        }
-        // Exhaustive scans arrive here with the whole run's deferred
-        // batch (armed scans drained theirs at every flush); the batched
-        // drain settles it, so run_worker's serial fallback only ever
-        // serves the packed claim_subjects path.
-        if (keep && !overflow.empty()) {
-            keep = drain_overflow(overflow, scratch, colstate, repack, emit,
-                                  t);
+            if (keep) keep = drain();
         }
         return keep;
     }
@@ -699,6 +724,8 @@ private:
     /// Pruning threshold feed (null = prefilter unarmed). Owned by the
     /// caller; its value must only ever increase.
     const std::atomic<Score>* const threshold_;
+    /// Hits a worker's collector needs before the threshold exists.
+    const std::size_t top_k_;
     /// Per-cohort exact-stage route, precomputed at construction from
     /// cohort fill: 1 = inter-sequence, 0 = striped per subject.
     /// Written only by the constructor.

@@ -161,6 +161,11 @@ StripedAligner::StripedAligner(std::vector<Code> query,
                                simd::IsaLevel isa)
     : query_(std::move(query)), matrix_(&matrix), gap_(gap), isa_(isa) {
     SWH_REQUIRE(simd::is_supported(isa), "requested ISA not supported");
+    // Every kernel's gap arithmetic, and the prefilter's soundness,
+    // assume non-negative penalties; the u8 kernels would wrap a
+    // negative one into a large charge.
+    SWH_REQUIRE(gap.open >= 0 && gap.extend >= 0,
+                "gap penalties must be non-negative");
     profile8_ = build_profile8(query_, matrix, lanes_u8(isa));
     profile16_ = build_profile16(query_, matrix, lanes_i16(isa));
     if (interseq_supported(matrix)) {

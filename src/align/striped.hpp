@@ -135,6 +135,8 @@ struct InterseqProfile;
 
 class StripedAligner {
 public:
+    /// Throws ContractError when `isa` is not supported or a gap
+    /// penalty is negative.
     StripedAligner(std::vector<Code> query, const ScoreMatrix& matrix,
                    GapPenalty gap,
                    simd::IsaLevel isa = simd::best_supported());

@@ -9,11 +9,14 @@
 #include "align/ungapped_kernels.hpp"
 #include "simd/simd.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace swh::align {
 
 Score sw_ungapped_scalar(std::span<const Code> a, std::span<const Code> b,
                          const ScoreMatrix& matrix, GapPenalty gap) {
+    SWH_REQUIRE(gap.open >= 0 && gap.extend >= 0,
+                "gap penalties must be non-negative");
     Score best = 0;
     if (a.empty() || b.empty()) return best;
     // Two rolling rows over a, swept once per residue of b (matching
@@ -23,13 +26,14 @@ Score sw_ungapped_scalar(std::span<const Code> a, std::span<const Code> b,
     // for row i.
     std::vector<Score> row(a.size(), 0);
     std::vector<Score> above(a.size(), 0);
+    const Score restart = gap.cost(1);  // open + extend: the cheapest gap run
     for (const Code cb : b) {
         Score diag = 0;    // T(i-1, j-1), 0 boundary at i = 0
         Score prefix = 0;  // max T over rows < i of THIS column
         for (std::size_t i = 0; i < a.size(); ++i) {
             const Score aOld = above[i];
             const Score h = std::max<Score>(
-                0, std::max(diag, aOld - gap.open) + matrix.at(a[i], cb));
+                0, std::max(diag, aOld - restart) + matrix.at(a[i], cb));
             diag = row[i];
             row[i] = h;
             above[i] = std::max(aOld, prefix);

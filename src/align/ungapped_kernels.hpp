@@ -13,8 +13,8 @@
 // in saturating unsigned arithmetic, and the overflow mask uses the
 // same conservative saturation bound as the striped u8 kernel — if any
 // add clipped, the running maximum itself sits at the clip point, so
-// the final check cannot miss it. The restart `subs(above, vOpen)`
-// clamps a negative charge at 0; that only ever substitutes the always-
+// the final check cannot miss it. The restart `subs(above, vRestart)`
+// clamps a negative result at 0; that only ever substitutes the always-
 // legal fresh start (H is clamped at 0 anyway), so the u8 and scalar
 // forms compute the identical function absent saturation.
 
@@ -45,11 +45,12 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
     const std::size_t m = hi - lo;
 
     const V vBias = V::splat(static_cast<std::uint8_t>(p.bias));
-    // An open penalty > 255 saturates the splat; the saturating subtract
-    // below then clamps the restart at 0, which only weakens (never
-    // breaks) the bound.
-    const V vOpen = V::splat(
-        static_cast<std::uint8_t>(std::min<Score>(gap.open, 255)));
+    // The restart charge is the cheapest gap run, open + extend (see
+    // align/ungapped.hpp). A charge > 255 saturates the splat; the
+    // saturating subtract below then clamps the restart at 0, which only
+    // weakens (never breaks) the bound.
+    const V vRestart = V::splat(
+        static_cast<std::uint8_t>(std::min<Score>(gap.cost(1), 255)));
     const std::size_t bytes = m * sizeof(V);
     const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
     V* __restrict h = static_cast<V*>(bufs.h_load);
@@ -68,10 +69,10 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
         for (std::size_t i = 0; i < m; ++i) {
             const V vAbove = above[i];
             // Restart from the best chain value strictly above this
-            // row in any earlier column, charged one gap open. vAbove
+            // row in any earlier column, charged one gap run. vAbove
             // still excludes this column's rows — same-column cells
             // cannot feed each other.
-            const V vIn = vmax(vDiag, subs(vAbove, vOpen));
+            const V vIn = vmax(vDiag, subs(vAbove, vRestart));
             const V vH =
                 subs(adds(vIn, lookup32(p.row(lo + i), dbv)), vBias);
             vDiag = h[i];  // this row's H of the previous column

@@ -72,12 +72,15 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     // Threshold feed for the scanner's ungapped prefilter: the running
     // k-th best exact score across all workers, raised monotonically
     // (CAS-max) as hits accumulate. A stale (lower) read only prunes
-    // less, so relaxed ordering is enough.
+    // less, so relaxed ordering is enough. top_k tells the scanner how
+    // many hits a worker needs before its k-th best exists.
     std::atomic<align::Score> tau{TopK::kNoThreshold};
-    align::DatabaseScanner scanner(aligner, packed.view(),
-                                   align::DatabaseScanner::kDefaultChunk,
-                                   cohorts,
-                                   config_.prefilter ? &tau : nullptr);
+    align::DatabaseScanner scanner(
+        aligner, packed.view(), align::DatabaseScanner::kDefaultChunk,
+        cohorts,
+        config_.prefilter
+            ? align::ThresholdFeed{&tau, config_.top_k}
+            : align::ThresholdFeed{});
     // Live τ exposition for the watch dashboard: resolved once here,
     // stored (one relaxed atomic) only when a worker actually raises
     // the threshold. Lags the true max by at most one racing raise —

@@ -1,9 +1,12 @@
 #include "io/indexed.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <system_error>
 
 #include "io/fasta_scan.hpp"
 #include "util/error.hpp"
@@ -12,7 +15,18 @@ namespace swh::io {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'W', 'H', 'I', 'D', 'X', '1', '\n'};
+constexpr char kMagic[8] = {'S', 'W', 'H', 'I', 'D', 'X', '2', '\n'};
+
+/// The modification time a sidecar records for its FASTA file.
+std::int64_t mtime_ns_of(const std::string& path) {
+    std::error_code ec;
+    const auto mtime = std::filesystem::last_write_time(path, ec);
+    if (ec) throw IoError("cannot stat FASTA file: " + path);
+    return static_cast<std::int64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            mtime.time_since_epoch())
+            .count());
+}
 
 void write_u64(std::ostream& out, std::uint64_t v) {
     unsigned char buf[8];
@@ -42,6 +56,7 @@ SequenceIndex index_fasta(std::string_view text) {
             idx.lengths.back() += residue_count(line);
         });
     idx.sequence_count = idx.offsets.size();
+    idx.source_size = text.size();
     for (const std::uint64_t len : idx.lengths) {
         idx.total_residues += len;
         idx.max_sequence_length = std::max(idx.max_sequence_length, len);
@@ -56,7 +71,12 @@ SequenceIndex build_index(std::istream& fasta) {
 }
 
 SequenceIndex build_index_file(const std::string& fasta_path) {
-    return index_fasta(read_file_bytes(fasta_path));
+    // Stamped before the read: a file written meanwhile then disagrees
+    // with its sidecar at the next open and is indexed again.
+    const std::int64_t mtime_ns = mtime_ns_of(fasta_path);
+    SequenceIndex idx = index_fasta(read_file_bytes(fasta_path));
+    idx.source_mtime_ns = mtime_ns;
+    return idx;
 }
 
 void save_index(const SequenceIndex& index, std::ostream& out) {
@@ -67,6 +87,8 @@ void save_index(const SequenceIndex& index, std::ostream& out) {
     write_u64(out, index.sequence_count);
     write_u64(out, index.max_sequence_length);
     write_u64(out, index.total_residues);
+    write_u64(out, index.source_size);
+    write_u64(out, static_cast<std::uint64_t>(index.source_mtime_ns));
     for (const std::uint64_t v : index.offsets) write_u64(out, v);
     for (const std::uint64_t v : index.lengths) write_u64(out, v);
 }
@@ -82,11 +104,13 @@ SequenceIndex load_index(std::istream& in) {
     char magic[sizeof kMagic];
     in.read(magic, sizeof magic);
     if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0)
-        throw ParseError("not a SWHIDX1 index stream");
+        throw ParseError("not a SWHIDX2 index stream");
     SequenceIndex idx;
     idx.sequence_count = read_u64(in);
     idx.max_sequence_length = read_u64(in);
     idx.total_residues = read_u64(in);
+    idx.source_size = read_u64(in);
+    idx.source_mtime_ns = static_cast<std::int64_t>(read_u64(in));
     // The header count is untrusted: never pre-size containers from it
     // (a corrupt count like 2^61 would demand a multi-exabyte
     // allocation before the truncation was ever noticed). Grow with the
@@ -115,6 +139,8 @@ SequenceIndex load_index(std::istream& in) {
         if (idx.offsets[i] <= idx.offsets[i - 1])
             throw ParseError("index offsets must be strictly increasing");
     }
+    if (!idx.offsets.empty() && idx.offsets.back() >= idx.source_size)
+        throw ParseError("index offsets must lie inside the indexed file");
     return idx;
 }
 
@@ -138,20 +164,19 @@ IndexedFastaReader::IndexedFastaReader(std::string fasta_path,
             index_ = load_index(probe);
             loaded = true;
         } catch (const ParseError&) {
-            // Corrupt/stale sidecar: rebuild below.
+            // Corrupt sidecar, or one of an older format: rebuild below.
         }
     }
-    if (loaded && !index_.offsets.empty()) {
-        // Staleness probe: every record offset must point inside the
-        // current FASTA file. Catches the FASTA shrinking or being
-        // replaced after the sidecar was written.
-        std::ifstream fasta(path_, std::ios::binary | std::ios::ate);
-        if (!fasta) throw IoError("cannot open FASTA file: " + path_);
-        const auto size = fasta.tellg();
-        if (size < 0 ||
-            index_.offsets.back() >= static_cast<std::uint64_t>(size)) {
-            loaded = false;  // rebuild from the flat file below
-        }
+    if (loaded) {
+        // A sidecar written for another version of the file — grown,
+        // shrunk, replaced or edited in place — is rebuilt. slice()'s
+        // per-record checks stay the backstop for a sidecar that lies
+        // about the stamp.
+        std::error_code ec;
+        const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+        if (ec) throw IoError("cannot stat FASTA file: " + path_);
+        loaded = index_.source_size == size &&
+                 index_.source_mtime_ns == mtime_ns_of(path_);
     }
     if (!loaded) {
         index_ = build_index_file(path_);

@@ -13,11 +13,17 @@ namespace swh::io {
 /// a flat FASTA file recording the total number of sequences, the length
 /// of the longest one, and the byte offset of each record's '>' header.
 /// With it, any query subset can be retrieved without scanning the flat
-/// file from the start.
+/// file from the start. The indexed file's size and modification time
+/// tell a sidecar written for another version of the file.
 struct SequenceIndex {
     std::uint64_t sequence_count = 0;
     std::uint64_t max_sequence_length = 0;
     std::uint64_t total_residues = 0;
+    /// Bytes indexed: every offset lies below it.
+    std::uint64_t source_size = 0;
+    /// The indexed file's modification time in nanoseconds since the
+    /// file clock's epoch, taken before it was read; 0 for a stream.
+    std::int64_t source_mtime_ns = 0;
     std::vector<std::uint64_t> offsets;       ///< byte offset of each '>'
     std::vector<std::uint64_t> lengths;       ///< residues per sequence
 
@@ -31,7 +37,11 @@ SequenceIndex build_index(std::istream& fasta);
 
 SequenceIndex build_index_file(const std::string& fasta_path);
 
-/// Binary serialisation (little-endian, magic "SWHIDX1\n").
+/// Binary serialisation (little-endian, magic "SWHIDX2\n"): the magic,
+/// sequence_count, max_sequence_length, total_residues, source_size,
+/// source_mtime_ns, then the offsets and the lengths. load_index throws
+/// ParseError on any other magic, a short stream, or fields that
+/// disagree with each other.
 void save_index(const SequenceIndex& index, std::ostream& out);
 void save_index_file(const SequenceIndex& index, const std::string& path);
 SequenceIndex load_index(std::istream& in);
@@ -46,7 +56,9 @@ std::string index_path_for(const std::string& fasta_path);
 /// paper's master needs when handing query subsets to slaves.
 class IndexedFastaReader {
 public:
-    /// Loads (or builds and saves, if missing/stale) the sidecar index.
+    /// Loads the sidecar index, or builds and saves it when it is
+    /// missing, unreadable, or records another size or modification
+    /// time than the FASTA file has now.
     IndexedFastaReader(std::string fasta_path,
                        const align::Alphabet& alphabet);
 

@@ -5,7 +5,8 @@
 // all-identical scores, ties exactly at the threshold, empty and tiny
 // databases, k larger than the database — plus concurrency tests with
 // cohort-mode claiming and a shared rising threshold, and one test per
-// path of the stage-1 probe (hot lanes, parking, the parked walk).
+// path of the stage-1 probe (hot lanes held until they can seed the
+// threshold, parking, the parked walk).
 //
 // The suite name starts with "DatabaseScanner" so the CI TSan job's
 // test filter picks it up alongside the plain scanner suite.
@@ -89,7 +90,7 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
     std::atomic<Score> tau{tau0};
     DatabaseScanner scanner(
         aligner, packed.view(), DatabaseScanner::kDefaultChunk,
-        packed.interleaved(lanes_u8(aligner.isa())).view(), &tau);
+        packed.interleaved(lanes_u8(aligner.isa())).view(), {&tau, k});
     engines::TopK topk(k);
     FunnelRun run;
     ScanScratch scratch;
@@ -621,6 +622,64 @@ TEST(DatabaseScannerFunnel, FamilySplitAcrossCohortsIsHotAndPrunesBackground) {
     }
 }
 
+TEST(DatabaseScannerFunnel, SplitFamilyOfAtLeastKDrainsInOnePass) {
+    // 6 members, k = 5: the first cohort claimed holds 3 of them, a
+    // later one the other 3. The first cohort's hot lanes cannot create
+    // tau on their own (3 < k), so they are held, and both cohorts'
+    // hot lanes settle in one i16 pass — one cliff group, since 6 lanes
+    // fit one i16 vector at every width. The top-k is the oracle's.
+    constexpr std::size_t kFamily = 6;
+    constexpr std::size_t kTopK = 5;
+    const db::ScanSample sample =
+        db::make_scan_sample(kFamily + 1, {300}, kFamily, 443);
+    const Sequence& q = sample.queries[0];
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        ASSERT_LE(kFamily, static_cast<std::size_t>(lanes_i16(isa)));
+        const SplitFamily split = split_family_database(
+            lanes_u8(isa), sample.database.sequences(), kFamily);
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, split.database, kTopK);
+        const FunnelRun run = funnel_topk(aligner, split.database, kTopK);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.stats.subjects_hot, kFamily) << label;
+        EXPECT_EQ(run.stats.escalations16, 1u) << label;
+        EXPECT_EQ(run.stats.settled16 + run.stats.settled32, kFamily)
+            << label;
+        EXPECT_EQ(run.stats.subjects_pruned, split.first_member) << label;
+    }
+}
+
+TEST(DatabaseScannerFunnel, FamilySmallerThanKDrainsOnceWhenClaimsRunOut) {
+    // 5 members, k = 10, split 3 + 2 across two cohorts: the hot lanes
+    // can never create tau, so they are held until the claims run out
+    // and then settle in one i16 pass, before the parked walk scores
+    // any background lane. The top-k is the oracle's.
+    constexpr std::size_t kFamily = 5;
+    constexpr std::size_t kTopK = 10;
+    const db::ScanSample sample =
+        db::make_scan_sample(kFamily + 1, {300}, kFamily, 443);
+    const Sequence& q = sample.queries[0];
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const std::string label = "isa=" + std::string(simd::to_string(isa));
+        const SplitFamily split = split_family_database(
+            lanes_u8(isa), sample.database.sequences(), kFamily);
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        const std::vector<core::Hit> want =
+            exhaustive_topk(aligner, split.database, kTopK);
+        const FunnelRun run = funnel_topk(aligner, split.database, kTopK);
+        expect_same_hits(run.hits, want, label);
+        EXPECT_EQ(run.stats.subjects_hot, kFamily) << label;
+        EXPECT_EQ(run.stats.escalations16, 1u) << label;
+        ASSERT_GE(run.settled.size(), kFamily) << label;
+        for (std::size_t i = 0; i < kFamily; ++i) {
+            EXPECT_GE(run.settled[i], split.first_member)
+                << label << ": background settled before the family";
+        }
+    }
+}
+
 TEST(DatabaseScannerFunnel, HotLanesAreDrainedBeforeAnyBackground) {
     // A planted family whose every member clips u8 in the probe tile,
     // longer than every background subject, so the layout puts it in
@@ -830,7 +889,7 @@ TEST(DatabaseScannerFunnel, ThresholdWithoutCohortsIsInert) {
     const db::PackedDatabase& packed = sample.database.packed();
     std::atomic<Score> tau{1000000};  // would prune everything if armed
     DatabaseScanner scanner(aligner, packed.view(),
-                            DatabaseScanner::kDefaultChunk, {}, &tau);
+                            DatabaseScanner::kDefaultChunk, {}, {&tau, 10});
     EXPECT_FALSE(scanner.prefilter_armed());
     engines::TopK topk(10);
     ScanScratch scratch;
@@ -864,7 +923,7 @@ TEST(DatabaseScannerFunnel, ConcurrentWorkersBitIdentical) {
         std::atomic<Score> tau{engines::TopK::kNoThreshold};
         DatabaseScanner scanner(
             aligner, packed.view(), /*chunk=*/64,
-            packed.interleaved(lanes_u8(aligner.isa())).view(), &tau);
+            packed.interleaved(lanes_u8(aligner.isa())).view(), {&tau, 10});
         constexpr int kWorkers = 4;
         std::vector<engines::TopK> collectors(kWorkers, engines::TopK(10));
         std::atomic<std::uint64_t> settled{0};

@@ -7,6 +7,7 @@
 #include "align/sw_scalar.hpp"
 #include "db/generator.hpp"
 #include "simd/simd.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace swh::align {
@@ -211,6 +212,18 @@ TEST(StripedAllIsas, AgreeWithEachOther) {
                 << "iter " << iter << " isa " << simd::to_string(levels[i]);
         }
     }
+}
+
+TEST_P(StripedIsaTest, AlignerRejectsNegativeGapPenalties) {
+    // The u8 kernels would wrap a negative penalty into a large charge,
+    // and the prefilter's bound is sound only for non-negative ones.
+    const simd::IsaLevel isa = GetParam();
+    const ScoreMatrix m = ScoreMatrix::blosum62();
+    const auto q = Alphabet::protein().encode("MKVLAWHE");
+    EXPECT_THROW(StripedAligner(q, m, GapPenalty{-3, 2}, isa), ContractError);
+    EXPECT_THROW(StripedAligner(q, m, GapPenalty{10, -1}, isa),
+                 ContractError);
+    EXPECT_NO_THROW(StripedAligner(q, m, GapPenalty{0, 0}, isa));
 }
 
 TEST(StripedProfile, LayoutMatchesDefinition) {

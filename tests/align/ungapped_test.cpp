@@ -18,6 +18,7 @@
 #include "align/striped.hpp"
 #include "align/sw_scalar.hpp"
 #include "db/generator.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace swh::align {
@@ -125,6 +126,170 @@ TEST(UngappedBound, TileSumDominatesGappedScore) {
             EXPECT_GE(sum, exact) << "rows=" << rows << " trial=" << trial;
         }
     }
+}
+
+/// Gap configurations of the soundness suite: free gaps, a free open
+/// or extension, the default, another common one, and an open charge
+/// that saturates the u8 kernels' restart splat.
+constexpr GapPenalty kGapConfigs[] = {{0, 0},  {1, 0},  {0, 1},
+                                      {10, 2}, {11, 1}, {300, 2}};
+
+/// A 120-residue query and 64 subjects against it, in turn: random
+/// ones, gapped homologs of the whole query (which clip u8), and gapped
+/// homologs of a 40-residue window of it (which stay inside u8).
+struct GapSuite {
+    std::vector<Code> query;
+    std::vector<std::vector<Code>> subjects;
+};
+
+GapSuite gap_suite() {
+    Rng rng(241);
+    GapSuite suite;
+    const align::Sequence q = db::random_protein(rng, 120, "q");
+    suite.query = q.residues;
+    align::Sequence window = q;
+    window.residues.assign(q.residues.begin() + 40, q.residues.begin() + 80);
+    db::MutationModel model;
+    model.substitution_rate = 0.10;
+    model.insertion_rate = 0.04;
+    model.deletion_rate = 0.04;
+    for (std::size_t i = 0; i < 64; ++i) {
+        switch (i % 3) {
+            case 0:
+                suite.subjects.push_back(
+                    db::random_protein(rng, 5 + rng.below(300), "r").residues);
+                break;
+            case 1:
+                suite.subjects.push_back(
+                    db::mutate(q, Alphabet::protein(), model, rng).residues);
+                break;
+            default:
+                suite.subjects.push_back(
+                    db::mutate(window, Alphabet::protein(), model, rng)
+                        .residues);
+        }
+    }
+    return suite;
+}
+
+TEST(UngappedBound, DominatesGotohAcrossGapConfigsOnEveryIsa) {
+    // The pruning inequality for every gap configuration, on random and
+    // on gapped homolog pairs: the scalar chain bound, which charges
+    // open + extend per restart, is >= the exact Gotoh score, and so is
+    // each ISA's u8 bound wherever it did not saturate.
+    const GapSuite suite = gap_suite();
+    const InterseqProfile prof = build_interseq_profile(suite.query, blosum());
+    for (const GapPenalty gap : kGapConfigs) {
+        const std::string config = std::to_string(gap.open) + "/" +
+                                   std::to_string(gap.extend);
+        std::vector<Score> exact;
+        for (const auto& s : suite.subjects) {
+            exact.push_back(sw_score_affine(suite.query, s, blosum(), gap));
+            EXPECT_GE(sw_ungapped_scalar(suite.query, s, blosum(), gap),
+                      exact.back())
+                << "gap " << config << " subject " << exact.size() - 1;
+        }
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const int W = lanes_u8(isa);
+            const std::vector<std::vector<Code>> lanes(
+                suite.subjects.begin(), suite.subjects.begin() + W);
+            std::size_t columns = 0;
+            for (const auto& s : lanes) columns = std::max(columns, s.size());
+            const std::vector<Code> cols = interleave(lanes, W, columns);
+            ScanScratch scratch;
+            std::uint8_t bound8[64];
+            const std::uint64_t sat = sw_ungapped_interseq_u8(
+                prof, cols.data(), columns, gap, isa, scratch, bound8);
+            for (int l = 0; l < W; ++l) {
+                if ((sat >> l) & 1) continue;
+                EXPECT_GE(static_cast<Score>(bound8[l]),
+                          exact[static_cast<std::size_t>(l)])
+                    << "gap " << config << " isa=" << simd::to_string(isa)
+                    << " lane=" << l;
+            }
+        }
+    }
+}
+
+TEST(UngappedKernels, U8EqualsScalarWhereUnsaturatedAcrossGapConfigs) {
+    // Every ISA's u8 kernel computes the scalar bound exactly wherever
+    // it does not saturate — the 300/2 configuration included, whose
+    // restart charge clips the u8 splat. The suite has lanes on both
+    // sides of the u8 range at every width.
+    const GapSuite suite = gap_suite();
+    const InterseqProfile prof = build_interseq_profile(suite.query, blosum());
+    for (const GapPenalty gap : kGapConfigs) {
+        const std::string config = std::to_string(gap.open) + "/" +
+                                   std::to_string(gap.extend);
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const int W = lanes_u8(isa);
+            const std::vector<std::vector<Code>> lanes(
+                suite.subjects.begin(), suite.subjects.begin() + W);
+            std::size_t columns = 0;
+            for (const auto& s : lanes) columns = std::max(columns, s.size());
+            const std::vector<Code> cols = interleave(lanes, W, columns);
+            ScanScratch scratch;
+            std::uint8_t bound8[64];
+            const std::uint64_t sat = sw_ungapped_interseq_u8(
+                prof, cols.data(), columns, gap, isa, scratch, bound8);
+            int checked = 0;
+            for (int l = 0; l < W; ++l) {
+                if ((sat >> l) & 1) continue;
+                ++checked;
+                EXPECT_EQ(static_cast<Score>(bound8[l]),
+                          sw_ungapped_scalar(
+                              suite.query,
+                              lanes[static_cast<std::size_t>(l)], blosum(),
+                              gap))
+                    << "gap " << config << " isa=" << simd::to_string(isa)
+                    << " lane=" << l;
+            }
+            EXPECT_GT(checked, 0) << config << " " << simd::to_string(isa);
+            EXPECT_NE(sat, 0u) << config << " " << simd::to_string(isa);
+        }
+    }
+}
+
+TEST(UngappedBound, OneRestartIsChargedOpenPlusExtend) {
+    // Query WWWWWWWWWWCCCCCCCCCC against WWWWWWWWWWGGGGGCCCCCCCCCC: the
+    // best chain aligns the W block, restarts once past the G insertion
+    // and aligns the C block, so the bound is exactly
+    // seg1 + seg2 - (open + extend) — not seg1 + seg2 - open. Every
+    // single-diagonal path scores less (W-W shifted onto G, or C-G).
+    const Alphabet& aa = Alphabet::protein();
+    const std::vector<Code> q = aa.encode("WWWWWWWWWWCCCCCCCCCC");
+    const std::vector<Code> s = aa.encode("WWWWWWWWWWGGGGGCCCCCCCCCC");
+    const Score seg1 = 10 * blosum().at(aa.encode('W'), aa.encode('W'));
+    const Score seg2 = 10 * blosum().at(aa.encode('C'), aa.encode('C'));
+    const InterseqProfile prof = build_interseq_profile(q, blosum());
+    for (const GapPenalty gap :
+         {GapPenalty{10, 2}, GapPenalty{11, 1}, GapPenalty{0, 0}}) {
+        const Score want = seg1 + seg2 - gap.cost(1);
+        const std::string config = std::to_string(gap.open) + "/" +
+                                   std::to_string(gap.extend);
+        EXPECT_EQ(sw_ungapped_scalar(q, s, blosum(), gap), want) << config;
+        EXPECT_LE(sw_score_affine(q, s, blosum(), gap), want) << config;
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const int W = lanes_u8(isa);
+            const std::vector<Code> cols = interleave({s}, W, s.size());
+            ScanScratch scratch;
+            std::uint8_t bound8[64];
+            EXPECT_EQ(sw_ungapped_interseq_u8(prof, cols.data(), s.size(),
+                                              gap, isa, scratch, bound8),
+                      0u)
+                << config << " " << simd::to_string(isa);
+            EXPECT_EQ(static_cast<Score>(bound8[0]), want)
+                << config << " " << simd::to_string(isa);
+        }
+    }
+}
+
+TEST(UngappedBound, RejectsNegativeGapPenalties) {
+    const std::vector<Code> q = Alphabet::protein().encode("MKVL");
+    EXPECT_THROW(sw_ungapped_scalar(q, q, blosum(), GapPenalty{-1, 2}),
+                 ContractError);
+    EXPECT_THROW(sw_ungapped_scalar(q, q, blosum(), GapPenalty{10, -2}),
+                 ContractError);
 }
 
 TEST(UngappedKernels, U8MatchesScalarAcrossIsaLevels) {

@@ -4,6 +4,7 @@
 
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -103,6 +104,8 @@ TEST(IndexSerde, RoundTrip) {
     EXPECT_EQ(back.sequence_count, idx.sequence_count);
     EXPECT_EQ(back.max_sequence_length, idx.max_sequence_length);
     EXPECT_EQ(back.total_residues, idx.total_residues);
+    EXPECT_EQ(back.source_size, std::string(kFasta).size());
+    EXPECT_EQ(back.source_mtime_ns, idx.source_mtime_ns);
     EXPECT_EQ(back.offsets, idx.offsets);
     EXPECT_EQ(back.lengths, idx.lengths);
 }
@@ -162,12 +165,17 @@ TEST_F(TempDir, IndexedReaderWritesSidecar) {
 namespace {
 
 /// Serialises a hand-built (possibly inconsistent) index without going
-/// through save_index, which validates its input.
+/// through save_index, which validates its input. The default size lies
+/// past every offset the tests use, so only the fields under test are
+/// wrong.
 std::string raw_index(std::uint64_t count, std::uint64_t maxlen,
                       std::uint64_t total,
                       const std::vector<std::uint64_t>& offsets,
-                      const std::vector<std::uint64_t>& lengths) {
-    std::string out("SWHIDX1\n");
+                      const std::vector<std::uint64_t>& lengths,
+                      std::uint64_t source_size = 1 << 20,
+                      std::int64_t source_mtime_ns = 0,
+                      const char* magic = "SWHIDX2\n") {
+    std::string out(magic);
     const auto put = [&out](std::uint64_t v) {
         for (int i = 0; i < 8; ++i)
             out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -175,9 +183,33 @@ std::string raw_index(std::uint64_t count, std::uint64_t maxlen,
     put(count);
     put(maxlen);
     put(total);
+    if (std::string(magic) == "SWHIDX2\n") {
+        put(source_size);
+        put(static_cast<std::uint64_t>(source_mtime_ns));
+    }
     for (const std::uint64_t v : offsets) put(v);
     for (const std::uint64_t v : lengths) put(v);
     return out;
+}
+
+std::int64_t mtime_ns(const std::string& path) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::filesystem::last_write_time(path).time_since_epoch())
+        .count();
+}
+
+/// Writes `fasta_path`'s sidecar from a hand-built index stamped with
+/// the file's current size and modification time: a sidecar that lies
+/// about its records but not about its file, so the reader loads it
+/// and only slice()'s per-record checks can catch it.
+void forge_sidecar(const std::string& fasta_path, std::uint64_t count,
+                   std::uint64_t maxlen, std::uint64_t total,
+                   const std::vector<std::uint64_t>& offsets,
+                   const std::vector<std::uint64_t>& lengths) {
+    std::ofstream out(index_path_for(fasta_path), std::ios::binary);
+    out << raw_index(count, maxlen, total, offsets, lengths,
+                     std::filesystem::file_size(fasta_path),
+                     mtime_ns(fasta_path));
 }
 
 }  // namespace
@@ -199,6 +231,23 @@ TEST(IndexSerde, RejectsSummaryDisagreeingWithLengths) {
     EXPECT_THROW(load_index(wrong_max), ParseError);
 }
 
+TEST(IndexSerde, RejectsOffsetsPastTheIndexedSize) {
+    // The last header cannot start at or past the end of the bytes
+    // indexed.
+    std::istringstream at_end(raw_index(2, 14, 22, {0, 23}, {8, 14}, 23));
+    EXPECT_THROW(load_index(at_end), ParseError);
+    std::istringstream inside(raw_index(2, 14, 22, {0, 23}, {8, 14}, 24));
+    EXPECT_NO_THROW(load_index(inside));
+}
+
+TEST(IndexSerde, RejectsTheUnstampedFormat) {
+    // A SWHIDX1 sidecar records no file size or time: it cannot tell a
+    // grown or edited file, so it is rejected, and the reader rebuilds.
+    std::istringstream old(
+        raw_index(2, 14, 22, {0, 23}, {8, 14}, 0, 0, "SWHIDX1\n"));
+    EXPECT_THROW(load_index(old), ParseError);
+}
+
 TEST(IndexSerde, RejectsNonIncreasingOffsets) {
     std::istringstream dup(raw_index(2, 14, 22, {23, 23}, {8, 14}));
     EXPECT_THROW(load_index(dup), ParseError);
@@ -206,14 +255,21 @@ TEST(IndexSerde, RejectsNonIncreasingOffsets) {
     EXPECT_THROW(load_index(back), ParseError);
 }
 
+TEST_F(TempDir, SidecarRecordsTheFileSizeAndTime) {
+    const std::string path = write_fasta_file("db.fa", kFasta);
+    { const IndexedFastaReader writes_sidecar(path, Alphabet::protein()); }
+    const SequenceIndex saved = load_index_file(index_path_for(path));
+    EXPECT_EQ(saved.source_size, std::filesystem::file_size(path));
+    EXPECT_EQ(saved.source_mtime_ns, mtime_ns(path));
+    EXPECT_EQ(saved.sequence_count, 3u);
+}
+
 TEST_F(TempDir, StaleSidecarPointingPastEofIsRebuilt) {
     const std::string path = write_fasta_file("db.fa", kFasta);
-    {
-        // A structurally valid index whose offsets belong to a larger,
-        // since-replaced FASTA: last record claimed at byte 10'000.
-        std::ofstream out(index_path_for(path), std::ios::binary);
-        out << raw_index(2, 5, 9, {0, 10'000}, {4, 5});
-    }
+    // Offsets of a larger FASTA (last record claimed at byte 10'000),
+    // stamped with this file's size and time: the loader rejects an
+    // offset past the size it records.
+    forge_sidecar(path, 2, 5, 9, {0, 10'000}, {4, 5});
     const IndexedFastaReader reader(path, Alphabet::protein());
     EXPECT_EQ(reader.size(), 3u);  // rebuilt from the flat file
     EXPECT_EQ(reader.get(2).id, "gamma");
@@ -221,12 +277,9 @@ TEST_F(TempDir, StaleSidecarPointingPastEofIsRebuilt) {
 
 TEST_F(TempDir, IndexPointingAtNonRecordThrowsParseError) {
     const std::string path = write_fasta_file("db.fa", kFasta);
-    {
-        // In-range offsets that land mid-record (byte 5 is inside
-        // alpha's header line, not at a '>').
-        std::ofstream out(index_path_for(path), std::ios::binary);
-        out << raw_index(2, 5, 9, {5, 30}, {4, 5});
-    }
+    // In-range offsets that land mid-record (byte 5 is inside alpha's
+    // header line, not at a '>').
+    forge_sidecar(path, 2, 5, 9, {5, 30}, {4, 5});
     const IndexedFastaReader reader(path, Alphabet::protein());
     EXPECT_THROW(reader.get(0), ParseError);
 }
@@ -363,26 +416,50 @@ TEST_F(TempDir, ReadFastaFileReadsAPipe) {
 }
 
 TEST_F(TempDir, GrownFileStillReadsExactlyTheIndexedRecords) {
+    // The sidecar records the size it indexed: a grown file is indexed
+    // again, and the appended record is read.
     const std::string path = write_fasta_file("db.fa", kFasta);
-    const auto expected = read_fasta_file(path, Alphabet::protein());
     { const IndexedFastaReader writes_sidecar(path, Alphabet::protein()); }
     {
         std::ofstream grow(path, std::ios::app);
         grow << ">delta appended later\nWWWW\n";
     }
+    const auto expected = read_fasta_file(path, Alphabet::protein());
+    ASSERT_EQ(expected.size(), 4u);
     const IndexedFastaReader reader(path, Alphabet::protein());
-    ASSERT_EQ(reader.size(), 3u);  // the sidecar was loaded, not rebuilt
+    ASSERT_EQ(reader.size(), 4u);
+    EXPECT_EQ(reader.index().source_size, std::filesystem::file_size(path));
+    expect_readers_agree(reader, expected);
+}
+
+TEST_F(TempDir, InPlaceEditWithAlignedOffsetsIsRebuilt) {
+    // Same size, same header offsets, other record lengths ("AWHE"
+    // becomes "AW E"). The edit's new modification time tells the
+    // sidecar is stale; it is set explicitly so a coarse file clock
+    // cannot hide it.
+    const std::string path = write_fasta_file("db.fa", kFasta);
+    { const IndexedFastaReader writes_sidecar(path, Alphabet::protein()); }
+    const auto written = std::filesystem::last_write_time(path);
+    std::string edited(kFasta);
+    edited.replace(edited.find("AWHE"), 4, "AW E");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << edited;
+    }
+    std::filesystem::last_write_time(path, written + std::chrono::seconds(1));
+    const auto expected = read_fasta_file(path, Alphabet::protein());
+    EXPECT_EQ(Alphabet::protein().decode(expected[0].residues), "MKVLAWE");
+    const IndexedFastaReader reader(path, Alphabet::protein());
+    EXPECT_EQ(reader.index().lengths, (std::vector<std::uint64_t>{7, 2, 14}));
+    EXPECT_EQ(reader.index().source_mtime_ns, mtime_ns(path));
     expect_readers_agree(reader, expected);
 }
 
 TEST_F(TempDir, OffsetMidRecordThrowsParseError) {
     const std::string path = write_fasta_file("db.fa", kFasta);
-    {
-        // alpha and beta are indexed right; gamma's header is at 32, the
-        // index says 50 (inside its residues).
-        std::ofstream out(index_path_for(path), std::ios::binary);
-        out << raw_index(3, 14, 24, {0, 23, 50}, {8, 2, 14});
-    }
+    // alpha and beta are indexed right; gamma's header is at 32, the
+    // index says 50 (inside its residues).
+    forge_sidecar(path, 3, 14, 24, {0, 23, 50}, {8, 2, 14});
     const IndexedFastaReader reader(path, Alphabet::protein());
     EXPECT_EQ(reader.get(0).id, "alpha");
     EXPECT_THROW(reader.get(1), ParseError);  // gamma's header in range
@@ -391,12 +468,11 @@ TEST_F(TempDir, OffsetMidRecordThrowsParseError) {
 }
 
 TEST_F(TempDir, StaleLengthWithAlignedOffsetsThrowsParseError) {
+    // Right offsets, consistent summary, wrong per-record lengths, and
+    // the file's own size and time: the stamp cannot tell this sidecar
+    // is wrong, so slice()'s length check must.
     const std::string path = write_fasta_file("db.fa", kFasta);
-    {
-        // Right offsets, consistent summary, wrong per-record lengths.
-        std::ofstream out(index_path_for(path), std::ios::binary);
-        out << raw_index(3, 14, 24, {0, 23, 32}, {7, 3, 14});
-    }
+    forge_sidecar(path, 3, 14, 24, {0, 23, 32}, {7, 3, 14});
     const IndexedFastaReader reader(path, Alphabet::protein());
     EXPECT_THROW(reader.get(0), ParseError);
     EXPECT_THROW(reader.get(1), ParseError);
@@ -410,10 +486,7 @@ TEST_F(TempDir, IndexedRecordMissingFromTheFileThrowsParseError) {
     // the index promises three.
     const std::string path = write_fasta_file(
         "db.fa", ">alpha first\nMKVL\nAWHE\n>beta\nGG\n\n\n\n");
-    {
-        std::ofstream out(index_path_for(path), std::ios::binary);
-        out << raw_index(3, 8, 10, {0, 23, 33}, {8, 2, 0});
-    }
+    forge_sidecar(path, 3, 8, 10, {0, 23, 33}, {8, 2, 0});
     const IndexedFastaReader reader(path, Alphabet::protein());
     EXPECT_EQ(reader.get(1).id, "beta");
     EXPECT_THROW(reader.get(2), ParseError);
@@ -423,13 +496,10 @@ TEST_F(TempDir, IndexedRecordMissingFromTheFileThrowsParseError) {
 TEST_F(TempDir, HugeIndexedLengthsAllocateNoMoreThanTheBytesRead) {
     const std::string path = write_fasta_file("db.fa", kFasta);
     constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
-    {
-        // 2^40 residues claimed per record: a reservation sized from the
-        // index alone would ask for terabytes before the length check.
-        std::ofstream out(index_path_for(path), std::ios::binary);
-        out << raw_index(3, kHuge, 3 * kHuge, {0, 23, 32},
-                         {kHuge, kHuge, kHuge});
-    }
+    // 2^40 residues claimed per record: a reservation sized from the
+    // index alone would ask for terabytes before the length check.
+    forge_sidecar(path, 3, kHuge, 3 * kHuge, {0, 23, 32},
+                  {kHuge, kHuge, kHuge});
     const IndexedFastaReader reader(path, Alphabet::protein());
     EXPECT_EQ(reader.index().max_sequence_length, kHuge);
     for (std::size_t i = 0; i < 3; ++i)
