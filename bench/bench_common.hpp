@@ -6,16 +6,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "db/presets.hpp"
 #include "engines/device_model.hpp"
-#include "obs/trace.hpp"
 #include "sim/platform.hpp"
 #include "sim/simulator.hpp"
-#include "util/error.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
 
@@ -65,23 +62,6 @@ inline sim::SimConfig paper_config(const db::DatabasePreset& preset,
 /// "123.4 / 5.67" cell style the paper's tables use (time / GCUPS).
 inline std::string time_gcups_cell(const sim::SimReport& r) {
     return format_double(r.makespan, 1) + " / " + format_double(r.gcups, 2);
-}
-
-/// Converts a simulator report into an obs::Trace on virtual timestamps
-/// (now a thin alias for sim::to_trace, which also accepts a master
-/// lane for balance auditing) — so a simulated run exports through the
-/// exact same Chrome-JSON/CSV/Gantt pipeline as a traced real run.
-inline obs::Trace sim_trace(const sim::SimReport& report,
-                            const std::vector<sim::PeModelSpec>& pes) {
-    return sim::to_trace(report, pes);
-}
-
-/// Writes a trace as Chrome trace-event JSON (ui.perfetto.dev).
-inline void write_chrome_trace(const obs::Trace& trace,
-                               const std::string& path) {
-    std::ofstream os(path);
-    SWH_REQUIRE(static_cast<bool>(os), "cannot open trace output file");
-    obs::export_chrome_json(trace, os);
 }
 
 }  // namespace swh::bench

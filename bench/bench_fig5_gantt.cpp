@@ -2,11 +2,12 @@
 // cores, with and without the workload-adjustment mechanism. Expected:
 // 14 s with the mechanism (the GPU re-runs straggler t20), 18 s without.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "obs/balance.hpp"
-#include "obs/sched_log.hpp"
+#include "obs/trace.hpp"
 #include "util/args.hpp"
 
 using namespace swh;
@@ -50,36 +51,44 @@ int main(int argc, char** argv) {
     args.add_flag("balance",
                   "print the workload-balance audit for both runs "
                   "(per-PE busy/idle/comm, imbalance, critical path)");
-    if (!args.parse(argc, argv)) return 0;
+    try {
+        if (!args.parse(argc, argv)) return 0;
+        std::ofstream trace_file = open_output(args, "trace");
 
-    for (const bool adjust : {true, false}) {
-        sim::SimConfig cfg = figure5(adjust);
-        obs::SchedEventLog event_log;
-        if (args.get_flag("balance")) cfg.observer = &event_log;
-        const sim::SimReport r = sim::simulate(cfg);
-        std::cout << "Fig. 5" << (adjust ? "(a) WITH" : "(b) WITHOUT")
-                  << " the load adjustment mechanism — total "
-                  << format_double(r.makespan, 0) << " s (paper: "
-                  << (adjust ? 14 : 18) << " s)\n"
-                  << sim::render_gantt(r, cfg.pes, 0.5) << '\n';
-        if (args.get_flag("balance")) {
-            obs::BalanceOptions bopts;
-            bopts.horizon_s = r.all_idle_time;
-            for (const sim::PeReport& pe : r.pes) {
-                bopts.cells_by_label.emplace_back(
-                    pe.label, static_cast<double>(pe.cells));
+        for (const bool adjust : {true, false}) {
+            sim::SimConfig cfg = figure5(adjust);
+            const bool want_trace = adjust && trace_file.is_open();
+            obs::TraceRecorder recorder;
+            if (args.get_flag("balance") || want_trace) cfg.trace = &recorder;
+            const sim::SimReport r = sim::simulate(cfg);
+            std::cout << "Fig. 5" << (adjust ? "(a) WITH" : "(b) WITHOUT")
+                      << " the load adjustment mechanism — total "
+                      << format_double(r.makespan, 0) << " s (paper: "
+                      << (adjust ? 14 : 18) << " s)\n"
+                      << sim::render_gantt(r, cfg.pes, 0.5) << '\n';
+            if (cfg.trace == nullptr) continue;
+            const obs::Trace trace =
+                sim::to_trace(r, cfg.pes, recorder.drain());
+            if (args.get_flag("balance")) {
+                obs::require_complete(trace);
+                obs::BalanceOptions bopts;
+                bopts.horizon_s = r.all_idle_time;
+                for (const sim::PeReport& pe : r.pes) {
+                    bopts.cells_by_label.emplace_back(
+                        pe.label, static_cast<double>(pe.cells));
+                }
+                std::cout << obs::analyze_balance(trace, bopts).to_text()
+                          << '\n';
             }
-            std::cout << obs::analyze_balance(
-                             sim::to_trace(r, cfg.pes, event_log.take()),
-                             bopts)
-                             .to_text()
-                      << '\n';
+            if (want_trace) {
+                obs::export_chrome_json(trace, trace_file);
+                std::cout << "trace written to " << args.get("trace")
+                          << '\n';
+            }
         }
-        if (adjust && !args.get("trace").empty()) {
-            bench::write_chrome_trace(bench::sim_trace(r, cfg.pes),
-                                      args.get("trace"));
-            std::cout << "trace written to " << args.get("trace") << '\n';
-        }
+        return 0;
+    } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << '\n';
+        return 1;
     }
-    return 0;
 }

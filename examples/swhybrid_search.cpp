@@ -160,21 +160,6 @@ void generate_demo(const std::string& query_path,
               << '\n';
 }
 
-/// Opens the file an output option names, or leaves the stream closed
-/// when the option is unset. Throws IoError when the path cannot be
-/// written.
-std::ofstream open_output(const ArgParser& args, const std::string& option) {
-    std::ofstream out;
-    const std::string& path = args.get(option);
-    if (path.empty()) return out;
-    out.open(path);
-    if (!out) {
-        throw IoError("cannot open --" + option + " file for writing: " +
-                      path);
-    }
-    return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -330,12 +315,16 @@ int main(int argc, char** argv) {
         options.slave_link_stall_s = args.get_double("chan-stall");
 
         // Observability: a recorder when any trace-derived output was
-        // asked for (including the balance audit), a registry when any
-        // metrics consumer is on (file, Prometheus scrape, dashboard).
+        // asked for (including the balance audit and the PSS weight
+        // trajectories, read off the scheduler's "master" lane), a
+        // registry when any metrics consumer is on (file, Prometheus
+        // scrape, dashboard).
         const bool want_balance = args.get_flag("balance-report") ||
                                   !args.get("balance-json").empty();
+        const std::string weights_path = args.get("weights-out");
         const bool want_trace = !args.get("trace").empty() ||
-                                args.get_flag("gantt") || want_balance;
+                                args.get_flag("gantt") || want_balance ||
+                                !weights_path.empty();
         const bool want_watch = args.get_flag("watch");
         const bool want_prom = !args.get("prom").empty();
         const bool want_metrics =
@@ -347,11 +336,6 @@ int main(int argc, char** argv) {
         options.metrics = want_metrics ? &registry : nullptr;
         if (want_metrics) config.metrics = &registry;
 
-        // PSS weight trajectories ride the scheduler's observer slot.
-        obs::WeightLog weight_log;
-        const std::string weights_path = args.get("weights-out");
-        if (!weights_path.empty()) options.sched_observer = &weight_log;
-
         const std::string transport = args.get("transport");
         require_arg(transport == "inproc" || transport == "socket",
                     "--transport must be inproc or socket");
@@ -361,10 +345,6 @@ int main(int argc, char** argv) {
             require_arg(args.get("fault").empty(),
                         "--fault wraps in-process engines; pass --fault "
                         "to swhybrid_slave instead");
-            // RemoteMaster does not forward the scheduler observer, so
-            // the weight log would stay empty.
-            require_arg(weights_path.empty(),
-                        "--weights-out needs --transport=inproc");
         }
 
         // Open every output file before the search, so an unwritable
@@ -397,9 +377,9 @@ int main(int argc, char** argv) {
 
         std::vector<runtime::SlaveSpec> slaves;
         // PeIds are handed out in registration (spec / connection)
-        // order, so these double as the dashboard/weights row labels.
-        // Socket slaves announce their labels only in the Hello, so the
-        // live views use positional names there.
+        // order, so these double as the dashboard row labels. Socket
+        // slaves announce their labels only in the Hello, so the live
+        // views use positional names there.
         std::vector<std::string> slave_labels;
         if (socket_mode) {
             const long long expect = args.get_int("expect-slaves");
@@ -571,6 +551,7 @@ int main(int argc, char** argv) {
                 std::cout << "\n" << obs::render_trace_gantt(trace, step);
             }
             if (want_balance) {
+                obs::require_complete(trace);
                 obs::BalanceOptions bopt;
                 bopt.horizon_s = report.wall_seconds;
                 for (const runtime::SlaveReport& s : report.slaves) {
@@ -588,20 +569,21 @@ int main(int argc, char** argv) {
                               << args.get("balance-json") << '\n';
                 }
             }
-        }
-        if (weights_file.is_open()) {
-            const bool as_json =
-                weights_path.size() >= 5 &&
-                weights_path.compare(weights_path.size() - 5, 5, ".json") ==
-                    0;
-            if (as_json) {
-                weights_file << weight_log.to_json(slave_labels);
-            } else {
-                weight_log.export_csv(weights_file, slave_labels);
+            if (weights_file.is_open()) {
+                // The run report carries the labels socket slaves sent
+                // in their Hello.
+                std::vector<std::string> labels;
+                for (const runtime::SlaveReport& s : report.slaves) {
+                    labels.push_back(s.label);
+                }
+                const std::vector<obs::WeightSample> samples =
+                    obs::weight_samples(trace);
+                obs::write_weights(weights_file, weights_path, samples,
+                                   labels);
+                std::cout << samples.size()
+                          << " PSS weight samples written to "
+                          << weights_path << '\n';
             }
-            std::cout << weight_log.samples().size()
-                      << " PSS weight samples written to " << weights_path
-                      << '\n';
         }
         if (want_prom) {
             const std::string tmp = args.get("prom") + ".tmp";

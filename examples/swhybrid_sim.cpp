@@ -11,6 +11,7 @@
 #include "db/presets.hpp"
 #include "obs/balance.hpp"
 #include "obs/sched_log.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/args.hpp"
 #include "util/str.hpp"
@@ -110,19 +111,17 @@ int main(int argc, char** argv) {
                                     parse_int(parts[1], "--leave pe"))});
         }
 
-        // Balance auditing observes the scheduler exactly like the
-        // threaded runtime does, just on virtual time: a SchedEventLog
-        // for the master decision lane, a WeightLog for PSS estimate
-        // trajectories, both fanned into the simulator's observer slot.
+        // The balance audit and the PSS weight trajectories both read
+        // the scheduler's "master" lane, recorded in virtual time exactly
+        // as a traced real run records it. Outputs are opened first, so
+        // an unwritable path fails before the simulation runs.
         const bool want_balance = args.get_flag("balance-report") ||
                                   !args.get("balance-json").empty();
         const std::string weights_path = args.get("weights-out");
-        obs::SchedEventLog event_log;
-        obs::WeightLog weight_log;
-        obs::SchedFanout fanout;
-        if (want_balance) fanout.add(&event_log);
-        if (!weights_path.empty()) fanout.add(&weight_log);
-        if (!fanout.empty()) cfg.observer = &fanout;
+        std::ofstream balance_file = open_output(args, "balance-json");
+        std::ofstream weights_file = open_output(args, "weights-out");
+        obs::TraceRecorder recorder;
+        if (want_balance || weights_file.is_open()) cfg.trace = &recorder;
 
         const sim::SimReport r = sim::simulate(cfg);
         std::cout << preset.name << ": "
@@ -150,9 +149,10 @@ int main(int argc, char** argv) {
                       << sim::render_gantt(r, cfg.pes,
                                            r.makespan / 80.0);
         }
+        if (cfg.trace == nullptr) return 0;
+        const obs::Trace trace = sim::to_trace(r, cfg.pes, recorder.drain());
         if (want_balance) {
-            const obs::Trace trace =
-                sim::to_trace(r, cfg.pes, event_log.take());
+            obs::require_complete(trace);
             obs::BalanceOptions bopts;
             bopts.horizon_s = r.all_idle_time;
             for (const sim::PeReport& pe : r.pes) {
@@ -164,35 +164,22 @@ int main(int argc, char** argv) {
             if (args.get_flag("balance-report")) {
                 std::cout << '\n' << balance.to_text();
             }
-            if (!args.get("balance-json").empty()) {
-                std::ofstream bf(args.get("balance-json"));
-                if (!bf) {
-                    throw IoError(
-                        "cannot open --balance-json file for writing");
-                }
-                bf << balance.to_json() << '\n';
+            if (balance_file.is_open()) {
+                balance_file << balance.to_json() << '\n';
                 std::cout << "balance report written to "
                           << args.get("balance-json") << '\n';
             }
         }
-        if (!weights_path.empty()) {
+        if (weights_file.is_open()) {
             std::vector<std::string> labels;
             for (const sim::PeModelSpec& pe : cfg.pes) {
                 labels.push_back(pe.label);
             }
-            std::ofstream wf(weights_path);
-            if (!wf) {
-                throw IoError("cannot open --weights-out file for writing");
-            }
-            if (weights_path.size() >= 5 &&
-                weights_path.rfind(".json") == weights_path.size() - 5) {
-                wf << weight_log.to_json() << '\n';
-            } else {
-                weight_log.export_csv(wf, labels);
-            }
-            std::cout << weight_log.samples().size()
-                      << " PSS weight samples written to " << weights_path
-                      << '\n';
+            const std::vector<obs::WeightSample> samples =
+                obs::weight_samples(trace);
+            obs::write_weights(weights_file, weights_path, samples, labels);
+            std::cout << samples.size() << " PSS weight samples written to "
+                      << weights_path << '\n';
         }
         return 0;
     } catch (const std::exception& e) {

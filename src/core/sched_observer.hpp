@@ -17,9 +17,10 @@ class SchedObserver {
 public:
     virtual ~SchedObserver() = default;
 
-    virtual void on_slave_registered(PeId pe, PeKind kind) {
+    virtual void on_slave_registered(PeId pe, PeKind kind, double now) {
         (void)pe;
         (void)kind;
+        (void)now;
     }
 
     virtual void on_slave_deregistered(PeId pe, double now) {

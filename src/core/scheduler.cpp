@@ -39,12 +39,12 @@ const SchedulerCore::Slave& SchedulerCore::slave(PeId pe) const {
     return it->second;
 }
 
-void SchedulerCore::register_slave(PeId pe, PeKind kind) {
+void SchedulerCore::register_slave(PeId pe, PeKind kind, double now) {
     const swh::LockGuard lock(mu_);
     SWH_CHECK(slaves_.find(pe) == slaves_.end(), "slave already registered");
     slaves_.emplace(pe,
                     Slave{kind, ProgressHistory(options_.omega), {}, 0.0});
-    if (observer_ != nullptr) observer_->on_slave_registered(pe, kind);
+    if (observer_ != nullptr) observer_->on_slave_registered(pe, kind, now);
     SWH_AUDIT_SWEEP(check_invariants_locked());
 }
 

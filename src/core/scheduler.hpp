@@ -67,7 +67,7 @@ public:
 
     // ---- Slave membership -------------------------------------------
 
-    void register_slave(PeId pe, PeKind kind) SWH_EXCLUDES(mu_);
+    void register_slave(PeId pe, PeKind kind, double now) SWH_EXCLUDES(mu_);
 
     /// Node leave (future-work extension): tasks the PE held alone go
     /// back to Ready; replicas elsewhere keep running.

@@ -92,7 +92,7 @@ BalanceReport analyze_balance(const Trace& trace,
     rep.dropped_events = trace.total_dropped();
 
     // Assignment timeline per (pe, task), from whichever lane carries
-    // the scheduler's decisions (the master lane / SchedEventLog).
+    // the scheduler's decisions (the master lane SchedTracer writes).
     std::map<std::pair<core::PeId, core::TaskId>, std::vector<double>>
         assigns;
     std::map<core::PeId, std::size_t> replicas_by_pe;

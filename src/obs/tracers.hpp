@@ -16,14 +16,19 @@
 namespace swh::obs {
 
 /// Records every SchedulerCore decision as trace events on the master's
-/// lane and folds the scheduling metrics (package size, replica count,
-/// rate-estimate relative error) into the registry. Single-threaded,
-/// like the scheduler it observes.
+/// lane, stamped with the `now` the scheduler was given (the run clock
+/// in both runtimes, virtual time in the simulator), and folds the
+/// scheduling metrics (package size, replica count, rate-estimate
+/// relative error) into the registry. The one record of the
+/// scheduler's decisions: the balance audit and the PSS weight
+/// trajectories (obs::weight_samples) read the drained lane.
+/// Single-threaded, like the scheduler it observes.
 class SchedTracer final : public core::SchedObserver {
 public:
     SchedTracer(TraceLane* lane, MetricsRegistry* metrics);
 
-    void on_slave_registered(core::PeId pe, core::PeKind kind) override;
+    void on_slave_registered(core::PeId pe, core::PeKind kind,
+                             double now) override;
     void on_slave_deregistered(core::PeId pe, double now) override;
     void on_package_sized(core::PeId pe, std::size_t tasks, bool replica,
                           double now) override;

@@ -44,8 +44,7 @@ struct RuntimeOptions {
     /// Optional metrics sink (task-duration histograms, scheduler
     /// counters, channel depth). Non-owning; null = off.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional extra scheduler-decision observer (e.g. an
-    /// obs::WeightLog recording PSS weight trajectories), fanned out
+    /// Optional extra scheduler-decision observer, fanned out
     /// alongside the built-in SchedTracer. Callbacks arrive on the
     /// master thread with the scheduler mutex held — the observer must
     /// not re-enter the scheduler. Non-owning; must outlive run().

@@ -79,7 +79,7 @@ void MasterProtocol::on_message(net::MasterMsg msg, double now, Out& out) {
         if (state_[from] == PeState::Unseen) {
             state_[from] = PeState::Active;
             last_heard_[from] = now;
-            sched_.register_slave(from, reg->kind);
+            sched_.register_slave(from, reg->kind, now);
         }
     } else if (std::holds_alternative<net::MsgWorkRequest>(msg)) {
         if (active) serve(from, now, out);
@@ -224,7 +224,7 @@ void MasterProtocol::declare_dead(PeId pe, double now, Out& out) {
         sched_.deregister_slave(pe, now);
     }
     if (master_lane_ != nullptr) {
-        master_lane_->emit(obs::EventKind::SlavePresumedDead, pe);
+        master_lane_->emit(now, obs::EventKind::SlavePresumedDead, pe);
     }
     if (presumed_dead_ != nullptr) presumed_dead_->add();
     // Abandoning the link is the cooperative kill signal: a stalled

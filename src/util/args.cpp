@@ -156,4 +156,16 @@ std::string ArgParser::help() const {
     return os.str();
 }
 
+std::ofstream open_output(const ArgParser& args, const std::string& option) {
+    std::ofstream out;
+    const std::string& path = args.get(option);
+    if (path.empty()) return out;
+    out.open(path);
+    if (!out) {
+        throw IoError("cannot open --" + option + " file for writing: " +
+                      path);
+    }
+    return out;
+}
+
 }  // namespace swh

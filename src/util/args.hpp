@@ -1,5 +1,6 @@
 #pragma once
 
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -68,5 +69,11 @@ private:
     std::map<std::string, Option> options_;
     std::vector<Positional> positionals_;
 };
+
+/// Opens the file the output option `option` names, or leaves the
+/// stream closed when the option is unset. Throws IoError when the path
+/// cannot be written, so a tool that opens its outputs first fails
+/// before any work.
+std::ofstream open_output(const ArgParser& args, const std::string& option);
 
 }  // namespace swh

@@ -17,6 +17,8 @@ public:
 
     double millis() const { return seconds() * 1e3; }
 
+    std::chrono::steady_clock::time_point start() const { return start_; }
+
 private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;

@@ -41,7 +41,7 @@ TEST(ReadyOrder, ReleasedTaskStillJumpsTheQueue) {
 TEST(ReadyOrder, SchedulerDefaultIsLargestFirst) {
     SchedulerCore sched(sized_tasks(), make_self_scheduling(),
                         SchedulerOptions{});
-    sched.register_slave(0, PeKind::Gpu);
+    sched.register_slave(0, PeKind::Gpu, 0.0);
     EXPECT_EQ(sched.on_work_request(0, 0.0), std::vector<TaskId>{1});
 }
 
@@ -50,7 +50,7 @@ TEST(ReadyOrder, SchedulerOptionFlowsThrough) {
     SchedulerOptions options;
     options.ready_order = ReadyOrder::FifoById;
     SchedulerCore sched(sized_tasks(), make_self_scheduling(), options);
-    sched.register_slave(0, PeKind::Gpu);
+    sched.register_slave(0, PeKind::Gpu, 0.0);
     EXPECT_EQ(sched.on_work_request(0, 0.0), std::vector<TaskId>{0});
 }
 

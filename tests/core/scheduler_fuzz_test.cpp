@@ -68,8 +68,8 @@ TEST_P(SchedulerFuzzTest, InvariantsHoldUnderRandomSchedules) {
     };
     std::map<PeId, SlaveMirror> slaves;
     for (PeId pe = 0; pe < fp.slaves; ++pe) {
-        sched.register_slave(pe,
-                             pe % 3 == 0 ? PeKind::Gpu : PeKind::SseCore);
+        sched.register_slave(pe, pe % 3 == 0 ? PeKind::Gpu : PeKind::SseCore,
+                             0.0);
         slaves[pe] = SlaveMirror{};
     }
     PeId next_pe = static_cast<PeId>(fp.slaves);
@@ -141,7 +141,7 @@ TEST_P(SchedulerFuzzTest, InvariantsHoldUnderRandomSchedules) {
             mirror.queue.clear();
         } else {
             // Join a fresh slave.
-            sched.register_slave(next_pe, PeKind::SseCore);
+            sched.register_slave(next_pe, PeKind::SseCore, now);
             slaves[next_pe] = SlaveMirror{};
             ++next_pe;
         }

@@ -25,8 +25,8 @@ SchedulerOptions opts(bool adjust = true) {
 
 TEST(Scheduler, FirstAllocationOneTaskPerSlave) {
     SchedulerCore s(equal_tasks(10), make_pss(), opts());
-    s.register_slave(0, PeKind::Gpu);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::Gpu, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     EXPECT_EQ(s.on_work_request(0, 0.0).size(), 1u);
     EXPECT_EQ(s.on_work_request(1, 0.0).size(), 1u);
     EXPECT_EQ(s.ready_count(), 8u);
@@ -34,8 +34,8 @@ TEST(Scheduler, FirstAllocationOneTaskPerSlave) {
 
 TEST(Scheduler, PssGrowsBatchWithObservedSpeed) {
     SchedulerCore s(equal_tasks(20), make_pss(), opts());
-    s.register_slave(0, PeKind::Gpu);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::Gpu, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     s.on_work_request(0, 0.0);
     s.on_work_request(1, 0.0);
     s.on_progress(0, 0.5, 6'000.0);  // GPU: 6000 cells/s
@@ -53,14 +53,14 @@ TEST(Scheduler, UnknownSlaveThrows) {
 
 TEST(Scheduler, DuplicateRegistrationThrows) {
     SchedulerCore s(equal_tasks(2), make_pss(), opts());
-    s.register_slave(0, PeKind::Gpu);
-    EXPECT_THROW(s.register_slave(0, PeKind::Gpu), ContractError);
+    s.register_slave(0, PeKind::Gpu, 0.0);
+    EXPECT_THROW(s.register_slave(0, PeKind::Gpu, 0.0), ContractError);
 }
 
 TEST(Scheduler, WorkloadAdjustReplicatesLastTask) {
     SchedulerCore s(equal_tasks(2), make_self_scheduling(), opts(true));
-    s.register_slave(0, PeKind::Gpu);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::Gpu, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     s.on_work_request(0, 0.0);  // task 0
     s.on_work_request(1, 0.0);  // task 1
     s.on_progress(0, 0.5, 6'000.0);
@@ -81,8 +81,8 @@ TEST(Scheduler, WorkloadAdjustReplicatesLastTask) {
 
 TEST(Scheduler, NoReplicationWhenDisabled) {
     SchedulerCore s(equal_tasks(2), make_self_scheduling(), opts(false));
-    s.register_slave(0, PeKind::Gpu);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::Gpu, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     s.on_work_request(0, 0.0);
     s.on_work_request(1, 0.0);
     s.on_task_complete(0, 0, 1.0);
@@ -92,7 +92,7 @@ TEST(Scheduler, NoReplicationWhenDisabled) {
 
 TEST(Scheduler, NeverReplicatesToCurrentExecutor) {
     SchedulerCore s(equal_tasks(1), make_self_scheduling(), opts(true));
-    s.register_slave(0, PeKind::Gpu);
+    s.register_slave(0, PeKind::Gpu, 0.0);
     s.on_work_request(0, 0.0);  // task 0 executing on 0
     // Same PE asking again must not receive its own task as a replica.
     EXPECT_TRUE(s.on_work_request(0, 0.5).empty());
@@ -103,9 +103,9 @@ TEST(Scheduler, ReplicatesTaskWithLatestExpectedCompletion) {
     // replication target.
     SchedulerCore s(equal_tasks(2, 10'000), make_self_scheduling(),
                     opts(true));
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::SseCore);
-    s.register_slave(2, PeKind::Gpu);
+    s.register_slave(0, PeKind::SseCore, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
+    s.register_slave(2, PeKind::Gpu, 0.0);
     s.on_work_request(0, 0.0);  // task 0
     s.on_work_request(1, 0.0);  // task 1
     s.on_progress(0, 0.5, 10'000.0);  // finishes ~t=1
@@ -119,9 +119,9 @@ TEST(Scheduler, ReplicateOnlyIfFasterGate) {
     SchedulerOptions o = opts(true);
     o.replicate_only_if_faster = true;
     SchedulerCore s(equal_tasks(2, 10'000), make_self_scheduling(), o);
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::SseCore);
-    s.register_slave(2, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
+    s.register_slave(2, PeKind::SseCore, 0.0);
     s.on_work_request(0, 0.0);
     s.on_work_request(1, 0.0);
     s.on_progress(0, 0.5, 1'000.0);
@@ -135,8 +135,8 @@ TEST(Scheduler, ReplicateOnlyIfFasterGate) {
 TEST(Scheduler, DeregisterReturnsTasksToReady) {
     SchedulerCore s(equal_tasks(3), make_chunked_self_scheduling(3),
                     opts(true));
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     EXPECT_EQ(s.on_work_request(0, 0.0).size(), 3u);
     s.deregister_slave(0, 1.0);
     EXPECT_EQ(s.ready_count(), 3u);
@@ -149,8 +149,8 @@ TEST(Scheduler, FixedPolicyStarvationValve) {
     // Fixed hands everything out in round one; if tasks come back (node
     // leave) a later request must still obtain them.
     SchedulerCore s(equal_tasks(4), make_fixed(), opts(false));
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     EXPECT_EQ(s.on_work_request(0, 0.0).size(), 2u);
     EXPECT_EQ(s.on_work_request(1, 0.0).size(), 2u);
     s.deregister_slave(0, 1.0);  // its 2 tasks return to ready
@@ -164,7 +164,7 @@ TEST(Scheduler, FixedPolicyStarvationValve) {
 TEST(Scheduler, QueueTracking) {
     SchedulerCore s(equal_tasks(5), make_chunked_self_scheduling(3),
                     opts(true));
-    s.register_slave(0, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
     const auto batch = s.on_work_request(0, 0.0);
     EXPECT_EQ(s.queue_of(0), batch);
     s.on_task_complete(0, batch[0], 1.0);
@@ -173,7 +173,7 @@ TEST(Scheduler, QueueTracking) {
 
 TEST(Scheduler, RateEstimateReflectsHistory) {
     SchedulerCore s(equal_tasks(2), make_pss(), opts());
-    s.register_slave(0, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
     EXPECT_EQ(s.rate_estimate(0), 0.0);
     s.on_progress(0, 0.5, 2'000.0);
     EXPECT_DOUBLE_EQ(s.rate_estimate(0), 2'000.0);
@@ -186,8 +186,8 @@ TEST(Scheduler, RateEstimateReflectsHistory) {
 // decision sequence.
 TEST(Scheduler, PaperFigure5DecisionSequence) {
     SchedulerCore s(equal_tasks(20, 6'000), make_pss(), opts(true));
-    s.register_slave(0, PeKind::Gpu);       // 6000 cells/s
-    for (PeId pe = 1; pe <= 3; ++pe) s.register_slave(pe, PeKind::SseCore);
+    s.register_slave(0, PeKind::Gpu, 0.0);       // 6000 cells/s
+    for (PeId pe = 1; pe <= 3; ++pe) s.register_slave(pe, PeKind::SseCore, 0.0);
 
     // t=0: one task each.
     EXPECT_EQ(s.on_work_request(0, 0.0), std::vector<TaskId>{0});
@@ -237,7 +237,7 @@ TEST(Scheduler, PaperFigure5DecisionSequence) {
 
 TEST(Scheduler, FailedTaskWithRetryReturnsToReadyFront) {
     SchedulerCore s(equal_tasks(3), make_self_scheduling(), opts());
-    s.register_slave(0, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
     ASSERT_EQ(s.on_work_request(0, 0.0), std::vector<TaskId>{0});
 
     const auto out = s.on_task_failed(0, 0, 1.0, /*allow_retry=*/true);
@@ -253,7 +253,7 @@ TEST(Scheduler, FailedTaskWithRetryReturnsToReadyFront) {
 
 TEST(Scheduler, FailedTaskWithoutRetryIsAbandoned) {
     SchedulerCore s(equal_tasks(2), make_self_scheduling(), opts());
-    s.register_slave(0, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
     ASSERT_EQ(s.on_work_request(0, 0.0), std::vector<TaskId>{0});
 
     const auto out = s.on_task_failed(0, 0, 1.0, /*allow_retry=*/false);
@@ -271,8 +271,8 @@ TEST(Scheduler, FailedTaskWithoutRetryIsAbandoned) {
 
 TEST(Scheduler, AbandonWithLiveReplicaLetsTheReplicaWin) {
     SchedulerCore s(equal_tasks(1), make_self_scheduling(), opts(true));
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     ASSERT_EQ(s.on_work_request(0, 0.0), std::vector<TaskId>{0});
     s.on_progress(0, 0.5, 1'000.0);
     s.on_progress(1, 0.5, 1'000.0);
@@ -291,8 +291,8 @@ TEST(Scheduler, AbandonWithLiveReplicaLetsTheReplicaWin) {
 
 TEST(Scheduler, StaleFailureReportsAreIgnored) {
     SchedulerCore s(equal_tasks(2), make_self_scheduling(), opts());
-    s.register_slave(0, PeKind::SseCore);
-    s.register_slave(1, PeKind::SseCore);
+    s.register_slave(0, PeKind::SseCore, 0.0);
+    s.register_slave(1, PeKind::SseCore, 0.0);
     ASSERT_EQ(s.on_work_request(0, 0.0), std::vector<TaskId>{0});
 
     // Not the executor / not executing / unregistered: all stale no-ops.

@@ -130,8 +130,8 @@ obs::BalanceReport des_balance() {
         slow.peak_gcups = kSlowGcups;
         cfg.pes.push_back(slow);
     }
-    obs::SchedEventLog log;
-    cfg.observer = &log;
+    obs::TraceRecorder recorder;
+    cfg.trace = &recorder;
     const sim::SimReport r = sim::simulate(cfg);
 
     obs::BalanceOptions bopts;
@@ -140,7 +140,8 @@ obs::BalanceReport des_balance() {
         bopts.cells_by_label.emplace_back(pe.label,
                                           static_cast<double>(pe.cells));
     }
-    return obs::analyze_balance(sim::to_trace(r, cfg.pes, log.take()), bopts);
+    return obs::analyze_balance(sim::to_trace(r, cfg.pes, recorder.drain()),
+                                bopts);
 }
 
 TEST(BalanceCrosscheck, RuntimeAndSimulatorAgreeOnTheFig5Workload) {
@@ -186,15 +187,13 @@ TEST(BalanceCrosscheck, FullObservabilityStackDoesNotChangeTheHits) {
     HybridRuntime plain(database, queries, crosscheck_options());
     const RunReport base = plain.run(throttled_platform(), core::make_pss());
 
-    // Instrumented run: trace recorder, metrics registry (incl. engine
-    // counters), and a weight-trajectory observer all on.
+    // Instrumented run: trace recorder and metrics registry (incl.
+    // engine counters) both on.
     obs::TraceRecorder recorder;
     obs::MetricsRegistry metrics;
-    obs::WeightLog weights;
     RuntimeOptions options = crosscheck_options();
     options.trace = &recorder;
     options.metrics = &metrics;
-    options.sched_observer = &weights;
     HybridRuntime instrumented(database, queries, options);
     const RunReport traced =
         instrumented.run(throttled_platform(&metrics), core::make_pss());
@@ -209,9 +208,11 @@ TEST(BalanceCrosscheck, FullObservabilityStackDoesNotChangeTheHits) {
             EXPECT_EQ(base.hits[q][i].score, traced.hits[q][i].score);
         }
     }
-    // The instrumented run actually observed things.
-    EXPECT_FALSE(weights.empty());
-    EXPECT_GT(recorder.drain().total_events(), 0u);
+    // The instrumented run actually observed things, weight
+    // trajectories included.
+    const obs::Trace trace = recorder.drain();
+    EXPECT_GT(trace.total_events(), 0u);
+    EXPECT_FALSE(obs::weight_samples(trace).empty());
     EXPECT_EQ(traced.metrics.counter("obs.trace.dropped"), 0u);
 }
 

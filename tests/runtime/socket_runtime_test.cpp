@@ -23,6 +23,7 @@
 #include "net/frames.hpp"
 #include "net/stream.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sched_log.hpp"
 #include "obs/trace.hpp"
 #include "runtime/hybrid_runtime.hpp"
 #include "runtime/remote.hpp"
@@ -224,6 +225,38 @@ TEST(SocketRuntime, LoopbackMatchesInProcessAndReference) {
               queries.size());
     EXPECT_EQ(socket.metrics.counter("sched.completions_accepted"),
               queries.size());
+}
+
+// The PSS weight trajectories are read off the master lane, so a socket
+// run, whose master takes no extra scheduler observer, yields them too.
+TEST(SocketRuntime, TracedRunYieldsWeightSamplesForEveryPe) {
+    const db::Database database = test_db();
+    const auto queries = test_queries();
+    obs::TraceRecorder recorder;
+    RemoteMasterOptions mo;
+    mo.runtime.top_k = 3;
+    mo.runtime.notify_period_s = 0.005;
+    mo.runtime.trace = &recorder;
+    // About 20 ms per task, so both slaves are registered long before
+    // the work runs out.
+    const RemoteEngineFactory slow =
+        [](const net::wire::Welcome& welcome)
+        -> std::unique_ptr<engines::ComputeEngine> {
+        return std::make_unique<engines::ThrottledEngine>(
+            cpu_factory()(welcome), 0.005);
+    };
+    const RunReport report =
+        run_socket(database, queries, mo, {slow, slow});
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    std::vector<std::size_t> samples_by_pe(2, 0);
+    for (const obs::WeightSample& s :
+         obs::weight_samples(recorder.drain())) {
+        ASSERT_LT(s.pe, samples_by_pe.size());
+        ++samples_by_pe[s.pe];
+    }
+    EXPECT_GT(samples_by_pe[0], 0u);
+    EXPECT_GT(samples_by_pe[1], 0u);
 }
 
 // The PR-5 fault machinery over sockets: engine failures are retried,
