@@ -50,6 +50,16 @@ public:
         return out;
     }
 
+    /// Doubles the capacity, keeping every element in order.
+    void grow() {
+        std::vector<T> bigger;
+        bigger.reserve(buf_.size() * 2);
+        for (std::size_t i = 0; i < size_; ++i) bigger.push_back((*this)[i]);
+        bigger.resize(buf_.size() * 2);
+        buf_ = std::move(bigger);
+        head_ = 0;
+    }
+
     void clear() {
         head_ = 0;
         size_ = 0;

@@ -13,7 +13,9 @@
 #include "engines/cpu_engine.hpp"
 #include "engines/sim_gpu_engine.hpp"
 #include "engines/throttled_engine.hpp"
+#include "obs/sched_log.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace swh::runtime {
@@ -267,6 +269,51 @@ TEST(HybridRuntime, RunEndsAtLastAcceptedResult) {
     EXPECT_GE(report.slaves[0].tasks_cancelled, 1u);
     EXPECT_EQ(report.slaves[1].results_accepted, queries.size());
     EXPECT_LT(report.wall_seconds - last_accept_s(trace.drain()), 0.1);
+}
+
+TEST(HybridRuntime, MasterLaneOutlastsOverflowingSlaveRings) {
+    // Rings of 8 events: the slave span and channel lanes overflow, but
+    // the master lane grows, so the weight trajectories stay whole
+    // while the balance audit, which reads every lane, refuses.
+    const db::Database database = test_db();
+    const auto queries = test_queries();
+    obs::TraceRecorder trace(8);
+    RuntimeOptions options = fast_options();
+    options.trace = &trace;
+    HybridRuntime rt(database, queries, options);
+    std::vector<SlaveSpec> slaves;
+    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
+    slaves.push_back(SlaveSpec{"sse1", cpu_engine()});
+    const RunReport report = rt.run(std::move(slaves), core::make_pss());
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+
+    const obs::Trace drained = trace.drain();
+    std::size_t progress_events = 0;
+    std::uint64_t other_dropped = 0;
+    for (const obs::TraceLaneData& lane : drained.lanes) {
+        if (lane.label != "master") {
+            other_dropped += lane.dropped;
+            continue;
+        }
+        EXPECT_EQ(lane.dropped, 0u);
+        EXPECT_GT(lane.events.size(), 8u);
+        for (const obs::TraceEvent& e : lane.events) {
+            if (e.kind == obs::EventKind::Progress) ++progress_events;
+        }
+    }
+    ASSERT_GT(other_dropped, 0u);
+    EXPECT_GT(progress_events, 0u);
+    EXPECT_EQ(obs::weight_samples(drained).size(), progress_events);
+    try {
+        obs::require_complete(drained);
+        ADD_FAILURE() << "the audit read a truncated trace";
+    } catch (const IoError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "obs.trace.dropped " + std::to_string(other_dropped),
+                      0),
+                  0u)
+            << e.what();
+    }
 }
 
 /// Paces each task at `rate_cps`, then credits a quarter of its cells

@@ -45,6 +45,18 @@ TEST(RingBuffer, IndexOutOfRangeThrows) {
     EXPECT_THROW(RingBuffer<int>(2).newest(), ContractError);
 }
 
+TEST(RingBuffer, GrowKeepsOrderAcrossTheWrap) {
+    RingBuffer<int> rb(3);
+    for (int i = 0; i < 5; ++i) rb.push(i);  // wrapped: holds 2 3 4
+    rb.grow();
+    EXPECT_EQ(rb.capacity(), 6u);
+    EXPECT_FALSE(rb.full());
+    rb.push(5);
+    rb.push(6);
+    rb.push(7);
+    EXPECT_EQ(rb.to_vector(), (std::vector<int>{2, 3, 4, 5, 6, 7}));
+}
+
 TEST(RingBuffer, Clear) {
     RingBuffer<int> rb(2);
     rb.push(1);
