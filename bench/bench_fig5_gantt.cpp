@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
             const obs::Trace trace =
                 sim::to_trace(r, cfg.pes, recorder.drain());
             if (args.get_flag("balance")) {
-                obs::require_complete(trace);
+                obs::require_audit_complete(trace);
                 obs::BalanceOptions bopts;
                 bopts.horizon_s = r.all_idle_time;
                 for (const sim::PeReport& pe : r.pes) {

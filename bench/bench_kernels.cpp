@@ -1,13 +1,21 @@
 // google-benchmark microbenchmarks for the Smith-Waterman kernels on
 // THIS machine: scalar Gotoh oracle vs the striped 8-bit and 16-bit
-// kernels at every compiled ISA level. The `GCUPS` counter is the
-// figure of merit (the paper reports ~2-3 GCUPS per SSE core with the
-// adapted Farrar kernel).
+// kernels at every compiled ISA level, and the inter-sequence scan
+// kernels (stage-1 filter, u8 exact pass, i16 drain) on one cohort.
+// The `GCUPS` counter is the figure of merit of the striped kernels
+// (the paper reports ~2-3 GCUPS per SSE core with the adapted Farrar
+// kernel); `step` (seconds per query-row x subject-column vector step)
+// that of the inter-sequence ones, whose time is their vector-op count.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "align/interseq.hpp"
 #include "align/striped.hpp"
 #include "align/sw_scalar.hpp"
+#include "align/ungapped.hpp"
 #include "db/generator.hpp"
 #include "util/rng.hpp"
 
@@ -104,6 +112,93 @@ BENCHMARK(BM_StripedI16<simd::IsaLevel::AVX2>)->Arg(500)->Arg(2000);
 #endif
 #if defined(__AVX512BW__)
 BENCHMARK(BM_StripedI16<simd::IsaLevel::AVX512>)->Arg(500)->Arg(2000);
+#endif
+
+/// One lane-interleaved cohort of random subjects (lengths 250..350)
+/// for `lanes` lanes, plus its column count.
+struct BenchCohort {
+    std::vector<align::Code> cols;
+    std::size_t columns = 0;
+};
+
+BenchCohort random_cohort(int lanes) {
+    Rng rng(406);
+    std::vector<std::vector<align::Code>> subjects;
+    for (int l = 0; l < lanes; ++l) {
+        subjects.push_back(
+            db::random_protein(rng, 250 + rng.below(101), "s").residues);
+    }
+    BenchCohort c;
+    for (const auto& s : subjects) c.columns = std::max(c.columns, s.size());
+    c.cols.assign(c.columns * static_cast<std::size_t>(lanes),
+                  align::InterseqProfile::kPadCode);
+    for (std::size_t l = 0; l < subjects.size(); ++l) {
+        for (std::size_t j = 0; j < subjects[l].size(); ++j) {
+            c.cols[j * static_cast<std::size_t>(lanes) + l] = subjects[l][j];
+        }
+    }
+    return c;
+}
+
+void report_step(benchmark::State& state, std::size_t rows,
+                 std::size_t columns) {
+    state.counters["step"] = benchmark::Counter(
+        static_cast<double>(rows) * static_cast<double>(columns),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+enum class InterseqKernel { Filter, ExactU8, DrainI16 };
+
+/// One call of an inter-sequence kernel on a full cohort of the ISA's
+/// u8 width against a query of state.range(0) residues: the filter
+/// sweeps one prefilter tile (kFilterTileRows rows), the u8 exact pass
+/// and the i16 drain the whole query.
+template <InterseqKernel kKernel, simd::IsaLevel kIsa>
+void BM_Interseq(benchmark::State& state) {
+    if (!simd::is_supported(kIsa)) {
+        state.SkipWithError("ISA not supported");
+        return;
+    }
+    const auto q = fixed_query(static_cast<std::size_t>(state.range(0)));
+    const align::InterseqProfile prof =
+        align::build_interseq_profile(q, blosum());
+    const BenchCohort c = random_cohort(align::lanes_u8(kIsa));
+    align::ScanScratch scratch;
+    align::InterseqColumnState carry;
+    std::uint8_t best8[64];
+    std::int16_t best16[64];
+    std::size_t rows = q.size();
+    for (auto _ : state) {
+        if constexpr (kKernel == InterseqKernel::Filter) {
+            rows = std::min(q.size(), align::kFilterTileRows);
+            benchmark::DoNotOptimize(align::sw_ungapped_interseq_u8(
+                prof, c.cols.data(), c.columns, kGap, kIsa, scratch, best8,
+                0, rows));
+        } else if constexpr (kKernel == InterseqKernel::ExactU8) {
+            benchmark::DoNotOptimize(align::sw_interseq_u8_tiled(
+                prof, c.cols.data(), c.columns, kGap, kIsa, scratch, carry,
+                best8));
+        } else {
+            benchmark::DoNotOptimize(align::sw_interseq_i16_tiled(
+                prof, c.cols.data(), c.columns, kGap, kIsa, scratch, carry,
+                best16));
+        }
+    }
+    report_step(state, rows, c.columns);
+}
+#define SWH_BENCH_INTERSEQ(isa)                                            \
+    BENCHMARK(BM_Interseq<InterseqKernel::Filter, isa>)->Arg(512);         \
+    BENCHMARK(BM_Interseq<InterseqKernel::ExactU8, isa>)->Arg(512);        \
+    BENCHMARK(BM_Interseq<InterseqKernel::DrainI16, isa>)->Arg(512)->Arg(2000)
+#if defined(__SSE2__)
+SWH_BENCH_INTERSEQ(simd::IsaLevel::SSE2);
+#endif
+#if defined(__AVX2__)
+SWH_BENCH_INTERSEQ(simd::IsaLevel::AVX2);
+#endif
+#if defined(__AVX512BW__)
+SWH_BENCH_INTERSEQ(simd::IsaLevel::AVX512);
 #endif
 
 // Full database-search path (StripedAligner with escalation) — what one

@@ -551,7 +551,7 @@ int main(int argc, char** argv) {
                 std::cout << "\n" << obs::render_trace_gantt(trace, step);
             }
             if (want_balance) {
-                obs::require_complete(trace);
+                obs::require_audit_complete(trace);
                 obs::BalanceOptions bopt;
                 bopt.horizon_s = report.wall_seconds;
                 for (const runtime::SlaveReport& s : report.slaves) {

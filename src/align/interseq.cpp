@@ -1,6 +1,7 @@
 #include "align/interseq.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <new>
 
 #include "align/interseq_kernels.hpp"
@@ -40,9 +41,11 @@ InterseqColumnState::Arrays InterseqColumnState::arrays(
 
 bool interseq_supported(const ScoreMatrix& matrix) {
     // Residue codes plus the padding sentinel must fit the 32-entry
-    // lookup table, and the biased score range must fit u8 (the same
-    // bound build_profile8 enforces for the striped kernel).
+    // lookup table, the entries the int8 profile, and the biased score
+    // range u8 (the same bound build_profile8 enforces for the striped
+    // kernel, whose overflow flag the u8 kernels reproduce).
     return matrix.alphabet().size() <= InterseqProfile::kPadCode &&
+           matrix.min_score() >= INT8_MIN && matrix.max_score() <= INT8_MAX &&
            matrix.max_score() + matrix.bias() <= 255;
 }
 
@@ -56,25 +59,25 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
     p.symbols = matrix.alphabet().size();
     // Over-allocate one row and slide the base so every 32-byte LUT row
     // is naturally aligned (rows are reloaded once per cell).
-    p.data.assign((query.size() + 1) * InterseqProfile::kStride, 0);
+    p.data.assign((query.size() + 1) * InterseqProfile::kStride, INT8_MIN);
     const auto addr = reinterpret_cast<std::uintptr_t>(p.data.data());
     p.align_pad = (InterseqProfile::kStride - addr % InterseqProfile::kStride) %
                   InterseqProfile::kStride;
     p.row_cap_prefix.assign(query.size() + 1, 0);
     for (std::size_t i = 0; i < query.size(); ++i) {
-        std::uint8_t* row = p.data.data() + p.align_pad +
-                            i * InterseqProfile::kStride;
+        std::int8_t* row = p.data.data() + p.align_pad +
+                           i * InterseqProfile::kStride;
         Score row_cap = 0;
         for (Code a = 0; a < p.symbols; ++a) {
             const Score raw = matrix.at(query[i], a);
             p.max_raw = std::max(p.max_raw, raw);
-            row[a] = static_cast<std::uint8_t>(raw + p.bias);
+            row[a] = static_cast<std::int8_t>(raw);
             row_cap = std::max(row_cap, raw);
             p.col_cap[a] = std::max(
-                p.col_cap[a], static_cast<std::uint8_t>(std::max(raw, 0)));
+                p.col_cap[a], static_cast<std::int8_t>(std::max(raw, 0)));
         }
-        // Slots past the alphabet (including kPadCode) keep 0 = the
-        // most-penalising biased score, so padded lanes only decay.
+        // Slots past the alphabet (including kPadCode) keep -128, the
+        // most-penalising score, so padded lanes only decay.
         p.row_cap_prefix[i + 1] = p.row_cap_prefix[i] + row_cap;
     }
     return p;
@@ -87,7 +90,7 @@ std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    InterseqColumnState& state,
                                    std::uint8_t* lane_best) {
     return simd::dispatch(isa, [&]<class T>(T) {
-        return detail::interseq_u8_tiled<typename T::U8>(
+        return detail::interseq_u8_tiled<T>(
             profile, cols, columns, gap, scratch, state, lane_best);
     });
 }
@@ -99,7 +102,7 @@ std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
                                     InterseqColumnState& state,
                                     std::int16_t* lane_best) {
     return simd::dispatch(isa, [&]<class T>(T) {
-        return detail::interseq_i16_tiled<typename T::U8>(
+        return detail::interseq_i16_tiled<T>(
             profile, cols, columns, gap, scratch, state, lane_best);
     });
 }

@@ -22,13 +22,22 @@
 // column j) and the running F entering row r. E does not cross tiles —
 // it is per-row state, fully contained in a tile's own row array.
 //
-// Arithmetic is cell-for-cell identical to the striped kernels (same
-// saturating ops in the same order), and tiling only reorders cell
-// visits, so per-lane scores and overflow flags are bit-identical to
-// what striped_u8/i16 produce for the same subject — the property the
-// golden-equivalence suites pin down.
+// Arithmetic. The profile holds raw int8 scores, and the DP values sit
+// in signed lanes offset by the type's minimum (value - 128 in the 8-bit
+// kernel, value - 32768 in the 16-bit one), so the floor value — the
+// type's minimum — is score 0. A signed saturating add of a raw score
+// is then max(0, H + s) in one op, the local-alignment clamp included,
+// and a saturating subtract clamps gap runs at 0. The 8-bit values
+// reach 255 where the striped kernel's biased ones stop at 255 - bias,
+// and the 16-bit ones 65535; the reported maxima are clamped back to
+// the striped kernels' flag bounds (score + bias >= 255, score +
+// max_raw >= 32767). Below those bounds every value is exact in both,
+// and tiling only reorders cell visits, so per-lane scores and
+// overflow flags are the same as striped_u8/i16 produce for the same
+// subject — the property the golden-equivalence suites pin down.
 
 #include <algorithm>
+#include <cstdint>
 
 #include "align/interseq.hpp"
 #include "align/striped.hpp"
@@ -37,93 +46,152 @@
 
 namespace swh::align::detail {
 
-/// 8-bit kernel. V must model the u8 vector interface of
-/// simd/vec_scalar.hpp including lookup32/widen. Returns the overflow
-/// lane mask; lane_best[0..V::kLanes) receives per-lane maxima.
-template <class V>
-SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p, const Code* cols,
-                                std::size_t columns, GapPenalty gap,
-                                ScanScratch& scratch,
-                                InterseqColumnState& state,
-                                std::uint8_t* lane_best) {
-    constexpr int W = V::kLanes;
-    std::fill_n(lane_best, W, std::uint8_t{0});
-    const std::size_t m = p.query_len;
-    if (m == 0 || columns == 0) return 0;
+/// Floor values of the offset-signed kernels: score 0.
+constexpr std::int8_t kFloor8 = INT8_MIN;
+constexpr std::int16_t kFloor16 = INT16_MIN;
 
-    const auto open_ext =
-        static_cast<std::uint8_t>(std::min<Score>(gap.open + gap.extend, 255));
-    const auto ext =
-        static_cast<std::uint8_t>(std::min<Score>(gap.extend, 255));
-    const V vGapOE = V::splat(open_ext);
-    const V vGapE = V::splat(ext);
-    const V vBias = V::splat(static_cast<std::uint8_t>(p.bias));
+/// A gap charge c >= 0 on offset-signed int8 values, clamped at 0.
+/// A charge above 127 is no int8 operand, so it is split into two
+/// saturating steps that sum to min(c, 254): clamping at 0 twice is
+/// clamping once, and a lane below its flag bound holds values <= 254,
+/// from which a charge of 254 or more leaves 0 either way. `kSplit` is
+/// chosen once per kernel call (c > 127), never per cell.
+template <class S, bool kSplit>
+struct GapCharge8 {
+    S first;
+    S second;
+
+    static GapCharge8 of(Score c) {
+        const Score total = std::min<Score>(c, 254);
+        const Score head = std::min<Score>(total, 127);
+        return {S::splat(static_cast<std::int8_t>(head)),
+                S::splat(static_cast<std::int8_t>(total - head))};
+    }
+
+    S operator()(S x) const {
+        if constexpr (kSplit) {
+            return subs(subs(x, first), second);
+        } else {
+            return subs(x, first);
+        }
+    }
+};
+
+/// Stores the per-lane maxima of an offset-signed int8 vector as scores
+/// clamped to the striped u8 kernel's flag bound, 255 - bias, and
+/// returns the mask of the lanes that reached it (score + bias >= 255).
+template <class S>
+std::uint64_t report_u8(S vMax, Score bias, std::uint8_t* lane_best) {
+    std::int8_t raw[S::kLanes];
+    vMax.store(raw);
+    const Score cap = 255 - bias;
+    std::uint64_t overflow = 0;
+    for (int l = 0; l < S::kLanes; ++l) {
+        const Score score = std::min<Score>(raw[l] - kFloor8, cap);
+        lane_best[l] = static_cast<std::uint8_t>(score);
+        if (score + bias >= 255) overflow |= std::uint64_t{1} << l;
+    }
+    return overflow;
+}
+
+/// 8-bit kernel body: B is a simd::Backend; its U8 vectors carry the
+/// residue codes and its S8 vectors the DP values.
+template <class B, bool kSplit>
+SWH_HOT_PATH std::uint64_t interseq_u8_sweep(const InterseqProfile& p,
+                                             const Code* cols,
+                                             std::size_t columns,
+                                             GapPenalty gap,
+                                             ScanScratch& scratch,
+                                             InterseqColumnState& state,
+                                             std::uint8_t* lane_best) {
+    using U = typename B::U8;
+    using S = typename B::S8;
+    constexpr int W = S::kLanes;
+    const std::size_t m = p.query_len;
+    const auto chargeOE = GapCharge8<S, kSplit>::of(gap.open + gap.extend);
+    const auto chargeE = GapCharge8<S, kSplit>::of(gap.extend);
+    const S vFloor = S::splat(kFloor8);
 
     const std::size_t tiles = interseq_tile_count(m);
     const std::size_t rows = (m + tiles - 1) / tiles;
-    const std::size_t bytes = std::min(rows, m) * sizeof(V);
+    const std::size_t bytes = std::min(rows, m) * sizeof(S);
     const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
-    V* __restrict h = static_cast<V*>(bufs.h_load);
-    V* __restrict e = static_cast<V*>(bufs.e);
+    S* __restrict h = static_cast<S*>(bufs.h_load);
+    S* __restrict e = static_cast<S*>(bufs.e);
     const InterseqColumnState::Arrays carry =
-        state.arrays(columns * sizeof(V));
-    V* __restrict crow = static_cast<V*>(carry.h);
-    V* __restrict cf = static_cast<V*>(carry.f);
-    V vMax = V::zero();
+        state.arrays(columns * sizeof(S));
+    S* __restrict crow = static_cast<S*>(carry.h);
+    S* __restrict cf = static_cast<S*>(carry.f);
+    S vMax = vFloor;
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        std::fill_n(h, tm, V::zero());
-        std::fill_n(e, tm, V::zero());
+        std::fill_n(h, tm, vFloor);
+        std::fill_n(e, tm, vFloor);
         const bool first = r0 == 0;
         // H(r0-1, j-1): the diagonal feeding the tile's top row. Starts
         // at the 0 boundary column and then trails crow by one column.
-        V carryDiag = V::zero();
+        S carryDiag = vFloor;
         for (std::size_t j = 0; j < columns; ++j) {
-            const V dbv = V::load(cols + j * static_cast<std::size_t>(W));
-            V vF = first ? V::zero() : cf[j];
-            V vDiag = carryDiag;
-            carryDiag = first ? V::zero() : crow[j];
+            const U dbv = U::load(cols + j * static_cast<std::size_t>(W));
+            S vF = first ? vFloor : cf[j];
+            S vDiag = carryDiag;
+            carryDiag = first ? vFloor : crow[j];
             for (std::size_t i = 0; i < tm; ++i) {
-                V vH = subs(adds(vDiag, lookup32(p.row(r0 + i), dbv)), vBias);
+                S vH = adds(vDiag, lookup32(p.row(r0 + i), dbv));
                 vDiag = h[i];  // this row's H of the previous column
                 vH = vmax(vH, e[i]);
                 vH = vmax(vH, vF);
                 vMax = vmax(vMax, vH);
                 h[i] = vH;
-                const V vHgap = subs(vH, vGapOE);
-                e[i] = vmax(subs(e[i], vGapE), vHgap);
-                vF = vmax(subs(vF, vGapE), vHgap);
+                const S vHgap = chargeOE(vH);
+                e[i] = vmax(chargeE(e[i]), vHgap);
+                vF = vmax(chargeE(vF), vHgap);
             }
             crow[j] = h[tm - 1];
             cf[j] = vF;
         }
     }
+    return report_u8(vMax, p.bias, lane_best);
+}
 
-    vMax.store(lane_best);
-    std::uint64_t overflow = 0;
-    for (int l = 0; l < W; ++l) {
-        if (static_cast<Score>(lane_best[l]) + p.bias >= 255) {
-            overflow |= std::uint64_t{1} << l;
-        }
-    }
-    return overflow;
+/// 8-bit kernel. B is a simd::Backend. Returns the overflow lane mask;
+/// lane_best[0..B::U8::kLanes) receives per-lane maxima.
+template <class B>
+SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p,
+                                             const Code* cols,
+                                             std::size_t columns,
+                                             GapPenalty gap,
+                                             ScanScratch& scratch,
+                                             InterseqColumnState& state,
+                                             std::uint8_t* lane_best) {
+    std::fill_n(lane_best, B::U8::kLanes, std::uint8_t{0});
+    if (p.query_len == 0 || columns == 0) return 0;
+    return gap.open + gap.extend > 127
+               ? interseq_u8_sweep<B, true>(p, cols, columns, gap, scratch,
+                                            state, lane_best)
+               : interseq_u8_sweep<B, false>(p, cols, columns, gap, scratch,
+                                             state, lane_best);
 }
 
 /// 16-bit kernel over the same u8-width interleave: each residue
-/// vector's lo half is widened to one i16 vector, so the kernel scores
-/// lanes [0, W/2) and never reads lanes [W/2, W). Scores are looked up
-/// through the shared biased u8 table and un-biased exactly after
-/// widening. Returns the overflow mask of the scored lanes;
-/// lane_best[0..W/2) receives their maxima.
-template <class V>
-SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Code* cols,
-                                 std::size_t columns, GapPenalty gap,
-                                 ScanScratch& scratch,
-                                 InterseqColumnState& state,
-                                 std::int16_t* lane_best) {
-    constexpr int W = V::kLanes;
-    using VW = decltype(widen_lo(V::zero()));
+/// vector's looked-up int8 scores are sign-extended from the lo half to
+/// one i16 vector, so the kernel scores lanes [0, W/2) and never reads
+/// lanes [W/2, W). Returns the overflow mask of the scored lanes;
+/// lane_best[0..W/2) receives their maxima. A gap charge above 32767
+/// clips to it exactly: a lane below its flag bound holds values below
+/// 32767, from which either charge leaves 0.
+template <class B>
+SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p,
+                                              const Code* cols,
+                                              std::size_t columns,
+                                              GapPenalty gap,
+                                              ScanScratch& scratch,
+                                              InterseqColumnState& state,
+                                              std::int16_t* lane_best) {
+    using U = typename B::U8;
+    using VW = typename B::I16;
+    constexpr int W = U::kLanes;
     std::fill_n(lane_best, VW::kLanes, std::int16_t{0});
     const std::size_t m = p.query_len;
     if (m == 0 || columns == 0) return 0;
@@ -132,8 +200,7 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
         std::min<Score>(gap.open + gap.extend, 32767)));
     const VW vGapE =
         VW::splat(static_cast<std::int16_t>(std::min<Score>(gap.extend, 32767)));
-    const VW vBias = VW::splat(static_cast<std::int16_t>(p.bias));
-    const VW vZero = VW::zero();
+    const VW vFloor = VW::splat(kFloor16);
 
     const std::size_t tiles = interseq_tile_count(m);
     const std::size_t rows = (m + tiles - 1) / tiles;
@@ -145,29 +212,24 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
         state.arrays(columns * sizeof(VW));
     VW* __restrict crow = static_cast<VW*>(carry.h);
     VW* __restrict cf = static_cast<VW*>(carry.f);
-    VW vMax = VW::zero();
+    VW vMax = vFloor;
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        std::fill_n(h, tm, VW::zero());
-        std::fill_n(e, tm, VW::zero());
+        std::fill_n(h, tm, vFloor);
+        std::fill_n(e, tm, vFloor);
         const bool first = r0 == 0;
-        VW carryDiag = VW::zero();
+        VW carryDiag = vFloor;
         for (std::size_t j = 0; j < columns; ++j) {
-            const V dbv = V::load(cols + j * static_cast<std::size_t>(W));
-            VW vF = first ? VW::zero() : cf[j];
+            const U dbv = U::load(cols + j * static_cast<std::size_t>(W));
+            VW vF = first ? vFloor : cf[j];
             VW vDiag = carryDiag;
-            carryDiag = first ? VW::zero() : crow[j];
+            carryDiag = first ? vFloor : crow[j];
             for (std::size_t i = 0; i < tm; ++i) {
-                // Exact un-bias: widened entries are in [0, 255], so the
-                // subtraction cannot saturate and yields the raw score.
-                const VW s =
-                    subs(widen_lo(lookup32(p.row(r0 + i), dbv)), vBias);
-                VW vH = adds(vDiag, s);
+                VW vH = adds(vDiag, widen_lo(lookup32(p.row(r0 + i), dbv)));
                 vDiag = h[i];
                 vH = vmax(vH, e[i]);
                 vH = vmax(vH, vF);
-                vH = vmax(vH, vZero);  // local-alignment clamp
                 vMax = vmax(vMax, vH);
                 h[i] = vH;
                 const VW vHgap = subs(vH, vGapOE);
@@ -179,12 +241,13 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p, const Co
         }
     }
 
-    vMax.store(lane_best);
+    std::int16_t raw[VW::kLanes];
+    vMax.store(raw);
     std::uint64_t overflow = 0;
     for (int l = 0; l < VW::kLanes; ++l) {
-        if (static_cast<Score>(lane_best[l]) + p.max_raw >= 32767) {
-            overflow |= std::uint64_t{1} << l;
-        }
+        const Score score = std::min<Score>(raw[l] - kFloor16, 32767);
+        lane_best[l] = static_cast<std::int16_t>(score);
+        if (score + p.max_raw >= 32767) overflow |= std::uint64_t{1} << l;
     }
     return overflow;
 }

@@ -52,7 +52,7 @@ std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
                                       std::size_t row_begin,
                                       std::size_t row_end) {
     return simd::dispatch(isa, [&]<class T>(T) {
-        return detail::ungapped_interseq_u8<typename T::U8>(
+        return detail::ungapped_interseq_u8<T>(
             profile, cols, columns, gap, scratch, lane_best, row_begin,
             row_end);
     });
@@ -62,8 +62,7 @@ void sw_composition_cap(const InterseqProfile& profile, const Code* cols,
                         std::size_t columns, simd::IsaLevel isa,
                         Score* lane_cap) {
     simd::dispatch(isa, [&]<class T>(T) {
-        detail::composition_cap<typename T::U8>(profile, cols, columns,
-                                                lane_cap);
+        detail::composition_cap<T>(profile, cols, columns, lane_cap);
     });
 }
 

@@ -98,12 +98,12 @@ Score sw_ungapped_scalar(std::span<const Code> a, std::span<const Code> b,
 /// 8-bit gap-slack prefilter kernel over one cohort — same geometry and
 /// profile as sw_interseq_u8_tiled (align/interseq.hpp): `cols` points
 /// at `columns` column-major residue columns of `lanes_u8(isa)` lanes.
-/// Writes each lane's chain bound (unbiased) over query rows
-/// [row_begin, min(row_end, query_len)) to lane_best[0..lanes) and
-/// returns the saturating-overflow lane mask (bit l set = lane l may
-/// have saturated, `score + bias >= 255` — those lanes carry no
-/// trustworthy bound and must be treated as survivors). Residues must
-/// be pre-validated.
+/// Writes each lane's chain bound over query rows
+/// [row_begin, min(row_end, query_len)), clamped to 255 - bias, to
+/// lane_best[0..lanes) and returns the saturating-overflow lane mask
+/// (bit l set = lane l may have saturated, `score + bias >= 255` —
+/// those lanes carry no trustworthy bound and must be treated as
+/// survivors). Residues must be pre-validated.
 SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
                                       const Code* cols, std::size_t columns,
                                       GapPenalty gap, simd::IsaLevel isa,

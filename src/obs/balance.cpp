@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/error.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
 
@@ -79,6 +80,14 @@ double integrate_progress_cells(const TraceLaneData& lane,
     return any ? cells : 0.0;
 }
 
+std::uint64_t audited_dropped(const Trace& trace) {
+    std::uint64_t n = 0;
+    for (const TraceLaneData& lane : trace.lanes) {
+        if (!is_channel_lane(lane.label)) n += lane.dropped;
+    }
+    return n;
+}
+
 std::string pct(double num, double den) {
     return format_double(den > 0.0 ? 100.0 * num / den : 0.0, 1);
 }
@@ -88,8 +97,7 @@ std::string pct(double num, double den) {
 BalanceReport analyze_balance(const Trace& trace,
                               const BalanceOptions& options) {
     BalanceReport rep;
-    rep.events_analyzed = trace.total_events();
-    rep.dropped_events = trace.total_dropped();
+    rep.dropped_events = audited_dropped(trace);
 
     // Assignment timeline per (pe, task), from whichever lane carries
     // the scheduler's decisions (the master lane SchedTracer writes).
@@ -98,6 +106,8 @@ BalanceReport analyze_balance(const Trace& trace,
     std::map<core::PeId, std::size_t> replicas_by_pe;
     double horizon = 0.0;
     for (const TraceLaneData& lane : trace.lanes) {
+        if (is_channel_lane(lane.label)) continue;
+        rep.events_analyzed += lane.events.size();
         for (const TraceEvent& e : lane.events) {
             horizon = std::max(horizon, e.t);
             if (e.kind == EventKind::TaskAssigned ||
@@ -117,6 +127,7 @@ BalanceReport analyze_balance(const Trace& trace,
     std::vector<FlatSpan> all_spans;
     for (std::size_t li = 0; li < trace.lanes.size(); ++li) {
         const TraceLaneData& lane = trace.lanes[li];
+        if (is_channel_lane(lane.label)) continue;
         const std::vector<FlatSpan> spans = top_level_spans(lane, li);
         if (spans.empty()) continue;
 
@@ -384,6 +395,14 @@ std::string BalanceReport::to_json() const {
     }
     os << "\n  ]\n}\n";
     return os.str();
+}
+
+void require_audit_complete(const Trace& trace) {
+    if (const std::uint64_t dropped = audited_dropped(trace); dropped > 0) {
+        throw IoError("obs.trace.dropped " + std::to_string(dropped) +
+                      ": the trace ring overflowed, so the report would "
+                      "miss events");
+    }
 }
 
 }  // namespace swh::obs

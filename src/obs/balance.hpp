@@ -35,7 +35,7 @@
 namespace swh::obs {
 
 /// Per-PE attribution row. `pe` comes from the lane's span events;
-/// lanes without task spans (master, channels) produce no row.
+/// lanes without task spans (master) produce no row.
 struct BalancePe {
     std::string label;
     core::PeId pe = core::kInvalidPe;
@@ -107,8 +107,17 @@ struct BalanceReport {
     std::string to_json() const;
 };
 
-/// Runs the audit. Tolerates empty traces (all-zero report).
+/// Runs the audit over every lane but the channel lanes
+/// (is_channel_lane), which carry neither task spans nor scheduler
+/// decisions; `events_analyzed` and `dropped_events` count the lanes
+/// read. Tolerates empty traces (all-zero report).
 BalanceReport analyze_balance(const Trace& trace,
                               const BalanceOptions& options = {});
+
+/// Throws IoError naming `obs.trace.dropped` and the count when a lane
+/// analyze_balance reads lost events to ring overflow: a truncated lane
+/// would silently skew the report. An overflowing channel lane does
+/// not refuse the audit.
+void require_audit_complete(const Trace& trace);
 
 }  // namespace swh::obs

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "obs/gantt.hpp"
-#include "util/error.hpp"
 
 namespace swh::obs {
 
@@ -44,12 +43,12 @@ Trace TraceRecorder::drain() const {
     return out;
 }
 
-void require_complete(const Trace& trace) {
-    if (const std::uint64_t dropped = trace.total_dropped(); dropped > 0) {
-        throw IoError("obs.trace.dropped " + std::to_string(dropped) +
-                      ": the trace ring overflowed, so the report would "
-                      "miss events");
-    }
+std::string channel_lane_label(std::string_view peer) {
+    return "chan:" + std::string(peer);
+}
+
+bool is_channel_lane(std::string_view label) {
+    return label.starts_with("chan:");
 }
 
 std::uint64_t TraceRecorder::dropped_total() const {

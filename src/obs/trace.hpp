@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.hpp"
@@ -158,11 +159,11 @@ struct Trace {
     }
 };
 
-/// Throws IoError naming `obs.trace.dropped` and the count when any
-/// lane of `trace` lost events to ring overflow. For readers that need
-/// every event of every lane (the balance audit): a truncated lane
-/// would silently skew what they report.
-void require_complete(const Trace& trace);
+/// Label of the lane a ChannelTracer writes for `peer`'s inbox:
+/// "chan:<peer>". A channel lane carries message sends and receives
+/// only — no task span and no scheduler decision.
+std::string channel_lane_label(std::string_view peer);
+bool is_channel_lane(std::string_view label);
 
 /// Owns the lanes and the shared clock. Lane registration takes a lock;
 /// emission does not. Typical lifecycle: construct, hand lanes out,

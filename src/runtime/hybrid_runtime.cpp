@@ -108,7 +108,7 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
                     core::to_string(slaves[i].engine->kind()));
             }
             chan_tracers.push_back(std::make_unique<obs::ChannelTracer>(
-                rec != nullptr ? &rec->lane("chan:" + slaves[i].label)
+                rec != nullptr ? &rec->lane(obs::channel_lane_label(slaves[i].label))
                                : nullptr,
                 slave_depth));
             shared[i]->inbox.set_observer(chan_tracers.back().get());

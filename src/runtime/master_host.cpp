@@ -24,7 +24,7 @@ MasterHost::MasterHost(const std::vector<align::Sequence>& queries,
                        ? &trace_->lane("master", obs::Overflow::Grow)
                        : nullptr),
       sched_tracer_(master_lane_, metrics_),
-      inbox_tracer_(trace_ != nullptr ? &trace_->lane("chan:master") : nullptr,
+      inbox_tracer_(trace_ != nullptr ? &trace_->lane(obs::channel_lane_label("master")) : nullptr,
                     metrics_ != nullptr
                         ? &metrics_->histogram("channel.master_inbox.depth")
                         : nullptr),

@@ -60,13 +60,6 @@ struct U8x32 {
         return _mm256_movemask_epi8(eq0) != -1;
     }
 
-    friend std::uint64_t ge_mask(U8x32 a, U8x32 b) {
-        // Unsigned "a >= b" == max(a, b) == a, lane-wise.
-        const __m256i eq = _mm256_cmpeq_epi8(_mm256_max_epu8(a.v, b.v), a.v);
-        return static_cast<std::uint64_t>(
-            static_cast<unsigned>(_mm256_movemask_epi8(eq)));
-    }
-
     std::uint8_t hmax() const {
         const __m128i lo = _mm256_castsi256_si128(v);
         const __m128i hi = _mm256_extracti128_si256(v, 1);
@@ -77,20 +70,53 @@ struct U8x32 {
         m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
         return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xFF);
     }
-
-    /// Per-lane gather from a 32-entry byte table (indices < 32): each
-    /// 16-byte table half is duplicated across both 128-bit lanes, then
-    /// VPSHUFB results are selected on index bit 4.
-    friend U8x32 lookup32(const std::uint8_t* table, U8x32 idx) {
-        const __m256i tbl =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table));
-        const __m256i lo = _mm256_permute4x64_epi64(tbl, 0x44);
-        const __m256i hi = _mm256_permute4x64_epi64(tbl, 0xEE);
-        const __m256i sel = _mm256_cmpgt_epi8(idx.v, _mm256_set1_epi8(15));
-        return {_mm256_blendv_epi8(_mm256_shuffle_epi8(lo, idx.v),
-                                   _mm256_shuffle_epi8(hi, idx.v), sel)};
-    }
 };
+
+/// 32 signed 8-bit lanes (AVX2).
+struct S8x32 {
+    using lane_type = std::int8_t;
+    static constexpr int kLanes = 32;
+
+    __m256i v;
+
+    static S8x32 splat(std::int8_t x) { return {_mm256_set1_epi8(x)}; }
+
+    static S8x32 load(const std::int8_t* p) {
+        return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+    }
+
+    void store(std::int8_t* p) const {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+    }
+
+    friend S8x32 adds(S8x32 a, S8x32 b) {
+        return {_mm256_adds_epi8(a.v, b.v)};
+    }
+    friend S8x32 subs(S8x32 a, S8x32 b) {
+        return {_mm256_subs_epi8(a.v, b.v)};
+    }
+    friend S8x32 vmax(S8x32 a, S8x32 b) { return {_mm256_max_epi8(a.v, b.v)}; }
+};
+
+/// Per-lane gather from a 32-entry int8 table (indices < 32). With
+/// AVX-512VBMI+VL this is one VPERMB; otherwise each 16-byte table
+/// half is duplicated across both 128-bit lanes and the VPSHUFB
+/// results are selected on index bit 4.
+inline S8x32 lookup32(const std::int8_t* table, U8x32 idx) {
+    const __m256i tbl =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table));
+#if defined(__AVX512VBMI__) && defined(__AVX512VL__)
+    // The all-ones zero-mask form is the same VPERMB; the plain
+    // intrinsic trips gcc 12's -Wmaybe-uninitialized in its header.
+    return {_mm256_maskz_permutexvar_epi8(~__mmask32{0}, idx.v, tbl)};
+#else
+    const __m256i lo = _mm256_permute4x64_epi64(tbl, 0x44);
+    const __m256i hi = _mm256_permute4x64_epi64(tbl, 0xEE);
+    const __m256i sel = _mm256_cmpgt_epi8(idx.v, _mm256_set1_epi8(15));
+    return {_mm256_blendv_epi8(_mm256_shuffle_epi8(lo, idx.v),
+                               _mm256_shuffle_epi8(hi, idx.v), sel)};
+#endif
+}
 
 /// 16 signed 16-bit lanes (AVX2).
 struct I16x16 {
@@ -138,14 +164,14 @@ struct I16x16 {
     }
 };
 
-/// Zero-extends lanes 0..15 of a u8 vector to i16, in lane order.
-inline I16x16 widen_lo(U8x32 a) {
-    return {_mm256_cvtepu8_epi16(_mm256_castsi256_si128(a.v))};
+/// Sign-extends lanes 0..15 of an s8 vector to i16, in lane order.
+inline I16x16 widen_lo(S8x32 a) {
+    return {_mm256_cvtepi8_epi16(_mm256_castsi256_si128(a.v))};
 }
 
-/// Zero-extends lanes 16..31.
-inline I16x16 widen_hi(U8x32 a) {
-    return {_mm256_cvtepu8_epi16(_mm256_extracti128_si256(a.v, 1))};
+/// Sign-extends lanes 16..31.
+inline I16x16 widen_hi(S8x32 a) {
+    return {_mm256_cvtepi8_epi16(_mm256_extracti128_si256(a.v, 1))};
 }
 
 }  // namespace swh::simd

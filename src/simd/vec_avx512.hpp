@@ -60,10 +60,6 @@ struct U8x64 {
         return _mm512_cmpgt_epu8_mask(a.v, b.v) != 0;
     }
 
-    friend std::uint64_t ge_mask(U8x64 a, U8x64 b) {
-        return _mm512_cmpge_epu8_mask(a.v, b.v);
-    }
-
     std::uint8_t hmax() const {
         const __m256i lo = _mm512_castsi512_si256(v);
         const __m256i hi = _mm512_extracti64x4_epi64(v, 1);
@@ -76,29 +72,58 @@ struct U8x64 {
         m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
         return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xFF);
     }
+};
 
-    /// Per-lane gather from a 32-entry byte table (indices < 32). With
-    /// AVX-512VBMI this is a single VPERMB (the table broadcast twice
-    /// fills all 64 permute slots; indices stay below 32 so only the
-    /// first copy is ever selected). The BW-only fallback broadcasts
-    /// each 16-byte half per 128-bit lane and selects on index bit 4.
-    friend U8x64 lookup32(const std::uint8_t* table, U8x64 idx) {
-#if defined(__AVX512VBMI__)
-        const __m512i tbl = _mm512_broadcast_i64x4(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table)));
-        return {_mm512_permutexvar_epi8(idx.v, tbl)};
-#else
-        const __m512i lo = _mm512_broadcast_i32x4(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(table)));
-        const __m512i hi = _mm512_broadcast_i32x4(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(table + 16)));
-        const __mmask64 sel =
-            _mm512_test_epi8_mask(idx.v, _mm512_set1_epi8(0x10));
-        return {_mm512_mask_blend_epi8(sel, _mm512_shuffle_epi8(lo, idx.v),
-                                       _mm512_shuffle_epi8(hi, idx.v))};
-#endif
+/// 64 signed 8-bit lanes (AVX-512BW).
+struct S8x64 {
+    using lane_type = std::int8_t;
+    static constexpr int kLanes = 64;
+
+    __m512i v;
+
+    static S8x64 splat(std::int8_t x) { return {_mm512_set1_epi8(x)}; }
+
+    static S8x64 load(const std::int8_t* p) {
+        return {_mm512_loadu_si512(p)};
+    }
+
+    void store(std::int8_t* p) const { _mm512_storeu_si512(p, v); }
+
+    friend S8x64 adds(S8x64 a, S8x64 b) {
+        return {_mm512_adds_epi8(a.v, b.v)};
+    }
+    friend S8x64 subs(S8x64 a, S8x64 b) {
+        return {_mm512_subs_epi8(a.v, b.v)};
+    }
+    friend S8x64 vmax(S8x64 a, S8x64 b) {
+        return {_mm512_max_epi8(a.v, b.v)};
     }
 };
+
+/// Per-lane gather from a 32-entry int8 table (indices < 32). With
+/// AVX-512VBMI this is a single VPERMB (the table broadcast twice
+/// fills all 64 permute slots; indices stay below 32 so only the first
+/// copy is ever selected). The BW-only fallback broadcasts each
+/// 16-byte half per 128-bit lane and selects on index bit 4.
+inline S8x64 lookup32(const std::int8_t* table, U8x64 idx) {
+#if defined(__AVX512VBMI__)
+    // The all-ones zero-mask forms are the same VBROADCASTI64X4 and
+    // VPERMB; the plain intrinsics trip gcc 12's -Wmaybe-uninitialized
+    // in their headers.
+    const __m512i tbl = _mm512_maskz_broadcast_i64x4(
+        __mmask8{0xFF},
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table)));
+    return {_mm512_maskz_permutexvar_epi8(~__mmask64{0}, idx.v, tbl)};
+#else
+    const auto* t = reinterpret_cast<const __m128i*>(table);
+    const __m512i lo = _mm512_broadcast_i32x4(_mm_loadu_si128(t));
+    const __m512i hi = _mm512_broadcast_i32x4(_mm_loadu_si128(t + 1));
+    const __mmask64 sel =
+        _mm512_test_epi8_mask(idx.v, _mm512_set1_epi8(0x10));
+    return {_mm512_mask_blend_epi8(sel, _mm512_shuffle_epi8(lo, idx.v),
+                                   _mm512_shuffle_epi8(hi, idx.v))};
+#endif
+}
 
 /// 32 signed 16-bit lanes (AVX-512BW).
 struct I16x32 {
@@ -146,14 +171,15 @@ struct I16x32 {
     }
 };
 
-/// Zero-extends lanes 0..31 of a u8 vector to i16, in lane order.
-inline I16x32 widen_lo(U8x64 a) {
-    return {_mm512_cvtepu8_epi16(_mm512_castsi512_si256(a.v))};
+/// Sign-extends lanes 0..31 of an s8 vector to i16, in lane order.
+inline I16x32 widen_lo(S8x64 a) {
+    return {_mm512_cvtepi8_epi16(_mm512_castsi512_si256(a.v))};
 }
 
-/// Zero-extends lanes 32..63.
-inline I16x32 widen_hi(U8x64 a) {
-    return {_mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(a.v, 1))};
+/// Sign-extends lanes 32..63 (zero-mask extract: see lookup32).
+inline I16x32 widen_hi(S8x64 a) {
+    return {_mm512_cvtepi8_epi16(
+        _mm512_maskz_extracti64x4_epi64(__mmask8{0xF}, a.v, 1))};
 }
 
 }  // namespace swh::simd

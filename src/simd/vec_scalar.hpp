@@ -23,14 +23,17 @@ namespace swh::simd {
 //   any_gt(a,b) -- true if a > b in any lane
 //   a.hmax()    -- horizontal max
 //
-// u8 vectors additionally support the inter-sequence kernel ops:
-//   lookup32(table, idx) -- per-lane byte gather from a 32-entry table
-//                           (every index lane must be < 32)
-//   widen_lo(a) / widen_hi(a) -- zero-extend the low/high half of the
-//                           lanes to an i16 vector, preserving lane order
-//   ge_mask(a,b) -- bit l set iff a >= b (unsigned) in lane l; the
-//                   horizontal compare the scan prefilter uses to turn
-//                   per-lane score bounds into a survivor mask
+// Signed 8-bit vectors (S8, as many lanes as U8) carry the scores and
+// DP values of the inter-sequence kernels, the values offset by -128 so
+// that one saturating op both adds and clamps at the local-alignment
+// floor:
+//   splat(x), load(p), store(p)
+//   adds(a,b) / subs(a,b) -- signed saturating add / subtract
+//   vmax(a,b)             -- signed lane-wise max
+//   lookup32(table, idx)  -- per-lane gather from a 32-entry int8 table
+//                            by the lanes of a U8 index vector (< 32)
+//   widen_lo(a) / widen_hi(a) -- sign-extend the low/high half of the
+//                            lanes to an i16 vector, preserving lane order
 
 template <int N>
 struct U8xN {
@@ -90,15 +93,6 @@ struct U8xN {
         for (int i = 0; i < N; ++i)
             if (a.lane[i] > b.lane[i]) return true;
         return false;
-    }
-
-    friend std::uint64_t ge_mask(U8xN a, U8xN b) {
-        static_assert(N <= 64, "mask is 64 bits wide");
-        std::uint64_t m = 0;
-        for (int i = 0; i < N; ++i) {
-            if (a.lane[i] >= b.lane[i]) m |= std::uint64_t{1} << i;
-        }
-        return m;
     }
 
     std::uint8_t hmax() const {
@@ -172,21 +166,67 @@ struct I16xN {
 };
 
 template <int N>
-inline U8xN<N> lookup32(const std::uint8_t* table, U8xN<N> idx) {
-    U8xN<N> r;
+struct S8xN {
+    using lane_type = std::int8_t;
+    static constexpr int kLanes = N;
+
+    std::array<std::int8_t, N> lane{};
+
+    static S8xN splat(std::int8_t x) {
+        S8xN v;
+        v.lane.fill(x);
+        return v;
+    }
+
+    static S8xN load(const std::int8_t* p) {
+        S8xN v;
+        std::copy_n(p, N, v.lane.begin());
+        return v;
+    }
+
+    void store(std::int8_t* p) const { std::copy_n(lane.begin(), N, p); }
+
+    friend S8xN adds(S8xN a, S8xN b) {
+        S8xN r;
+        for (int i = 0; i < N; ++i) {
+            const int s = int(a.lane[i]) + int(b.lane[i]);
+            r.lane[i] = static_cast<std::int8_t>(std::clamp(s, -128, 127));
+        }
+        return r;
+    }
+
+    friend S8xN subs(S8xN a, S8xN b) {
+        S8xN r;
+        for (int i = 0; i < N; ++i) {
+            const int s = int(a.lane[i]) - int(b.lane[i]);
+            r.lane[i] = static_cast<std::int8_t>(std::clamp(s, -128, 127));
+        }
+        return r;
+    }
+
+    friend S8xN vmax(S8xN a, S8xN b) {
+        S8xN r;
+        for (int i = 0; i < N; ++i) r.lane[i] = std::max(a.lane[i], b.lane[i]);
+        return r;
+    }
+};
+
+template <int N>
+inline S8xN<N> lookup32(const std::int8_t* table, U8xN<N> idx) {
+    S8xN<N> r;
     for (int i = 0; i < N; ++i) r.lane[i] = table[idx.lane[i] & 31];
     return r;
 }
 
 template <int N>
-inline I16xN<N / 2> widen_lo(U8xN<N> a) {
+inline I16xN<N / 2> widen_lo(S8xN<N> a) {
     I16xN<N / 2> r;
     for (int i = 0; i < N / 2; ++i) r.lane[i] = a.lane[i];
     return r;
 }
 
 template <int N>
-inline I16xN<N / 2> widen_hi(U8xN<N> a) {
+inline I16xN<N / 2> widen_hi(S8xN<N> a) {
     I16xN<N / 2> r;
     for (int i = 0; i < N / 2; ++i) r.lane[i] = a.lane[N / 2 + i];
     return r;
@@ -195,6 +235,7 @@ inline I16xN<N / 2> widen_hi(U8xN<N> a) {
 // Default widths match SSE2 so the scalar backend produces identical
 // striped layouts (and thus bit-identical intermediate states).
 using U8x16s = U8xN<16>;
+using S8x16s = S8xN<16>;
 using I16x8s = I16xN<8>;
 
 }  // namespace swh::simd

@@ -6,6 +6,12 @@
 #if defined(__SSSE3__)
 #include <tmmintrin.h>
 #endif
+#if defined(__SSE4_1__)
+#include <smmintrin.h>
+#endif
+#if defined(__AVX512VBMI__) && defined(__AVX512VL__)
+#include <immintrin.h>
+#endif
 
 #include <cstdint>
 
@@ -46,13 +52,6 @@ struct U8x16 {
         return _mm_movemask_epi8(eq0) != 0xFFFF;
     }
 
-    friend std::uint64_t ge_mask(U8x16 a, U8x16 b) {
-        // Unsigned "a >= b" == max(a, b) == a, lane-wise.
-        const __m128i eq = _mm_cmpeq_epi8(_mm_max_epu8(a.v, b.v), a.v);
-        return static_cast<std::uint64_t>(
-            static_cast<unsigned>(_mm_movemask_epi8(eq)));
-    }
-
     std::uint8_t hmax() const {
         __m128i m = _mm_max_epu8(v, _mm_srli_si128(v, 8));
         m = _mm_max_epu8(m, _mm_srli_si128(m, 4));
@@ -60,33 +59,68 @@ struct U8x16 {
         m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
         return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xFF);
     }
+};
 
-    /// Per-lane gather from a 32-entry byte table (indices < 32). With
-    /// SSSE3 this is two PSHUFBs selected on index bit 4; the plain-SSE2
-    /// fallback gathers through memory (correct, slower — only hit on
-    /// builds without SSSE3).
-    friend U8x16 lookup32(const std::uint8_t* table, U8x16 idx) {
-#if defined(__SSSE3__)
-        const __m128i lo =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(table));
-        const __m128i hi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(table + 16));
-        // Indices are < 32, so the signed compare against 15 is exact;
-        // PSHUFB uses only the low 4 index bits for the in-table slot.
-        const __m128i sel = _mm_cmpgt_epi8(idx.v, _mm_set1_epi8(15));
-        const __m128i rl = _mm_shuffle_epi8(lo, idx.v);
-        const __m128i rh = _mm_shuffle_epi8(hi, idx.v);
-        return {_mm_or_si128(_mm_andnot_si128(sel, rl),
-                             _mm_and_si128(sel, rh))};
+/// 16 signed 8-bit lanes (SSE2). Signed byte max is SSE4.1; plain
+/// SSE2 flips the sign bits around the unsigned max.
+struct S8x16 {
+    using lane_type = std::int8_t;
+    static constexpr int kLanes = 16;
+
+    __m128i v;
+
+    static S8x16 splat(std::int8_t x) { return {_mm_set1_epi8(x)}; }
+
+    static S8x16 load(const std::int8_t* p) {
+        return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
+    }
+
+    void store(std::int8_t* p) const {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+    }
+
+    friend S8x16 adds(S8x16 a, S8x16 b) { return {_mm_adds_epi8(a.v, b.v)}; }
+    friend S8x16 subs(S8x16 a, S8x16 b) { return {_mm_subs_epi8(a.v, b.v)}; }
+    friend S8x16 vmax(S8x16 a, S8x16 b) {
+#if defined(__SSE4_1__)
+        return {_mm_max_epi8(a.v, b.v)};
 #else
-        alignas(16) std::uint8_t ix[16];
-        alignas(16) std::uint8_t out[16];
-        _mm_store_si128(reinterpret_cast<__m128i*>(ix), idx.v);
-        for (int i = 0; i < 16; ++i) out[i] = table[ix[i] & 31];
-        return {_mm_load_si128(reinterpret_cast<const __m128i*>(out))};
+        const __m128i sign = _mm_set1_epi8(static_cast<char>(0x80));
+        return {_mm_xor_si128(_mm_max_epu8(_mm_xor_si128(a.v, sign),
+                                           _mm_xor_si128(b.v, sign)),
+                              sign)};
 #endif
     }
 };
+
+/// Per-lane gather from a 32-entry int8 table (indices < 32). With
+/// AVX-512VBMI+VL this is one VPERMT2B (index bit 4 picks the table
+/// half); with SSSE3 two PSHUFBs selected on index bit 4; the
+/// plain-SSE2 fallback gathers through memory (correct, slower — only
+/// hit on builds without SSSE3).
+inline S8x16 lookup32(const std::int8_t* table, U8x16 idx) {
+#if defined(__SSSE3__)
+    const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(table));
+    const __m128i hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(table + 16));
+#if defined(__AVX512VBMI__) && defined(__AVX512VL__)
+    return {_mm_permutex2var_epi8(lo, idx.v, hi)};
+#else
+    // Indices are < 32, so the signed compare against 15 is exact;
+    // PSHUFB uses only the low 4 index bits for the in-table slot.
+    const __m128i sel = _mm_cmpgt_epi8(idx.v, _mm_set1_epi8(15));
+    const __m128i rl = _mm_shuffle_epi8(lo, idx.v);
+    const __m128i rh = _mm_shuffle_epi8(hi, idx.v);
+    return {_mm_or_si128(_mm_andnot_si128(sel, rl), _mm_and_si128(sel, rh))};
+#endif
+#else
+    alignas(16) std::uint8_t ix[16];
+    alignas(16) std::int8_t out[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(ix), idx.v);
+    for (int i = 0; i < 16; ++i) out[i] = table[ix[i] & 31];
+    return {_mm_load_si128(reinterpret_cast<const __m128i*>(out))};
+#endif
+}
 
 /// 8 signed 16-bit lanes (SSE2).
 struct I16x8 {
@@ -125,15 +159,18 @@ struct I16x8 {
     }
 };
 
-/// Zero-extends lanes 0..7 of a u8 vector to i16, preserving lane order
-/// (unpack against zero is an in-order widening).
-inline I16x8 widen_lo(U8x16 a) {
-    return {_mm_unpacklo_epi8(a.v, _mm_setzero_si128())};
+/// Sign-extends lanes 0..7 of an s8 vector to i16, in lane order.
+inline I16x8 widen_lo(S8x16 a) {
+#if defined(__SSE4_1__)
+    return {_mm_cvtepi8_epi16(a.v)};
+#else
+    return {_mm_srai_epi16(_mm_unpacklo_epi8(a.v, a.v), 8)};
+#endif
 }
 
-/// Zero-extends lanes 8..15.
-inline I16x8 widen_hi(U8x16 a) {
-    return {_mm_unpackhi_epi8(a.v, _mm_setzero_si128())};
+/// Sign-extends lanes 8..15.
+inline I16x8 widen_hi(S8x16 a) {
+    return {_mm_srai_epi16(_mm_unpackhi_epi8(a.v, a.v), 8)};
 }
 
 }  // namespace swh::simd

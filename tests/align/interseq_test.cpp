@@ -19,6 +19,7 @@
 #include "align/striped.hpp"
 #include "align/sw_scalar.hpp"
 #include "db/generator.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace swh::align {
@@ -84,23 +85,81 @@ TEST(InterseqSupport, AcceptsEveryBuiltinAlphabet) {
               std::size_t{InterseqProfile::kPadCode});
 }
 
-TEST(InterseqProfileTest, RowsHoldBiasedScoresAndPadDecays) {
+TEST(InterseqSupport, Int8GateCannotBeTrippedByAConstructibleMatrix) {
+    // The int8 profile needs every entry inside int8. The old gate
+    // (max + bias <= 255) alone would admit min -150 with max 100, but
+    // ScoreMatrix refuses such an entry when it is set, so no matrix can
+    // reach the kernels — or fall back from them — for that reason.
+    ScoreMatrix m(Alphabet::protein(), "wide");
+    EXPECT_THROW(m.set(0, 1, -150), ContractError);
+    EXPECT_THROW(m.set(0, 1, 128), ContractError);
+    m.set(0, 1, -128);
+    m.set(0, 0, 127);
+    EXPECT_TRUE(interseq_supported(m));
+}
+
+TEST(InterseqKernels, Int8ExtremeEntriesMatchStripedAndOracle) {
+    // Entries at both int8 ends: +127 matches flag every matching u8
+    // lane (score + bias >= 255 at once), and -128 mismatches hit the
+    // floor in one add. u8 flags and scores equal the striped kernel's;
+    // the i16 scores equal the oracle's.
+    Rng rng(109);
+    const std::vector<Code> q = db::random_protein(rng, 60, "q").residues;
+    const ScoreMatrix matrix =
+        ScoreMatrix::match_mismatch(Alphabet::protein(), 127, -128);
+    const InterseqProfile prof = build_interseq_profile(q, matrix);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const int W = lanes_u8(isa);
+        const int H = lanes_i16(isa);
+        auto subjects = random_subjects(rng, static_cast<std::size_t>(W), 5,
+                                        80);
+        subjects[0] = q;
+        std::size_t columns = 0;
+        for (const auto& s : subjects) columns = std::max(columns, s.size());
+        const std::vector<Code> cols = interleave(subjects, W, columns);
+        ScanScratch scratch;
+        InterseqColumnState state;
+        std::uint8_t best8[64];
+        std::int16_t best16[64];
+        const std::uint64_t ovf8 = sw_interseq_u8_tiled(
+            prof, cols.data(), columns, kGap, isa, scratch, state, best8);
+        EXPECT_EQ(sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
+                                        scratch, state, best16),
+                  0u);
+        const Profile8 p8 = build_profile8(q, matrix, W);
+        for (int l = 0; l < W; ++l) {
+            const StripedResult r = sw_striped_u8(p8, subjects[l], kGap, isa);
+            EXPECT_EQ(static_cast<Score>(best8[l]), r.score)
+                << "isa=" << simd::to_string(isa) << " lane=" << l;
+            EXPECT_EQ(((ovf8 >> l) & 1) != 0, r.overflow)
+                << "isa=" << simd::to_string(isa) << " lane=" << l;
+        }
+        EXPECT_TRUE(ovf8 & 1) << simd::to_string(isa);
+        for (int l = 0; l < H; ++l) {
+            EXPECT_EQ(static_cast<Score>(best16[l]),
+                      sw_score_affine(q, subjects[l], matrix, kGap))
+                << "isa=" << simd::to_string(isa) << " lane=" << l;
+        }
+    }
+}
+
+TEST(InterseqProfileTest, RowsHoldRawInt8ScoresAndPadDecays) {
     Rng rng(7);
     const std::vector<Code> q = db::random_protein(rng, 37, "q").residues;
     const InterseqProfile p = build_interseq_profile(q, blosum());
     EXPECT_EQ(p.query_len, q.size());
     EXPECT_EQ(p.bias, blosum().bias());
     for (std::size_t i = 0; i < q.size(); ++i) {
-        const std::uint8_t* row = p.row(i);
+        const std::int8_t* row = p.row(i);
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) %
                       InterseqProfile::kStride,
                   0u);
         for (Code a = 0; a < p.symbols; ++a) {
-            EXPECT_EQ(row[a], blosum().at(q[i], a) + p.bias);
+            EXPECT_EQ(row[a], blosum().at(q[i], a));
         }
-        // Pad sentinel (and every unused slot) holds the worst biased
-        // score, so padded lanes can only decay.
-        EXPECT_EQ(row[InterseqProfile::kPadCode], 0);
+        // Pad sentinel (and every unused slot) holds the most
+        // penalising int8 score, so padded lanes can only decay.
+        EXPECT_EQ(row[InterseqProfile::kPadCode], INT8_MIN);
     }
 }
 

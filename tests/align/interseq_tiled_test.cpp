@@ -282,6 +282,123 @@ TEST(InterseqTiledKernels, I16GroupBitIdenticalAtEveryWidthThatHoldsIt) {
     }
 }
 
+/// Gap configurations around the int8 operand limit: open + extend of
+/// 127, 128, 200, 255 and 300, then extend alone of 127 and 128 (the
+/// last with open + extend 200). The u8 kernels subtract a charge above
+/// 127 in two saturating steps.
+constexpr GapPenalty kWideGaps[] = {{125, 2}, {126, 2}, {190, 10},
+                                    {253, 2}, {298, 2}, {0, 127},
+                                    {0, 128}, {72, 128}};
+
+/// `n` subjects that each split a window of `q` around row `center`
+/// (+- a few rows) with one gap: lane l keeps 8 + 70 l / n query
+/// residues on either side and inserts 1-3 residues (even l) or deletes
+/// one (odd l). The window lengths, so the segment scores, sweep from
+/// below every charge to far above it, and the lengths are ragged.
+std::vector<std::vector<Code>> split_windows(const std::vector<Code>& q,
+                                             std::size_t center,
+                                             std::size_t n, Rng& rng) {
+    std::vector<std::vector<Code>> subjects;
+    for (std::size_t l = 0; l < n; ++l) {
+        const std::size_t half = 8 + 70 * l / n;
+        const std::size_t c = center - 2 + l % 5;
+        std::vector<Code> s(q.begin() + static_cast<std::ptrdiff_t>(c - half),
+                            q.begin() + static_cast<std::ptrdiff_t>(c));
+        std::size_t resume = c;
+        if (l % 2 == 0) {
+            for (std::size_t k = 0; k <= l % 3; ++k) {
+                s.push_back(static_cast<Code>(rng.below(20)));
+            }
+        } else {
+            ++resume;
+        }
+        s.insert(s.end(), q.begin() + static_cast<std::ptrdiff_t>(resume),
+                 q.begin() + static_cast<std::ptrdiff_t>(resume + half));
+        subjects.push_back(std::move(s));
+    }
+    return subjects;
+}
+
+TEST(InterseqTiledKernels, ExactAtWideGapChargesOnEveryIsa) {
+    // Every gap charge is exact, also where it is no single int8
+    // operand: u8 scores and flags equal the striped u8 kernel's, and
+    // every unflagged u8 lane and every i16 lane equals the Gotoh
+    // oracle. The gapped windows sit on the first tile boundary, the
+    // cohort's last three lanes are padding, and the segment scores
+    // straddle each charge, so a loosened E, F or H charge would show.
+    Rng rng(251);
+    const std::size_t qlen = 2 * kInterseqTileRows + 40;
+    const std::vector<Code> q = db::random_protein(rng, qlen, "q").residues;
+    const InterseqProfile prof = build_interseq_profile(q, blosum());
+    for (const GapPenalty gap : kWideGaps) {
+        const std::string config = std::to_string(gap.open) + "/" +
+                                   std::to_string(gap.extend);
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const int W = lanes_u8(isa);
+            const int H = lanes_i16(isa);
+            const std::string label =
+                "gap " + config + " isa=" + simd::to_string(isa);
+            const auto subjects = split_windows(
+                q, kInterseqTileRows, static_cast<std::size_t>(W) - 3, rng);
+            std::size_t columns = 0;
+            for (const auto& s : subjects) {
+                columns = std::max(columns, s.size());
+            }
+            const std::vector<Code> cols = interleave(subjects, W, columns);
+            ScanScratch scratch;
+            InterseqColumnState state;
+            std::uint8_t best8[64];
+            const std::uint64_t ovf8 = sw_interseq_u8_tiled(
+                prof, cols.data(), columns, gap, isa, scratch, state, best8);
+            const Profile8 p8 = build_profile8(q, blosum(), W);
+            int exact8 = 0;
+            for (std::size_t l = 0; l < subjects.size(); ++l) {
+                const StripedResult r =
+                    sw_striped_u8(p8, subjects[l], gap, isa);
+                EXPECT_EQ(static_cast<Score>(best8[l]), r.score)
+                    << label << " lane=" << l;
+                EXPECT_EQ(((ovf8 >> l) & 1) != 0, r.overflow)
+                    << label << " lane=" << l;
+                if (r.overflow) continue;
+                ++exact8;
+                EXPECT_EQ(static_cast<Score>(best8[l]),
+                          sw_score_affine(q, subjects[l], blosum(), gap))
+                    << label << " lane=" << l;
+            }
+            for (int l = static_cast<int>(subjects.size()); l < W; ++l) {
+                EXPECT_EQ(best8[l], 0) << label << " pad lane=" << l;
+            }
+            EXPECT_GT(exact8, 0) << label;
+            EXPECT_NE(ovf8, 0u) << label;
+
+            const auto wide = split_windows(
+                q, kInterseqTileRows, static_cast<std::size_t>(H), rng);
+            std::size_t wide_columns = 0;
+            for (const auto& s : wide) {
+                wide_columns = std::max(wide_columns, s.size());
+            }
+            const std::vector<Code> wide_cols =
+                interleave(wide, W, wide_columns);
+            std::int16_t best16[64];
+            EXPECT_EQ(sw_interseq_i16_tiled(prof, wide_cols.data(),
+                                            wide_columns, gap, isa, scratch,
+                                            state, best16),
+                      0u)
+                << label;
+            const Profile16 p16 = build_profile16(q, blosum(), H);
+            for (int l = 0; l < H; ++l) {
+                const auto& s = wide[static_cast<std::size_t>(l)];
+                EXPECT_EQ(static_cast<Score>(best16[l]),
+                          sw_striped_i16(p16, s, gap, isa).score)
+                    << label << " lane=" << l;
+                EXPECT_EQ(static_cast<Score>(best16[l]),
+                          sw_score_affine(q, s, blosum(), gap))
+                    << label << " lane=" << l;
+            }
+        }
+    }
+}
+
 TEST(InterseqTiledKernels, ColumnStateReusableAcrossCallsAndSizes) {
     // One InterseqColumnState serves a whole worker: back-to-back
     // cohorts of different widths and column counts must each score as

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "align/striped.hpp"
 #include "util/error.hpp"
@@ -44,7 +46,69 @@ void check_backend_agreement(std::uint64_t seed) {
     }
 }
 
+// The same for a signed 8-bit type S (U its index vector, I the i16
+// vector its widens yield), against the scalar S8xN, including the
+// int8-table gather and the sign-extending widens.
+template <class S, class U, class I>
+void check_s8_agreement(std::uint64_t seed) {
+    constexpr int N = S::kLanes;
+    using E = S8xN<N>;
+    Rng rng(seed);
+    for (int iter = 0; iter < 200; ++iter) {
+        std::array<std::int8_t, N> a{}, b{};
+        std::array<std::uint8_t, N> idx{};
+        std::array<std::int8_t, 32> table{};
+        for (int i = 0; i < N; ++i) {
+            a[i] = static_cast<std::int8_t>(rng.next());
+            b[i] = static_cast<std::int8_t>(rng.next());
+            idx[i] = static_cast<std::uint8_t>(rng.below(32));
+        }
+        for (std::int8_t& t : table) t = static_cast<std::int8_t>(rng.next());
+        a[0] = INT8_MIN;  // the floor value of the kernels
+        b[1] = INT8_MAX;
+        const S va = S::load(a.data()), vb = S::load(b.data());
+        const E ea = E::load(a.data()), eb = E::load(b.data());
+
+        auto expect_same = [&](S got, E want, const char* op) {
+            std::array<std::int8_t, N> g{}, w{};
+            got.store(g.data());
+            want.store(w.data());
+            EXPECT_EQ(g, w) << op << " iter " << iter;
+        };
+        expect_same(adds(va, vb), adds(ea, eb), "adds");
+        expect_same(subs(va, vb), subs(ea, eb), "subs");
+        expect_same(vmax(va, vb), vmax(ea, eb), "vmax");
+        expect_same(lookup32(table.data(), U::load(idx.data())),
+                    lookup32(table.data(), U8xN<N>::load(idx.data())),
+                    "lookup32");
+        std::array<std::int16_t, N / 2> g{}, w{};
+        widen_lo(va).store(g.data());
+        widen_lo(ea).store(w.data());
+        EXPECT_EQ(g, w) << "widen_lo iter " << iter;
+        widen_hi(va).store(g.data());
+        widen_hi(ea).store(w.data());
+        EXPECT_EQ(g, w) << "widen_hi iter " << iter;
+        static_assert(std::is_same_v<decltype(widen_lo(va)), I>);
+    }
+}
+
+TEST(SimdScalar, SignedSaturatingOpsClampAtTheFloor) {
+    // The offset-signed kernels hold score v as v - 128: adds of a raw
+    // score clamps at the floor (score 0) and at 127 (score 255).
+    S8xN<3> h, s;
+    h.lane = {-120, 100, -128};
+    s.lane = {-20, 40, 5};
+    EXPECT_EQ(adds(h, s).lane, (std::array<std::int8_t, 3>{-128, 127, -123}));
+    EXPECT_EQ(subs(h, s).lane, (std::array<std::int8_t, 3>{-100, 60, -128}));
+    EXPECT_EQ(vmax(h, s).lane, (std::array<std::int8_t, 3>{-20, 100, 5}));
+}
+
 #if defined(__SSE2__)
+TEST(SimdBackends, Sse2S8MatchesScalar) {
+    if (!is_supported(IsaLevel::SSE2)) GTEST_SKIP();
+    check_s8_agreement<S8x16, U8x16, I16x8>(8);
+}
+
 TEST(SimdBackends, Sse2U8MatchesScalar) {
     if (!is_supported(IsaLevel::SSE2)) GTEST_SKIP();
     check_backend_agreement<U8x16, U8xN<16>>(1);
@@ -62,6 +126,11 @@ TEST(SimdBackends, Avx2U8MatchesScalar) {
     check_backend_agreement<U8x32, U8xN<32>>(3);
 }
 
+TEST(SimdBackends, Avx2S8MatchesScalar) {
+    if (!is_supported(IsaLevel::AVX2)) GTEST_SKIP();
+    check_s8_agreement<S8x32, U8x32, I16x16>(9);
+}
+
 TEST(SimdBackends, Avx2I16MatchesScalar) {
     if (!is_supported(IsaLevel::AVX2)) GTEST_SKIP();
     check_backend_agreement<I16x16, I16xN<16>>(4);
@@ -72,6 +141,11 @@ TEST(SimdBackends, Avx2I16MatchesScalar) {
 TEST(SimdBackends, Avx512U8MatchesScalar) {
     if (!is_supported(IsaLevel::AVX512)) GTEST_SKIP();
     check_backend_agreement<U8x64, U8xN<64>>(5);
+}
+
+TEST(SimdBackends, Avx512S8MatchesScalar) {
+    if (!is_supported(IsaLevel::AVX512)) GTEST_SKIP();
+    check_s8_agreement<S8x64, U8x64, I16x32>(10);
 }
 
 TEST(SimdBackends, Avx512I16MatchesScalar) {

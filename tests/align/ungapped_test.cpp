@@ -129,10 +129,14 @@ TEST(UngappedBound, TileSumDominatesGappedScore) {
 }
 
 /// Gap configurations of the soundness suite: free gaps, a free open
-/// or extension, the default, another common one, and an open charge
-/// that saturates the u8 kernels' restart splat.
-constexpr GapPenalty kGapConfigs[] = {{0, 0},  {1, 0},  {0, 1},
-                                      {10, 2}, {11, 1}, {300, 2}};
+/// or extension, the default, another common one, and restart charges
+/// (open + extend) of 127, 128, 200, 255 and 300 around the int8
+/// operand limit — the u8 kernel subtracts a charge above 127 in two
+/// saturating steps — the last two with an extension of 127 and 128.
+constexpr GapPenalty kGapConfigs[] = {{0, 0},    {1, 0},    {0, 1},
+                                      {10, 2},   {11, 1},   {125, 2},
+                                      {126, 2},  {190, 10}, {253, 2},
+                                      {300, 2},  {0, 127},  {72, 128}};
 
 /// A 120-residue query and 64 subjects against it, in turn: random
 /// ones, gapped homologs of the whole query (which clip u8), and gapped
@@ -213,9 +217,9 @@ TEST(UngappedBound, DominatesGotohAcrossGapConfigsOnEveryIsa) {
 
 TEST(UngappedKernels, U8EqualsScalarWhereUnsaturatedAcrossGapConfigs) {
     // Every ISA's u8 kernel computes the scalar bound exactly wherever
-    // it does not saturate — the 300/2 configuration included, whose
-    // restart charge clips the u8 splat. The suite has lanes on both
-    // sides of the u8 range at every width.
+    // it does not saturate — the charges above 127 included, which no
+    // int8 operand holds. The suite has lanes on both sides of the u8
+    // range at every width.
     const GapSuite suite = gap_suite();
     const InterseqProfile prof = build_interseq_profile(suite.query, blosum());
     for (const GapPenalty gap : kGapConfigs) {

@@ -396,7 +396,8 @@ TEST(BalanceDes, MasterLaneGrowsPastTheRingCapacity) {
 
 TEST(BalanceDes, OverflowedLaneIsRefusedWithTheDroppedCount) {
     // A slave lane lost events, the master lane none: the weights reader
-    // reads only the master lane, the balance audit every lane.
+    // reads only the master lane, the balance audit every lane but the
+    // channel lanes.
     Trace trace;
     trace.lanes.push_back(
         lane("master", {ev(0.0, EventKind::SlaveRegistered, 0),
@@ -416,14 +417,50 @@ TEST(BalanceDes, OverflowedLaneIsRefusedWithTheDroppedCount) {
                 << e.what();
         }
     };
-    expect_refusal([](const Trace& t) { require_complete(t); }, trace, 5);
+    expect_refusal([](const Trace& t) { require_audit_complete(t); }, trace,
+                   5);
 
     // Once the master lane itself is short, the weights are refused too,
     // with that lane's count.
     trace.lanes[0].dropped = 3;
     expect_refusal([](const Trace& t) { (void)weight_samples(t); }, trace,
                    3);
-    expect_refusal([](const Trace& t) { require_complete(t); }, trace, 8);
+    expect_refusal([](const Trace& t) { require_audit_complete(t); }, trace,
+                   8);
+}
+
+TEST(Balance, OverflowingChannelLaneDoesNotRefuseTheAudit) {
+    // A channel lane ("chan:<peer>") carries message sends and receives,
+    // no task span or scheduler decision: the audit reads none of it,
+    // so its overflow neither refuses the audit nor counts as dropped.
+    Trace trace;
+    trace.lanes.push_back(
+        lane("master", {ev(0.2, EventKind::TaskAssigned, 0, 1)}));
+    trace.lanes.push_back(
+        lane("sse0", {ev(1.0, EventKind::SpanBegin, 0, 1, 0.0, "task"),
+                      ev(2.0, EventKind::SpanEnd, 0, 1, 0.0, "task")}));
+    trace.lanes.push_back(lane(channel_lane_label("master"),
+                               {ev(9.0, EventKind::Progress, 0)},
+                               /*dropped=*/40));
+    EXPECT_TRUE(is_channel_lane(trace.lanes[2].label));
+    EXPECT_FALSE(is_channel_lane("sse0"));
+    EXPECT_NO_THROW(require_audit_complete(trace));
+    const BalanceReport rep = analyze_balance(trace);
+    EXPECT_EQ(rep.dropped_events, 0u);
+    EXPECT_EQ(rep.events_analyzed, 3u);
+    EXPECT_EQ(rep.horizon_s, 2.0);
+    ASSERT_EQ(rep.pe_count, 1u);
+    EXPECT_NEAR(rep.pes[0].comm_s, 0.8, 1e-12);
+
+    // The same overflow on the slave lane still refuses.
+    trace.lanes[1].dropped = 7;
+    try {
+        require_audit_complete(trace);
+        ADD_FAILURE() << "a truncated slave lane was read";
+    } catch (const IoError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("obs.trace.dropped 7", 0), 0u)
+            << e.what();
+    }
 }
 
 }  // namespace
