@@ -425,7 +425,7 @@ private:
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
         const std::size_t qlen = aligner_->interseq()->query_len;
-        InterseqColumnState colstate;
+        InterseqColumnState& colstate = scratch.column_state();
         // Dense scratch of the stage-3 drain; stays empty (no
         // allocation) until a batch escalates.
         std::vector<Code> repack;

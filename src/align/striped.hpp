@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "align/interseq.hpp"
 #include "align/score_matrix.hpp"
 #include "align/sequence.hpp"
 #include "simd/arch.hpp"
@@ -42,6 +43,11 @@ public:
 
     std::size_t capacity() const { return cap_; }
 
+    /// The worker's carried column state of the query-tiled
+    /// inter-sequence kernels: a separate allocation, so it stays put
+    /// when kernel_buffers() grows, and it stays warm across scans.
+    InterseqColumnState& column_state() { return columns_; }
+
 private:
     void ensure(std::size_t bytes);
 
@@ -50,6 +56,7 @@ private:
     };
     std::unique_ptr<std::byte[], Free> buf_;
     std::size_t cap_ = 0;
+    InterseqColumnState columns_;
 };
 
 /// Striped query profile (Farrar 2007). For a query of length m split
