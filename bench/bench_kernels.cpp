@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the Smith-Waterman kernels on
 // THIS machine: scalar Gotoh oracle vs the striped 8-bit and 16-bit
 // kernels at every compiled ISA level, and the inter-sequence scan
-// kernels (stage-1 filter, u8 exact pass, i16 drain) on one cohort.
+// kernels (stage-1 filter, u8 exact pass, i16 drain) on one cohort of
+// random subjects, and the i16 drain on a homolog family.
 // The `GCUPS` counter is the figure of merit of the striped kernels
 // (the paper reports ~2-3 GCUPS per SSE core with the adapted Farrar
 // kernel); `step` (seconds per query-row x subject-column vector step)
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "align/db_scan.hpp"
 #include "align/interseq.hpp"
 #include "align/striped.hpp"
 #include "align/sw_scalar.hpp"
@@ -148,6 +150,12 @@ void report_step(benchmark::State& state, std::size_t rows,
             benchmark::Counter::kInvert);
 }
 
+/// The share of an i16 pass's tile columns its bound pruning skipped.
+void report_skipped(benchmark::State& state, const align::I16Pass& pass) {
+    state.counters["skipped"] = static_cast<double>(pass.columns_skipped) /
+                                static_cast<double>(pass.columns);
+}
+
 enum class InterseqKernel { Filter, ExactU8, DrainI16 };
 
 /// One call of an inter-sequence kernel on a full cohort of the ISA's
@@ -168,6 +176,7 @@ void BM_Interseq(benchmark::State& state) {
     align::InterseqColumnState carry;
     std::uint8_t best8[64];
     std::int16_t best16[64];
+    align::I16Pass pass;
     std::size_t rows = q.size();
     for (auto _ : state) {
         if constexpr (kKernel == InterseqKernel::Filter) {
@@ -180,12 +189,16 @@ void BM_Interseq(benchmark::State& state) {
                 prof, c.cols.data(), c.columns, kGap, kIsa, scratch, carry,
                 best8));
         } else {
-            benchmark::DoNotOptimize(align::sw_interseq_i16_tiled(
-                prof, c.cols.data(), c.columns, kGap, kIsa, scratch, carry,
-                best16));
+            pass = align::sw_interseq_i16_tiled(prof, c.cols.data(),
+                                                c.columns, kGap, kIsa, scratch,
+                                                carry, nullptr, best16);
+            benchmark::DoNotOptimize(pass);
         }
     }
     report_step(state, rows, c.columns);
+    if constexpr (kKernel == InterseqKernel::DrainI16) {
+        report_skipped(state, pass);
+    }
 }
 #define SWH_BENCH_INTERSEQ(isa)                                            \
     BENCHMARK(BM_Interseq<InterseqKernel::Filter, isa>)->Arg(512);         \
@@ -199,6 +212,73 @@ SWH_BENCH_INTERSEQ(simd::IsaLevel::AVX2);
 #endif
 #if defined(__AVX512BW__)
 SWH_BENCH_INTERSEQ(simd::IsaLevel::AVX512);
+#endif
+
+/// The i16 drain as the scanner runs it on a homolog family: up to 10
+/// mutants (15% substitutions, 2% indels each way; as many as one i16
+/// vector holds) of a 2000-residue query, each lane's best seeded by its
+/// banded score. `step` is per query-row x column vector step of the
+/// full sweep, so it falls as the pass skips tile columns; `skipped` is
+/// the share of tile columns skipped.
+template <simd::IsaLevel kIsa>
+void BM_DrainHomologs(benchmark::State& state) {
+    if (!simd::is_supported(kIsa)) {
+        state.SkipWithError("ISA not supported");
+        return;
+    }
+    const auto q = fixed_query(2000);
+    const align::InterseqProfile prof =
+        align::build_interseq_profile(q, blosum());
+    const auto lanes = static_cast<std::size_t>(align::lanes_u8(kIsa));
+    const std::size_t members =
+        std::min<std::size_t>(10, align::lanes_i16(kIsa));
+    Rng rng(407);
+    const db::MutationModel model{0.15, 0.02, 0.02};
+    std::vector<std::vector<align::Code>> family;
+    std::size_t columns = 0;
+    std::int16_t seed[64] = {};
+    for (std::size_t l = 0; l < members; ++l) {
+        family.push_back(db::mutate(align::Sequence{"m", "", q},
+                                    align::Alphabet::protein(), model, rng)
+                             .residues);
+        const auto& m = family.back();
+        columns = std::max(columns, m.size());
+        align::Score h[2 * align::DatabaseScanner::kDrainSeedBand + 1];
+        align::Score f[2 * align::DatabaseScanner::kDrainSeedBand + 1];
+        seed[l] = static_cast<std::int16_t>(std::min<align::Score>(
+            align::sw_score_banded(q, m, blosum(), kGap,
+                                   align::DatabaseScanner::kDrainSeedBand, h,
+                                   f),
+            32767));
+    }
+    std::vector<align::Code> cols(columns * lanes,
+                                  align::InterseqProfile::kPadCode);
+    for (std::size_t l = 0; l < members; ++l) {
+        for (std::size_t j = 0; j < family[l].size(); ++j) {
+            cols[j * lanes + l] = family[l][j];
+        }
+    }
+    align::ScanScratch scratch;
+    align::InterseqColumnState carry;
+    std::int16_t best16[64];
+    align::I16Pass pass;
+    for (auto _ : state) {
+        pass = align::sw_interseq_i16_tiled(prof, cols.data(), columns, kGap,
+                                            kIsa, scratch, carry, seed,
+                                            best16);
+        benchmark::DoNotOptimize(pass);
+    }
+    report_step(state, q.size(), columns);
+    report_skipped(state, pass);
+}
+#if defined(__SSE2__)
+BENCHMARK(BM_DrainHomologs<simd::IsaLevel::SSE2>);
+#endif
+#if defined(__AVX2__)
+BENCHMARK(BM_DrainHomologs<simd::IsaLevel::AVX2>);
+#endif
+#if defined(__AVX512BW__)
+BENCHMARK(BM_DrainHomologs<simd::IsaLevel::AVX512>);
 #endif
 
 // Full database-search path (StripedAligner with escalation) — what one

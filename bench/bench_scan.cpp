@@ -19,7 +19,9 @@
 // JSON.
 //
 // Usage: bench_scan [--reps N] [--db-seqs N] [--qlens L,L,...]
-//                   [--topk K] [--json PATH | --out PATH]
+//                   [--topk K] [--json PATH]
+// The JSON is written only when --json names a file, so no run can
+// overwrite the checked-in BENCH_scan.json by accident.
 
 #include <algorithm>
 #include <cmath>
@@ -159,9 +161,7 @@ int main(int argc, char** argv) {
     args.add_option("qlens", "comma-separated query lengths",
                     "50,100,150,200,500,1024,1025,2000,3000,5000");
     args.add_option("topk", "hits kept per query (funnel threshold k)", "10");
-    args.add_option("json", "output JSON path", "");
-    args.add_option("out", "output JSON path (alias of --json)",
-                    "BENCH_scan.json");
+    args.add_option("json", "output JSON path (none: no JSON)", "");
     if (!args.parse(argc, argv)) return 0;
     const int reps = static_cast<int>(args.get_int("reps"));
     const std::size_t db_seqs =
@@ -191,8 +191,7 @@ int main(int argc, char** argv) {
         std::cerr << "error: --topk must be positive\n";
         return 1;
     }
-    const std::string out_path =
-        args.get("json").empty() ? args.get("out") : args.get("json");
+    const std::string out_path = args.get("json");
 
     const align::ScoreMatrix matrix = align::ScoreMatrix::blosum62();
     const simd::IsaLevel isa = simd::best_supported();
@@ -360,6 +359,16 @@ int main(int argc, char** argv) {
             : std::pow(funnel_geomean_short,
                        1.0 / static_cast<double>(n_funnel_short));
 
+    std::cout << "\nspeedup geomean_short(qlen<=200)="
+              << format_double(geomean_short, 3)
+              << " geomean_long(qlen>=1024)=" << format_double(geomean_long, 3)
+              << " geomean=" << format_double(geomean, 3)
+              << " best=" << format_double(best_speedup, 3)
+              << "\nfunnel speedup geomean_short(qlen<=500)="
+              << format_double(funnel_geomean_short, 3)
+              << " geomean=" << format_double(funnel_geomean, 3) << "\n";
+    if (out_path.empty()) return 0;
+
     // Host provenance so archived BENCH_scan.json files are
     // self-describing: absolute GCUPS numbers are only comparable
     // within one (machine, compiler, flags) tuple; the perf gate
@@ -437,14 +446,6 @@ int main(int argc, char** argv) {
         << format_double(funnel_geomean, 4) << ",\n"
         << "  \"metrics\": " << metrics.snapshot().to_json() << "\n"
         << "}\n";
-    std::cout << "\nspeedup geomean_short(qlen<=200)="
-              << format_double(geomean_short, 3)
-              << " geomean_long(qlen>=1024)=" << format_double(geomean_long, 3)
-              << " geomean=" << format_double(geomean, 3)
-              << " best=" << format_double(best_speedup, 3)
-              << "\nfunnel speedup geomean_short(qlen<=500)="
-              << format_double(funnel_geomean_short, 3)
-              << " geomean=" << format_double(funnel_geomean, 3) << " -> "
-              << out_path << "\n";
+    std::cout << "wrote " << out_path << "\n";
     return 0;
 }

@@ -8,6 +8,8 @@ DatabaseScanner::Stats& DatabaseScanner::Stats::operator+=(const Stats& o) {
     cohorts_interseq += o.cohorts_interseq;
     cohorts_striped += o.cohorts_striped;
     escalations16 += o.escalations16;
+    drain_columns += o.drain_columns;
+    drain_columns_skipped += o.drain_columns_skipped;
     subjects_interseq += o.subjects_interseq;
     subjects_striped += o.subjects_striped;
     cohorts_filtered += o.cohorts_filtered;

@@ -25,8 +25,9 @@
 // hot lanes — in cohort mode by interleaving length-adjacent groups of
 // at most one i16 vector's lanes into dense scratch cohorts for one i16
 // inter-sequence pass each, at the narrowest SIMD width whose i16
-// vector holds the group (scalar int32 for the rare lane that saturates
-// 16 bits too); serial striped i16 only on the packed path.
+// vector holds the group, skipping the tile columns no lane can use
+// (scalar int32 for the rare lane that saturates 16 bits too); serial
+// striped i16 only on the packed path.
 //
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
@@ -52,6 +53,7 @@
 
 #include "align/interseq.hpp"
 #include "align/striped.hpp"
+#include "align/sw_scalar.hpp"
 #include "align/ungapped.hpp"
 #include "util/annotations.hpp"
 #include "util/check.hpp"
@@ -131,6 +133,13 @@ public:
     /// Also the greedy fill rule of cliff_groups.
     static constexpr std::uint64_t kInterseqMinFillPct = 75;
 
+    /// Half-width of the banded score that seeds each drain lane's best
+    /// (see drain_overflow): wide enough to follow the indels of a
+    /// homolog along the scaled main diagonal, and O(qlen * 33) scalar
+    /// cells per lane, in two 33-cell rows on the stack, against the
+    /// qlen * len of the pass it prunes.
+    static constexpr std::size_t kDrainSeedBand = 16;
+
     /// Full-width fill bar for inter-sequence dispatch as a function of
     /// query length. The interseq kernel pays columns * W cells no
     /// matter how many lanes are real, so it wins only when fill
@@ -159,6 +168,11 @@ public:
         /// i16 inter-sequence passes of the stage-3 drain: one per
         /// cliff group of deferred u8-overflow and hot lanes.
         std::uint64_t escalations16 = 0;
+        /// Tile-columns of those passes (query tiles x group columns),
+        /// and the ones skipped because no lane could use them (see
+        /// sw_interseq_i16_tiled).
+        std::uint64_t drain_columns = 0;
+        std::uint64_t drain_columns_skipped = 0;
         std::uint64_t subjects_interseq = 0;
         std::uint64_t subjects_striped = 0;
         /// Stage-1 prefilter: cohorts it swept (in full, or probed
@@ -225,7 +239,8 @@ public:
     SWH_HOT_PATH bool run_worker(ScanScratch& scratch, EmitFn&& emit,
                                  PrunedFn&& pruned) {
         Stats t;
-        std::vector<std::uint32_t> overflow;
+        std::vector<std::uint32_t>& overflow = scratch.funnel().deferred;
+        overflow.clear();
         bool keep = cohort_mode()
                         ? claim_cohorts(scratch, emit, pruned, overflow, t)
                         : claim_subjects(scratch, emit, overflow, t);
@@ -331,16 +346,6 @@ private:
         return keep;
     }
 
-    /// A cohort probed before the threshold existed, with lanes left to
-    /// decide: those lanes (the hot ones are already settled), every
-    /// lane's first-tile bound, and the largest bound among `lanes`.
-    struct Parked {
-        std::uint32_t cohort = 0;
-        std::uint8_t best = 0;
-        std::uint64_t lanes = 0;
-        std::uint8_t partial[64] = {};
-    };
-
     /// Stage-1 probe of a cohort claimed before the threshold exists:
     /// sweeps only the first filter tile, on every route, into
     /// p.partial. Returns the hot lanes — those of `used` whose bound
@@ -349,7 +354,8 @@ private:
     /// bound"), so a clipped tile is the homolog signal; which lanes
     /// are hot only picks their kernel, never the top-k.
     SWH_HOT_PATH std::uint64_t probe_cohort(const CohortDesc& d,
-                                            std::uint64_t used, Parked& p,
+                                            std::uint64_t used,
+                                            ParkedCohort& p,
                                             ScanScratch& scratch, Stats& t) {
         ++t.cohorts_filtered;
         ++t.filter_tiles;
@@ -426,12 +432,12 @@ private:
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
         const std::size_t qlen = aligner_->interseq()->query_len;
         InterseqColumnState& colstate = scratch.column_state();
-        // Dense scratch of the stage-3 drain; stays empty (no
-        // allocation) until a batch escalates.
-        std::vector<Code> repack;
-        // Probed cohorts waiting for a threshold; stays empty (no
-        // allocation) on exhaustive scans and once the threshold exists.
-        std::vector<Parked> parked;
+        // Dense scratch of the stage-3 drain, grown to the largest group.
+        std::vector<Code>& repack = scratch.funnel().repack;
+        // Probed cohorts waiting for a threshold; stays empty on
+        // exhaustive scans and once the threshold exists.
+        std::vector<ParkedCohort>& parked = scratch.funnel().parked;
+        parked.clear();
 
         // Reports the lanes of `lanes` outside `survive` pruned and
         // exact-scores the survivors on cohort c's route.
@@ -465,7 +471,7 @@ private:
         // Decides the lanes a probe left: resumes the sweep at the
         // second tile once a threshold exists, exact-scores them
         // otherwise (their unswept tiles count as skipped).
-        const auto finish = [&](const Parked& p) {
+        const auto finish = [&](const ParkedCohort& p) {
             const Score tau = threshold_->load(std::memory_order_relaxed);
             std::uint64_t survive = p.lanes;
             if (tau > 0) {
@@ -527,7 +533,7 @@ private:
                                                 scratch, t));
                     continue;
                 }
-                Parked p;
+                ParkedCohort p;
                 p.cohort = static_cast<std::uint32_t>(c);
                 const std::uint64_t hot = probe_cohort(d, used, p, scratch, t);
                 if (hot != 0) {
@@ -563,7 +569,7 @@ private:
         // the likeliest to raise the threshold, or on a no-hit query to
         // seed it; any order yields the same top-k.
         std::sort(parked.begin(), parked.end(),
-                  [](const Parked& a, const Parked& b) {
+                  [](const ParkedCohort& a, const ParkedCohort& b) {
                       return a.best != b.best ? a.best > b.best
                                               : a.cohort < b.cohort;
                   });
@@ -650,9 +656,12 @@ private:
     /// inter-sequence pass, at drain_isa(count) — the narrowest width
     /// whose i16 vector holds the group, so a homolog family of a few
     /// lanes fills its vectors instead of padding a full-width pass.
-    /// Lanes the i16 pass itself flags as saturated go straight to the
-    /// exact int32 rescore (a striped i16 attempt is already proven
-    /// futile). Leaves `overflow` empty.
+    /// Each lane's best starts at its kDrainSeedBand banded score (a
+    /// real alignment's, so at most the exact score), and the pass skips
+    /// the tile columns no path through which can beat it. Lanes the i16
+    /// pass itself flags as saturated go straight to the exact int32
+    /// rescore (a striped i16 attempt is already proven futile). Leaves
+    /// `overflow` empty.
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
                                      ScanScratch& scratch,
@@ -670,10 +679,24 @@ private:
                 // is caller-retained; it grows to the largest group once.
                 repack.resize(std::size_t{columns} * w);
                 interleave_subjects(subjects_, batch, count, w, repack);
+                std::int16_t seed[64] = {};
+                for (std::size_t i = 0; i < count; ++i) {
+                    Score h[2 * kDrainSeedBand + 1];
+                    Score f[2 * kDrainSeedBand + 1];
+                    seed[i] = static_cast<std::int16_t>(std::min<Score>(
+                        sw_score_banded(aligner_->query(),
+                                        subjects_.subject(batch[i]),
+                                        aligner_->matrix(), aligner_->gap(),
+                                        kDrainSeedBand, h, f),
+                        32767));
+                }
                 std::int16_t lane_best[64];
-                const std::uint64_t ovf = sw_interseq_i16_tiled(
+                const I16Pass pass = sw_interseq_i16_tiled(
                     *aligner_->interseq(), repack.data(), columns,
-                    aligner_->gap(), isa, scratch, colstate, lane_best);
+                    aligner_->gap(), isa, scratch, colstate, seed, lane_best);
+                t.drain_columns += pass.columns;
+                t.drain_columns_skipped += pass.columns_skipped;
+                const std::uint64_t ovf = pass.overflow;
                 bool k = true;
                 for (std::size_t i = 0; i < count && k; ++i) {
                     const std::uint32_t idx = batch[i];

@@ -95,15 +95,15 @@ std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
     });
 }
 
-std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
-                                    const Code* cols, std::size_t columns,
-                                    GapPenalty gap, simd::IsaLevel isa,
-                                    ScanScratch& scratch,
-                                    InterseqColumnState& state,
-                                    std::int16_t* lane_best) {
+I16Pass sw_interseq_i16_tiled(const InterseqProfile& profile,
+                              const Code* cols, std::size_t columns,
+                              GapPenalty gap, simd::IsaLevel isa,
+                              ScanScratch& scratch, InterseqColumnState& state,
+                              const std::int16_t* seed,
+                              std::int16_t* lane_best) {
     return simd::dispatch(isa, [&]<class T>(T) {
-        return detail::interseq_i16_tiled<T>(
-            profile, cols, columns, gap, scratch, state, lane_best);
+        return detail::interseq_i16_tiled<T>(profile, cols, columns, gap,
+                                             scratch, state, seed, lane_best);
     });
 }
 

@@ -170,18 +170,34 @@ SWH_HOT_PATH std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
                                    InterseqColumnState& state,
                                    std::uint8_t* lane_best);
 
+/// Outcome of one sw_interseq_i16_tiled pass.
+struct I16Pass {
+    /// Lanes whose `score + max_raw >= 32767` (the striped i16 bound).
+    std::uint64_t overflow = 0;
+    /// Tile-columns of the pass (query tiles x subject columns), and
+    /// the ones skipped because no lane could use them.
+    std::uint64_t columns = 0;
+    std::uint64_t columns_skipped = 0;
+};
+
 /// 16-bit companion for the 8 -> 16 escalation: the same tiling over a
 /// `lanes_u8(isa)`-wide interleave, of which it scores lanes
 /// [0, lanes_i16(isa)) — one i16 vector — and never reads the rest.
 /// Writes those lanes' best scores (clamped to 32767) to
-/// lane_best[0..lanes_i16(isa)) and returns their
-/// `score + max_raw >= 32767` overflow mask, the bound of the striped
-/// i16 kernel.
-SWH_HOT_PATH std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
-                                    const Code* cols, std::size_t columns,
-                                    GapPenalty gap, simd::IsaLevel isa,
-                                    ScanScratch& scratch,
-                                    InterseqColumnState& state,
-                                    std::int16_t* lane_best);
+/// lane_best[0..lanes_i16(isa)) and returns their overflow mask. The
+/// pass skips the tile columns through which no path can beat a lane's
+/// running best (DESIGN.md "Bound-pruned drain"); `seed`, when not
+/// null, starts that best at seed[l] — lanes_i16(isa) entries in
+/// [0, 32767], each at most lane l's exact score (a banded score, say)
+/// — so more columns are skipped. Scores and mask are those of the full
+/// sweep either way.
+SWH_HOT_PATH I16Pass sw_interseq_i16_tiled(const InterseqProfile& profile,
+                                           const Code* cols,
+                                           std::size_t columns,
+                                           GapPenalty gap, simd::IsaLevel isa,
+                                           ScanScratch& scratch,
+                                           InterseqColumnState& state,
+                                           const std::int16_t* seed,
+                                           std::int16_t* lane_best);
 
 }  // namespace swh::align

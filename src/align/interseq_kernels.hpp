@@ -174,37 +174,66 @@ SWH_HOT_PATH std::uint64_t interseq_u8_tiled(const InterseqProfile& p,
                                              state, lane_best);
 }
 
+/// Column granularity of the i16 kernel's column-cap suffix: column j
+/// reads the suffix from the block start at or before j + 1, which
+/// overstates the gain right of j by at most kGainBlock - 1 columns'
+/// caps. The blocks then fit the kernel buffer the tile's rows size
+/// whenever the subject has at most kGainBlock columns per tile row
+/// (8192 at full tiles; a homolog's length follows the query's), so the
+/// bound costs no memory of its own there; one entry per column raised
+/// paper40's peak resident set by 8.5%.
+constexpr std::size_t kGainBlock = 32;
+
 /// 16-bit kernel over the same u8-width interleave: each residue
 /// vector's looked-up int8 scores are sign-extended from the lo half to
 /// one i16 vector, so the kernel scores lanes [0, W/2) and never reads
-/// lanes [W/2, W). Returns the overflow mask of the scored lanes;
-/// lane_best[0..W/2) receives their maxima. A gap charge above 32767
-/// clips to it exactly: a lane below its flag bound holds values below
-/// 32767, from which either charge leaves 0.
+/// lanes [W/2, W). lane_best[0..W/2) receives their maxima. A gap
+/// charge above 32767 clips to it exactly: a lane below its flag bound
+/// holds values below 32767, from which either charge leaves 0.
+///
+/// Bound pruning (DESIGN.md "Bound-pruned drain"). Before a tile's
+/// column j is computed, each lane gets two bounds: Hub >= every H of
+/// the column segment, from the previous column's segment maximum
+/// (segH, which also bounds every E entering the column: E(i, j) <=
+/// H(i, j-1)), the diagonal carried in from the tile above, the
+/// column's composition cap and the entering F; and U >= what any path
+/// can still gain below the tile's top row and right of j (the
+/// query-row cap of rows past r0, the column-cap suffix of columns past
+/// j, read at kGainBlock granularity; both clipped to 32767). When
+/// Hub + U <= best in every lane — best being the lane's running
+/// maximum, seeded by `seed` — no path through the segment can raise a
+/// score, so the column is skipped: its carried H and F, and segH, drop
+/// to the floor, and the tile's row arrays are floored before the next
+/// column it computes. Every reported score and overflow bit is what
+/// the full sweep gives.
 template <class B>
-SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p,
-                                              const Code* cols,
-                                              std::size_t columns,
-                                              GapPenalty gap,
-                                              ScanScratch& scratch,
-                                              InterseqColumnState& state,
-                                              std::int16_t* lane_best) {
+SWH_HOT_PATH I16Pass interseq_i16_tiled(const InterseqProfile& p,
+                                        const Code* cols, std::size_t columns,
+                                        GapPenalty gap, ScanScratch& scratch,
+                                        InterseqColumnState& state,
+                                        const std::int16_t* seed,
+                                        std::int16_t* lane_best) {
     using U = typename B::U8;
     using VW = typename B::I16;
     constexpr int W = U::kLanes;
     std::fill_n(lane_best, VW::kLanes, std::int16_t{0});
     const std::size_t m = p.query_len;
-    if (m == 0 || columns == 0) return 0;
+    if (m == 0 || columns == 0) return {};
 
     const VW vGapOE = VW::splat(static_cast<std::int16_t>(
         std::min<Score>(gap.open + gap.extend, 32767)));
     const VW vGapE =
         VW::splat(static_cast<std::int16_t>(std::min<Score>(gap.extend, 32767)));
     const VW vFloor = VW::splat(kFloor16);
+    const std::int8_t* col_cap = p.col_cap.data();
+    const auto column = [&](std::size_t j) {
+        return U::load(cols + j * static_cast<std::size_t>(W));
+    };
 
     const std::size_t tiles = interseq_tile_count(m);
     const std::size_t rows = (m + tiles - 1) / tiles;
-    const std::size_t bytes = std::min(rows, m) * sizeof(VW);
+    const std::size_t blocks = columns / kGainBlock + 1;
+    const std::size_t bytes = std::max(std::min(rows, m), blocks) * sizeof(VW);
     const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
     VW* __restrict h = static_cast<VW*>(bufs.h_load);
     VW* __restrict e = static_cast<VW*>(bufs.e);
@@ -212,30 +241,65 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p,
         state.arrays(columns * sizeof(VW));
     VW* __restrict crow = static_cast<VW*>(carry.h);
     VW* __restrict cf = static_cast<VW*>(carry.f);
-    VW vMax = vFloor;
+    // gain[b]: the column-cap suffix from column b * kGainBlock on, the
+    // sum over columns c >= b * kGainBlock of col_cap[d_c] per lane,
+    // saturating at 32767 (0 for a block starting at `columns`).
+    VW* __restrict gain = static_cast<VW*>(bufs.h_store);
+    VW vGain = VW::zero();
+    gain[blocks - 1] = vGain;
+    for (std::size_t j = columns; j-- > 0;) {
+        vGain = adds(vGain, widen_lo(lookup32(col_cap, column(j))));
+        if (j % kGainBlock == 0) gain[j / kGainBlock] = vGain;
+    }
+    VW vMax = seed != nullptr ? adds(vFloor, VW::load(seed)) : vFloor;
+    I16Pass pass;
+    pass.columns = std::uint64_t{tiles} * columns;
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        std::fill_n(h, tm, vFloor);
-        std::fill_n(e, tm, vFloor);
         const bool first = r0 == 0;
+        const VW vRowGain = VW::splat(static_cast<std::int16_t>(std::min<Score>(
+            p.row_cap_prefix[m] - p.row_cap_prefix[r0 + 1], 32767)));
         VW carryDiag = vFloor;
+        VW segH = vFloor;  // max H of the previous column's segment
+        bool stale = true;  // h/e still hold a skipped column (or none)
         for (std::size_t j = 0; j < columns; ++j) {
-            const U dbv = U::load(cols + j * static_cast<std::size_t>(W));
-            VW vF = first ? vFloor : cf[j];
+            const U dbv = column(j);
+            const VW vFin = first ? vFloor : cf[j];
             VW vDiag = carryDiag;
             carryDiag = first ? vFloor : crow[j];
+            const VW hub = vmax(
+                adds(vmax(segH, vDiag), widen_lo(lookup32(col_cap, dbv))),
+                vFin);
+            const VW gainRight = gain[(j + 1) / kGainBlock];
+            if (!any_gt(adds(hub, vmin(vRowGain, gainRight)), vMax)) {
+                crow[j] = vFloor;
+                cf[j] = vFloor;
+                segH = vFloor;
+                stale = true;
+                ++pass.columns_skipped;
+                continue;
+            }
+            if (stale) {
+                std::fill_n(h, tm, vFloor);
+                std::fill_n(e, tm, vFloor);
+                stale = false;
+            }
+            VW vF = vFin;
+            VW vCol = vFloor;
             for (std::size_t i = 0; i < tm; ++i) {
                 VW vH = adds(vDiag, widen_lo(lookup32(p.row(r0 + i), dbv)));
                 vDiag = h[i];
                 vH = vmax(vH, e[i]);
                 vH = vmax(vH, vF);
-                vMax = vmax(vMax, vH);
+                vCol = vmax(vCol, vH);
                 h[i] = vH;
                 const VW vHgap = subs(vH, vGapOE);
                 e[i] = vmax(subs(e[i], vGapE), vHgap);
                 vF = vmax(subs(vF, vGapE), vHgap);
             }
+            vMax = vmax(vMax, vCol);
+            segH = vCol;
             crow[j] = h[tm - 1];
             cf[j] = vF;
         }
@@ -243,13 +307,12 @@ SWH_HOT_PATH std::uint64_t interseq_i16_tiled(const InterseqProfile& p,
 
     std::int16_t raw[VW::kLanes];
     vMax.store(raw);
-    std::uint64_t overflow = 0;
     for (int l = 0; l < VW::kLanes; ++l) {
         const Score score = std::min<Score>(raw[l] - kFloor16, 32767);
         lane_best[l] = static_cast<std::int16_t>(score);
-        if (score + p.max_raw >= 32767) overflow |= std::uint64_t{1} << l;
+        if (score + p.max_raw >= 32767) pass.overflow |= std::uint64_t{1} << l;
     }
-    return overflow;
+    return pass;
 }
 
 }  // namespace swh::align::detail

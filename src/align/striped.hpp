@@ -14,6 +14,17 @@
 
 namespace swh::align {
 
+/// A cohort the scan funnel probed before its pruning threshold existed,
+/// with lanes left to decide (see DatabaseScanner::claim_cohorts): those
+/// lanes (the hot ones are already settled), every lane's first-tile
+/// bound, and the largest bound among `lanes`.
+struct ParkedCohort {
+    std::uint32_t cohort = 0;
+    std::uint8_t best = 0;
+    std::uint64_t lanes = 0;
+    std::uint8_t partial[64] = {};
+};
+
 /// Reusable, 64-byte-aligned scratch memory for the striped kernels and
 /// the scalar int32 rescore fallback. One instance per worker thread;
 /// the kernels carve their H/E buffers out of it, so repeated score()
@@ -48,6 +59,18 @@ public:
     /// when kernel_buffers() grows, and it stays warm across scans.
     InterseqColumnState& column_state() { return columns_; }
 
+    /// The worker's lists of the cohort funnel
+    /// (DatabaseScanner::run_worker), kept so a warm worker scans
+    /// without allocating: the deferred batch of u8-overflowed and hot
+    /// lanes (original indices), the stage-3 drain's dense repack, and
+    /// the parked cohorts. A scan starts with them empty.
+    struct FunnelLists {
+        std::vector<std::uint32_t> deferred;
+        std::vector<Code> repack;
+        std::vector<ParkedCohort> parked;
+    };
+    FunnelLists& funnel() { return funnel_; }
+
 private:
     void ensure(std::size_t bytes);
 
@@ -57,6 +80,7 @@ private:
     std::unique_ptr<std::byte[], Free> buf_;
     std::size_t cap_ = 0;
     InterseqColumnState columns_;
+    FunnelLists funnel_;
 };
 
 /// Striped query profile (Farrar 2007). For a query of length m split

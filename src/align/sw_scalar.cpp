@@ -106,6 +106,53 @@ Score sw_score_affine_rows(std::span<const Code> s, std::span<const Code> t,
     return gotoh_core<false>(s, t, matrix, gap, h_row, f_col).score;
 }
 
+Score sw_score_banded(std::span<const Code> s, std::span<const Code> t,
+                      const ScoreMatrix& matrix, GapPenalty gap,
+                      std::size_t half_width, Score* h_band, Score* f_band) {
+    SWH_REQUIRE(gap.open >= 0 && gap.extend >= 0,
+                "gap penalties must be non-negative");
+    const std::size_t m = s.size();
+    const std::size_t n = t.size();
+    if (m == 0 || n == 0) return 0;
+    // Row i covers columns [lo, hi] and keeps column j at index j - lo.
+    // Both ends only move right as i grows, so writing row i over row
+    // i-1 left to right never clobbers a value before it is read: row
+    // i-1's column j sits at index j - prev_lo >= j - lo. Columns
+    // outside row i-1's band read as H = 0 (the empty alignment) and
+    // F = 0 (no open gap, safe as in gotoh_core).
+    std::size_t prev_lo = 1;
+    std::size_t prev_hi = 0;  // row 0: empty band
+    const auto in_prev = [&](std::size_t j) {
+        return j >= prev_lo && j <= prev_hi;
+    };
+    Score best = 0;
+    for (std::size_t i = 1; i <= m; ++i) {
+        const std::size_t center = (i * n + m / 2) / m;
+        const std::size_t lo = center > half_width ? center - half_width : 1;
+        const std::size_t hi = std::min(n, center + half_width);
+        Score h_diag = in_prev(lo - 1) ? h_band[lo - 1 - prev_lo] : 0;
+        Score h_left = 0;  // H(i, lo-1): outside the band
+        Score e = 0;
+        for (std::size_t j = lo; j <= hi; ++j) {
+            const bool up = in_prev(j);
+            const Score h_up = up ? h_band[j - prev_lo] : 0;
+            const Score f_up = up ? f_band[j - prev_lo] : 0;
+            e = std::max(e, h_left - gap.open) - gap.extend;
+            const Score f = std::max(f_up, h_up - gap.open) - gap.extend;
+            const Score h = std::max(
+                {h_diag + matrix.at(s[i - 1], t[j - 1]), e, f, Score{0}});
+            h_band[j - lo] = h;
+            f_band[j - lo] = f;
+            h_diag = h_up;
+            h_left = h;
+            best = std::max(best, h);
+        }
+        prev_lo = lo;
+        prev_hi = hi;
+    }
+    return best;
+}
+
 LocalEnd sw_end_affine(std::span<const Code> s, std::span<const Code> t,
                        const ScoreMatrix& matrix, GapPenalty gap) {
     std::vector<Score> h_row(t.size() + 1), f_col(t.size() + 1);

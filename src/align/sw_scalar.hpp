@@ -50,6 +50,18 @@ Score sw_score_affine_rows(std::span<const Code> s, std::span<const Code> t,
                            const ScoreMatrix& matrix, GapPenalty gap,
                            Score* h_row, Score* f_col);
 
+/// Affine Smith-Waterman restricted to a band: row i (1-based, of s)
+/// spans columns j of t within `half_width` of round(i * |t| / |s|), the
+/// main diagonal scaled to the matrix's shape; cells outside the band
+/// are unreachable. Every path it scores is a real local alignment, so
+/// the result is a lower bound on sw_score_affine, equal to it once the
+/// band covers the matrix (half_width >= max(|s|, |t|)), and 0 for an
+/// empty sequence. O(|s| * half_width) time; `h_band` and `f_band` are
+/// caller-provided rows of at least min(|t|, 2 * half_width + 1) cells.
+Score sw_score_banded(std::span<const Code> s, std::span<const Code> t,
+                      const ScoreMatrix& matrix, GapPenalty gap,
+                      std::size_t half_width, Score* h_band, Score* f_band);
+
 /// Same, but also reports where the best alignment ends. Ties break
 /// toward the smallest (s_end, t_end) in lexicographic order, matching
 /// the traceback implementation.

@@ -34,6 +34,9 @@ void export_scan_stats(const align::DatabaseScanner::Stats& s,
     metrics.counter("engine.cpu.filter.tiles").add(s.filter_tiles);
     metrics.counter("engine.cpu.filter.tiles_skipped")
         .add(s.filter_tiles_skipped);
+    metrics.counter("engine.cpu.drain.columns").add(s.drain_columns);
+    metrics.counter("engine.cpu.drain.columns_skipped")
+        .add(s.drain_columns_skipped);
     // Escalation profile: subjects settled at each kernel width.
     metrics.counter("engine.cpu.runs8").add(s.settled8);
     metrics.counter("engine.cpu.runs16").add(s.settled16);

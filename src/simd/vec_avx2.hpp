@@ -146,6 +146,9 @@ struct I16x16 {
     friend I16x16 vmax(I16x16 a, I16x16 b) {
         return {_mm256_max_epi16(a.v, b.v)};
     }
+    friend I16x16 vmin(I16x16 a, I16x16 b) {
+        return {_mm256_min_epi16(a.v, b.v)};
+    }
 
     I16x16 shl_lane() const { return {detail::shl_256<2>(v)}; }
 

@@ -151,6 +151,9 @@ struct I16x32 {
     friend I16x32 vmax(I16x32 a, I16x32 b) {
         return {_mm512_max_epi16(a.v, b.v)};
     }
+    friend I16x32 vmin(I16x32 a, I16x32 b) {
+        return {_mm512_min_epi16(a.v, b.v)};
+    }
 
     I16x32 shl_lane() const { return {detail512::shl_512<2>(v)}; }
 

@@ -17,7 +17,7 @@ namespace swh::simd {
 //   zero(), splat(x), load(p), store(p)
 //   adds(a,b)   -- saturating add
 //   subs(a,b)   -- saturating subtract
-//   vmax(a,b)   -- lane-wise max
+//   vmax(a,b)   -- lane-wise max (16-bit vectors also vmin)
 //   a.shl_lane() -- shift lanes toward higher index, 0 enters at lane 0
 //                   (the striped "previous row" rotation)
 //   any_gt(a,b) -- true if a > b in any lane
@@ -144,6 +144,12 @@ struct I16xN {
     friend I16xN vmax(I16xN a, I16xN b) {
         I16xN r;
         for (int i = 0; i < N; ++i) r.lane[i] = std::max(a.lane[i], b.lane[i]);
+        return r;
+    }
+
+    friend I16xN vmin(I16xN a, I16xN b) {
+        I16xN r;
+        for (int i = 0; i < N; ++i) r.lane[i] = std::min(a.lane[i], b.lane[i]);
         return r;
     }
 

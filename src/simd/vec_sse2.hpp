@@ -144,6 +144,7 @@ struct I16x8 {
     friend I16x8 adds(I16x8 a, I16x8 b) { return {_mm_adds_epi16(a.v, b.v)}; }
     friend I16x8 subs(I16x8 a, I16x8 b) { return {_mm_subs_epi16(a.v, b.v)}; }
     friend I16x8 vmax(I16x8 a, I16x8 b) { return {_mm_max_epi16(a.v, b.v)}; }
+    friend I16x8 vmin(I16x8 a, I16x8 b) { return {_mm_min_epi16(a.v, b.v)}; }
 
     I16x8 shl_lane() const { return {_mm_slli_si128(v, 2)}; }
 

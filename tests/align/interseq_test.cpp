@@ -124,7 +124,8 @@ TEST(InterseqKernels, Int8ExtremeEntriesMatchStripedAndOracle) {
         const std::uint64_t ovf8 = sw_interseq_u8_tiled(
             prof, cols.data(), columns, kGap, isa, scratch, state, best8);
         EXPECT_EQ(sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
-                                        scratch, state, best16),
+                                        scratch, state, nullptr, best16)
+                      .overflow,
                   0u);
         const Profile8 p8 = build_profile8(q, matrix, W);
         for (int l = 0; l < W; ++l) {
@@ -291,8 +292,10 @@ TEST(InterseqKernels, I16MatchesStripedIncludingOverflowMask) {
         ScanScratch scratch;
         InterseqColumnState state;
         std::int16_t lane_best[64];
-        const std::uint64_t ovf = sw_interseq_i16_tiled(
-            prof, cols.data(), columns, kGap, isa, scratch, state, lane_best);
+        const std::uint64_t ovf =
+            sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
+                                  scratch, state, nullptr, lane_best)
+                .overflow;
         EXPECT_EQ(ovf >> H, 0u) << simd::to_string(isa);
 
         const Profile16 p16 = build_profile16(q, matrix, H);
@@ -336,7 +339,9 @@ TEST(InterseqKernels, EmptyQueryAndEmptyCohortAreClean) {
                                            isa, scratch, state, best8),
                       0u);
             EXPECT_EQ(sw_interseq_i16_tiled(*p, cols.data(), columns, kGap,
-                                            isa, scratch, state, best16),
+                                            isa, scratch, state, nullptr,
+                                            best16)
+                          .overflow,
                       0u);
             for (int l = 0; l < W; ++l) {
                 EXPECT_EQ(best8[l], 0) << simd::to_string(isa);

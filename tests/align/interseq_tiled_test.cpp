@@ -196,8 +196,10 @@ TEST(InterseqTiledKernels, I16MatchesStripedAcrossTiles) {
         ScanScratch scratch;
         InterseqColumnState state;
         std::int16_t best[64];
-        const std::uint64_t ovf = sw_interseq_i16_tiled(
-            prof, cols.data(), columns, kGap, isa, scratch, state, best);
+        const std::uint64_t ovf =
+            sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
+                                  scratch, state, nullptr, best)
+                .overflow;
         EXPECT_EQ(ovf >> H, 0u) << simd::to_string(isa);
 
         const Profile16 p16 = build_profile16(q, matrix, H);
@@ -256,8 +258,10 @@ TEST(InterseqTiledKernels, I16GroupBitIdenticalAtEveryWidthThatHoldsIt) {
             ScanScratch scratch;
             InterseqColumnState state;
             std::int16_t best[64];
-            const std::uint64_t ovf = sw_interseq_i16_tiled(
-                prof, cols.data(), columns, kGap, isa, scratch, state, best);
+            const std::uint64_t ovf =
+                sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
+                                      scratch, state, nullptr, best)
+                    .overflow;
             const std::string label = "isa=" +
                                       std::string(simd::to_string(isa)) +
                                       " n=" + std::to_string(n);
@@ -382,7 +386,8 @@ TEST(InterseqTiledKernels, ExactAtWideGapChargesOnEveryIsa) {
             std::int16_t best16[64];
             EXPECT_EQ(sw_interseq_i16_tiled(prof, wide_cols.data(),
                                             wide_columns, gap, isa, scratch,
-                                            state, best16),
+                                            state, nullptr, best16)
+                          .overflow,
                       0u)
                 << label;
             const Profile16 p16 = build_profile16(q, blosum(), H);

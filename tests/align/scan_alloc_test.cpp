@@ -13,6 +13,7 @@
 #include "align/db_scan.hpp"
 #include "align/striped.hpp"
 #include "db/database.hpp"
+#include "db/generator.hpp"
 #include "db/packed.hpp"
 #include "engines/topk.hpp"
 #include "util/rng.hpp"
@@ -102,13 +103,12 @@ TEST(ScanAllocation, ScannerPass1IsAllocationFreeAfterWarmup) {
 
     DatabaseScanner scanner(aligner, packed.view());
     ScanScratch scratch;
-    // Warm-up: run one full scan (grows scratch + overflow vector).
+    // Warm-up: run one full scan (grows the scratch and its lists).
     scanner.run_worker(scratch,
                        [](std::uint32_t, std::uint32_t, Score) { return true; });
 
     // Steady state: per-subject scoring through a warm scratch must not
-    // allocate. (The scanner's per-call overflow list is the only
-    // remaining allocation site and stays empty for this query.)
+    // allocate.
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     Score best = 0;
     for (std::size_t i = 0; i < packed.size(); ++i) {
@@ -172,6 +172,76 @@ TEST(ScanAllocation, EnginePathIsAllocationFreeAfterWarmup) {
     EXPECT_TRUE(completed);
     EXPECT_EQ(emitted, database.size());
     EXPECT_EQ(after, before) << "engine scan path allocated in steady state";
+}
+
+TEST(ScanAllocation, FunnelDrainIsAllocationFreeAfterWarmup) {
+    // The armed funnel with a planted family: the probe finds the
+    // mutants hot and holds them until they can seed the threshold, the
+    // stage-3 drain settles them — banded seed, column-cap suffix,
+    // bound-pruned i16 pass — and the threshold then prunes the
+    // background. The deferred batch, the drain's repack and the parked
+    // cohorts live in the worker's ScanScratch, so a warm worker runs
+    // the second scan without touching the heap.
+    Rng rng(55);
+    const Sequence q = db::random_protein(rng, 300, "q");
+    db::Database background = alloc_test_db();
+    std::vector<Sequence> seqs = background.sequences();
+    const db::MutationModel model{0.15, 0.01, 0.01};
+    for (int i = 0; i < 12; ++i) {
+        seqs.push_back(db::mutate(q, Alphabet::protein(), model, rng));
+    }
+    const db::Database database("alloc-family", std::move(seqs));
+    const ScoreMatrix matrix = ScoreMatrix::blosum62();
+    const StripedAligner aligner(q.residues, matrix, {10, 2});
+    const db::PackedDatabase& packed = database.packed();
+    const InterleavedCohorts cohorts =
+        packed.interleaved(lanes_u8(aligner.isa())).view();
+    constexpr std::size_t kTop = 10;
+
+    ScanScratch scratch;
+    const auto scan = [&](DatabaseScanner& scanner, std::atomic<Score>& tau,
+                          engines::TopK& topk, std::size_t& settled) {
+        return scanner.run_worker(
+            scratch,
+            [&](std::uint32_t idx, std::uint32_t, Score s) {
+                topk.add(idx, s);
+                ++settled;
+                const Score kth = topk.kth_score();
+                if (kth > tau.load(std::memory_order_relaxed)) {
+                    tau.store(kth, std::memory_order_relaxed);
+                }
+                return true;
+            },
+            [](std::uint32_t, std::uint32_t) { return true; });
+    };
+    // Warm-up scan grows the scratch and the funnel lists.
+    std::atomic<Score> warm_tau{engines::TopK::kNoThreshold};
+    DatabaseScanner warm(aligner, packed.view(),
+                         DatabaseScanner::kDefaultChunk, cohorts,
+                         {&warm_tau, kTop});
+    engines::TopK warm_topk(kTop);
+    std::size_t warm_settled = 0;
+    ASSERT_TRUE(scan(warm, warm_tau, warm_topk, warm_settled));
+
+    std::atomic<Score> tau{engines::TopK::kNoThreshold};
+    DatabaseScanner scanner(aligner, packed.view(),
+                            DatabaseScanner::kDefaultChunk, cohorts,
+                            {&tau, kTop});
+    engines::TopK topk(kTop);
+    std::size_t settled = 0;
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const bool completed = scan(scanner, tau, topk, settled);
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    EXPECT_TRUE(completed);
+    EXPECT_EQ(after, before) << "funnel drain path allocated in steady state";
+
+    const DatabaseScanner::Stats st = scanner.stats();
+    EXPECT_GT(st.subjects_hot, 0u);
+    EXPECT_GT(st.escalations16, 0u);
+    EXPECT_GT(st.drain_columns_skipped, 0u);
+    EXPECT_GT(st.subjects_pruned, 0u);
+    EXPECT_EQ(settled, warm_settled);
+    EXPECT_EQ(topk.take(), warm_topk.take());
 }
 
 }  // namespace

@@ -40,6 +40,9 @@ void check_backend_agreement(std::uint64_t seed) {
         expect_same(adds(va, vb), adds(ea, eb), "adds");
         expect_same(subs(va, vb), subs(ea, eb), "subs");
         expect_same(vmax(va, vb), vmax(ea, eb), "vmax");
+        if constexpr (std::is_same_v<Lane, std::int16_t>) {
+            expect_same(vmin(va, vb), vmin(ea, eb), "vmin");
+        }
         expect_same(va.shl_lane(), ea.shl_lane(), "shl_lane");
         EXPECT_EQ(any_gt(va, vb), any_gt(ea, eb)) << "any_gt iter " << iter;
         EXPECT_EQ(va.hmax(), ea.hmax()) << "hmax iter " << iter;

@@ -145,6 +145,8 @@ TEST(CpuEngine, ExportsOneMetricNamePerScanFact) {
         "engine.cpu.filter.saturated",
         "engine.cpu.filter.tiles",
         "engine.cpu.filter.tiles_skipped",
+        "engine.cpu.drain.columns",
+        "engine.cpu.drain.columns_skipped",
         "scan.dispatch.cohorts_interseq",
         "scan.dispatch.cohorts_striped_head",
         "scan.dispatch.escalations16",
