@@ -81,15 +81,9 @@ void BM_StripedU8(benchmark::State& state) {
     report_gcups(state, q.size(), d.size());
 }
 BENCHMARK(BM_StripedU8<simd::IsaLevel::Scalar>)->Arg(500);
-#if defined(__SSE2__)
 BENCHMARK(BM_StripedU8<simd::IsaLevel::SSE2>)->Arg(100)->Arg(500)->Arg(2000)->Arg(5000);
-#endif
-#if defined(__AVX2__)
 BENCHMARK(BM_StripedU8<simd::IsaLevel::AVX2>)->Arg(100)->Arg(500)->Arg(2000)->Arg(5000);
-#endif
-#if defined(__AVX512BW__)
 BENCHMARK(BM_StripedU8<simd::IsaLevel::AVX512>)->Arg(500)->Arg(2000)->Arg(5000);
-#endif
 
 template <simd::IsaLevel kIsa>
 void BM_StripedI16(benchmark::State& state) {
@@ -106,15 +100,9 @@ void BM_StripedI16(benchmark::State& state) {
     }
     report_gcups(state, q.size(), d.size());
 }
-#if defined(__SSE2__)
 BENCHMARK(BM_StripedI16<simd::IsaLevel::SSE2>)->Arg(500)->Arg(2000);
-#endif
-#if defined(__AVX2__)
 BENCHMARK(BM_StripedI16<simd::IsaLevel::AVX2>)->Arg(500)->Arg(2000);
-#endif
-#if defined(__AVX512BW__)
 BENCHMARK(BM_StripedI16<simd::IsaLevel::AVX512>)->Arg(500)->Arg(2000);
-#endif
 
 /// One lane-interleaved cohort of random subjects (lengths 250..350)
 /// for `lanes` lanes, plus its column count.
@@ -204,15 +192,9 @@ void BM_Interseq(benchmark::State& state) {
     BENCHMARK(BM_Interseq<InterseqKernel::Filter, isa>)->Arg(512);         \
     BENCHMARK(BM_Interseq<InterseqKernel::ExactU8, isa>)->Arg(512);        \
     BENCHMARK(BM_Interseq<InterseqKernel::DrainI16, isa>)->Arg(512)->Arg(2000)
-#if defined(__SSE2__)
 SWH_BENCH_INTERSEQ(simd::IsaLevel::SSE2);
-#endif
-#if defined(__AVX2__)
 SWH_BENCH_INTERSEQ(simd::IsaLevel::AVX2);
-#endif
-#if defined(__AVX512BW__)
 SWH_BENCH_INTERSEQ(simd::IsaLevel::AVX512);
-#endif
 
 /// The i16 drain as the scanner runs it on a homolog family: up to 10
 /// mutants (15% substitutions, 2% indels each way; as many as one i16
@@ -271,15 +253,9 @@ void BM_DrainHomologs(benchmark::State& state) {
     report_step(state, q.size(), columns);
     report_skipped(state, pass);
 }
-#if defined(__SSE2__)
 BENCHMARK(BM_DrainHomologs<simd::IsaLevel::SSE2>);
-#endif
-#if defined(__AVX2__)
 BENCHMARK(BM_DrainHomologs<simd::IsaLevel::AVX2>);
-#endif
-#if defined(__AVX512BW__)
 BENCHMARK(BM_DrainHomologs<simd::IsaLevel::AVX512>);
-#endif
 
 // Full database-search path (StripedAligner with escalation) — what one
 // paper SSE-core slave runs per task.

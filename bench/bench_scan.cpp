@@ -40,7 +40,7 @@
 #include "engines/cpu_engine.hpp"
 #include "engines/topk.hpp"
 #include "obs/metrics.hpp"
-#include "simd/simd.hpp"
+#include "simd/arch.hpp"
 #include "util/args.hpp"
 #include "util/hostinfo.hpp"
 #include "util/rng.hpp"
@@ -205,6 +205,7 @@ int main(int argc, char** argv) {
     const std::uint64_t db_residues = database.residues();
 
     std::cout << "bench_scan: isa=" << simd::to_string(isa)
+              << " tier=" << simd::to_string(simd::active_tier())
               << " lanes=" << lanes << " db_seqs=" << database.size()
               << " db_residues=" << db_residues << " reps=" << reps
               << " topk=" << top_k << "\n\n";

@@ -373,7 +373,8 @@ int main(int argc, char** argv) {
                                         std::to_string(args.get_int(
                                             "expect-slaves"))
                                   : args.get("slaves"))
-                  << ", ISA " << simd::to_string(config.isa) << "\n";
+                  << ", ISA " << simd::to_string(config.isa) << " ("
+                  << simd::to_string(simd::active_tier()) << ")\n";
 
         std::vector<runtime::SlaveSpec> slaves;
         // PeIds are handed out in registration (spec / connection)

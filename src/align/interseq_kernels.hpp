@@ -2,8 +2,8 @@
 
 // Templated bodies of the inter-sequence Smith-Waterman kernels: one
 // subject per SIMD lane, DP state arrays indexed by query position.
-// Instantiated per SIMD backend in interseq.cpp; exposed in a header so
-// tests can pin a specific backend.
+// Instantiated per ISA tier and width in kernels_tier.hpp; a tier
+// header (simd/tier.hpp).
 //
 // Orientation: the outer loop walks subject columns (one interleaved
 // residue vector per column), the inner loop walks the query. E (gap
@@ -41,10 +41,12 @@
 
 #include "align/interseq.hpp"
 #include "align/striped.hpp"
+#include "simd/simd.hpp"
 #include "util/annotations.hpp"
 #include "util/error.hpp"
 
-namespace swh::align::detail {
+SWH_TIER_BEGIN
+namespace swh::align::SWH_TIER_NS {
 
 /// Floor values of the offset-signed kernels: score 0.
 constexpr std::int8_t kFloor8 = INT8_MIN;
@@ -315,4 +317,5 @@ SWH_HOT_PATH I16Pass interseq_i16_tiled(const InterseqProfile& p,
     return pass;
 }
 
-}  // namespace swh::align::detail
+}  // namespace swh::align::SWH_TIER_NS
+SWH_TIER_END

@@ -2,8 +2,8 @@
 
 // Templated bodies of the striped Smith-Waterman kernels (Farrar 2007,
 // with the exactness fix of also refreshing E during the lazy-F loop).
-// Instantiated per SIMD backend in striped.cpp; exposed in a header so
-// tests can pin a specific backend.
+// Instantiated per ISA tier and width in kernels_tier.hpp; a tier
+// header (simd/tier.hpp).
 //
 // The kernels draw their H/E column buffers from a caller-owned
 // ScanScratch, so a database scan reuses one warm allocation instead of
@@ -16,10 +16,12 @@
 #include <span>
 
 #include "align/striped.hpp"
+#include "simd/simd.hpp"
 #include "util/annotations.hpp"
 #include "util/error.hpp"
 
-namespace swh::align::detail {
+SWH_TIER_BEGIN
+namespace swh::align::SWH_TIER_NS {
 
 /// 8-bit unsigned kernel. V must model the vector interface documented
 /// in simd/vec_scalar.hpp with lane_type uint8_t.
@@ -183,4 +185,5 @@ SWH_HOT_PATH StripedResult striped_i16(const Profile16& p,
     return r;
 }
 
-}  // namespace swh::align::detail
+}  // namespace swh::align::SWH_TIER_NS
+SWH_TIER_END

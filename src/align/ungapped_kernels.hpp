@@ -4,8 +4,8 @@
 // SIMD lane, two DP rows indexed by query position (the H row and the
 // rows-above prefix maximum), no E/F recurrences — just the diagonal
 // chain with a row-monotone restart charge (see align/ungapped.hpp).
-// Instantiated per SIMD backend in ungapped.cpp; exposed in a header so
-// tests can pin a specific backend.
+// Instantiated per ISA tier and width in kernels_tier.hpp; a tier
+// header (simd/tier.hpp).
 //
 // The arithmetic matches the full inter-sequence kernels
 // (interseq_kernels.hpp): raw int8 scores from the shared transposed
@@ -26,9 +26,11 @@
 #include "align/interseq_kernels.hpp"
 #include "align/striped.hpp"
 #include "align/ungapped.hpp"
+#include "simd/simd.hpp"
 #include "util/annotations.hpp"
 
-namespace swh::align::detail {
+SWH_TIER_BEGIN
+namespace swh::align::SWH_TIER_NS {
 
 /// 8-bit gap-slack kernel body: B is a simd::Backend; its U8 vectors
 /// carry the residue codes and its S8 vectors the chain values.
@@ -135,4 +137,5 @@ SWH_HOT_PATH void composition_cap(const InterseqProfile& p, const Code* cols,
     }
 }
 
-}  // namespace swh::align::detail
+}  // namespace swh::align::SWH_TIER_NS
+SWH_TIER_END

@@ -1,12 +1,16 @@
 #pragma once
 
-#if defined(__AVX2__)
+// 256-bit backend (the AVX2 width) of the ISA tier SWH_TIER: AVX2 at v3,
+// plus AVX-512 VBMI and VL at v4. A tier header (simd/tier.hpp).
 
 #include <immintrin.h>
 
 #include <cstdint>
 
-namespace swh::simd {
+#include "simd/tier.hpp"
+
+SWH_TIER_BEGIN
+namespace swh::simd::SWH_TIER_NS {
 
 namespace detail {
 
@@ -23,7 +27,7 @@ inline __m256i shl_256(__m256i v) {
 
 }  // namespace detail
 
-/// 32 unsigned 8-bit lanes (AVX2). See vec_scalar.hpp for the contract.
+/// 32 unsigned 8-bit lanes See vec_scalar.hpp for the contract.
 struct U8x32 {
     using lane_type = std::uint8_t;
     static constexpr int kLanes = 32;
@@ -44,21 +48,7 @@ struct U8x32 {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
 
-    friend U8x32 adds(U8x32 a, U8x32 b) {
-        return {_mm256_adds_epu8(a.v, b.v)};
-    }
-    friend U8x32 subs(U8x32 a, U8x32 b) {
-        return {_mm256_subs_epu8(a.v, b.v)};
-    }
-    friend U8x32 vmax(U8x32 a, U8x32 b) { return {_mm256_max_epu8(a.v, b.v)}; }
-
     U8x32 shl_lane() const { return {detail::shl_256<1>(v)}; }
-
-    friend bool any_gt(U8x32 a, U8x32 b) {
-        const __m256i diff = _mm256_subs_epu8(a.v, b.v);
-        const __m256i eq0 = _mm256_cmpeq_epi8(diff, _mm256_setzero_si256());
-        return _mm256_movemask_epi8(eq0) != -1;
-    }
 
     std::uint8_t hmax() const {
         const __m128i lo = _mm256_castsi256_si128(v);
@@ -72,7 +62,23 @@ struct U8x32 {
     }
 };
 
-/// 32 signed 8-bit lanes (AVX2).
+inline U8x32 adds(U8x32 a, U8x32 b) {
+    return {_mm256_adds_epu8(a.v, b.v)};
+}
+
+inline U8x32 subs(U8x32 a, U8x32 b) {
+    return {_mm256_subs_epu8(a.v, b.v)};
+}
+
+inline U8x32 vmax(U8x32 a, U8x32 b) { return {_mm256_max_epu8(a.v, b.v)}; }
+
+inline bool any_gt(U8x32 a, U8x32 b) {
+    const __m256i diff = _mm256_subs_epu8(a.v, b.v);
+    const __m256i eq0 = _mm256_cmpeq_epi8(diff, _mm256_setzero_si256());
+    return _mm256_movemask_epi8(eq0) != -1;
+}
+
+/// 32 signed 8-bit lanes.
 struct S8x32 {
     using lane_type = std::int8_t;
     static constexpr int kLanes = 32;
@@ -88,24 +94,25 @@ struct S8x32 {
     void store(std::int8_t* p) const {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
-
-    friend S8x32 adds(S8x32 a, S8x32 b) {
-        return {_mm256_adds_epi8(a.v, b.v)};
-    }
-    friend S8x32 subs(S8x32 a, S8x32 b) {
-        return {_mm256_subs_epi8(a.v, b.v)};
-    }
-    friend S8x32 vmax(S8x32 a, S8x32 b) { return {_mm256_max_epi8(a.v, b.v)}; }
 };
 
-/// Per-lane gather from a 32-entry int8 table (indices < 32). With
-/// AVX-512VBMI+VL this is one VPERMB; otherwise each 16-byte table
-/// half is duplicated across both 128-bit lanes and the VPSHUFB
-/// results are selected on index bit 4.
+inline S8x32 adds(S8x32 a, S8x32 b) {
+    return {_mm256_adds_epi8(a.v, b.v)};
+}
+
+inline S8x32 subs(S8x32 a, S8x32 b) {
+    return {_mm256_subs_epi8(a.v, b.v)};
+}
+
+inline S8x32 vmax(S8x32 a, S8x32 b) { return {_mm256_max_epi8(a.v, b.v)}; }
+
+/// Per-lane gather from a 32-entry int8 table (indices < 32): one VPERMB
+/// at v4; at v3 each 16-byte table half is duplicated across both
+/// 128-bit lanes and the VPSHUFB results are selected on index bit 4.
 inline S8x32 lookup32(const std::int8_t* table, U8x32 idx) {
     const __m256i tbl =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table));
-#if defined(__AVX512VBMI__) && defined(__AVX512VL__)
+#if SWH_TIER >= 4
     // The all-ones zero-mask form is the same VPERMB; the plain
     // intrinsic trips gcc 12's -Wmaybe-uninitialized in its header.
     return {_mm256_maskz_permutexvar_epi8(~__mmask32{0}, idx.v, tbl)};
@@ -118,7 +125,7 @@ inline S8x32 lookup32(const std::int8_t* table, U8x32 idx) {
 #endif
 }
 
-/// 16 signed 16-bit lanes (AVX2).
+/// 16 signed 16-bit lanes.
 struct I16x16 {
     using lane_type = std::int16_t;
     static constexpr int kLanes = 16;
@@ -137,24 +144,7 @@ struct I16x16 {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
 
-    friend I16x16 adds(I16x16 a, I16x16 b) {
-        return {_mm256_adds_epi16(a.v, b.v)};
-    }
-    friend I16x16 subs(I16x16 a, I16x16 b) {
-        return {_mm256_subs_epi16(a.v, b.v)};
-    }
-    friend I16x16 vmax(I16x16 a, I16x16 b) {
-        return {_mm256_max_epi16(a.v, b.v)};
-    }
-    friend I16x16 vmin(I16x16 a, I16x16 b) {
-        return {_mm256_min_epi16(a.v, b.v)};
-    }
-
     I16x16 shl_lane() const { return {detail::shl_256<2>(v)}; }
-
-    friend bool any_gt(I16x16 a, I16x16 b) {
-        return _mm256_movemask_epi8(_mm256_cmpgt_epi16(a.v, b.v)) != 0;
-    }
 
     std::int16_t hmax() const {
         const __m128i lo = _mm256_castsi256_si128(v);
@@ -167,6 +157,26 @@ struct I16x16 {
     }
 };
 
+inline I16x16 adds(I16x16 a, I16x16 b) {
+    return {_mm256_adds_epi16(a.v, b.v)};
+}
+
+inline I16x16 subs(I16x16 a, I16x16 b) {
+    return {_mm256_subs_epi16(a.v, b.v)};
+}
+
+inline I16x16 vmax(I16x16 a, I16x16 b) {
+    return {_mm256_max_epi16(a.v, b.v)};
+}
+
+inline I16x16 vmin(I16x16 a, I16x16 b) {
+    return {_mm256_min_epi16(a.v, b.v)};
+}
+
+inline bool any_gt(I16x16 a, I16x16 b) {
+    return _mm256_movemask_epi8(_mm256_cmpgt_epi16(a.v, b.v)) != 0;
+}
+
 /// Sign-extends lanes 0..15 of an s8 vector to i16, in lane order.
 inline I16x16 widen_lo(S8x32 a) {
     return {_mm256_cvtepi8_epi16(_mm256_castsi256_si128(a.v))};
@@ -177,6 +187,5 @@ inline I16x16 widen_hi(S8x32 a) {
     return {_mm256_cvtepi8_epi16(_mm256_extracti128_si256(a.v, 1))};
 }
 
-}  // namespace swh::simd
-
-#endif  // __AVX2__
+}  // namespace swh::simd::SWH_TIER_NS
+SWH_TIER_END

@@ -1,12 +1,16 @@
 #pragma once
 
-#if defined(__AVX512BW__)
+// 512-bit backend (the AVX512 width) of the ISA tier v4: AVX-512 BW, VL
+// and VBMI. A tier header (simd/tier.hpp).
 
 #include <immintrin.h>
 
 #include <cstdint>
 
-namespace swh::simd {
+#include "simd/tier.hpp"
+
+SWH_TIER_BEGIN
+namespace swh::simd::SWH_TIER_NS {
 
 namespace detail512 {
 
@@ -22,10 +26,21 @@ inline __m512i shl_512(__m512i v) {
     return _mm512_alignr_epi8(v, prev, 16 - Bytes);
 }
 
+/// The low and high 256-bit halves. The zero-mask extracts compile to
+/// the same instructions as the plain cast and extract (a register
+/// rename, VEXTRACTI64X4), which trip gcc 12's -Wmaybe-uninitialized
+/// in its headers.
+inline __m256i lo_half(__m512i v) {
+    return _mm512_maskz_extracti64x4_epi64(__mmask8{0xF}, v, 0);
+}
+
+inline __m256i hi_half(__m512i v) {
+    return _mm512_maskz_extracti64x4_epi64(__mmask8{0xF}, v, 1);
+}
+
 }  // namespace detail512
 
-/// 64 unsigned 8-bit lanes (AVX-512BW). Interface contract as in
-/// vec_scalar.hpp.
+/// 64 unsigned 8-bit lanes. Interface contract as in vec_scalar.hpp.
 struct U8x64 {
     using lane_type = std::uint8_t;
     static constexpr int kLanes = 64;
@@ -44,25 +59,11 @@ struct U8x64 {
 
     void store(std::uint8_t* p) const { _mm512_storeu_si512(p, v); }
 
-    friend U8x64 adds(U8x64 a, U8x64 b) {
-        return {_mm512_adds_epu8(a.v, b.v)};
-    }
-    friend U8x64 subs(U8x64 a, U8x64 b) {
-        return {_mm512_subs_epu8(a.v, b.v)};
-    }
-    friend U8x64 vmax(U8x64 a, U8x64 b) {
-        return {_mm512_max_epu8(a.v, b.v)};
-    }
-
     U8x64 shl_lane() const { return {detail512::shl_512<1>(v)}; }
 
-    friend bool any_gt(U8x64 a, U8x64 b) {
-        return _mm512_cmpgt_epu8_mask(a.v, b.v) != 0;
-    }
-
     std::uint8_t hmax() const {
-        const __m256i lo = _mm512_castsi512_si256(v);
-        const __m256i hi = _mm512_extracti64x4_epi64(v, 1);
+        const __m256i lo = detail512::lo_half(v);
+        const __m256i hi = detail512::hi_half(v);
         __m256i m256 = _mm256_max_epu8(lo, hi);
         __m128i m = _mm_max_epu8(_mm256_castsi256_si128(m256),
                                  _mm256_extracti128_si256(m256, 1));
@@ -74,7 +75,23 @@ struct U8x64 {
     }
 };
 
-/// 64 signed 8-bit lanes (AVX-512BW).
+inline U8x64 adds(U8x64 a, U8x64 b) {
+    return {_mm512_adds_epu8(a.v, b.v)};
+}
+
+inline U8x64 subs(U8x64 a, U8x64 b) {
+    return {_mm512_subs_epu8(a.v, b.v)};
+}
+
+inline U8x64 vmax(U8x64 a, U8x64 b) {
+    return {_mm512_max_epu8(a.v, b.v)};
+}
+
+inline bool any_gt(U8x64 a, U8x64 b) {
+    return _mm512_cmpgt_epu8_mask(a.v, b.v) != 0;
+}
+
+/// 64 signed 8-bit lanes.
 struct S8x64 {
     using lane_type = std::int8_t;
     static constexpr int kLanes = 64;
@@ -88,44 +105,31 @@ struct S8x64 {
     }
 
     void store(std::int8_t* p) const { _mm512_storeu_si512(p, v); }
-
-    friend S8x64 adds(S8x64 a, S8x64 b) {
-        return {_mm512_adds_epi8(a.v, b.v)};
-    }
-    friend S8x64 subs(S8x64 a, S8x64 b) {
-        return {_mm512_subs_epi8(a.v, b.v)};
-    }
-    friend S8x64 vmax(S8x64 a, S8x64 b) {
-        return {_mm512_max_epi8(a.v, b.v)};
-    }
 };
 
-/// Per-lane gather from a 32-entry int8 table (indices < 32). With
-/// AVX-512VBMI this is a single VPERMB (the table broadcast twice
-/// fills all 64 permute slots; indices stay below 32 so only the first
-/// copy is ever selected). The BW-only fallback broadcasts each
-/// 16-byte half per 128-bit lane and selects on index bit 4.
+inline S8x64 adds(S8x64 a, S8x64 b) {
+    return {_mm512_adds_epi8(a.v, b.v)};
+}
+
+inline S8x64 subs(S8x64 a, S8x64 b) {
+    return {_mm512_subs_epi8(a.v, b.v)};
+}
+
+inline S8x64 vmax(S8x64 a, S8x64 b) {
+    return {_mm512_max_epi8(a.v, b.v)};
+}
+
+/// Per-lane gather from a 32-entry int8 table (indices < 32): one VPERMB
+/// (the table broadcast twice fills all 64 permute slots; indices stay
+/// below 32 so only the first copy is ever selected).
 inline S8x64 lookup32(const std::int8_t* table, U8x64 idx) {
-#if defined(__AVX512VBMI__)
-    // The all-ones zero-mask forms are the same VBROADCASTI64X4 and
-    // VPERMB; the plain intrinsics trip gcc 12's -Wmaybe-uninitialized
-    // in their headers.
     const __m512i tbl = _mm512_maskz_broadcast_i64x4(
         __mmask8{0xFF},
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table)));
     return {_mm512_maskz_permutexvar_epi8(~__mmask64{0}, idx.v, tbl)};
-#else
-    const auto* t = reinterpret_cast<const __m128i*>(table);
-    const __m512i lo = _mm512_broadcast_i32x4(_mm_loadu_si128(t));
-    const __m512i hi = _mm512_broadcast_i32x4(_mm_loadu_si128(t + 1));
-    const __mmask64 sel =
-        _mm512_test_epi8_mask(idx.v, _mm512_set1_epi8(0x10));
-    return {_mm512_mask_blend_epi8(sel, _mm512_shuffle_epi8(lo, idx.v),
-                                   _mm512_shuffle_epi8(hi, idx.v))};
-#endif
 }
 
-/// 32 signed 16-bit lanes (AVX-512BW).
+/// 32 signed 16-bit lanes.
 struct I16x32 {
     using lane_type = std::int16_t;
     static constexpr int kLanes = 32;
@@ -142,28 +146,11 @@ struct I16x32 {
 
     void store(std::int16_t* p) const { _mm512_storeu_si512(p, v); }
 
-    friend I16x32 adds(I16x32 a, I16x32 b) {
-        return {_mm512_adds_epi16(a.v, b.v)};
-    }
-    friend I16x32 subs(I16x32 a, I16x32 b) {
-        return {_mm512_subs_epi16(a.v, b.v)};
-    }
-    friend I16x32 vmax(I16x32 a, I16x32 b) {
-        return {_mm512_max_epi16(a.v, b.v)};
-    }
-    friend I16x32 vmin(I16x32 a, I16x32 b) {
-        return {_mm512_min_epi16(a.v, b.v)};
-    }
-
     I16x32 shl_lane() const { return {detail512::shl_512<2>(v)}; }
 
-    friend bool any_gt(I16x32 a, I16x32 b) {
-        return _mm512_cmpgt_epi16_mask(a.v, b.v) != 0;
-    }
-
     std::int16_t hmax() const {
-        const __m256i lo = _mm512_castsi512_si256(v);
-        const __m256i hi = _mm512_extracti64x4_epi64(v, 1);
+        const __m256i lo = detail512::lo_half(v);
+        const __m256i hi = detail512::hi_half(v);
         __m256i m256 = _mm256_max_epi16(lo, hi);
         __m128i m = _mm_max_epi16(_mm256_castsi256_si128(m256),
                                   _mm256_extracti128_si256(m256, 1));
@@ -174,17 +161,35 @@ struct I16x32 {
     }
 };
 
+inline I16x32 adds(I16x32 a, I16x32 b) {
+    return {_mm512_adds_epi16(a.v, b.v)};
+}
+
+inline I16x32 subs(I16x32 a, I16x32 b) {
+    return {_mm512_subs_epi16(a.v, b.v)};
+}
+
+inline I16x32 vmax(I16x32 a, I16x32 b) {
+    return {_mm512_max_epi16(a.v, b.v)};
+}
+
+inline I16x32 vmin(I16x32 a, I16x32 b) {
+    return {_mm512_min_epi16(a.v, b.v)};
+}
+
+inline bool any_gt(I16x32 a, I16x32 b) {
+    return _mm512_cmpgt_epi16_mask(a.v, b.v) != 0;
+}
+
 /// Sign-extends lanes 0..31 of an s8 vector to i16, in lane order.
 inline I16x32 widen_lo(S8x64 a) {
-    return {_mm512_cvtepi8_epi16(_mm512_castsi512_si256(a.v))};
+    return {_mm512_cvtepi8_epi16(detail512::lo_half(a.v))};
 }
 
-/// Sign-extends lanes 32..63 (zero-mask extract: see lookup32).
+/// Sign-extends lanes 32..63.
 inline I16x32 widen_hi(S8x64 a) {
-    return {_mm512_cvtepi8_epi16(
-        _mm512_maskz_extracti64x4_epi64(__mmask8{0xF}, a.v, 1))};
+    return {_mm512_cvtepi8_epi16(detail512::hi_half(a.v))};
 }
 
-}  // namespace swh::simd
-
-#endif  // __AVX512BW__
+}  // namespace swh::simd::SWH_TIER_NS
+SWH_TIER_END

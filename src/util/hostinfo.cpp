@@ -3,6 +3,7 @@
 #include <fstream>
 #include <thread>
 
+#include "simd/arch.hpp"
 #include "util/str.hpp"
 
 // The commit stamp is generated at build time (cmake/git_sha.cmake);
@@ -55,7 +56,8 @@ HostInfo host_info() {
     info.hardware_threads = std::thread::hardware_concurrency();
     info.compiler = compiler_id();
     info.git_sha = SWH_GIT_SHA;
-    info.build_flags = SWH_BUILD_FLAGS;
+    info.build_flags = std::string(SWH_BUILD_FLAGS) + " kernels=" +
+                       simd::to_string(simd::active_tier());
     return info;
 }
 

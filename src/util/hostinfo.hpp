@@ -13,7 +13,9 @@ struct HostInfo {
     unsigned hardware_threads = 0;
     std::string compiler;         ///< compiler id + version
     std::string git_sha;          ///< build-time HEAD (or "unknown")
-    std::string build_flags;      ///< build type + CXX flags baked in
+    /// Build type + CXX flags baked in, then "kernels=" and the ISA
+    /// tier the kernels run (simd::active_tier(), "x86-64-v4").
+    std::string build_flags;
 };
 
 /// Gathers the above; never throws (missing sources yield defaults).

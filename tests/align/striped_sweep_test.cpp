@@ -10,6 +10,7 @@
 #include "align/sw_scalar.hpp"
 #include "db/generator.hpp"
 #include "util/rng.hpp"
+#include "tier_widths.hpp"
 
 namespace swh::align {
 namespace {
@@ -22,14 +23,8 @@ struct SweepCase {
 };
 
 std::vector<SweepCase> sweep_grid() {
-    std::vector<simd::IsaLevel> isas = {simd::IsaLevel::Scalar};
-    for (const auto level :
-         {simd::IsaLevel::SSE2, simd::IsaLevel::AVX2,
-          simd::IsaLevel::AVX512}) {
-        if (simd::is_supported(level)) isas.push_back(level);
-    }
     std::vector<SweepCase> out;
-    for (const simd::IsaLevel isa : isas) {
+    for (const simd::IsaLevel isa : test::host_widths()) {
         for (const Score open : {0, 1, 5, 10, 40}) {
             for (const Score extend : {1, 2, 7}) {
                 for (const bool dna : {false, true}) {
@@ -58,18 +53,21 @@ TEST_P(StripedSweepTest, AlignerMatchesOracle) {
         c.dna ? ScoreMatrix::match_mismatch(Alphabet::dna(), 5, -4, 0)
               : ScoreMatrix::blosum62();
     const GapPenalty gap{c.open, c.extend};
-    Rng rng(0xABCD ^ (static_cast<std::uint64_t>(c.open) << 8) ^
-            static_cast<std::uint64_t>(c.extend));
-    for (int iter = 0; iter < 12; ++iter) {
-        const auto q =
-            c.dna ? db::random_dna(rng, 1 + rng.below(120)).residues
-                  : db::random_protein(rng, 1 + rng.below(120)).residues;
-        const auto d =
-            c.dna ? db::random_dna(rng, 1 + rng.below(250)).residues
-                  : db::random_protein(rng, 1 + rng.below(250)).residues;
-        const StripedAligner aligner(q, matrix, gap, c.isa);
-        EXPECT_EQ(aligner.score(d), sw_score_affine(q, d, matrix, gap))
-            << "iter " << iter;
+    for (const test::TierWidth& tw : test::tier_widths(c.isa)) {
+        const test::PinnedTier pin(tw);
+        Rng rng(0xABCD ^ (static_cast<std::uint64_t>(c.open) << 8) ^
+                static_cast<std::uint64_t>(c.extend));
+        for (int iter = 0; iter < 12; ++iter) {
+            const auto q =
+                c.dna ? db::random_dna(rng, 1 + rng.below(120)).residues
+                      : db::random_protein(rng, 1 + rng.below(120)).residues;
+            const auto d =
+                c.dna ? db::random_dna(rng, 1 + rng.below(250)).residues
+                      : db::random_protein(rng, 1 + rng.below(250)).residues;
+            const StripedAligner aligner(q, matrix, gap, c.isa);
+            EXPECT_EQ(aligner.score(d), sw_score_affine(q, d, matrix, gap))
+                << "iter " << iter;
+        }
     }
 }
 
@@ -81,12 +79,15 @@ TEST_P(StripedSweepTest, HomologousPairEscalatesCorrectly) {
         c.dna ? ScoreMatrix::match_mismatch(Alphabet::dna(), 5, -4, 0)
               : ScoreMatrix::blosum62();
     const GapPenalty gap{c.open, c.extend};
-    Rng rng(0x5151);
-    const auto q = c.dna ? db::random_dna(rng, 150).residues
-                         : db::random_protein(rng, 150).residues;
-    auto d = q;  // exact copy: self score >> 255 for these matrices
-    const StripedAligner aligner(q, matrix, gap, c.isa);
-    EXPECT_EQ(aligner.score(d), sw_score_affine(q, d, matrix, gap));
+    for (const test::TierWidth& tw : test::tier_widths(c.isa)) {
+        const test::PinnedTier pin(tw);
+        Rng rng(0x5151);
+        const auto q = c.dna ? db::random_dna(rng, 150).residues
+                             : db::random_protein(rng, 150).residues;
+        auto d = q;  // exact copy: self score >> 255 for these matrices
+        const StripedAligner aligner(q, matrix, gap, c.isa);
+        EXPECT_EQ(aligner.score(d), sw_score_affine(q, d, matrix, gap));
+    }
 }
 
 }  // namespace
