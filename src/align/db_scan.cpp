@@ -29,8 +29,7 @@ simd::IsaLevel DatabaseScanner::drain_isa(std::size_t lanes) const {
     const simd::IsaLevel own = aligner_->isa();
     for (const simd::IsaLevel isa :
          {simd::IsaLevel::SSE2, simd::IsaLevel::AVX2}) {
-        if (isa < own && simd::is_supported(isa) &&
-            lanes <= static_cast<std::size_t>(lanes_i16(isa))) {
+        if (isa < own && lanes <= static_cast<std::size_t>(lanes_i16(isa))) {
             return isa;
         }
     }

@@ -307,12 +307,12 @@ private:
                            : (std::uint64_t{1} << lanes) - 1;
     }
 
-    /// ISA level of the stage-3 i16 pass over a cliff group of `lanes`
-    /// lanes: the narrowest level, no wider than the aligner's, that is
-    /// compiled in, runs on this CPU and holds the group in one i16
-    /// vector (SSE2 up to 8 lanes, AVX2 up to 16); the aligner's own
-    /// level otherwise, which holds every group cliff_groups forms.
-    /// Every level runs the same exact dataflow per lane, so only the
+    /// Width of the stage-3 i16 pass over a cliff group of `lanes`
+    /// lanes: the narrowest width, no wider than the aligner's (so one
+    /// the aligner's tier has), that holds the group in one i16 vector
+    /// (SSE2 up to 8 lanes, AVX2 up to 16); the aligner's own width
+    /// otherwise, which holds every group cliff_groups forms. Every
+    /// width runs the same exact dataflow per lane, so only the
     /// throughput depends on the choice.
     simd::IsaLevel drain_isa(std::size_t lanes) const;
 
