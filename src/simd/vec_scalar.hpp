@@ -9,8 +9,7 @@ namespace swh::simd {
 // Lane-faithful scalar emulations of the vector operations the striped
 // Smith-Waterman kernels need. These run the *same algorithm* as the
 // intrinsic-backed types (including the striped data layout), so they
-// double as a reference implementation in tests and as the fallback on
-// non-x86 targets.
+// double as a reference implementation in tests (IsaLevel::Scalar).
 //
 // Shared vector interface (see also vec_sse2.hpp / vec_avx2.hpp):
 //   lane_type, kLanes
