@@ -59,6 +59,16 @@ inline sim::SimConfig paper_config(const db::DatabasePreset& preset,
     return cfg;
 }
 
+/// Task executions of the run: every task a PE started, whether its
+/// result was accepted, discarded as a losing replica's, or aborted.
+inline std::size_t executions(const sim::SimReport& r) {
+    std::size_t n = 0;
+    for (const sim::PeReport& pe : r.pes) {
+        n += pe.results_accepted + pe.results_discarded + pe.tasks_aborted;
+    }
+    return n;
+}
+
 /// "123.4 / 5.67" cell style the paper's tables use (time / GCUPS).
 inline std::string time_gcups_cell(const sim::SimReport& r) {
     return format_double(r.makespan, 1) + " / " + format_double(r.gcups, 2);

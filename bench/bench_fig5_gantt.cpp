@@ -56,32 +56,20 @@ int main(int argc, char** argv) {
         std::ofstream trace_file = open_output(args, "trace");
 
         for (const bool adjust : {true, false}) {
-            sim::SimConfig cfg = figure5(adjust);
-            const bool want_trace = adjust && trace_file.is_open();
-            obs::TraceRecorder recorder;
-            if (args.get_flag("balance") || want_trace) cfg.trace = &recorder;
-            const sim::SimReport r = sim::simulate(cfg);
+            const sim::SimReport r = sim::simulate(figure5(adjust));
             std::cout << "Fig. 5" << (adjust ? "(a) WITH" : "(b) WITHOUT")
                       << " the load adjustment mechanism — total "
                       << format_double(r.makespan, 0) << " s (paper: "
                       << (adjust ? 14 : 18) << " s)\n"
-                      << sim::render_gantt(r, cfg.pes, 0.5) << '\n';
-            if (cfg.trace == nullptr) continue;
-            const obs::Trace trace =
-                sim::to_trace(r, cfg.pes, recorder.drain());
+                      << obs::render_trace_gantt(r.trace, 0.5) << '\n';
             if (args.get_flag("balance")) {
-                obs::require_audit_complete(trace);
-                obs::BalanceOptions bopts;
-                bopts.horizon_s = r.all_idle_time;
-                for (const sim::PeReport& pe : r.pes) {
-                    bopts.cells_by_label.emplace_back(
-                        pe.label, static_cast<double>(pe.cells));
-                }
-                std::cout << obs::analyze_balance(trace, bopts).to_text()
+                std::cout << obs::analyze_balance(r.trace,
+                                                  sim::balance_options(r))
+                                 .to_text()
                           << '\n';
             }
-            if (want_trace) {
-                obs::export_chrome_json(trace, trace_file);
+            if (adjust && trace_file.is_open()) {
+                obs::export_chrome_json(r.trace, trace_file);
                 std::cout << "trace written to " << args.get("trace")
                           << '\n';
             }

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "obs/sched_log.hpp"
 
 using namespace swh;
 
@@ -21,12 +22,14 @@ int main() {
                  "core3):\n";
     // Bucket samples on a common 10 s grid for a compact CSV.
     const double step = 10.0;
+    const std::vector<obs::WeightSample> samples =
+        obs::weight_samples(r.trace);
     for (double t = step; t <= r.makespan + step; t += step) {
         double sum[4] = {0, 0, 0, 0};
         int n[4] = {0, 0, 0, 0};
-        for (const sim::RateSample& s : r.rates) {
-            if (s.time > t - step && s.time <= t && s.pe < 4) {
-                sum[s.pe] += s.gcups;
+        for (const obs::WeightSample& s : samples) {
+            if (s.t > t - step && s.t <= t && s.pe < 4) {
+                sum[s.pe] += s.realised_cps / 1e9;
                 ++n[s.pe];
             }
         }

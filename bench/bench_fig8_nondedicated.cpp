@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "obs/sched_log.hpp"
 
 using namespace swh;
 
@@ -34,10 +35,10 @@ int main() {
               << "%, paper: +12.1%)\n\n";
 
     std::cout << "core 0 GCUPS samples (time,gcups):\n";
-    for (const sim::RateSample& s : r.rates) {
+    for (const obs::WeightSample& s : obs::weight_samples(r.trace)) {
         if (s.pe != 0) continue;
-        std::cout << format_double(s.time, 0) << ','
-                  << format_double(s.gcups, 3) << '\n';
+        std::cout << format_double(s.t, 0) << ','
+                  << format_double(s.realised_cps / 1e9, 3) << '\n';
     }
     return 0;
 }

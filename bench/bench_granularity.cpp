@@ -15,7 +15,6 @@ using namespace swh;
 int main() {
     const db::DatabasePreset& swiss = db::preset_by_name("swissprot");
     const auto base_lengths = bench::paper_query_lengths();
-    const std::uint64_t db_residues = swiss.total_residues();
 
     std::cout << "Granularity ablation — SwissProt workload on "
                  "4 GPUs + 4 SSEs, same total cells split into N tasks\n\n";
@@ -32,13 +31,12 @@ int main() {
         }
         sim::SimConfig cfg = bench::paper_config(swiss, 4, 4);
         cfg.query_lengths = lengths;
-        (void)db_residues;
         const sim::SimReport r = sim::simulate(cfg);
         table.add_row({std::to_string(lengths.size()),
                        "1/" + std::to_string(split),
                        format_double(r.makespan, 1),
                        format_double(r.gcups, 2),
-                       std::to_string(r.spans.size())});
+                       std::to_string(bench::executions(r))});
     }
     table.print(std::cout);
     std::cout << "\nReading: finer grain shortens the tail the adjustment "

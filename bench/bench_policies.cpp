@@ -10,16 +10,6 @@
 
 using namespace swh;
 
-namespace {
-
-std::size_t total_requests(const sim::SimReport& r) {
-    // Each accepted/discarded result implies one assignment; add one
-    // request per PE for the final empty poll. Spans count executions.
-    return r.spans.size();
-}
-
-}  // namespace
-
 int main() {
     const db::DatabasePreset& swiss = db::preset_by_name("swissprot");
     struct Policy {
@@ -53,7 +43,7 @@ int main() {
 
         table.add_row({p.label, bench::time_gcups_cell(r_off),
                        bench::time_gcups_cell(r_on),
-                       std::to_string(total_requests(r_on)),
+                       std::to_string(bench::executions(r_on)),
                        std::to_string(r_on.replicas_issued)});
     }
     table.print(std::cout);

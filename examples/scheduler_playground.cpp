@@ -12,6 +12,8 @@
 
 #include <iostream>
 
+#include "obs/sched_log.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/str.hpp"
 
@@ -48,11 +50,10 @@ sim::SimConfig figure5(bool adjust) {
 int main() {
     // ---- Scenario 1: paper Fig. 5 ---------------------------------------
     for (const bool adjust : {true, false}) {
-        const sim::SimConfig cfg = figure5(adjust);
-        const sim::SimReport r = sim::simulate(cfg);
+        const sim::SimReport r = sim::simulate(figure5(adjust));
         std::cout << "== Fig. 5 scenario, workload adjustment "
                   << (adjust ? "ON" : "OFF") << " ==\n"
-                  << sim::render_gantt(r, cfg.pes, 0.5)
+                  << obs::render_trace_gantt(r.trace, 0.5)
                   << "application completed at "
                   << format_double(r.makespan, 1) << " s ("
                   << r.replicas_issued << " replicas)\n\n";
@@ -75,12 +76,13 @@ int main() {
                      "t=20 s ==\n";
         std::cout << "delivered GCUPS per core (notification samples):\n";
         double t_cursor = 0.0;
-        for (const sim::RateSample& s : r.rates) {
+        for (const obs::WeightSample& s : obs::weight_samples(r.trace)) {
             if (s.pe != 0) continue;
-            if (s.time - t_cursor < 5.0) continue;  // subsample prints
-            t_cursor = s.time;
-            std::cout << "  t=" << format_double(s.time, 1) << "s  Core0 "
-                      << format_double(s.gcups, 2) << " GCUPS\n";
+            if (s.t - t_cursor < 5.0) continue;  // subsample prints
+            t_cursor = s.t;
+            std::cout << "  t=" << format_double(s.t, 1) << "s  Core0 "
+                      << format_double(s.realised_cps / 1e9, 2)
+                      << " GCUPS\n";
         }
         std::cout << "makespan " << format_double(r.makespan, 1) << " s\n\n";
     }

@@ -111,17 +111,14 @@ int main(int argc, char** argv) {
                                     parse_int(parts[1], "--leave pe"))});
         }
 
-        // The balance audit and the PSS weight trajectories both read
-        // the scheduler's "master" lane, recorded in virtual time exactly
-        // as a traced real run records it. Outputs are opened first, so
-        // an unwritable path fails before the simulation runs.
-        const bool want_balance = args.get_flag("balance-report") ||
-                                  !args.get("balance-json").empty();
+        // The Gantt chart, the balance audit and the PSS weight
+        // trajectories all read the run's trace, recorded in virtual
+        // time exactly as a traced real run records it. Outputs are
+        // opened first, so an unwritable path fails before the
+        // simulation runs.
         const std::string weights_path = args.get("weights-out");
         std::ofstream balance_file = open_output(args, "balance-json");
         std::ofstream weights_file = open_output(args, "weights-out");
-        obs::TraceRecorder recorder;
-        if (want_balance || weights_file.is_open()) cfg.trace = &recorder;
 
         const sim::SimReport r = sim::simulate(cfg);
         std::cout << preset.name << ": "
@@ -146,21 +143,11 @@ int main(int argc, char** argv) {
 
         if (args.get_flag("gantt")) {
             std::cout << '\n'
-                      << sim::render_gantt(r, cfg.pes,
-                                           r.makespan / 80.0);
+                      << obs::render_trace_gantt(r.trace, r.makespan / 80.0);
         }
-        if (cfg.trace == nullptr) return 0;
-        const obs::Trace trace = sim::to_trace(r, cfg.pes, recorder.drain());
-        if (want_balance) {
-            obs::require_audit_complete(trace);
-            obs::BalanceOptions bopts;
-            bopts.horizon_s = r.all_idle_time;
-            for (const sim::PeReport& pe : r.pes) {
-                bopts.cells_by_label.emplace_back(
-                    pe.label, static_cast<double>(pe.cells));
-            }
+        if (args.get_flag("balance-report") || balance_file.is_open()) {
             const obs::BalanceReport balance =
-                obs::analyze_balance(trace, bopts);
+                obs::analyze_balance(r.trace, sim::balance_options(r));
             if (args.get_flag("balance-report")) {
                 std::cout << '\n' << balance.to_text();
             }
@@ -172,11 +159,9 @@ int main(int argc, char** argv) {
         }
         if (weights_file.is_open()) {
             std::vector<std::string> labels;
-            for (const sim::PeModelSpec& pe : cfg.pes) {
-                labels.push_back(pe.label);
-            }
+            for (const sim::PeReport& pe : r.pes) labels.push_back(pe.label);
             const std::vector<obs::WeightSample> samples =
-                obs::weight_samples(trace);
+                obs::weight_samples(r.trace);
             obs::write_weights(weights_file, weights_path, samples, labels);
             std::cout << samples.size() << " PSS weight samples written to "
                       << weights_path << '\n';

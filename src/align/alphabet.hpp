@@ -62,4 +62,13 @@ private:
     std::array<bool, 256> known_{};
 };
 
+/// Robinson & Robinson (1991) amino-acid background frequencies of the
+/// protein alphabet's 20 standard residues, in its symbol order
+/// ARNDCQEGHILKMFPSTWYV (B/Z/X/* get 0): the null model of both the
+/// E-value fit and the synthetic database generator.
+inline constexpr std::array<double, 20> kAaBackgroundFreq = {
+    0.07805, 0.05129, 0.04487, 0.05364, 0.01925, 0.04264, 0.06295,
+    0.07377, 0.02199, 0.05142, 0.09019, 0.05744, 0.02243, 0.03856,
+    0.05203, 0.07120, 0.05841, 0.01330, 0.03216, 0.06441};
+
 }  // namespace swh::align

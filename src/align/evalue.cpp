@@ -1,10 +1,10 @@
 #include "align/evalue.hpp"
 
-#include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
 
+#include "align/alphabet.hpp"
 #include "align/sw_scalar.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -16,20 +16,13 @@ namespace {
 
 constexpr double kEulerMascheroni = 0.57721566490153286;
 
-// Robinson & Robinson (1991) background frequencies (same table the
-// db:: generator uses; duplicated here because align must not depend on
-// db). Order: ARNDCQEGHILKMFPSTWYV.
-constexpr std::array<double, 20> kAaFreq = {
-    0.07805, 0.05129, 0.04487, 0.05364, 0.01925, 0.04264, 0.06295,
-    0.07377, 0.02199, 0.05142, 0.09019, 0.05744, 0.02243, 0.03856,
-    0.05203, 0.07120, 0.05841, 0.01330, 0.03216, 0.06441};
-
 std::vector<Code> null_protein(Rng& rng, std::size_t len) {
     std::vector<Code> out;
     out.reserve(len);
     for (std::size_t i = 0; i < len; ++i) {
         out.push_back(static_cast<Code>(
-            rng.weighted_index(kAaFreq.data(), kAaFreq.size())));
+            rng.weighted_index(kAaBackgroundFreq.data(),
+                               kAaBackgroundFreq.size())));
     }
     return out;
 }

@@ -1,9 +1,9 @@
 #include "db/generator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
+#include "align/alphabet.hpp"
 #include "util/error.hpp"
 
 namespace swh::db {
@@ -14,16 +14,9 @@ using align::Sequence;
 
 namespace {
 
-// Robinson & Robinson (1991) amino-acid background frequencies, in the
-// NCBI matrix symbol order ARNDCQEGHILKMFPSTWYV (B/Z/X/* get 0).
-constexpr std::array<double, 20> kAaFreq = {
-    0.07805, 0.05129, 0.04487, 0.05364, 0.01925, 0.04264, 0.06295,
-    0.07377, 0.02199, 0.05142, 0.09019, 0.05744, 0.02243, 0.03856,
-    0.05203, 0.07120, 0.05841, 0.01330, 0.03216, 0.06441};
-
 Code sample_amino_acid(Rng& rng) {
-    return static_cast<Code>(rng.weighted_index(kAaFreq.data(),
-                                                kAaFreq.size()));
+    return static_cast<Code>(rng.weighted_index(
+        align::kAaBackgroundFreq.data(), align::kAaBackgroundFreq.size()));
 }
 
 }  // namespace

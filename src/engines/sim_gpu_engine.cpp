@@ -5,12 +5,12 @@
 namespace swh::engines {
 
 SimGpuEngine::SimGpuEngine(EngineConfig config, GpuDeviceModel model,
-                           bool pace, unsigned compute_threads)
+                           bool pace)
     : model_(model) {
     // Real-score path: the CpuEngine underneath runs the packed two-pass
     // database scan (align::DatabaseScanner), so the simulated GPU's
     // scores come from the same arena-backed pipeline as the SSE slaves.
-    auto compute = std::make_unique<CpuEngine>(config, compute_threads);
+    auto compute = std::make_unique<CpuEngine>(config);
     if (pace) {
         impl_ = std::make_unique<ThrottledEngine>(
             std::move(compute),

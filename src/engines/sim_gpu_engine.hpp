@@ -19,8 +19,7 @@ namespace swh::engines {
 /// score validation).
 class SimGpuEngine final : public ComputeEngine {
 public:
-    SimGpuEngine(EngineConfig config, GpuDeviceModel model, bool pace,
-                 unsigned compute_threads = 1);
+    SimGpuEngine(EngineConfig config, GpuDeviceModel model, bool pace);
 
     std::string_view name() const override { return "sim-gpu(cudasw-like)"; }
     core::PeKind kind() const override { return core::PeKind::Gpu; }

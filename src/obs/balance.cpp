@@ -61,25 +61,6 @@ std::vector<FlatSpan> top_level_spans(const TraceLaneData& lane,
     return out;
 }
 
-/// Integrates the lane's Progress-rate samples into a cell count, the
-/// fallback attribution when the caller has no exact totals. Each
-/// sample reports the mean rate since the previous one; the first
-/// sample's window opens at the lane's first span begin.
-double integrate_progress_cells(const TraceLaneData& lane,
-                                double first_span_start) {
-    double cells = 0.0;
-    double prev_t = first_span_start;
-    bool any = false;
-    for (const TraceEvent& e : lane.events) {
-        if (e.kind != EventKind::Progress) continue;
-        const double dt = e.t - prev_t;
-        if (dt > 0.0) cells += e.value * dt;
-        prev_t = e.t;
-        any = true;
-    }
-    return any ? cells : 0.0;
-}
-
 std::uint64_t audited_dropped(const Trace& trace) {
     std::uint64_t n = 0;
     for (const TraceLaneData& lane : trace.lanes) {
@@ -168,17 +149,11 @@ BalanceReport analyze_balance(const Trace& trace,
             pe.replicas_received = rit->second;
         }
 
-        pe.cells = 0.0;
-        bool attributed = false;
         for (const auto& [label, cells] : options.cells_by_label) {
             if (label == lane.label) {
                 pe.cells = cells;
-                attributed = true;
                 break;
             }
-        }
-        if (!attributed) {
-            pe.cells = integrate_progress_cells(lane, pe.first_start_s);
         }
         pe.cells_per_second = pe.busy_s > 0.0 ? pe.cells / pe.busy_s : 0.0;
 

@@ -1,8 +1,8 @@
 #pragma once
 
 // Post-run workload-balance auditing (paper §IV-A.2's effectiveness
-// check): given a drained obs::Trace — from the threaded runtime's
-// TraceRecorder or from sim::to_trace() on a DES report — decompose
+// check): given a drained obs::Trace — from either runtime's
+// TraceRecorder or a DES run's SimReport::trace — decompose
 // each PE's time into busy/comm/idle, attribute cells/s, compute the
 // imbalance ratio and the ideal-balance makespan lower bound, identify
 // the straggler, and walk the critical chain of task spans that bounds
@@ -70,8 +70,7 @@ struct BalanceOptions {
     /// horizon.
     double gap_tolerance_s = 0.0;
     /// Cell attribution per lane label (SlaveReport::cells_computed /
-    /// sim PeReport::cells). Lanes not listed fall back to integrating
-    /// the lane's Progress-rate samples; 0 if it has none.
+    /// sim PeReport::cells). Lanes not listed are attributed 0 cells.
     std::vector<std::pair<std::string, double>> cells_by_label;
     /// Analysis horizon override; <= 0 ⇒ the latest event timestamp.
     double horizon_s = 0.0;

@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared ASCII Gantt renderer (paper Fig. 5). Both execution modes
-// produce the same chart through this one function: the discrete-event
-// simulator converts its sim::TaskSpan list, the threaded runtime
-// converts TraceRecorder span events (obs::render_trace_gantt) — so a
-// real run and its simulated counterpart are visually comparable.
+// Shared ASCII Gantt renderer (paper Fig. 5). obs::render_trace_gantt
+// draws every execution mode's chart through it from the trace's span
+// lanes — a real run's TraceRecorder and a DES run's SimReport::trace
+// alike — so a real run and its simulated counterpart are visually
+// comparable; the live dashboard reuses it for rate bars.
 
 #include <cstdint>
 #include <span>

@@ -6,8 +6,9 @@
 // or on the caller's clock (the scheduler's `now`, virtual time in the
 // simulator) — so capture is lock-free, allocation-free in steady
 // state, and near-free when disabled (one relaxed atomic load per
-// emit). The scheduler's "master" lane is the one exception: it grows
-// instead of dropping, because its readers need every decision. After
+// emit). The scheduler's "master" lane and the simulator's lanes are
+// the exception: they grow instead of dropping, because their readers
+// need every event. After
 // the run quiesces, drain() turns the rings into a plain Trace that the
 // exporters (Chrome trace-event JSON for Perfetto, CSV, ASCII Gantt)
 // consume.
@@ -69,8 +70,9 @@ struct TraceEvent {
 /// What a full lane does with the next event.
 enum class Overflow : std::uint8_t {
     DropOldest,  ///< a ring: keeps the newest events, counts the rest
-    Grow,        ///< doubles its capacity; never drops (the master lane,
-                 ///< whose length the run's task count bounds)
+    Grow,        ///< doubles its capacity; never drops (the master lane
+                 ///< and the simulator's lanes, whose length the run's
+                 ///< task count bounds)
 };
 
 class TraceRecorder;
@@ -139,8 +141,9 @@ struct TraceLaneData {
 };
 
 /// A complete captured run: one entry per lane, in registration order.
-/// Plain data — the simulator/bench harness build these by hand from
-/// virtual-time spans so both execution modes share the exporters.
+/// Plain data: TraceRecorder::drain() yields it in every execution mode
+/// (the simulator returns its own as SimReport::trace), and tests build
+/// small ones by hand.
 struct Trace {
     std::vector<TraceLaneData> lanes;
 
@@ -264,8 +267,8 @@ std::string chrome_json(const Trace& trace);
 void export_csv(const Trace& trace, std::ostream& os);
 
 /// ASCII Gantt of the trace's SpanBegin/SpanEnd pairs, one row per lane
-/// that carries spans — the threaded-runtime analogue of the
-/// simulator's paper-Fig.5 chart (both render through obs::render_gantt).
+/// that carries spans: the paper's Fig. 5 chart, for a real run and a
+/// simulated one alike (rendered through obs::render_gantt).
 std::string render_trace_gantt(const Trace& trace, double time_step);
 
 }  // namespace swh::obs

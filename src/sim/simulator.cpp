@@ -7,7 +7,6 @@
 
 #include "core/results.hpp"
 #include "net/messages.hpp"
-#include "obs/gantt.hpp"
 #include "obs/tracers.hpp"
 #include "runtime/master_protocol.hpp"
 #include "util/check.hpp"
@@ -48,6 +47,7 @@ struct EventLater {
 /// asks for work when its queue runs dry, and stops at MsgShutdown.
 struct PeState {
     PeModelSpec spec;
+    obs::TraceLane* lane = nullptr;  ///< this PE's "task" spans
     bool stopped = false;  ///< shut down by the master, or left
     double load_factor = 1.0;
 
@@ -56,7 +56,6 @@ struct PeState {
     core::TaskId current = 0;
     double overhead_remaining = 0.0;
     double cells_remaining = 0.0;
-    double current_start = 0.0;
     double last_advance = 0.0;
     std::uint64_t gen = 0;  ///< bumped whenever the finish time changes
 
@@ -75,19 +74,18 @@ public:
                                                config.db_residues),
                  config.policy(), config.sched),
           merger_(config.query_lengths.size(), 1),
-          master_lane_(config.trace != nullptr
-                           ? &config.trace->lane("master", obs::Overflow::Grow)
-                           : nullptr),
-          sched_tracer_(master_lane_, nullptr),
+          recorder_(kInitialLaneCapacity),
+          master_lane_(recorder_.lane("master", obs::Overflow::Grow)),
+          sched_tracer_(&master_lane_, nullptr),
           // Liveness off and no engine failures: the protocol never
           // parks a retry or arms a liveness deadline, so next_deadline()
           // stays +inf and this pump has no timer to drive.
           protocol_(sched_, merger_,
                     config.pes.size() + config.join_events.size(),
-                    runtime::RuntimeOptions{}, master_lane_) {
+                    runtime::RuntimeOptions{}, &master_lane_) {
         // Attached before run() registers the platform, so the lane
         // records the registrations too (as MasterHost's does).
-        if (master_lane_ != nullptr) sched_.set_observer(&sched_tracer_);
+        sched_.set_observer(&sched_tracer_);
         SWH_REQUIRE(config_.db_residues > 0, "db_residues must be positive");
         SWH_REQUIRE(!config_.query_lengths.empty(), "no queries");
         SWH_REQUIRE(!config_.pes.empty() || !config_.join_events.empty(),
@@ -124,9 +122,9 @@ private:
     }
 
     std::size_t add_pe(const PeModelSpec& spec, double now) {
-        pes_.push_back(PeState{});
-        PeState& pe = pes_.back();
+        PeState& pe = pes_.emplace_back();
         pe.spec = spec;
+        pe.lane = &recorder_.lane(spec.label, obs::Overflow::Grow);
         pe.report.label = spec.label;
         pe.report.kind = spec.kind;
         pe.last_advance = now;
@@ -180,10 +178,20 @@ private:
         pe.overhead_remaining = pe.spec.task_overhead_s;
         pe.cells_remaining =
             static_cast<double>(sched_.task(pe.current).cells);
-        pe.current_start = now;
         pe.last_advance = now;
+        pe.lane->emit(now, obs::EventKind::SpanBegin,
+                      static_cast<core::PeId>(i), pe.current, 0.0, "task");
         schedule_finish(i, now);
         ensure_notify(i, now);
+    }
+
+    /// Closes the PE's "task" span with `outcome` (0 finished, 1
+    /// aborted), as run_slave_loop does.
+    void end_span(std::size_t i, double now, double outcome) {
+        pes_[i].lane->emit(now, obs::EventKind::SpanEnd,
+                           static_cast<core::PeId>(i), pes_[i].current,
+                           outcome, "task");
+        all_idle_time_ = std::max(all_idle_time_, now);
     }
 
     /// Aborts the PE's current task (end-of-run Shutdown or node leave).
@@ -191,8 +199,7 @@ private:
         PeState& pe = pes_[i];
         if (!pe.busy) return;
         advance(i, now);
-        spans_.push_back(TaskSpan{pe.current, i, pe.current_start, now, false,
-                                  true});
+        end_span(i, now, 1.0);
         ++pe.report.tasks_aborted;
         pe.busy = false;
         ++pe.gen;  // invalidate the scheduled finish
@@ -211,10 +218,10 @@ private:
                               core::TaskResult{task.id, task.query_index,
                                                task.cells, {}}},
              now);
-        const bool accepted = sched_.task_winner(task.id) == id;
-        spans_.push_back(
-            TaskSpan{task.id, ev.pe, pe.current_start, now, accepted, false});
-        if (accepted && sched_.all_done()) makespan_ = now;
+        end_span(ev.pe, now, 0.0);
+        if (sched_.task_winner(task.id) == id && sched_.all_done()) {
+            makespan_ = now;
+        }
 
         if (!pe.queue.empty()) {
             start_next(ev.pe, now);
@@ -251,7 +258,6 @@ private:
         if (elapsed > 0.0) {
             const double rate = pe.cells_since_notify / elapsed;
             send(net::MsgProgress{static_cast<core::PeId>(ev.pe), rate}, now);
-            rates_.push_back(RateSample{ev.pe, now, rate / 1e9});
         }
         pe.cells_since_notify = 0.0;
         pe.last_notify = now;
@@ -285,10 +291,15 @@ private:
         send(net::MsgWorkRequest{id}, ev.time);
     }
 
+    /// Lanes start this small and grow: a DES run is cheap, and most
+    /// are far shorter than a real run's ring.
+    static constexpr std::size_t kInitialLaneCapacity = 256;
+
     const SimConfig& config_;
     core::SchedulerCore sched_;
     core::ResultMerger merger_;
-    obs::TraceLane* const master_lane_;
+    obs::TraceRecorder recorder_;
+    obs::TraceLane& master_lane_;
     obs::SchedTracer sched_tracer_;
     runtime::MasterProtocol protocol_;
     std::vector<runtime::MasterAction> out_;
@@ -296,10 +307,9 @@ private:
     std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
     std::uint64_t next_seq_ = 0;
     std::vector<PeState> pes_;
-    std::vector<TaskSpan> spans_;
-    std::vector<RateSample> rates_;
     std::uint64_t computed_cells_ = 0;
     double makespan_ = 0.0;
+    double all_idle_time_ = 0.0;
 };
 
 SimReport Simulation::run() {
@@ -365,10 +375,7 @@ SimReport Simulation::run() {
     const runtime::RunReport master = protocol_.take_report();
     SimReport report;
     report.makespan = makespan_;
-    report.all_idle_time = 0.0;
-    for (const TaskSpan& s : spans_) {
-        report.all_idle_time = std::max(report.all_idle_time, s.end);
-    }
+    report.all_idle_time = all_idle_time_;
     report.accepted_cells = master.accepted_cells;
     report.computed_cells = computed_cells_;
     report.gcups = makespan_ > 0.0
@@ -383,8 +390,7 @@ SimReport Simulation::run() {
         pe.results_discarded = master.slaves[i].results_discarded;
         report.pes.push_back(std::move(pe));
     }
-    report.spans = std::move(spans_);
-    report.rates = std::move(rates_);
+    report.trace = recorder_.drain();
     return report;
 }
 
@@ -395,67 +401,14 @@ SimReport simulate(const SimConfig& config) {
     return sim.run();
 }
 
-std::string render_gantt(const SimReport& report,
-                         const std::vector<PeModelSpec>& pes,
-                         double time_step) {
-    // Both execution modes share obs::render_gantt, so a simulated run
-    // and a traced real run produce directly comparable charts.
-    std::vector<obs::GanttSpan> spans;
-    spans.reserve(report.spans.size());
-    for (const TaskSpan& s : report.spans) {
-        spans.push_back(
-            obs::GanttSpan{s.pe, s.task, s.start, s.end, s.aborted});
+obs::BalanceOptions balance_options(const SimReport& report) {
+    obs::BalanceOptions options;
+    options.horizon_s = report.all_idle_time;
+    for (const PeReport& pe : report.pes) {
+        options.cells_by_label.emplace_back(pe.label,
+                                            static_cast<double>(pe.cells));
     }
-    std::vector<std::string> labels;
-    labels.reserve(pes.size());
-    for (const PeModelSpec& pe : pes) labels.push_back(pe.label);
-    return obs::render_gantt(spans, labels, time_step);
-}
-
-obs::Trace to_trace(const SimReport& report,
-                    const std::vector<PeModelSpec>& pes,
-                    obs::Trace recorded) {
-    obs::Trace trace = std::move(recorded);
-    const std::size_t first_pe = trace.lanes.size();
-    trace.lanes.resize(first_pe + pes.size());
-    for (std::size_t p = 0; p < pes.size(); ++p) {
-        trace.lanes[first_pe + p].label = pes[p].label;
-    }
-    for (const TaskSpan& s : report.spans) {
-        if (first_pe + s.pe >= trace.lanes.size()) continue;
-        auto& events = trace.lanes[first_pe + s.pe].events;
-        events.push_back(obs::TraceEvent{s.start, obs::EventKind::SpanBegin,
-                                         static_cast<core::PeId>(s.pe),
-                                         s.task, 0.0, "task"});
-        events.push_back(obs::TraceEvent{s.end, obs::EventKind::SpanEnd,
-                                         static_cast<core::PeId>(s.pe),
-                                         s.task, s.aborted ? 1.0 : 0.0,
-                                         "task"});
-    }
-    for (const RateSample& r : report.rates) {
-        if (first_pe + r.pe >= trace.lanes.size()) continue;
-        trace.lanes[first_pe + r.pe].events.push_back(obs::TraceEvent{
-            r.time, obs::EventKind::Progress, static_cast<core::PeId>(r.pe),
-            obs::kNoTask, r.gcups * 1e9, nullptr});
-    }
-    // Chrome's B/E pairing needs chronological lane order; at equal
-    // timestamps an End must precede the next Begin (back-to-back
-    // tasks).
-    auto rank = [](const obs::TraceEvent& e) {
-        if (e.kind == obs::EventKind::SpanEnd) return 0;
-        if (e.kind == obs::EventKind::SpanBegin) return 2;
-        return 1;
-    };
-    for (std::size_t li = first_pe; li < trace.lanes.size(); ++li) {
-        auto& events = trace.lanes[li].events;
-        std::stable_sort(events.begin(), events.end(),
-                         [&](const obs::TraceEvent& a,
-                             const obs::TraceEvent& b) {
-                             if (a.t != b.t) return a.t < b.t;
-                             return rank(a) < rank(b);
-                         });
-    }
-    return trace;
+    return options;
 }
 
 }  // namespace swh::sim

@@ -6,6 +6,7 @@
 
 #include "core/policy.hpp"
 #include "core/scheduler.hpp"
+#include "obs/balance.hpp"
 #include "obs/trace.hpp"
 #include "sim/platform.hpp"
 
@@ -36,31 +37,6 @@ struct SimConfig {
     std::vector<JoinEvent> join_events;
     /// Hard stop for misconfigured scenarios (virtual seconds).
     double max_time = 1e9;
-    /// Optional trace recorder, as in RuntimeOptions::trace: when set,
-    /// simulate() opens a "master" lane on it and records the
-    /// scheduler's decisions there through obs::SchedTracer, stamped in
-    /// virtual time, so a DES run yields the same balance evidence and
-    /// PSS weight trajectories as a traced real one. The lane grows
-    /// (obs::Overflow::Grow), so no run outgrows it. Non-owning; must
-    /// outlive simulate().
-    obs::TraceRecorder* trace = nullptr;
-};
-
-/// One task execution on one PE, for Gantt rendering (paper Fig. 5).
-struct TaskSpan {
-    core::TaskId task = 0;
-    std::size_t pe = 0;
-    double start = 0.0;
-    double end = 0.0;
-    bool accepted = false;    ///< first finisher
-    bool aborted = false;     ///< stopped by Shutdown / node left
-};
-
-/// Delivered-rate sample at a notification point (paper Figs. 7-8).
-struct RateSample {
-    std::size_t pe = 0;
-    double time = 0.0;
-    double gcups = 0.0;
 };
 
 struct PeReport {
@@ -87,28 +63,20 @@ struct SimReport {
     std::size_t replicas_issued = 0;
     std::size_t completions_discarded = 0;
     std::vector<PeReport> pes;
-    std::vector<TaskSpan> spans;
-    std::vector<RateSample> rates;
+    /// The run as a traced real run records it, stamped in virtual
+    /// time: the "master" lane (the scheduler's decisions through
+    /// obs::SchedTracer, every PE rate sample included), then one lane
+    /// per PE, joiners included, in `pes` order and labelled like it.
+    /// A PE lane carries the "task" spans run_slave_loop writes:
+    /// outcome 1 when the task was aborted. Every lane grows
+    /// (obs::Overflow::Grow), so none drops an event.
+    obs::Trace trace;
 };
 
 SimReport simulate(const SimConfig& config);
 
-/// Renders the spans as an ASCII Gantt chart (one row per PE), like the
-/// paper's Fig. 5. `time_step` is the width of one character cell.
-std::string render_gantt(const SimReport& report,
-                         const std::vector<PeModelSpec>& pes,
-                         double time_step);
-
-/// Converts a simulator report into an obs::Trace on virtual
-/// timestamps: the lanes `recorded` during the run (the drained
-/// SimConfig::trace recorder, whose "master" lane carries the
-/// scheduler's decisions), then one lane per PE carrying its task
-/// spans plus Progress instants from the rate samples — the exact
-/// Trace shape a drained TraceRecorder produces, so a simulated run
-/// feeds the same exporters *and* the same obs::analyze_balance as a
-/// traced real run.
-obs::Trace to_trace(const SimReport& report,
-                    const std::vector<PeModelSpec>& pes,
-                    obs::Trace recorded = {});
+/// The options obs::analyze_balance reads `report.trace` with: the
+/// horizon at all_idle_time, and each PE's exact computed cells.
+obs::BalanceOptions balance_options(const SimReport& report);
 
 }  // namespace swh::sim

@@ -421,7 +421,7 @@ TEST(TraceExport, GanttRendersOneRowPerSpanLane) {
         pe.label = label;
         cfg.pes.push_back(pe);
     }
-    Trace trace = sim::to_trace(sim::simulate(cfg), cfg.pes);
+    Trace trace = sim::simulate(cfg).trace;
     TraceLaneData chan;
     chan.label = "chan:A";
     chan.events.push_back(TraceEvent{0.0, EventKind::ChannelSend, 0, kNoTask,

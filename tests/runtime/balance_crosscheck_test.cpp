@@ -130,18 +130,8 @@ obs::BalanceReport des_balance() {
         slow.peak_gcups = kSlowGcups;
         cfg.pes.push_back(slow);
     }
-    obs::TraceRecorder recorder;
-    cfg.trace = &recorder;
     const sim::SimReport r = sim::simulate(cfg);
-
-    obs::BalanceOptions bopts;
-    bopts.horizon_s = r.all_idle_time;
-    for (const sim::PeReport& pe : r.pes) {
-        bopts.cells_by_label.emplace_back(pe.label,
-                                          static_cast<double>(pe.cells));
-    }
-    return obs::analyze_balance(sim::to_trace(r, cfg.pes, recorder.drain()),
-                                bopts);
+    return obs::analyze_balance(r.trace, sim::balance_options(r));
 }
 
 TEST(BalanceCrosscheck, RuntimeAndSimulatorAgreeOnTheFig5Workload) {

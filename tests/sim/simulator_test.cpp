@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "obs/sched_log.hpp"
+#include "task_spans.hpp"
 #include "util/error.hpp"
 
 namespace swh::sim {
@@ -46,7 +48,7 @@ TEST(SimFigure5, WithAdjustmentCompletesAt14s) {
     // The GPU's replica of t20 wins; SSE1's copy stops when the run
     // ends instead of running on to 18 s.
     bool sse_copy_of_t20 = false;
-    for (const TaskSpan& s : r.spans) {
+    for (const Span& s : task_spans(r)) {
         if (s.task != 19 || s.pe != 1) continue;
         sse_copy_of_t20 = true;
         EXPECT_TRUE(s.aborted);
@@ -62,9 +64,8 @@ TEST(SimFigure5, WithoutAdjustmentCompletesAt18s) {
 }
 
 TEST(SimFigure5, GanttRendersAllPes) {
-    const SimConfig cfg = figure5_config(true);
-    const SimReport r = simulate(cfg);
-    const std::string gantt = render_gantt(r, cfg.pes, 0.5);
+    const SimReport r = simulate(figure5_config(true));
+    const std::string gantt = obs::render_trace_gantt(r.trace, 0.5);
     EXPECT_NE(gantt.find("GPU1"), std::string::npos);
     EXPECT_NE(gantt.find("SSE3"), std::string::npos);
 }
@@ -73,12 +74,18 @@ TEST(Sim, Deterministic) {
     const SimReport a = simulate(figure5_config(true));
     const SimReport b = simulate(figure5_config(true));
     EXPECT_EQ(a.makespan, b.makespan);
-    ASSERT_EQ(a.spans.size(), b.spans.size());
-    for (std::size_t i = 0; i < a.spans.size(); ++i) {
-        EXPECT_EQ(a.spans[i].task, b.spans[i].task);
-        EXPECT_EQ(a.spans[i].pe, b.spans[i].pe);
-        EXPECT_DOUBLE_EQ(a.spans[i].start, b.spans[i].start);
-        EXPECT_DOUBLE_EQ(a.spans[i].end, b.spans[i].end);
+    ASSERT_EQ(a.trace.lanes.size(), b.trace.lanes.size());
+    for (std::size_t l = 0; l < a.trace.lanes.size(); ++l) {
+        const auto& x = a.trace.lanes[l].events;
+        const auto& y = b.trace.lanes[l].events;
+        ASSERT_EQ(x.size(), y.size()) << a.trace.lanes[l].label;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            EXPECT_EQ(x[i].kind, y[i].kind);
+            EXPECT_EQ(x[i].pe, y[i].pe);
+            EXPECT_EQ(x[i].task, y[i].task);
+            EXPECT_EQ(x[i].t, y[i].t);
+            EXPECT_EQ(x[i].value, y[i].value);
+        }
     }
 }
 
@@ -163,12 +170,12 @@ TEST(Sim, RateSamplesTrackLoadChange) {
     const SimReport r = simulate(cfg);
     double early = 0.0, late = 0.0;
     int early_n = 0, late_n = 0;
-    for (const RateSample& s : r.rates) {
-        if (s.time < 49.0) {
-            early += s.gcups;
+    for (const obs::WeightSample& s : obs::weight_samples(r.trace)) {
+        if (s.t < 49.0) {
+            early += s.realised_cps / 1e9;
             ++early_n;
-        } else if (s.time > 52.0) {
-            late += s.gcups;
+        } else if (s.t > 52.0) {
+            late += s.realised_cps / 1e9;
             ++late_n;
         }
     }

@@ -1,9 +1,14 @@
-// Coverage for the simulator's observability surfaces: Gantt spans,
-// rate traces, assignment latency, and report accounting.
+// Coverage for the simulator's trace (the runtime's master lane and
+// per-PE "task" span lanes), assignment latency, and report accounting.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/balance.hpp"
+#include "obs/sched_log.hpp"
 #include "sim/simulator.hpp"
+#include "task_spans.hpp"
 #include "util/error.hpp"
 
 namespace swh::sim {
@@ -27,17 +32,69 @@ SimConfig basic(std::size_t tasks = 8) {
     return cfg;
 }
 
+TEST(SimTrace, PeLanesCarryTheSlaveLoopsTaskSpans) {
+    const SimReport r = simulate(basic());
+    ASSERT_EQ(r.trace.lanes.size(), 3u);
+    EXPECT_EQ(r.trace.lanes[0].label, "master");
+    EXPECT_EQ(r.trace.total_dropped(), 0u);
+    for (std::size_t p = 0; p < 2; ++p) {
+        const obs::TraceLaneData& lane = r.trace.lanes[1 + p];
+        EXPECT_EQ(lane.label, r.pes[p].label);
+        ASSERT_FALSE(lane.events.empty());
+        ASSERT_EQ(lane.events.size() % 2, 0u);
+        // Begin/end pairs of one "task" span at a time, as
+        // run_slave_loop writes them.
+        for (std::size_t i = 0; i < lane.events.size(); i += 2) {
+            const obs::TraceEvent& b = lane.events[i];
+            const obs::TraceEvent& e = lane.events[i + 1];
+            EXPECT_EQ(b.kind, obs::EventKind::SpanBegin);
+            EXPECT_EQ(e.kind, obs::EventKind::SpanEnd);
+            EXPECT_STREQ(b.name, "task");
+            EXPECT_STREQ(e.name, "task");
+            EXPECT_EQ(b.task, e.task);
+            EXPECT_EQ(b.pe, p);
+            EXPECT_EQ(e.pe, p);
+            EXPECT_LE(b.t, e.t);
+        }
+    }
+}
+
+TEST(SimTrace, JoinerGetsALaneAGanttRowAndABalanceRow) {
+    SimConfig cfg = basic(30);
+    cfg.leave_events = {LeaveEvent{3.0, 1}};
+    cfg.join_events = {JoinEvent{6.0, pe("late", 4.0, core::PeKind::Gpu)}};
+    const SimReport r = simulate(cfg);
+    ASSERT_EQ(r.pes.size(), 3u);
+    ASSERT_GT(r.pes[2].results_accepted, 0u);
+    ASSERT_EQ(r.trace.lanes.size(), 4u);
+    EXPECT_EQ(r.trace.lanes[3].label, "late");
+    std::size_t joiner_spans = 0;
+    for (const Span& s : task_spans(r)) joiner_spans += s.pe == 2 ? 1 : 0;
+    EXPECT_EQ(joiner_spans, r.pes[2].results_accepted +
+                                r.pes[2].results_discarded +
+                                r.pes[2].tasks_aborted);
+
+    EXPECT_NE(obs::render_trace_gantt(r.trace, 1.0).find("late |"),
+              std::string::npos);
+    const obs::BalanceReport balance =
+        obs::analyze_balance(r.trace, balance_options(r));
+    ASSERT_EQ(balance.pe_count, 3u);
+    EXPECT_EQ(balance.pes[2].label, "late");
+    EXPECT_EQ(balance.pes[2].pe, 2u);
+    EXPECT_EQ(balance.pes[2].tasks_accepted, r.pes[2].results_accepted);
+    EXPECT_NEAR(balance.pes[2].busy_s, r.pes[2].busy_seconds, 1e-9);
+    EXPECT_GT(balance.pes[2].cells_per_second, 0.0);
+}
+
 TEST(SimTrace, SpansTileEachPeWithoutOverlap) {
     const SimReport r = simulate(basic());
+    const std::vector<Span> spans = task_spans(r);
     for (std::size_t p = 0; p < 2; ++p) {
-        std::vector<TaskSpan> mine;
-        for (const TaskSpan& s : r.spans) {
+        std::vector<Span> mine;
+        for (const Span& s : spans) {
             if (s.pe == p) mine.push_back(s);
         }
-        std::sort(mine.begin(), mine.end(),
-                  [](const TaskSpan& a, const TaskSpan& b) {
-                      return a.start < b.start;
-                  });
+        ASSERT_FALSE(mine.empty());
         for (std::size_t i = 1; i < mine.size(); ++i) {
             EXPECT_GE(mine[i].start, mine[i - 1].end - 1e-9)
                 << "pe " << p << " span " << i;
@@ -47,10 +104,20 @@ TEST(SimTrace, SpansTileEachPeWithoutOverlap) {
 
 TEST(SimTrace, AcceptedSpansCoverEveryTaskOnce) {
     const SimReport r = simulate(basic());
+    const std::vector<Span> spans = task_spans(r);
+    for (const Span& s : spans) EXPECT_GE(s.end, s.start);
+    // The master lane names each task's winner; the winner's lane holds
+    // the finished span of that task.
     std::vector<int> accepted(8, 0);
-    for (const TaskSpan& s : r.spans) {
-        if (s.accepted) ++accepted[s.task];
-        EXPECT_GE(s.end, s.start);
+    for (const obs::TraceEvent& e : r.trace.lanes.front().events) {
+        if (e.kind != obs::EventKind::CompletedAccepted) continue;
+        ++accepted[e.task];
+        EXPECT_TRUE(std::any_of(
+            spans.begin(), spans.end(), [&](const Span& s) {
+                return s.task == e.task && s.pe == e.pe && !s.aborted &&
+                       s.end == e.t;
+            }))
+            << "task " << e.task;
     }
     for (const int count : accepted) EXPECT_EQ(count, 1);
 }
@@ -59,7 +126,7 @@ TEST(SimTrace, BusySecondsMatchSpanLengths) {
     const SimReport r = simulate(basic());
     for (std::size_t p = 0; p < 2; ++p) {
         double span_total = 0.0;
-        for (const TaskSpan& s : r.spans) {
+        for (const Span& s : task_spans(r)) {
             if (s.pe == p) span_total += s.end - s.start;
         }
         EXPECT_NEAR(r.pes[p].busy_seconds, span_total, 1e-6);
@@ -70,9 +137,11 @@ TEST(SimTrace, RateSamplesMatchNominalSpeed) {
     SimConfig cfg = basic(6);
     cfg.notify_period_s = 0.5;
     const SimReport r = simulate(cfg);
-    ASSERT_FALSE(r.rates.empty());
-    for (const RateSample& s : r.rates) {
-        EXPECT_NEAR(s.gcups, 1.0, 0.05) << "t=" << s.time;
+    const std::vector<obs::WeightSample> samples =
+        obs::weight_samples(r.trace);
+    ASSERT_FALSE(samples.empty());
+    for (const obs::WeightSample& s : samples) {
+        EXPECT_NEAR(s.realised_cps / 1e9, 1.0, 0.05) << "t=" << s.t;
     }
 }
 
@@ -82,7 +151,7 @@ TEST(SimTrace, AssignLatencyDelaysEveryStart) {
     const SimReport r = simulate(cfg);
     // First task on each PE cannot start before the reply lands.
     double first_start = 1e18;
-    for (const TaskSpan& s : r.spans) {
+    for (const Span& s : task_spans(r)) {
         first_start = std::min(first_start, s.start);
     }
     EXPECT_GE(first_start, 0.5 - 1e-9);
@@ -98,7 +167,7 @@ TEST(SimTrace, GanttMarksAbortedSpans) {
     cfg.query_lengths = {10'000, 10'000};
     cfg.pes = {pe("slow", 0.1), pe("fast", 10.0, core::PeKind::Gpu)};
     const SimReport r = simulate(cfg);
-    const std::string gantt = render_gantt(r, cfg.pes, 1.0);
+    const std::string gantt = obs::render_trace_gantt(r.trace, 1.0);
     EXPECT_NE(gantt.find('x'), std::string::npos);  // aborted replica
 }
 
@@ -113,7 +182,7 @@ TEST(SimTrace, ReportCountsReplicaDuplicates) {
     cfg.pes = {pe("slow", 0.1), pe("fast", 10.0, core::PeKind::Gpu)};
     const SimReport r = simulate(cfg);
     std::size_t slow_aborted = 0;
-    for (const TaskSpan& s : r.spans) {
+    for (const Span& s : task_spans(r)) {
         if (s.pe != 0 || !s.aborted) continue;
         ++slow_aborted;
         EXPECT_DOUBLE_EQ(s.end, r.makespan);
@@ -133,10 +202,11 @@ TEST(SimTrace, LptOrderingInSimulation) {
     cfg.pes = {pe("A", 1.0)};
     const SimReport r = simulate(cfg);
     // Single PE: spans must run 9k, 5k, 1k in that order.
-    ASSERT_EQ(r.spans.size(), 3u);
-    EXPECT_EQ(r.spans[0].task, 1u);
-    EXPECT_EQ(r.spans[1].task, 2u);
-    EXPECT_EQ(r.spans[2].task, 0u);
+    const std::vector<Span> spans = task_spans(r);
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[0].task, 1u);
+    EXPECT_EQ(spans[1].task, 2u);
+    EXPECT_EQ(spans[2].task, 0u);
 }
 
 }  // namespace
