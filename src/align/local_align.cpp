@@ -1,6 +1,6 @@
 #include "align/local_align.hpp"
 
-#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "align/sw_scalar.hpp"
@@ -19,10 +19,10 @@ Alignment sw_align_affine_lowmem(std::span<const Code> s,
     // Reverse pass over the prefix rectangle [0..s_end] x [0..t_end]. The
     // best local alignment of the reversed prefixes has the same optimal
     // score; its end cell maps to the start of a co-optimal alignment.
-    std::vector<Code> s_rev(s.begin(), s.begin() + fwd.s_end + 1);
-    std::vector<Code> t_rev(t.begin(), t.begin() + fwd.t_end + 1);
-    std::reverse(s_rev.begin(), s_rev.end());
-    std::reverse(t_rev.begin(), t_rev.end());
+    const std::span<const Code> s_pre = s.first(fwd.s_end + 1);
+    const std::span<const Code> t_pre = t.first(fwd.t_end + 1);
+    const std::vector<Code> s_rev(s_pre.rbegin(), s_pre.rend());
+    const std::vector<Code> t_rev(t_pre.rbegin(), t_pre.rend());
     const LocalEnd rev = sw_end_affine(s_rev, t_rev, matrix, gap);
     SWH_REQUIRE(rev.score == fwd.score,
                 "reverse locate pass disagrees with forward score");

@@ -159,8 +159,10 @@ StripedAligner::StripedAligner(std::vector<Code> query,
     // negative one into a large charge.
     SWH_REQUIRE(gap.open >= 0 && gap.extend >= 0,
                 "gap penalties must be non-negative");
-    profile8_ = build_profile8(query_, matrix, lanes_u8(isa));
-    profile16_ = build_profile16(query_, matrix, lanes_i16(isa));
+    // The 8-bit profile is built on first use; its range check stays
+    // here, so an unfit matrix still fails at construction.
+    SWH_REQUIRE(matrix.max_score() + matrix.bias() <= 255,
+                "matrix range too wide for the 8-bit profile");
     if (interseq_supported(matrix)) {
         interseq_ = std::make_unique<InterseqProfile>(
             build_interseq_profile(query_, matrix));
@@ -169,16 +171,30 @@ StripedAligner::StripedAligner(std::vector<Code> query,
 
 StripedAligner::~StripedAligner() = default;
 
+const Profile8& StripedAligner::profile8() const {
+    std::call_once(profile8_once_, [this] {
+        profile8_ = build_profile8(query_, *matrix_, lanes_u8(isa_));
+    });
+    return profile8_;
+}
+
+const Profile16& StripedAligner::profile16() const {
+    std::call_once(profile16_once_, [this] {
+        profile16_ = build_profile16(query_, *matrix_, lanes_i16(isa_));
+    });
+    return profile16_;
+}
+
 StripedResult StripedAligner::score_u8(std::span<const Code> db,
                                        ScanScratch& scratch,
                                        bool trusted) const {
-    return sw_striped_u8(profile8_, db, gap_, isa_, scratch, trusted);
+    return sw_striped_u8(profile8(), db, gap_, isa_, scratch, trusted);
 }
 
 StripedResult StripedAligner::score_i16(std::span<const Code> db,
                                         ScanScratch& scratch,
                                         bool trusted) const {
-    return sw_striped_i16(profile16_, db, gap_, isa_, scratch, trusted);
+    return sw_striped_i16(profile16(), db, gap_, isa_, scratch, trusted);
 }
 
 Score StripedAligner::rescore_i32(std::span<const Code> db,

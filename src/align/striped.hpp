@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -159,9 +160,12 @@ int lanes_i16(simd::IsaLevel isa);
 
 /// Query-vs-many-databases scorer with automatic 8 -> 16 -> 32-bit
 /// escalation, mirroring how SSE database-search tools (and the paper's
-/// adapted Farrar code) handle score overflow. Immutable after
-/// construction, so concurrent score() calls are thread-safe; the
-/// escalation tally of a scan lives in DatabaseScanner::Stats.
+/// adapted Farrar code) handle score overflow. The striped u8 and i16
+/// profiles are built on first use (std::call_once), so a funnel scan
+/// whose cohorts all take the inter-sequence route never builds them;
+/// everything else is fixed at construction, and concurrent calls are
+/// thread-safe. The escalation tally of a scan lives in
+/// DatabaseScanner::Stats.
 struct InterseqProfile;
 
 class StripedAligner {
@@ -214,12 +218,17 @@ public:
     const InterseqProfile* interseq() const { return interseq_.get(); }
 
 private:
+    const Profile8& profile8() const;
+    const Profile16& profile16() const;
+
     std::vector<Code> query_;
     const ScoreMatrix* matrix_;
     GapPenalty gap_;
     simd::IsaLevel isa_;
-    Profile8 profile8_;
-    Profile16 profile16_;
+    mutable std::once_flag profile8_once_;
+    mutable std::once_flag profile16_once_;
+    mutable Profile8 profile8_;
+    mutable Profile16 profile16_;
     std::unique_ptr<InterseqProfile> interseq_;  // null = not eligible
 };
 

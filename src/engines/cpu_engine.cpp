@@ -44,7 +44,7 @@ void export_scan_stats(const align::DatabaseScanner::Stats& s,
 }
 
 CpuEngine::CpuEngine(EngineConfig config, unsigned threads)
-    : config_(config), threads_(threads) {
+    : config_(config), threads_(threads), scratch_(threads) {
     SWH_REQUIRE(config_.matrix != nullptr, "engine needs a score matrix");
     SWH_REQUIRE(threads_ >= 1, "engine needs at least one thread");
     SWH_REQUIRE(simd::is_supported(config_.isa),
@@ -108,7 +108,6 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     // (DatabaseScanner::kDefaultChunk per atomic op) and run the funnel
     // scan.
     auto worker = [&](unsigned wid) {
-        align::ScanScratch scratch;
         std::uint64_t local_pending = 0;
         // Progress/cancellation bookkeeping shared by the emit and
         // pruned paths: pruned subjects count their cells too, so
@@ -142,7 +141,7 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
             return true;
         };
         scanner.run_worker(
-            scratch,
+            scratch_[wid],
             [&](std::uint32_t idx, std::uint32_t len, align::Score score) {
                 if (stop.load(std::memory_order_relaxed)) return false;
                 collectors[wid].add(idx, score);

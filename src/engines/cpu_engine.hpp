@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "align/db_scan.hpp"
 #include "engines/engine.hpp"
 
@@ -21,7 +23,12 @@ void export_scan_stats(const align::DatabaseScanner::Stats& stats,
 /// internal worker threads claiming DatabaseScanner::kDefaultChunk
 /// subjects per atomic op
 /// (a whole multicore presented as one PE); the paper's setup registers
-/// each core as its own single-threaded slave.
+/// each core as its own single-threaded slave. Each worker keeps one
+/// align::ScanScratch for the engine's lifetime — kernel buffers,
+/// inter-sequence column state, funnel lists — so a slave that runs
+/// task after task scans warm; per task it builds only the query's
+/// profiles (the striped ones on first use, see align::StripedAligner)
+/// and its DatabaseScanner.
 class CpuEngine final : public ComputeEngine {
 public:
     CpuEngine(EngineConfig config, unsigned threads = 1);
@@ -40,6 +47,9 @@ public:
 private:
     EngineConfig config_;
     unsigned threads_;
+    /// One per worker (index = worker id), reused by every execute():
+    /// scratch contents never reach a result (engine.hpp).
+    std::vector<align::ScanScratch> scratch_;
 };
 
 }  // namespace swh::engines

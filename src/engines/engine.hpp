@@ -65,8 +65,12 @@ struct EngineConfig {
 
 /// A processing element's compute backend: runs one task (query vs whole
 /// database) to completion. Implementations must be safe to call from
-/// the one slave thread that owns them (no cross-call state leakage);
-/// distinct engine instances may run concurrently.
+/// the one slave thread that owns them; distinct engine instances may
+/// run concurrently. An engine may keep scratch memory across calls
+/// (CpuEngine keeps its workers' scan buffers warm), but no result may
+/// depend on it: every execute() returns what a fresh engine would,
+/// whatever ran before — another query, another database, or a call
+/// cancelled mid-scan.
 class ComputeEngine {
 public:
     virtual ~ComputeEngine() = default;

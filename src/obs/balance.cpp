@@ -13,46 +13,19 @@ namespace swh::obs {
 
 namespace {
 
-/// A paired top-level task span of one lane, the unit both the time
-/// decomposition and the critical chain operate on (nested kernel
-/// spans are charged to their enclosing task).
-struct FlatSpan {
+/// A top-level task span and its lane, the unit both the time
+/// decomposition and the critical chain operate on (nested kernel spans
+/// are charged to their enclosing task).
+struct FlatSpan : LaneSpan {
     std::size_t lane = 0;
-    core::PeId pe = core::kInvalidPe;
-    core::TaskId task = kNoTask;
-    double start = 0.0;
-    double end = 0.0;
-    bool aborted = false;
 };
 
-/// Pairs SpanBegin/SpanEnd with a stack (spans only nest) and keeps the
-/// depth-0 pairs. An unmatched begin (run cut short) closes at the
-/// lane's last timestamp, aborted.
+/// The lane's depth-0 spans, by start time.
 std::vector<FlatSpan> top_level_spans(const TraceLaneData& lane,
                                       std::size_t lane_index) {
     std::vector<FlatSpan> out;
-    std::vector<const TraceEvent*> open;
-    double last_t = 0.0;
-    for (const TraceEvent& e : lane.events) {
-        last_t = std::max(last_t, e.t);
-        if (e.kind == EventKind::SpanBegin) {
-            open.push_back(&e);
-        } else if (e.kind == EventKind::SpanEnd && !open.empty()) {
-            const TraceEvent* b = open.back();
-            open.pop_back();
-            if (open.empty()) {
-                const core::PeId pe =
-                    b->pe != core::kInvalidPe ? b->pe : e.pe;
-                out.push_back(FlatSpan{lane_index, pe, b->task, b->t, e.t,
-                                       e.value != 0.0});
-            }
-        }
-    }
-    if (!open.empty()) {
-        // Only the outermost unmatched begin is a top-level span.
-        const TraceEvent* b = open.front();
-        out.push_back(
-            FlatSpan{lane_index, b->pe, b->task, b->t, last_t, true});
+    for (const LaneSpan& s : lane_spans(lane)) {
+        if (s.depth == 0) out.push_back(FlatSpan{s, lane_index});
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const FlatSpan& a, const FlatSpan& b) {

@@ -115,9 +115,11 @@ std::string render_dashboard(const MetricsSnapshot& snapshot,
                                         !options.pe_labels[id].empty()
                                     ? options.pe_labels[id]
                                     : "pe" + std::to_string(pe);
-            label += " " + format_double(rate, 2);
+            label.append(" ").append(format_double(rate, 2));
             if (const auto it = accepted.find(pe); it != accepted.end()) {
-                label += " (" + std::to_string(it->second) + " acc)";
+                label.append(" (")
+                    .append(std::to_string(it->second))
+                    .append(" acc)");
             }
             labels.push_back(std::move(label));
             bars.push_back(GanttSpan{row, static_cast<std::uint64_t>(pe), 0.0,

@@ -198,6 +198,29 @@ void export_csv(const Trace& trace, std::ostream& os) {
     os << "# dropped_events," << trace.total_dropped() << '\n';
 }
 
+std::vector<LaneSpan> lane_spans(const TraceLaneData& lane) {
+    std::vector<LaneSpan> out;
+    std::vector<const TraceEvent*> open;
+    double last_t = 0.0;
+    for (const TraceEvent& e : lane.events) {
+        last_t = std::max(last_t, e.t);
+        if (e.kind == EventKind::SpanBegin) {
+            open.push_back(&e);
+        } else if (e.kind == EventKind::SpanEnd && !open.empty()) {
+            const TraceEvent* b = open.back();
+            open.pop_back();
+            out.push_back(LaneSpan{b->pe != core::kInvalidPe ? b->pe : e.pe,
+                                   b->task, b->t, e.t, e.value != 0.0,
+                                   open.size()});
+        }
+    }
+    for (std::size_t depth = 0; depth < open.size(); ++depth) {
+        const TraceEvent* b = open[depth];
+        out.push_back(LaneSpan{b->pe, b->task, b->t, last_t, true, depth});
+    }
+    return out;
+}
+
 std::string render_trace_gantt(const Trace& trace, double time_step) {
     std::string header;
     if (const std::uint64_t dropped = trace.total_dropped(); dropped > 0) {
@@ -207,30 +230,13 @@ std::string render_trace_gantt(const Trace& trace, double time_step) {
     std::vector<GanttSpan> spans;
     std::vector<std::string> labels;
     for (const TraceLaneData& lane : trace.lanes) {
-        // Pair begins with ends (spans only nest, so a stack suffices).
-        // An unmatched begin (run cut short) renders as aborted, ending
-        // at the lane's last event.
-        std::vector<const TraceEvent*> open;
-        std::vector<GanttSpan> mine;
-        const std::size_t row = labels.size();
-        double last_t = 0.0;
-        for (const TraceEvent& e : lane.events) {
-            last_t = std::max(last_t, e.t);
-            if (e.kind == EventKind::SpanBegin) {
-                open.push_back(&e);
-            } else if (e.kind == EventKind::SpanEnd && !open.empty()) {
-                const TraceEvent* b = open.back();
-                open.pop_back();
-                mine.push_back(
-                    GanttSpan{row, b->task, b->t, e.t, e.value != 0.0});
-            }
-        }
-        for (const TraceEvent* b : open) {
-            mine.push_back(GanttSpan{row, b->task, b->t, last_t, true});
-        }
+        const std::vector<LaneSpan> mine = lane_spans(lane);
         if (mine.empty()) continue;  // lane has no spans: no chart row
+        const std::size_t row = labels.size();
         labels.push_back(lane.label);
-        spans.insert(spans.end(), mine.begin(), mine.end());
+        for (const LaneSpan& s : mine) {
+            spans.push_back(GanttSpan{row, s.task, s.start, s.end, s.aborted});
+        }
     }
     return header + render_gantt(spans, labels, time_step);
 }

@@ -162,6 +162,24 @@ struct Trace {
     }
 };
 
+/// One SpanBegin/SpanEnd pair of a lane, the one reading of spans that
+/// the balance audit (depth 0: tasks) and the Gantt chart (every depth)
+/// share.
+struct LaneSpan {
+    core::PeId pe = core::kInvalidPe;  ///< the begin's, else the end's
+    core::TaskId task = kNoTask;       ///< the begin's
+    double start = 0.0;
+    double end = 0.0;
+    bool aborted = false;  ///< ended with a non-zero value, or never
+    std::size_t depth = 0;  ///< 0 = outermost
+};
+
+/// Pairs the lane's SpanBegin/SpanEnd events with a stack (spans only
+/// nest): the closed spans in the order they end, then the begins left
+/// open (run cut short), outermost first, each closed at the lane's
+/// last timestamp as aborted.
+std::vector<LaneSpan> lane_spans(const TraceLaneData& lane);
+
 /// Label of the lane a ChannelTracer writes for `peer`'s inbox:
 /// "chan:<peer>". A channel lane carries message sends and receives
 /// only — no task span and no scheduler decision.

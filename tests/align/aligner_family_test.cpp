@@ -52,9 +52,10 @@ INSTANTIATE_TEST_SUITE_P(Gaps, AlignerFamilyTest,
                                            GapPenalty{1, 1},
                                            GapPenalty{25, 3}),
                          [](const auto& info) {
-                             return "o" + std::to_string(info.param.open) +
-                                    "e" +
-                                    std::to_string(info.param.extend);
+                             return std::string("o")
+                                 .append(std::to_string(info.param.open))
+                                 .append("e")
+                                 .append(std::to_string(info.param.extend));
                          });
 
 TEST_P(AlignerFamilyTest, ScoreHierarchyHolds) {

@@ -55,7 +55,7 @@ std::vector<std::vector<Code>> random_subjects(Rng& rng, std::size_t n,
         const std::size_t len =
             min_len + rng.below(max_len - min_len + 1);
         subjects.push_back(
-            db::random_protein(rng, len, "s" + std::to_string(i)).residues);
+            db::random_protein(rng, len, std::string("s").append(std::to_string(i))).residues);
     }
     return subjects;
 }

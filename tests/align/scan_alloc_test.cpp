@@ -2,28 +2,49 @@
 // replaces the global allocation functions with counting versions
 // (which is why it is its own test target): once a worker's ScanScratch
 // has warmed up to the largest subject, StripedAligner::score() and the
-// DatabaseScanner two-pass loop must not touch the heap at all.
+// DatabaseScanner two-pass loop must not touch the heap at all, and a
+// warm CpuEngine allocates no large block per task but the query's
+// inter-sequence profile.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include "align/db_scan.hpp"
+#include "align/interseq.hpp"
 #include "align/striped.hpp"
+#include "align/sw_scalar.hpp"
 #include "db/database.hpp"
 #include "db/generator.hpp"
 #include "db/packed.hpp"
+#include "engines/cpu_engine.hpp"
 #include "engines/topk.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 
+// Sizes of the allocations of at least kBigAlloc bytes made while
+// g_record_big is set (see big_allocations); a fixed array, because the
+// allocation functions must not allocate.
+constexpr std::size_t kBigAlloc = 32 * 1024;
+std::atomic<bool> g_record_big{false};
+std::array<std::size_t, 64> g_big_sizes{};
+std::atomic<std::size_t> g_big_count{0};
+
 void* counted_alloc(std::size_t size, std::size_t align) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (size >= kBigAlloc && g_record_big.load(std::memory_order_relaxed)) {
+        const std::size_t i =
+            g_big_count.fetch_add(1, std::memory_order_relaxed);
+        if (i < g_big_sizes.size()) g_big_sizes[i] = size;
+    }
     void* p = nullptr;
     if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
                        size == 0 ? 1 : size) != 0) {
@@ -66,6 +87,46 @@ db::Database alloc_test_db() {
     spec.length.max_len = 400;
     spec.seed = 51;
     return db::Database::generate(spec);
+}
+
+/// The sorted sizes of the allocations of at least kBigAlloc bytes that
+/// `run` makes.
+template <class Fn>
+std::vector<std::size_t> big_allocations(Fn&& run) {
+    g_big_count.store(0, std::memory_order_relaxed);
+    g_record_big.store(true, std::memory_order_relaxed);
+    run();
+    g_record_big.store(false, std::memory_order_relaxed);
+    const std::size_t n = g_big_count.load(std::memory_order_relaxed);
+    EXPECT_LE(n, g_big_sizes.size()) << "too many large allocations to list";
+    std::vector<std::size_t> sizes(
+        g_big_sizes.begin(),
+        g_big_sizes.begin() +
+            static_cast<std::ptrdiff_t>(std::min(n, g_big_sizes.size())));
+    std::sort(sizes.begin(), sizes.end());
+    return sizes;
+}
+
+/// 128 subjects of 320-400 residues: at every cohort width (16, 32 or
+/// 64 lanes) the cohorts are whole and each is filled past the longest
+/// queries' 75% bar, so every cohort routes inter-sequence.
+db::Database interseq_only_db() {
+    db::DatabaseSpec spec;
+    spec.name = "interseq-only";
+    spec.num_sequences = 128;
+    spec.length.min_len = 320;
+    spec.length.max_len = 400;
+    spec.seed = 57;
+    return db::Database::generate(spec);
+}
+
+engines::EngineConfig engine_config(const ScoreMatrix& matrix) {
+    engines::EngineConfig c;
+    c.matrix = &matrix;
+    c.gap = {10, 2};
+    c.top_k = 10;
+    c.isa = simd::best_supported();
+    return c;
 }
 
 TEST(ScanAllocation, ScoreIsAllocationFreeInSteadyState) {
@@ -242,6 +303,71 @@ TEST(ScanAllocation, FunnelDrainIsAllocationFreeAfterWarmup) {
     EXPECT_GT(st.subjects_pruned, 0u);
     EXPECT_EQ(settled, warm_settled);
     EXPECT_EQ(topk.take(), warm_topk.take());
+}
+
+TEST(ScanAllocation, WarmEngineAllocatesOnlyTheQueryProfile) {
+    // A CpuEngine keeps its worker's scratch across tasks, and a scan
+    // whose cohorts all route inter-sequence never builds the striped
+    // profiles. So once the engine has run the longest query, a task's
+    // only large allocation is its query's inter-sequence profile: no
+    // scratch regrowth, no striped u8 or i16 profile (each over 32 KiB
+    // at this query length).
+    const db::Database database = interseq_only_db();
+    Rng rng(58);
+    const Sequence longest = db::random_protein(rng, 2000, "longest");
+    const Sequence q = db::random_protein(rng, 1500, "q");
+    const ScoreMatrix matrix = ScoreMatrix::blosum62();
+    obs::MetricsRegistry metrics;
+    engines::EngineConfig config = engine_config(matrix);
+    config.metrics = &metrics;
+    engines::CpuEngine engine(config);
+    engine.execute(longest, 0, 0, database, nullptr);
+
+    const std::vector<std::size_t> profile = big_allocations(
+        [&] { (void)build_interseq_profile(q.residues, matrix); });
+    ASSERT_FALSE(profile.empty());
+    core::TaskResult r;
+    const std::vector<std::size_t> task =
+        big_allocations([&] { r = engine.execute(q, 1, 1, database, nullptr); });
+    EXPECT_EQ(task, profile);
+
+    EXPECT_EQ(r.cells, q.size() * database.residues());
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_GT(snap.counter("scan.dispatch.cohorts_interseq"), 0u);
+    EXPECT_EQ(snap.counter("scan.dispatch.cohorts_striped_head"), 0u);
+    EXPECT_EQ(snap.counter("scan.dispatch.subjects_striped"), 0u);
+}
+
+TEST(ScanAllocation, StripedRouteCohortStillGetsItsProfile) {
+    // Five short subjects behind the whole cohorts make a tail cohort
+    // far below the fill bar: its subjects take the striped route, which
+    // builds the striped profile on first use. Every score the engine
+    // emits must match the scalar oracle.
+    std::vector<Sequence> seqs = interseq_only_db().sequences();
+    Rng rng(59);
+    for (int i = 0; i < 5; ++i) {
+        seqs.push_back(db::random_protein(rng, 60, "tail"));
+    }
+    const db::Database database("interseq+tail", std::move(seqs));
+    const Sequence q = db::random_protein(rng, 500, "q");
+    const ScoreMatrix matrix = ScoreMatrix::blosum62();
+    obs::MetricsRegistry metrics;
+    engines::EngineConfig config = engine_config(matrix);
+    config.metrics = &metrics;
+    config.prefilter = false;
+    config.top_k = database.size();
+    const core::TaskResult r =
+        engines::CpuEngine(config).execute(q, 0, 0, database, nullptr);
+
+    EXPECT_GT(metrics.snapshot().counter("scan.dispatch.subjects_striped"),
+              0u);
+    ASSERT_EQ(r.hits.size(), database.size());
+    for (const core::Hit& h : r.hits) {
+        EXPECT_EQ(h.score, sw_score_affine(q.residues,
+                                           database[h.db_index].residues,
+                                           matrix, config.gap))
+            << "subject " << h.db_index;
+    }
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ std::vector<std::vector<Code>> random_subjects(Rng& rng, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t len = min_len + rng.below(max_len - min_len + 1);
         subjects.push_back(
-            db::random_protein(rng, len, "s" + std::to_string(i)).residues);
+            db::random_protein(rng, len, std::string("s").append(std::to_string(i))).residues);
     }
     return subjects;
 }

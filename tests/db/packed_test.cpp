@@ -136,7 +136,7 @@ TEST(PackedDatabase, ScanOrderTieBreakIsBitReproducible) {
     for (int i = 0; i < 200; ++i) {
         const auto len = static_cast<std::size_t>(20 + (i % 4) * 10);
         seqs.push_back(align::Sequence{
-            "t" + std::to_string(i), "",
+            std::string("t").append(std::to_string(i)), "",
             std::vector<align::Code>(len, static_cast<align::Code>(i % 20))});
     }
     const PackedDatabase a = PackedDatabase::pack(seqs);
@@ -231,7 +231,8 @@ TEST(InterleavedChunksTest, UniformLengthsStayNaturalCohorts) {
     std::vector<align::Sequence> seqs;
     for (int i = 0; i < 70; ++i) {
         seqs.push_back(align::Sequence{
-            "u" + std::to_string(i), "", std::vector<align::Code>(80, 3)});
+            std::string("u").append(std::to_string(i)), "",
+            std::vector<align::Code>(80, 3)});
     }
     const PackedDatabase packed = PackedDatabase::pack(seqs);
     constexpr int kLanes = 16;

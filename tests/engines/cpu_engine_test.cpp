@@ -207,6 +207,52 @@ TEST(CpuEngine, CancellationStopsEarly) {
     EXPECT_LT(r.cells, q.size() * database.residues());
 }
 
+TEST(CpuEngine, WarmScratchNeverReachesAResult) {
+    // One engine keeps its workers' scratch across calls; no result may
+    // depend on it. Run query A, then a longer query B cancelled
+    // mid-scan (the losing replica's path: the funnel lists are left
+    // mid-use), then A again, then a query against a second database,
+    // and match each against a fresh engine's.
+    const db::ScanSample sample = db::make_scan_sample(250, {90, 300});
+    const align::Sequence& a = sample.queries[0];
+    const align::Sequence& b = sample.queries[1];
+    const db::Database other = small_db(70, 13);
+    const align::Sequence c = query(150, 14);
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        const auto fresh = [&](const align::Sequence& q,
+                               const db::Database& database,
+                               ExecutionObserver* observer = nullptr) {
+            return CpuEngine(config(), threads)
+                .execute(q, 0, 0, database, observer);
+        };
+        const auto expect_same = [](const core::TaskResult& got,
+                                    const core::TaskResult& want) {
+            EXPECT_EQ(got.cells, want.cells);
+            EXPECT_EQ(got.hits, want.hits);
+        };
+        CpuEngine warm(config(), threads);
+        const core::TaskResult a_fresh = fresh(a, sample.database);
+        expect_same(warm.execute(a, 0, 0, sample.database, nullptr),
+                    a_fresh);
+
+        CancelAfter stop_warm(100);
+        const core::TaskResult b_cut =
+            warm.execute(b, 0, 0, sample.database, &stop_warm);
+        EXPECT_LT(b_cut.cells, b.size() * sample.database.residues());
+        if (threads == 1) {
+            // One worker polls in a fixed order, so the cut lands at the
+            // same subject on a fresh engine.
+            CancelAfter stop_fresh(100);
+            expect_same(b_cut, fresh(b, sample.database, &stop_fresh));
+        }
+
+        expect_same(warm.execute(a, 0, 0, sample.database, nullptr),
+                    a_fresh);
+        expect_same(warm.execute(c, 0, 0, other, nullptr), fresh(c, other));
+    }
+}
+
 TEST(CpuEngine, TopKSmallerThanDatabase) {
     EngineConfig c = config();
     c.top_k = 1000;  // more than sequences available

@@ -447,6 +447,43 @@ TEST(TraceExport, GanttRendersOneRowPerSpanLane) {
     EXPECT_EQ(gantt.find("chan:"), std::string::npos);
 }
 
+TEST(TraceExport, LaneSpansPairByNestingAndCloseOpenBeginsAborted) {
+    // task 1 [0, 4] holds kernel span [1, 2] (aborted); task 3 begins
+    // at 5 and a kernel span inside it at 6, and the lane stops at 7.
+    TraceLaneData lane;
+    lane.label = "SSE1";
+    const auto add = [&](double t, EventKind kind, core::TaskId task,
+                         double value = 0.0) {
+        lane.events.push_back(TraceEvent{t, kind, 2, task, value, "x"});
+    };
+    add(0.0, EventKind::SpanBegin, 1);
+    add(1.0, EventKind::SpanBegin, 1);
+    add(2.0, EventKind::SpanEnd, 1, 1.0);
+    add(4.0, EventKind::SpanEnd, 1);
+    add(5.0, EventKind::SpanBegin, 3);
+    add(6.0, EventKind::SpanBegin, 3);
+    add(7.0, EventKind::Progress, kNoTask);
+
+    const std::vector<LaneSpan> spans = lane_spans(lane);
+    ASSERT_EQ(spans.size(), 4u);
+    const auto expect = [&](std::size_t i, core::TaskId task, double start,
+                            double end, bool aborted, std::size_t depth) {
+        SCOPED_TRACE(testing::Message() << "span " << i);
+        EXPECT_EQ(spans[i].pe, 2u);
+        EXPECT_EQ(spans[i].task, task);
+        EXPECT_EQ(spans[i].start, start);
+        EXPECT_EQ(spans[i].end, end);
+        EXPECT_EQ(spans[i].aborted, aborted);
+        EXPECT_EQ(spans[i].depth, depth);
+    };
+    // Closed spans in the order they end, then the open ones, outermost
+    // first, closed at the lane's last timestamp.
+    expect(0, 1, 1.0, 2.0, true, 1);
+    expect(1, 1, 0.0, 4.0, false, 0);
+    expect(2, 3, 5.0, 7.0, true, 0);
+    expect(3, 3, 6.0, 7.0, true, 1);
+}
+
 TEST(TraceRecorder, DisabledRecorderCapturesNothing) {
     TraceRecorder recorder(TraceRecorder::kDefaultLaneCapacity,
                            /*enabled=*/false);

@@ -98,9 +98,12 @@ INSTANTIATE_TEST_SUITE_P(
                       StressCase{12, 24, true, true}),
     [](const auto& info) {
         const StressCase& c = info.param;
-        return "s" + std::to_string(c.slaves) + "_q" +
-               std::to_string(c.queries) + (c.cancel_tail ? "_can" : "") +
-               (c.self_scheduling ? "_ss" : "_pss");
+        return std::string("s")
+            .append(std::to_string(c.slaves))
+            .append("_q")
+            .append(std::to_string(c.queries))
+            .append(c.cancel_tail ? "_can" : "")
+            .append(c.self_scheduling ? "_ss" : "_pss");
     });
 
 TEST_P(RuntimeStressTest, CompletesWithExactResults) {
@@ -126,7 +129,7 @@ TEST_P(RuntimeStressTest, CompletesWithExactResults) {
                 std::move(engine), c.cancel_tail ? 0.00005 : 0.0002);
         }
         slaves.push_back(SlaveSpec{
-            "s" + std::to_string(i),
+            std::string("s").append(std::to_string(i)),
             std::make_unique<GatedEngine>(std::move(engine), slow_started,
                                           slow)});
     }

@@ -142,8 +142,9 @@ TEST(Sim, LoadEventSlowsPeAndPssAdapts) {
         cfg.db_residues = 10'000'000;
         cfg.query_lengths.assign(40, 1'000);
         for (int i = 0; i < 4; ++i) {
-            cfg.pes.push_back(flat_pe("C" + std::to_string(i),
-                                      core::PeKind::SseCore, 2.0));
+            cfg.pes.push_back(
+                flat_pe(std::string("C").append(std::to_string(i)),
+                        core::PeKind::SseCore, 2.0));
         }
         if (loaded) {
             // Halve core 0's speed at 30% of the dedicated makespan.

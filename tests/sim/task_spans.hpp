@@ -23,12 +23,9 @@ inline std::vector<Span> task_spans(const SimReport& r) {
     std::vector<Span> out;
     const std::size_t first_pe = r.trace.lanes.size() - r.pes.size();
     for (std::size_t p = 0; p < r.pes.size(); ++p) {
-        double start = 0.0;
-        for (const obs::TraceEvent& e : r.trace.lanes[first_pe + p].events) {
-            if (e.kind == obs::EventKind::SpanBegin) start = e.t;
-            if (e.kind == obs::EventKind::SpanEnd) {
-                out.push_back(Span{e.task, p, start, e.t, e.value != 0.0});
-            }
+        for (const obs::LaneSpan& s :
+             obs::lane_spans(r.trace.lanes[first_pe + p])) {
+            out.push_back(Span{s.task, p, s.start, s.end, s.aborted});
         }
     }
     return out;
